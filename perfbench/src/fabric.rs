@@ -12,7 +12,7 @@
 
 use crate::probe::{self, ProbeInput};
 use crate::trace;
-use crate::util::{median, ms, tail, Digest, Outcome, Rng};
+use crate::util::{median, ms, peak_rss_mb, tail, Digest, Outcome, Rng};
 use desync_core::{ClusteringStrategy, DesyncDesign, DesyncFlow, DesyncOptions};
 use desync_netlist::edif::{from_edif, to_edif};
 use desync_netlist::{CellKind, CellLibrary, NetId, Netlist};
@@ -33,8 +33,10 @@ const GROWTH_CHAINS: (usize, usize) = (100, 400);
 /// (default and held-out). Other seeds check that every op agrees.
 const PINNED: [(u64, u64); 2] = [(1, 0x9d1f_b89f_1e8a_1558), (2, 0x5cf6_a7f4_a0f7_78ee)];
 
-/// Set-up repetitions; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
+/// Set-ups timed after every op, besides the first one that makes the op
+/// input; `setup_s` is the median of all of them, so it samples the host
+/// over the whole run rather than its first second.
+const SETUP_REPS_PER_OP: usize = 1;
 /// Ops measured at least, however long they take.
 const MIN_OPS: usize = 3;
 
@@ -167,15 +169,11 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
     let mut out = Outcome::default();
     let library = CellLibrary::generic_90nm();
 
-    let mut setup = Vec::new();
-    let mut text = String::new();
-    for _ in 0..SETUP_REPS {
-        let started = Instant::now();
-        let netlist = generate(CHAINS, STAGES, seed);
-        text = to_edif(&netlist);
-        setup.push(started.elapsed().as_secs_f64());
-    }
-    out.set("setup_s", median(&setup), "s");
+    let set_up = || to_edif(&generate(CHAINS, STAGES, seed));
+    let started = Instant::now();
+    let text = set_up();
+    let mut setup = vec![started.elapsed().as_secs_f64()];
+    let mut setup_drift = 0usize;
 
     let mut walls = Vec::new();
     let mut first: Option<Built> = None;
@@ -201,8 +199,19 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
                 out.problem(format!("op {op}: {e}"));
             }
         }
+        for _ in 0..SETUP_REPS_PER_OP {
+            let started = Instant::now();
+            let again = set_up();
+            setup.push(started.elapsed().as_secs_f64());
+            setup_drift += usize::from(again != text);
+        }
     }
     let measured = window.elapsed().as_secs_f64();
+    out.set("setup_s", median(&setup), "s");
+    out.set("peak_rss_mb", peak_rss_mb(), "MB");
+    out.check(setup_drift == 0, || {
+        format!("{setup_drift} set-ups generated another fabric than the first")
+    });
 
     let Some(built) = first else {
         return out;
@@ -232,10 +241,11 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
         out.set("throughput_per_s", cells / (p50 / 1e3), "1/s");
         println!(
             "design_s = {} s (median of {} ops in {measured:.1} s); tail_ms = {tail_ms} ms at \
-             p{pct:.1}; {} cells designed per second",
+             p{pct:.1}; {} cells designed per second; setup_s over {} set-ups",
             p50 / 1e3,
             walls.len(),
-            cells / (p50 / 1e3)
+            cells / (p50 / 1e3),
+            setup.len()
         );
     }
 

@@ -138,7 +138,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    out.set("peak_rss_mb", util::peak_rss_mb(), "MB");
     if args.trace {
         probe::record_layer_times(&mut out);
         for (from, to) in [

@@ -11,7 +11,7 @@
 
 use crate::probe::{self, ProbeInput};
 use crate::trace;
-use crate::util::{median, ms, tail, Outcome, Rng};
+use crate::util::{median, ms, peak_rss_mb, tail, Outcome, Rng};
 use desync_circuits::dlx::{encode_instruction, instruction_nets};
 use desync_circuits::{DlxConfig, LinearPipelineConfig};
 use desync_core::{
@@ -31,8 +31,13 @@ const CYCLES: usize = 48;
 const MARGINS: [f64; 3] = [0.05, 0.1, 0.2];
 /// Service workers (and sizing-pool workers) of every op.
 const WORKERS: usize = 2;
-/// Set-up repetitions; `setup_s` is their median.
-const SETUP_REPS: usize = 21;
+/// Set-ups repeated back to back after every op; their mean time is one
+/// sample of `setup_s`, the median over the run's samples. A single
+/// set-up takes a few milliseconds, and on a shared host such short
+/// samples fell into a fast and a slow mode about 1.7x apart, with their
+/// median jumping between the two from run to run; a block of ~0.1 s
+/// after every op samples the whole run instead of a few instants.
+const SETUP_BLOCK: usize = 25;
 /// Ops measured at least, however long they take.
 const MIN_OPS: usize = 3;
 /// Scalar sweep events, the same for every seed (the sweep stimuli are
@@ -168,14 +173,9 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
     let mut out = Outcome::default();
     let library = CellLibrary::generic_90nm();
 
+    let stock = designs(seed);
     let mut setup = Vec::new();
-    let mut stock = Vec::new();
-    for _ in 0..SETUP_REPS {
-        let started = Instant::now();
-        stock = designs(seed);
-        setup.push(started.elapsed().as_secs_f64());
-    }
-    out.set("setup_s", median(&setup), "s");
+    let mut setup_drift = 0usize;
 
     let points = grid();
     let sweep_requests: Vec<SweepRequest<'_>> = points
@@ -281,8 +281,29 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
         campaign_rates.push(verdicts / campaign_wall.as_secs_f64());
         last_report = Some(engine);
         last_campaign = Some(campaign);
+        drop(service);
+        if op == 1 {
+            // The peak of set-up and one op. Every op spawns fresh workers,
+            // and the memory the allocator keeps after each op grows with
+            // how they happened to interleave: over a whole run the peak
+            // spread by a quarter between runs of the same code.
+            out.set("peak_rss_mb", peak_rss_mb(), "MB");
+        }
+
+        let mut block = 0.0;
+        for _ in 0..SETUP_BLOCK {
+            let started = Instant::now();
+            let again = designs(seed);
+            block += started.elapsed().as_secs_f64();
+            setup_drift += usize::from(again.iter().zip(&stock).any(|(a, b)| a.edif != b.edif));
+        }
+        setup.push(block / SETUP_BLOCK as f64);
     }
     let measured = window.elapsed().as_secs_f64();
+    out.set("setup_s", median(&setup), "s");
+    out.check(setup_drift == 0, || {
+        format!("{setup_drift} set-ups generated other designs than the first")
+    });
 
     // Seed-independent pins: 15 of 18 points, 960 of 1,152 lanes, and the
     // exactly-once misses of one sweep (one sync run and one sizing
@@ -380,9 +401,10 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
     println!(
         "sweep_verdicts_per_s = {sweep_rate} 1/s; campaign_verdicts_per_s = {campaign_rate} 1/s \
          (ratio {} over a base of {sweep_rate} scalar verdicts/s; {} ops in {measured:.1} s; \
-         tail_ms = {tail_ms} ms at p{pct:.1})",
+         tail_ms = {tail_ms} ms at p{pct:.1}; setup_s over {} blocks of {SETUP_BLOCK} set-ups)",
         campaign_rate / sweep_rate,
-        sweep_walls.len()
+        sweep_walls.len(),
+        setup.len()
     );
 
     if trace::enabled() {

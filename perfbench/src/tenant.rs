@@ -19,7 +19,7 @@
 use crate::probe::{self, ProbeInput};
 use crate::stock::data_inputs;
 use crate::trace;
-use crate::util::{median, ms, tail, Digest, Outcome, Rng};
+use crate::util::{median, ms, peak_rss_mb, tail, Digest, Outcome, Rng};
 use desync_circuits::random::RandomCircuitConfig;
 use desync_circuits::{DlxConfig, FirConfig, LinearPipelineConfig};
 use desync_core::{
@@ -670,6 +670,7 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
     );
     probe::record_store(&mut out, &engine.report());
     probe::record_queue(&mut out, &phase1.queue);
+    out.set("peak_rss_mb", peak_rss_mb(), "MB");
 
     if trace::enabled() {
         traced_extras(&mix, &library, &mut out);
