@@ -33,10 +33,6 @@ const GROWTH_CHAINS: (usize, usize) = (100, 400);
 /// (default and held-out). Other seeds check that every op agrees.
 const PINNED: [(u64, u64); 2] = [(1, 0x9d1f_b89f_1e8a_1558), (2, 0x5cf6_a7f4_a0f7_78ee)];
 
-/// Set-ups timed after every op, besides the first one that makes the op
-/// input; `setup_s` is the median of all of them, so it samples the host
-/// over the whole run rather than its first second.
-const SETUP_REPS_PER_OP: usize = 1;
 /// Ops measured at least, however long they take.
 const MIN_OPS: usize = 3;
 
@@ -199,12 +195,12 @@ pub fn run(seed: u64, seconds: f64) -> Outcome {
                 out.problem(format!("op {op}: {e}"));
             }
         }
-        for _ in 0..SETUP_REPS_PER_OP {
-            let started = Instant::now();
-            let again = set_up();
-            setup.push(started.elapsed().as_secs_f64());
-            setup_drift += usize::from(again != text);
-        }
+        // One set-up after every op: `setup_s`, the median of these and the
+        // first, samples the host over the whole run, not its first second.
+        let started = Instant::now();
+        let again = set_up();
+        setup.push(started.elapsed().as_secs_f64());
+        setup_drift += usize::from(again != text);
     }
     let measured = window.elapsed().as_secs_f64();
     out.set("setup_s", median(&setup), "s");
