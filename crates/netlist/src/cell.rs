@@ -136,37 +136,44 @@ impl CellKind {
         }
     }
 
-    /// Parses a canonical library cell name back into a kind.
+    /// Parses a canonical library cell name back into a kind
+    /// (case-insensitive, without allocating).
     pub fn from_canonical_name(name: &str) -> Option<Self> {
         // Exact matches first (TIE0/TIE1 end in a digit that is not an arity
         // suffix), then arity-suffixed names (NAND2, AND3, ...).
-        match name.to_ascii_uppercase().as_str() {
-            "TIE0" => return Some(CellKind::Const0),
-            "TIE1" => return Some(CellKind::Const1),
-            "MUX2" => return Some(CellKind::Mux2),
-            "AOI22" => return Some(CellKind::AndOrInv),
-            _ => {}
-        }
-        let base = name.trim_end_matches(|c: char| c.is_ascii_digit());
-        let kind = match base.to_ascii_uppercase().as_str() {
-            "BUF" => CellKind::Buf,
-            "DLY" => CellKind::Delay,
-            "INV" | "NOT" => CellKind::Not,
-            "AND" => CellKind::And,
-            "NAND" => CellKind::Nand,
-            "OR" => CellKind::Or,
-            "NOR" => CellKind::Nor,
-            "XOR" => CellKind::Xor,
-            "XNOR" => CellKind::Xnor,
-            "MUX" | "MUX2" => CellKind::Mux2,
-            "AOI" | "AOI22" => CellKind::AndOrInv,
-            "DFF" => CellKind::Dff,
-            "LATN" => CellKind::LatchLow,
-            "LATP" => CellKind::LatchHigh,
-            "CELEM" | "C" => CellKind::CElement,
-            _ => return None,
+        const EXACT: [(&str, CellKind); 4] = [
+            ("TIE0", CellKind::Const0),
+            ("TIE1", CellKind::Const1),
+            ("MUX2", CellKind::Mux2),
+            ("AOI22", CellKind::AndOrInv),
+        ];
+        const BASES: [(&str, CellKind); 17] = [
+            ("BUF", CellKind::Buf),
+            ("DLY", CellKind::Delay),
+            ("INV", CellKind::Not),
+            ("NOT", CellKind::Not),
+            ("AND", CellKind::And),
+            ("NAND", CellKind::Nand),
+            ("OR", CellKind::Or),
+            ("NOR", CellKind::Nor),
+            ("XOR", CellKind::Xor),
+            ("XNOR", CellKind::Xnor),
+            ("MUX", CellKind::Mux2),
+            ("AOI", CellKind::AndOrInv),
+            ("DFF", CellKind::Dff),
+            ("LATN", CellKind::LatchLow),
+            ("LATP", CellKind::LatchHigh),
+            ("CELEM", CellKind::CElement),
+            ("C", CellKind::CElement),
+        ];
+        let lookup = |table: &[(&str, CellKind)], key: &str| {
+            table
+                .iter()
+                .find(|(n, _)| n.eq_ignore_ascii_case(key))
+                .map(|&(_, kind)| kind)
         };
-        Some(kind)
+        lookup(&EXACT, name)
+            .or_else(|| lookup(&BASES, name.trim_end_matches(|c: char| c.is_ascii_digit())))
     }
 
     /// Canonical input pin names for an instance of this kind with `n`
@@ -218,23 +225,26 @@ impl CellKind {
     ///
     /// Pin matching is case-insensitive and accepts the common aliases
     /// `CLK` (for `CK`) and `E` (for `EN`). N-ary gates take their inputs
-    /// in alphabetical pin order.
+    /// in alphabetical pin order: for them `conns` is sorted in place (a
+    /// stable sort, so a repeated pin keeps its order), which spares an
+    /// allocation per cell.
     ///
     /// # Errors
     ///
     /// Returns the name of the first missing required pin.
     pub fn order_connections(
         self,
-        conns: &[(String, NetId)],
+        conns: &mut [(&str, NetId)],
     ) -> Result<(Vec<NetId>, NetId), &'static str> {
-        let find = |names: &[&str]| -> Option<NetId> {
+        let find = |conns: &[(&str, NetId)], names: &[&str]| -> Option<NetId> {
             conns
                 .iter()
                 .find(|(pin, _)| names.iter().any(|n| pin.eq_ignore_ascii_case(n)))
                 .map(|&(_, net)| net)
         };
         let out_pin = self.output_pin_name();
-        let output = find(&[out_pin]).ok_or(out_pin)?;
+        let output = find(conns, &[out_pin]).ok_or(out_pin)?;
+        let find = |names: &[&str]| find(conns, names);
         let inputs = match self {
             CellKind::Dff => vec![find(&["D"]).ok_or("D")?, find(&["CK", "CLK"]).ok_or("CK")?],
             CellKind::LatchLow | CellKind::LatchHigh => {
@@ -246,14 +256,12 @@ impl CellKind {
                 find(&["B"]).ok_or("B")?,
             ],
             _ => {
-                // Input pins in alphabetical order of their names.
-                let mut named: Vec<(&String, NetId)> = conns
+                conns.sort_by(|a, b| a.0.cmp(b.0));
+                conns
                     .iter()
                     .filter(|(p, _)| !p.eq_ignore_ascii_case(out_pin))
-                    .map(|(p, n)| (p, *n))
-                    .collect();
-                named.sort_by(|a, b| a.0.cmp(b.0));
-                named.into_iter().map(|(_, id)| id).collect()
+                    .map(|&(_, net)| net)
+                    .collect()
             }
         };
         Ok((inputs, output))

@@ -1,4 +1,4 @@
-//! EDIF 2 0 0 netlist frontend: S-expression parser, typed AST, hierarchy
+//! EDIF 2 0 0 netlist frontend: streaming reader, typed AST, hierarchy
 //! flattener and writer.
 //!
 //! This is the gate through which *real* designs enter the
@@ -6,12 +6,18 @@
 //! module turns it into the flat, [`Symbol`]-interned [`Netlist`] every
 //! other crate consumes. Three layers:
 //!
-//! 1. **Lexer/parser** — a positioned S-expression reader producing a typed
-//!    AST ([`EdifAst`]: libraries → cells → views with interface ports,
-//!    instances and nets). Every diagnostic ([`EdifError`]) carries the
-//!    line/column it was detected at. Quoted strings, `(rename ...)`
-//!    aliases and unknown keyword forms (properties, timestamps, ...) are
-//!    handled/skipped the way real tool output requires.
+//! 1. **Reader** — one recursive-descent pass from text to the typed AST
+//!    ([`EdifAst`]: libraries → cells → views with interface ports,
+//!    instances and nets), with no S-expression tree in between. A byte
+//!    lexer yields tokens borrowed from the text, with their positions;
+//!    keywords match case-insensitively in place, and names are interned
+//!    straight from their text slices. Every diagnostic ([`EdifError`])
+//!    carries the line/column it was detected at. Quoted strings,
+//!    `(rename ...)` aliases and unknown keyword forms (properties,
+//!    timestamps, ...) are handled/skipped the way real tool output
+//!    requires. A syntax error anywhere in the file wins over a structural
+//!    one: when the pass fails, the whole text is checked for syntax
+//!    alone, so the success path stays a single pass.
 //! 2. **Flattener** — a worklist-driven, depth-first hierarchy expansion:
 //!    instances of cells defined in the file are expanded with `/`-joined
 //!    hierarchical names; instance pins are stitched to parent nets through
@@ -76,7 +82,7 @@ impl fmt::Display for Pos {
 /// Errors produced while lexing, parsing or flattening EDIF.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EdifError {
-    /// The S-expression reader or the AST extraction failed; the position
+    /// The reader failed on a syntax or structural error; the position
     /// points at the offending token or form.
     Parse {
         /// Where the problem was detected.
@@ -145,154 +151,6 @@ fn err(pos: Pos, message: impl Into<String>) -> EdifError {
     EdifError::Parse {
         pos,
         message: message.into(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// S-expression layer
-// ---------------------------------------------------------------------------
-
-/// A parsed S-expression with source positions.
-#[derive(Debug, Clone, PartialEq)]
-enum Sexp {
-    /// A bare atom (identifier or number).
-    Atom(String, Pos),
-    /// A quoted string literal (quotes stripped).
-    Str(String, Pos),
-    /// A parenthesized list.
-    List(Vec<Sexp>, Pos),
-}
-
-impl Sexp {
-    fn pos(&self) -> Pos {
-        match self {
-            Sexp::Atom(_, p) | Sexp::Str(_, p) | Sexp::List(_, p) => *p,
-        }
-    }
-
-    /// The lowercased head keyword of a list, if this is a non-empty list
-    /// starting with an atom.
-    fn keyword(&self) -> Option<String> {
-        match self {
-            Sexp::List(items, _) => match items.first() {
-                Some(Sexp::Atom(s, _)) => Some(s.to_ascii_lowercase()),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-/// Byte-slice lexer/reader. EDIF syntax is pure ASCII at the structural
-/// level (parens, whitespace, quotes); any UTF-8 payload bytes pass through
-/// inside atoms and strings untouched, so byte indexing is safe here and an
-/// order of magnitude faster than a `char` iterator on multi-megabyte
-/// netlists.
-struct SexpParser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    at: usize,
-    line: usize,
-    line_start: usize,
-}
-
-impl<'a> SexpParser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            text,
-            bytes: text.as_bytes(),
-            at: 0,
-            line: 1,
-            line_start: 0,
-        }
-    }
-
-    fn pos(&self) -> Pos {
-        Pos {
-            line: self.line,
-            col: self.at - self.line_start + 1,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.at += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.line_start = self.at;
-        }
-        Some(b)
-    }
-
-    fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(b) if b.is_ascii_whitespace()) {
-            self.bump();
-        }
-    }
-
-    /// Parses one S-expression.
-    fn parse(&mut self) -> Result<Sexp, EdifError> {
-        self.skip_whitespace();
-        let pos = self.pos();
-        match self.peek() {
-            None => Err(err(pos, "unexpected end of file")),
-            Some(b'(') => {
-                self.bump();
-                let mut items = Vec::new();
-                loop {
-                    self.skip_whitespace();
-                    match self.peek() {
-                        None => return Err(err(pos, "unclosed `(`")),
-                        Some(b')') => {
-                            self.bump();
-                            return Ok(Sexp::List(items, pos));
-                        }
-                        Some(_) => items.push(self.parse()?),
-                    }
-                }
-            }
-            Some(b')') => Err(err(pos, "unexpected `)`")),
-            Some(b'"') => {
-                self.bump();
-                let start = self.at;
-                loop {
-                    match self.bump() {
-                        None => return Err(err(pos, "unterminated string literal")),
-                        Some(b'"') => {
-                            let s = self.text[start..self.at - 1].to_string();
-                            return Ok(Sexp::Str(s, pos));
-                        }
-                        // EDIF `%xx%` escapes pass through untouched.
-                        Some(_) => {}
-                    }
-                }
-            }
-            Some(_) => {
-                let start = self.at;
-                while let Some(b) = self.peek() {
-                    if b.is_ascii_whitespace() || b == b'(' || b == b')' || b == b'"' {
-                        break;
-                    }
-                    self.bump();
-                }
-                Ok(Sexp::Atom(self.text[start..self.at].to_string(), pos))
-            }
-        }
-    }
-
-    /// Parses the single top-level expression and rejects trailing junk.
-    fn parse_document(&mut self) -> Result<Sexp, EdifError> {
-        let top = self.parse()?;
-        self.skip_whitespace();
-        let pos = self.pos();
-        if self.peek().is_some() {
-            return Err(err(pos, "trailing content after the top-level form"));
-        }
-        Ok(top)
     }
 }
 
@@ -399,265 +257,495 @@ pub struct EdifAst {
     pub design: Option<(Symbol, Option<Symbol>)>,
 }
 
-/// Extracts a name, accepting a bare atom or a `(rename ident "string")`
-/// form; the original string spelling wins for renames.
-fn parse_name(sexp: &Sexp) -> Result<Symbol, EdifError> {
-    match sexp {
-        Sexp::Atom(s, _) => Ok(Symbol::intern(s)),
-        Sexp::Str(s, _) => Ok(Symbol::intern(s)),
-        Sexp::List(items, pos) => {
-            if sexp.keyword().as_deref() == Some("rename") {
-                match items.get(2).or_else(|| items.get(1)) {
-                    Some(Sexp::Str(s, _)) => Ok(Symbol::intern(s)),
-                    Some(Sexp::Atom(s, _)) => Ok(Symbol::intern(s)),
-                    _ => Err(err(*pos, "malformed `(rename ...)` form")),
-                }
-            } else {
-                Err(err(*pos, "expected a name"))
+// ---------------------------------------------------------------------------
+// Streaming reader
+// ---------------------------------------------------------------------------
+
+/// One lexical token, borrowed from the source text.
+#[derive(Clone, Copy)]
+enum Token<'a> {
+    Open,
+    Close,
+    /// A bare atom (identifier or number).
+    Atom(&'a str),
+    /// A quoted string literal, quotes stripped; `%xx%` escapes pass
+    /// through untouched.
+    Str(&'a str),
+    End,
+}
+
+/// Recursive-descent EDIF reader over a byte lexer.
+///
+/// EDIF syntax is pure ASCII at the structural level (parens, whitespace,
+/// quotes); UTF-8 payload bytes pass through inside atoms and strings, so
+/// byte indexing is safe and every token is a slice of the text. Each form
+/// method is called just after its keyword and reads up to and including
+/// the form's closing paren, building the AST as it goes: no intermediate
+/// tree is ever materialized.
+struct Reader<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    at: usize,
+    line: usize,
+    line_start: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            bytes: text.as_bytes(),
+            at: 0,
+            line: 1,
+            line_start: 0,
+        }
+    }
+
+    fn pos(&self) -> Pos {
+        Pos {
+            line: self.line,
+            col: self.at - self.line_start + 1,
+        }
+    }
+
+    fn skip_whitespace(&mut self) {
+        while let Some(&b) = self.bytes.get(self.at) {
+            if !b.is_ascii_whitespace() {
+                break;
+            }
+            self.at += 1;
+            if b == b'\n' {
+                self.line += 1;
+                self.line_start = self.at;
             }
         }
     }
-}
 
-fn list_items<'s>(sexp: &'s Sexp, what: &str) -> Result<&'s [Sexp], EdifError> {
-    match sexp {
-        Sexp::List(items, _) => Ok(items),
-        other => Err(err(other.pos(), format!("expected {what} list"))),
+    /// Reads the atom starting at the current byte.
+    fn atom(&mut self) -> &'a str {
+        let start = self.at;
+        while let Some(&b) = self.bytes.get(self.at) {
+            if b.is_ascii_whitespace() || matches!(b, b'(' | b')' | b'"') {
+                break;
+            }
+            self.at += 1;
+        }
+        &self.text[start..self.at]
     }
-}
 
-fn parse_port(items: &[Sexp], pos: Pos) -> Result<EdifPort, EdifError> {
-    let name = parse_name(
-        items
-            .get(1)
-            .ok_or_else(|| err(pos, "`(port ...)` is missing its name"))?,
-    )?;
-    let mut direction = None;
-    for item in &items[2..] {
-        if item.keyword().as_deref() == Some("direction") {
-            let dir_items = list_items(item, "direction")?;
-            let dir = match dir_items.get(1) {
-                Some(Sexp::Atom(s, _)) => s.to_ascii_uppercase(),
-                _ => return Err(err(item.pos(), "malformed `(direction ...)`")),
-            };
-            direction = Some(match dir.as_str() {
-                "INPUT" => EdifDirection::Input,
-                "OUTPUT" => EdifDirection::Output,
-                other => {
-                    return Err(err(
-                        item.pos(),
-                        format!("unsupported port direction `{other}` on port `{name}`"),
-                    ))
+    /// The next token and its position.
+    fn token(&mut self) -> Result<(Token<'a>, Pos), EdifError> {
+        self.skip_whitespace();
+        let pos = self.pos();
+        let Some(&b) = self.bytes.get(self.at) else {
+            return Ok((Token::End, pos));
+        };
+        let token = match b {
+            b'(' => {
+                self.at += 1;
+                Token::Open
+            }
+            b')' => {
+                self.at += 1;
+                Token::Close
+            }
+            b'"' => {
+                self.at += 1;
+                let start = self.at;
+                loop {
+                    match self.bytes.get(self.at) {
+                        None => return Err(err(pos, "unterminated string literal")),
+                        Some(b'"') => break,
+                        Some(b'\n') => {
+                            self.line += 1;
+                            self.line_start = self.at + 1;
+                        }
+                        Some(_) => {}
+                    }
+                    self.at += 1;
                 }
+                self.at += 1;
+                Token::Str(&self.text[start..self.at - 1])
+            }
+            _ => Token::Atom(self.atom()),
+        };
+        Ok((token, pos))
+    }
+
+    /// The next item of the list opened at `open` — a nested list's
+    /// `Token::Open`, an atom or a string — or `None` at its closing paren.
+    fn item(&mut self, open: Pos) -> Result<Option<(Token<'a>, Pos)>, EdifError> {
+        match self.token()? {
+            (Token::Close, _) => Ok(None),
+            (Token::End, _) => Err(err(open, "unclosed `(`")),
+            item => Ok(Some(item)),
+        }
+    }
+
+    /// Only whitespace may follow the top-level form.
+    fn expect_end(&mut self) -> Result<(), EdifError> {
+        self.skip_whitespace();
+        if self.at < self.bytes.len() {
+            return Err(err(self.pos(), "trailing content after the top-level form"));
+        }
+        Ok(())
+    }
+
+    /// The keyword heading a list just opened: its first item when that is
+    /// an atom. Anything else is left unread.
+    fn keyword(&mut self) -> Option<&'a str> {
+        self.skip_whitespace();
+        match self.bytes.get(self.at) {
+            None | Some(b'(' | b')' | b'"') => None,
+            Some(_) => Some(self.atom()),
+        }
+    }
+
+    /// Reads the rest of the list opened at `open`, nested lists included.
+    fn skip_rest(&mut self, open: Pos) -> Result<(), EdifError> {
+        let mut depth = 1usize;
+        while depth > 0 {
+            match self.token()?.0 {
+                Token::Open => depth += 1,
+                Token::Close => depth -= 1,
+                Token::End => return Err(err(open, "unclosed `(`")),
+                Token::Atom(_) | Token::Str(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the rest of the list opened at `open`, handing each nested
+    /// list to `form` with its position and keyword; `form` must read that
+    /// list through its closing paren. Atoms and strings are skipped.
+    fn each_form(
+        &mut self,
+        open: Pos,
+        mut form: impl FnMut(&mut Self, Pos, Option<&'a str>) -> Result<(), EdifError>,
+    ) -> Result<(), EdifError> {
+        while let Some((token, pos)) = self.item(open)? {
+            if let Token::Open = token {
+                let keyword = self.keyword();
+                form(self, pos, keyword)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads the next item of the list opened at `open` as a name: a bare
+    /// atom, a string or a `(rename ident "string")` form. A missing item is
+    /// the `missing` error at `open`.
+    fn name(&mut self, open: Pos, missing: &str) -> Result<Symbol, EdifError> {
+        match self.item(open)? {
+            Some((Token::Atom(s) | Token::Str(s), _)) => Ok(Symbol::intern(s)),
+            // A nested list.
+            Some((_, pos)) => self.rename(pos),
+            None => Err(err(open, missing)),
+        }
+    }
+
+    /// A name that closes its form: `(libraryRef NAME ...)`,
+    /// `(instanceRef NAME ...)`; whatever follows the name is skipped.
+    fn ref_name(&mut self, open: Pos, missing: &str) -> Result<Symbol, EdifError> {
+        let name = self.name(open, missing)?;
+        self.skip_rest(open)?;
+        Ok(name)
+    }
+
+    /// `(rename ident "string")` opened at `open`: the second operand (the
+    /// original spelling) wins, else the first.
+    fn rename(&mut self, open: Pos) -> Result<Symbol, EdifError> {
+        if !is(self.keyword(), "rename") {
+            return Err(err(open, "expected a name"));
+        }
+        let (mut first, mut second) = (None, None);
+        while let Some((token, pos)) = self.item(open)? {
+            if let Token::Open = token {
+                self.skip_rest(pos)?;
+            }
+            if first.is_none() {
+                first = Some(token);
+            } else if second.is_none() {
+                second = Some(token);
+            }
+        }
+        match second.or(first) {
+            Some(Token::Atom(s) | Token::Str(s)) => Ok(Symbol::intern(s)),
+            _ => Err(err(open, "malformed `(rename ...)` form")),
+        }
+    }
+
+    /// The top-level `(edif NAME ...)` form and the end of the text.
+    fn document(&mut self) -> Result<EdifAst, EdifError> {
+        let (token, top) = self.token()?;
+        if !matches!(token, Token::Open) || !is(self.keyword(), "edif") {
+            return Err(err(top, "expected `(edif ...)` at top level"));
+        }
+        let name = self.name(top, "`(edif ...)` is missing its name")?;
+        let mut libraries = Vec::new();
+        let mut design = None;
+        self.each_form(top, |r, pos, keyword| {
+            if is(keyword, "library") || is(keyword, "external") {
+                libraries.push(r.library(pos)?);
+            } else if is(keyword, "design") {
+                // The design's own name is searched too, as any item.
+                let top_ref = r.find_cell_ref(pos)?;
+                design =
+                    Some(top_ref.ok_or_else(|| err(pos, "`(design ...)` has no `(cellRef ...)`"))?);
+            } else {
+                // edifVersion, edifLevel, keywordMap, status, comments, ...
+                r.skip_rest(pos)?;
+            }
+            Ok(())
+        })?;
+        self.expect_end()?;
+        Ok(EdifAst {
+            name,
+            libraries,
+            design,
+        })
+    }
+
+    fn library(&mut self, open: Pos) -> Result<EdifLibrary, EdifError> {
+        let name = self.name(open, "`(library ...)` is missing its name")?;
+        let mut cells = Vec::new();
+        self.each_form(open, |r, pos, keyword| {
+            if is(keyword, "cell") {
+                cells.push(r.cell(pos)?);
+                Ok(())
+            } else {
+                r.skip_rest(pos)
+            }
+        })?;
+        Ok(EdifLibrary { name, cells })
+    }
+
+    fn cell(&mut self, open: Pos) -> Result<EdifCell, EdifError> {
+        let name = self.name(open, "`(cell ...)` is missing its name")?;
+        let mut cell = EdifCell {
+            name,
+            ports: Vec::new(),
+            instances: Vec::new(),
+            nets: Vec::new(),
+            pos: open,
+        };
+        self.each_form(open, |r, pos, keyword| {
+            if is(keyword, "view") {
+                r.view(pos, &mut cell)
+            } else {
+                r.skip_rest(pos)
+            }
+        })?;
+        Ok(cell)
+    }
+
+    /// `(view NAME ...)`: collects the interface ports and the contents'
+    /// instances and nets into `cell`. The view's name is searched like any
+    /// other item.
+    fn view(&mut self, open: Pos, cell: &mut EdifCell) -> Result<(), EdifError> {
+        self.each_form(open, |r, pos, keyword| {
+            if is(keyword, "interface") {
+                r.each_form(pos, |r, pos, keyword| {
+                    if is(keyword, "port") {
+                        cell.ports.push(r.port(pos)?);
+                        Ok(())
+                    } else {
+                        r.skip_rest(pos)
+                    }
+                })
+            } else if is(keyword, "contents") {
+                r.each_form(pos, |r, pos, keyword| {
+                    if is(keyword, "instance") {
+                        cell.instances.push(r.instance(pos)?);
+                    } else if is(keyword, "net") {
+                        cell.nets.push(r.net(pos)?);
+                    } else {
+                        // Properties, comments, timestamps, ...
+                        r.skip_rest(pos)?;
+                    }
+                    Ok(())
+                })
+            } else {
+                r.skip_rest(pos)
+            }
+        })
+    }
+
+    fn port(&mut self, open: Pos) -> Result<EdifPort, EdifError> {
+        let name = self.name(open, "`(port ...)` is missing its name")?;
+        let mut direction = None;
+        self.each_form(open, |r, pos, keyword| {
+            if is(keyword, "direction") {
+                direction = Some(r.direction(pos, name)?);
+                Ok(())
+            } else {
+                r.skip_rest(pos)
+            }
+        })?;
+        let direction =
+            direction.ok_or_else(|| err(open, format!("port `{name}` declares no direction")))?;
+        Ok(EdifPort {
+            name,
+            direction,
+            pos: open,
+        })
+    }
+
+    fn direction(&mut self, open: Pos, port: Symbol) -> Result<EdifDirection, EdifError> {
+        let direction = match self.item(open)? {
+            Some((Token::Atom(s), _)) if s.eq_ignore_ascii_case("INPUT") => EdifDirection::Input,
+            Some((Token::Atom(s), _)) if s.eq_ignore_ascii_case("OUTPUT") => EdifDirection::Output,
+            Some((Token::Atom(s), _)) => {
+                return Err(err(
+                    open,
+                    format!(
+                        "unsupported port direction `{}` on port `{port}`",
+                        s.to_ascii_uppercase()
+                    ),
+                ))
+            }
+            _ => return Err(err(open, "malformed `(direction ...)`")),
+        };
+        self.skip_rest(open)?;
+        Ok(direction)
+    }
+
+    fn instance(&mut self, open: Pos) -> Result<EdifInstance, EdifError> {
+        let name = self.name(open, "`(instance ...)` is missing its name")?;
+        let (cell_ref, library_ref) = self
+            .find_cell_ref(open)?
+            .ok_or_else(|| err(open, format!("instance `{name}` has no `(cellRef ...)`")))?;
+        Ok(EdifInstance {
+            name,
+            cell_ref,
+            library_ref,
+            pos: open,
+        })
+    }
+
+    /// Reads the rest of the list opened at `open` and returns its first
+    /// `(cellRef NAME (libraryRef LIB))`, searching nested `(viewRef ...)`
+    /// forms too. Forms after the first match are skipped unchecked.
+    fn find_cell_ref(&mut self, open: Pos) -> Result<Option<(Symbol, Option<Symbol>)>, EdifError> {
+        let mut found = None;
+        self.each_form(open, |r, pos, keyword| {
+            if found.is_some() {
+                r.skip_rest(pos)
+            } else if is(keyword, "cellRef") {
+                found = Some(r.cell_ref(pos)?);
+                Ok(())
+            } else if is(keyword, "viewRef") {
+                found = r.find_cell_ref(pos)?;
+                Ok(())
+            } else {
+                r.skip_rest(pos)
+            }
+        })?;
+        Ok(found)
+    }
+
+    fn cell_ref(&mut self, open: Pos) -> Result<(Symbol, Option<Symbol>), EdifError> {
+        let cell = self.name(open, "`(cellRef ...)` is missing its name")?;
+        let mut library = None;
+        self.each_form(open, |r, pos, keyword| {
+            if is(keyword, "libraryRef") {
+                library = Some(r.ref_name(pos, "`(libraryRef ...)` is missing its name")?);
+                Ok(())
+            } else {
+                r.skip_rest(pos)
+            }
+        })?;
+        Ok((cell, library))
+    }
+
+    fn net(&mut self, open: Pos) -> Result<EdifNet, EdifError> {
+        let name = self.name(open, "`(net ...)` is missing its name")?;
+        let mut portrefs = Vec::new();
+        self.each_form(open, |r, pos, keyword| {
+            if is(keyword, "joined") {
+                r.joined(pos, &mut portrefs)
+            } else {
+                r.skip_rest(pos)
+            }
+        })?;
+        Ok(EdifNet {
+            name,
+            portrefs,
+            pos: open,
+        })
+    }
+
+    /// `(joined (portRef PORT (instanceRef INST)) ...)`: every item must be
+    /// a `portRef`.
+    fn joined(&mut self, open: Pos, portrefs: &mut Vec<EdifPortRef>) -> Result<(), EdifError> {
+        while let Some((token, pos)) = self.item(open)? {
+            if !matches!(token, Token::Open) || !is(self.keyword(), "portRef") {
+                return Err(err(pos, "expected `(portRef ...)` inside joined"));
+            }
+            let port = self.name(pos, "`(portRef ...)` is missing its name")?;
+            let mut instance = None;
+            self.each_form(pos, |r, pos, keyword| {
+                if is(keyword, "instanceRef") {
+                    instance = Some(r.ref_name(pos, "`(instanceRef ...)` is missing its name")?);
+                    Ok(())
+                } else {
+                    r.skip_rest(pos)
+                }
+            })?;
+            portrefs.push(EdifPortRef {
+                port,
+                instance,
+                pos,
             });
         }
+        Ok(())
     }
-    let direction =
-        direction.ok_or_else(|| err(pos, format!("port `{name}` declares no direction")))?;
-    Ok(EdifPort {
-        name,
-        direction,
-        pos,
-    })
 }
 
-/// Extracts `(cellRef NAME (libraryRef LIB))` from a form's items.
-fn find_cell_ref(items: &[Sexp]) -> Result<Option<(Symbol, Option<Symbol>)>, EdifError> {
-    for item in items {
-        match item.keyword().as_deref() {
-            Some("cellref") => {
-                let cr = list_items(item, "cellRef")?;
-                let cell = parse_name(
-                    cr.get(1)
-                        .ok_or_else(|| err(item.pos(), "`(cellRef ...)` is missing its name"))?,
-                )?;
-                let mut library = None;
-                for sub in &cr[2..] {
-                    if sub.keyword().as_deref() == Some("libraryref") {
-                        let lr = list_items(sub, "libraryRef")?;
-                        library = Some(parse_name(lr.get(1).ok_or_else(|| {
-                            err(sub.pos(), "`(libraryRef ...)` is missing its name")
-                        })?)?);
-                    }
-                }
-                return Ok(Some((cell, library)));
+/// Whether a list's keyword is `name`; keywords are case-insensitive.
+fn is(keyword: Option<&str>, name: &str) -> bool {
+    keyword.is_some_and(|k| k.eq_ignore_ascii_case(name))
+}
+
+/// Checks the S-expression syntax of the whole text without extracting
+/// anything: one form, balanced parens, terminated strings, nothing after.
+fn check_syntax(text: &str) -> Result<(), EdifError> {
+    let mut r = Reader::new(text);
+    let mut open = Vec::new();
+    loop {
+        let (token, pos) = r.token()?;
+        match token {
+            Token::Open => open.push(pos),
+            Token::Close if open.pop().is_none() => return Err(err(pos, "unexpected `)`")),
+            Token::End => {
+                return Err(match open.last() {
+                    Some(&innermost) => err(innermost, "unclosed `(`"),
+                    None => err(pos, "unexpected end of file"),
+                })
             }
-            // `(viewRef VIEW (cellRef ...))`: recurse into the nested form.
-            Some("viewref") => {
-                let vr = list_items(item, "viewRef")?;
-                if let Some(found) = find_cell_ref(&vr[1..])? {
-                    return Ok(Some(found));
-                }
-            }
-            _ => {}
+            Token::Close | Token::Atom(_) | Token::Str(_) => {}
+        }
+        if open.is_empty() {
+            return r.expect_end();
         }
     }
-    Ok(None)
-}
-
-fn parse_instance(items: &[Sexp], pos: Pos) -> Result<EdifInstance, EdifError> {
-    let name = parse_name(
-        items
-            .get(1)
-            .ok_or_else(|| err(pos, "`(instance ...)` is missing its name"))?,
-    )?;
-    let (cell_ref, library_ref) = find_cell_ref(&items[2..])?
-        .ok_or_else(|| err(pos, format!("instance `{name}` has no `(cellRef ...)`")))?;
-    Ok(EdifInstance {
-        name,
-        cell_ref,
-        library_ref,
-        pos,
-    })
-}
-
-fn parse_net(items: &[Sexp], pos: Pos) -> Result<EdifNet, EdifError> {
-    let name = parse_name(
-        items
-            .get(1)
-            .ok_or_else(|| err(pos, "`(net ...)` is missing its name"))?,
-    )?;
-    let mut portrefs = Vec::new();
-    for item in &items[2..] {
-        if item.keyword().as_deref() == Some("joined") {
-            for joined in &list_items(item, "joined")?[1..] {
-                if joined.keyword().as_deref() != Some("portref") {
-                    return Err(err(joined.pos(), "expected `(portRef ...)` inside joined"));
-                }
-                let pr = list_items(joined, "portRef")?;
-                let port =
-                    parse_name(pr.get(1).ok_or_else(|| {
-                        err(joined.pos(), "`(portRef ...)` is missing its name")
-                    })?)?;
-                let mut instance = None;
-                for sub in &pr[2..] {
-                    if sub.keyword().as_deref() == Some("instanceref") {
-                        let ir = list_items(sub, "instanceRef")?;
-                        instance = Some(parse_name(ir.get(1).ok_or_else(|| {
-                            err(sub.pos(), "`(instanceRef ...)` is missing its name")
-                        })?)?);
-                    }
-                }
-                portrefs.push(EdifPortRef {
-                    port,
-                    instance,
-                    pos: joined.pos(),
-                });
-            }
-        }
-    }
-    Ok(EdifNet {
-        name,
-        portrefs,
-        pos,
-    })
-}
-
-fn parse_cell(items: &[Sexp], pos: Pos) -> Result<EdifCell, EdifError> {
-    let name = parse_name(
-        items
-            .get(1)
-            .ok_or_else(|| err(pos, "`(cell ...)` is missing its name"))?,
-    )?;
-    let mut cell = EdifCell {
-        name,
-        ports: Vec::new(),
-        instances: Vec::new(),
-        nets: Vec::new(),
-        pos,
-    };
-    for item in &items[2..] {
-        if item.keyword().as_deref() == Some("view") {
-            let view_items = list_items(item, "view")?;
-            for vi in &view_items[1..] {
-                match vi.keyword().as_deref() {
-                    Some("interface") => {
-                        for port in &list_items(vi, "interface")?[1..] {
-                            if port.keyword().as_deref() == Some("port") {
-                                cell.ports
-                                    .push(parse_port(list_items(port, "port")?, port.pos())?);
-                            }
-                        }
-                    }
-                    Some("contents") => {
-                        for content in &list_items(vi, "contents")?[1..] {
-                            match content.keyword().as_deref() {
-                                Some("instance") => cell.instances.push(parse_instance(
-                                    list_items(content, "instance")?,
-                                    content.pos(),
-                                )?),
-                                Some("net") => cell
-                                    .nets
-                                    .push(parse_net(list_items(content, "net")?, content.pos())?),
-                                // Properties, comments, timestamps, ...
-                                _ => {}
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    Ok(cell)
 }
 
 /// Parses EDIF text into the typed AST.
+///
+/// One pass reads the text straight into the AST. A syntax error anywhere
+/// in the document takes precedence over a structural one found earlier,
+/// so only when that pass fails is the whole text checked for syntax
+/// alone, and a syntax error found there is the one reported.
 ///
 /// # Errors
 ///
 /// Returns [`EdifError::Parse`] with the offending position on malformed
 /// input.
 pub fn parse_edif(text: &str) -> Result<EdifAst, EdifError> {
-    let top = SexpParser::new(text).parse_document()?;
-    if top.keyword().as_deref() != Some("edif") {
-        return Err(err(top.pos(), "expected `(edif ...)` at top level"));
-    }
-    let items = list_items(&top, "edif")?;
-    let name = parse_name(
-        items
-            .get(1)
-            .ok_or_else(|| err(top.pos(), "`(edif ...)` is missing its name"))?,
-    )?;
-    let mut ast = EdifAst {
-        name,
-        libraries: Vec::new(),
-        design: None,
-    };
-    for item in &items[2..] {
-        match item.keyword().as_deref() {
-            Some("library") | Some("external") => {
-                let lib_items = list_items(item, "library")?;
-                let lib_name = parse_name(
-                    lib_items
-                        .get(1)
-                        .ok_or_else(|| err(item.pos(), "`(library ...)` is missing its name"))?,
-                )?;
-                let mut library = EdifLibrary {
-                    name: lib_name,
-                    cells: Vec::new(),
-                };
-                for li in &lib_items[2..] {
-                    if li.keyword().as_deref() == Some("cell") {
-                        library
-                            .cells
-                            .push(parse_cell(list_items(li, "cell")?, li.pos())?);
-                    }
-                }
-                ast.libraries.push(library);
-            }
-            Some("design") => {
-                let design_items = list_items(item, "design")?;
-                ast.design = find_cell_ref(&design_items[1..])?;
-                if ast.design.is_none() {
-                    return Err(err(item.pos(), "`(design ...)` has no `(cellRef ...)`"));
-                }
-            }
-            // edifVersion, edifLevel, keywordMap, status, comments, ...
-            _ => {}
-        }
-    }
-    Ok(ast)
+    Reader::new(text)
+        .document()
+        .map_err(|e| check_syntax(text).err().unwrap_or(e))
 }
 
 // ---------------------------------------------------------------------------
@@ -705,9 +793,9 @@ impl NetForest {
 
 /// A resolved leaf instance awaiting final net-id assignment.
 struct FlatInstance {
-    name: String,
+    name: Symbol,
     kind: CellKind,
-    conns: Vec<(String, usize)>,
+    conns: Vec<(Symbol, usize)>,
 }
 
 struct Flattener<'a> {
@@ -728,6 +816,18 @@ struct Frame<'a> {
     /// collect its pins in O(pins) instead of scanning the whole frame.
     inst_conns: HashMap<Symbol, Vec<(Symbol, usize)>>,
     next_instance: usize,
+}
+
+impl Frame<'_> {
+    /// The flat name of something named `name` in this frame. Top-frame
+    /// names are used as they are, without formatting or re-interning.
+    fn qualify(&self, name: Symbol) -> Symbol {
+        if self.prefix.is_empty() {
+            name
+        } else {
+            Symbol::intern(&format!("{}{}", self.prefix, name))
+        }
+    }
 }
 
 impl<'a> Flattener<'a> {
@@ -778,14 +878,7 @@ impl<'a> Flattener<'a> {
                     // not force a slot: the fresh-net path below covers it.
                 }
             }
-            let slot = slot.unwrap_or_else(|| {
-                let name = if frame.prefix.is_empty() {
-                    net.name
-                } else {
-                    Symbol::intern(&format!("{}{}", frame.prefix, net.name))
-                };
-                self.nets.make(name)
-            });
+            let slot = slot.unwrap_or_else(|| self.nets.make(frame.qualify(net.name)));
             for pr in &net.portrefs {
                 if let Some(inst) = pr.instance {
                     let conns = frame.inst_conns.entry(inst).or_default();
@@ -860,26 +953,18 @@ impl<'a> Flattener<'a> {
                     // Leaf: defined-but-empty cells and references into
                     // undimmed external libraries both map onto the canonical
                     // primitive set by name.
-                    let path = format!("{}{}", frame.prefix, inst.name);
                     let kind =
                         CellKind::from_canonical_name(inst.cell_ref.as_str()).ok_or_else(|| {
                             EdifError::UnknownPrimitive {
                                 cell: inst.cell_ref.to_string(),
-                                instance: path.clone(),
+                                instance: format!("{}{}", frame.prefix, inst.name),
                             }
                         })?;
                     let _ = resolved; // the declaration (if any) is interface-only
-                    let conns: Vec<(String, usize)> = frame
-                        .inst_conns
-                        .remove(&inst.name)
-                        .unwrap_or_default()
-                        .into_iter()
-                        .map(|(port, slot)| (port.to_string(), slot))
-                        .collect();
                     self.instances.push(FlatInstance {
-                        name: path,
+                        name: frame.qualify(inst.name),
                         kind,
-                        conns,
+                        conns: frame.inst_conns.remove(&inst.name).unwrap_or_default(),
                     });
                 }
             }
@@ -987,22 +1072,24 @@ pub fn flatten(ast: &EdifAst) -> Result<Netlist, EdifError> {
         }
     }
 
-    // Leaf instances, in depth-first order.
+    // Leaf instances, in depth-first order; one pin buffer serves them all.
+    let mut pins: Vec<(&str, NetId)> = Vec::new();
     for inst in instances {
-        let conns: Vec<(String, NetId)> = inst
-            .conns
-            .iter()
-            .map(|(port, slot)| (port.clone(), net_of(&mut nets, &slot_to_id, *slot)))
-            .collect();
+        pins.clear();
+        pins.extend(
+            inst.conns
+                .iter()
+                .map(|&(port, slot)| (port.as_str(), net_of(&mut nets, &slot_to_id, slot))),
+        );
         let (inputs, output) =
             inst.kind
-                .order_connections(&conns)
+                .order_connections(&mut pins)
                 .map_err(|pin| EdifError::MissingPin {
-                    instance: inst.name.clone(),
+                    instance: inst.name.to_string(),
                     pin: pin.to_string(),
                 })?;
         netlist.add_cell(Cell {
-            name: Symbol::intern(&inst.name),
+            name: inst.name,
             kind: inst.kind,
             inputs,
             output,
@@ -1037,8 +1124,8 @@ fn is_plain_ident(name: &str) -> bool {
 }
 
 /// Emits a name, wrapping non-identifier spellings in `(rename &nN "...")`
-/// with a uniqueness tag.
-fn emit_name(out: &mut String, name: &str, tag: &str) {
+/// with a uniqueness tag; the tag is formatted only then.
+fn emit_name(out: &mut String, name: &str, tag: fmt::Arguments<'_>) {
     if is_plain_ident(name) {
         out.push_str(name);
     } else {
@@ -1057,7 +1144,7 @@ pub fn to_edif(netlist: &Netlist) -> String {
     let mut out = String::new();
     let name = netlist.name();
     let _ = write!(out, "(edif ");
-    emit_name(&mut out, name, "top");
+    emit_name(&mut out, name, format_args!("top"));
     let _ = writeln!(out);
     let _ = writeln!(out, "  (edifVersion 2 0 0)");
     let _ = writeln!(out, "  (edifLevel 0)");
@@ -1065,21 +1152,22 @@ pub fn to_edif(netlist: &Netlist) -> String {
 
     // Primitive library: one interface-only cell per referenced
     // (kind, arity) pair, in order of first use.
-    let mut prims: Vec<(String, CellKind, usize)> = Vec::new();
+    let mut prims: Vec<(CellKind, usize)> = Vec::new();
     for (_, cell) in netlist.cells() {
-        let prim = crate::verilog::instance_cell_name(cell.kind, cell.inputs.len());
-        if !prims.iter().any(|(p, _, _)| *p == prim) {
-            prims.push((prim, cell.kind, cell.inputs.len()));
+        let prim = (cell.kind, cell.inputs.len());
+        if !prims.contains(&prim) {
+            prims.push(prim);
         }
     }
     let _ = writeln!(out, "  (library PRIMS");
     let _ = writeln!(out, "    (edifLevel 0)");
     let _ = writeln!(out, "    (technology (numberDefinition))");
-    for (prim, kind, arity) in &prims {
+    for &(kind, arity) in &prims {
+        let prim = crate::verilog::instance_cell_name(kind, arity);
         let _ = writeln!(out, "    (cell {prim} (cellType GENERIC)");
         let _ = writeln!(out, "      (view netlist (viewType NETLIST)");
         let _ = write!(out, "        (interface");
-        for pin in kind.input_pin_names(*arity) {
+        for pin in kind.input_pin_names(arity) {
             let _ = write!(out, " (port {pin} (direction INPUT))");
         }
         let _ = write!(out, " (port {} (direction OUTPUT))", kind.output_pin_name());
@@ -1092,7 +1180,7 @@ pub fn to_edif(netlist: &Netlist) -> String {
     let _ = writeln!(out, "    (edifLevel 0)");
     let _ = writeln!(out, "    (technology (numberDefinition))");
     let _ = write!(out, "    (cell ");
-    emit_name(&mut out, name, "top");
+    emit_name(&mut out, name, format_args!("top"));
     let _ = writeln!(out, " (cellType GENERIC)");
     let _ = writeln!(out, "      (view netlist (viewType NETLIST)");
     let _ = writeln!(out, "        (interface");
@@ -1101,7 +1189,7 @@ pub fn to_edif(netlist: &Netlist) -> String {
         emit_name(
             &mut out,
             netlist.net(id).name.as_str(),
-            &format!("p{}", id.0),
+            format_args!("p{}", id.0),
         );
         let _ = writeln!(out, " (direction INPUT))");
     }
@@ -1110,7 +1198,7 @@ pub fn to_edif(netlist: &Netlist) -> String {
         emit_name(
             &mut out,
             netlist.net(id).name.as_str(),
-            &format!("p{}", id.0),
+            format_args!("p{}", id.0),
         );
         let _ = writeln!(out, " (direction OUTPUT))");
     }
@@ -1119,7 +1207,7 @@ pub fn to_edif(netlist: &Netlist) -> String {
     for (id, cell) in netlist.cells() {
         let prim = crate::verilog::instance_cell_name(cell.kind, cell.inputs.len());
         let _ = write!(out, "          (instance ");
-        emit_name(&mut out, cell.name.as_str(), &format!("i{}", id.0));
+        emit_name(&mut out, cell.name.as_str(), format_args!("i{}", id.0));
         let _ = writeln!(
             out,
             " (viewRef netlist (cellRef {prim} (libraryRef PRIMS))))"
@@ -1129,7 +1217,7 @@ pub fn to_edif(netlist: &Netlist) -> String {
     // Per-net connection lists: cells in id order, output pin first. Each
     // entry is (pin name, None for a top-level portRef | Some((instance
     // name, instance id)) for an instance portRef).
-    type JoinedRef = (String, Option<(Symbol, u32)>);
+    type JoinedRef = (&'static str, Option<(Symbol, u32)>);
     let mut joined: Vec<Vec<JoinedRef>> = vec![Vec::new(); netlist.num_nets()];
     let port_set: std::collections::HashSet<NetId> = netlist
         .inputs()
@@ -1139,33 +1227,30 @@ pub fn to_edif(netlist: &Netlist) -> String {
         .collect();
     for (id, net) in netlist.nets() {
         if port_set.contains(&id) {
-            joined[id.index()].push((net.name.to_string(), None));
+            joined[id.index()].push((net.name.as_str(), None));
         }
     }
     for (id, cell) in netlist.cells() {
         let pins = cell.kind.input_pin_names(cell.inputs.len());
-        joined[cell.output.index()].push((
-            cell.kind.output_pin_name().to_string(),
-            Some((cell.name, id.0)),
-        ));
-        for (pin, &net) in pins.iter().zip(cell.inputs.iter()) {
-            joined[net.index()].push((pin.to_string(), Some((cell.name, id.0))));
+        joined[cell.output.index()].push((cell.kind.output_pin_name(), Some((cell.name, id.0))));
+        for (&pin, &net) in pins.iter().zip(cell.inputs.iter()) {
+            joined[net.index()].push((pin, Some((cell.name, id.0))));
         }
     }
     for (id, net) in netlist.nets() {
         let _ = write!(out, "          (net ");
-        emit_name(&mut out, net.name.as_str(), &format!("n{}", id.0));
+        emit_name(&mut out, net.name.as_str(), format_args!("n{}", id.0));
         let _ = write!(out, " (joined");
-        for (pin, inst) in &joined[id.index()] {
+        for &(pin, inst) in &joined[id.index()] {
             match inst {
                 None => {
                     let _ = write!(out, " (portRef ");
-                    emit_name(&mut out, pin, &format!("p{}", id.0));
+                    emit_name(&mut out, pin, format_args!("p{}", id.0));
                     let _ = write!(out, ")");
                 }
                 Some((inst_name, inst_id)) => {
                     let _ = write!(out, " (portRef {pin} (instanceRef ");
-                    emit_name(&mut out, inst_name.as_str(), &format!("i{inst_id}"));
+                    emit_name(&mut out, inst_name.as_str(), format_args!("i{inst_id}"));
                     let _ = write!(out, "))");
                 }
             }
@@ -1177,9 +1262,9 @@ pub fn to_edif(netlist: &Netlist) -> String {
     let _ = writeln!(out, "    )");
     let _ = writeln!(out, "  )");
     let _ = write!(out, "  (design ");
-    emit_name(&mut out, name, "top");
+    emit_name(&mut out, name, format_args!("top"));
     let _ = write!(out, " (cellRef ");
-    emit_name(&mut out, name, "top");
+    emit_name(&mut out, name, format_args!("top"));
     let _ = writeln!(out, " (libraryRef DESIGNS)))");
     let _ = writeln!(out, ")");
     out

@@ -33,9 +33,10 @@
 //! pins through the same [`CellKind`] tables, and both have writers whose
 //! output round-trips to full [`Netlist`] equality:
 //!
-//! * [`edif`] — an EDIF 2 0 0 reader (positioned S-expression parser →
-//!   typed AST → worklist-driven hierarchy flattener with `/`-joined
-//!   names) and writer. This is how real synthesis output enters the flow.
+//! * [`edif`] — an EDIF 2 0 0 reader (single-pass streaming reader from
+//!   text straight into a positioned typed AST → worklist-driven hierarchy
+//!   flattener with `/`-joined names) and writer. This is how real
+//!   synthesis output enters the flow.
 //! * [`verilog`] — a reader and writer for a small structural-Verilog
 //!   subset, so netlists can be exchanged with external tools.
 //!

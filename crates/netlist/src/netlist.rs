@@ -4,7 +4,7 @@ use crate::cell::{Cell, CellId, CellKind};
 use crate::error::NetlistError;
 use crate::intern::Symbol;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a net (a single-driver wire) inside a [`Netlist`].
@@ -64,6 +64,14 @@ pub struct Netlist {
     /// [`Netlist::rebuild_index`]).
     #[serde(skip)]
     net_suffix: HashMap<Symbol, u32>,
+    /// Members of `inputs` and `outputs`, so marking a port is O(1). Each
+    /// set holds exactly its list's elements (the lists never repeat a
+    /// net), which keeps the derived equality what it would be without
+    /// them.
+    #[serde(skip)]
+    input_set: HashSet<NetId>,
+    #[serde(skip)]
+    output_set: HashSet<NetId>,
 }
 
 impl Netlist {
@@ -78,6 +86,8 @@ impl Netlist {
             net_index: HashMap::new(),
             cell_index: HashMap::new(),
             net_suffix: HashMap::new(),
+            input_set: HashSet::new(),
+            output_set: HashSet::new(),
         }
     }
 
@@ -147,7 +157,7 @@ impl Netlist {
     /// Adds a primary input: a fresh net marked as externally driven.
     pub fn add_input(&mut self, name: impl Into<Symbol>) -> NetId {
         let id = self.add_net(name);
-        self.inputs.push(id);
+        self.mark_input(id);
         id
     }
 
@@ -157,22 +167,18 @@ impl Netlist {
     /// [`Netlist::validate`]).
     pub fn add_output(&mut self, name: impl Into<Symbol>) -> NetId {
         let id = self.add_net(name);
-        self.outputs.push(id);
+        self.mark_output(id);
         id
     }
 
-    /// Marks an existing net as a primary input.
+    /// Marks an existing net as a primary input (once; O(1)).
     pub fn mark_input(&mut self, net: NetId) {
-        if !self.inputs.contains(&net) {
-            self.inputs.push(net);
-        }
+        mark_port(&mut self.inputs, &mut self.input_set, net);
     }
 
-    /// Marks an existing net as a primary output.
+    /// Marks an existing net as a primary output (once; O(1)).
     pub fn mark_output(&mut self, net: NetId) {
-        if !self.outputs.contains(&net) {
-            self.outputs.push(net);
-        }
+        mark_port(&mut self.outputs, &mut self.output_set, net);
     }
 
     /// Adds a combinational gate driving `output` from `inputs`.
@@ -645,6 +651,8 @@ impl Netlist {
             .map(|(i, c)| (c.name, CellId(i as u32)))
             .collect();
         self.net_suffix.clear();
+        self.input_set = self.inputs.iter().copied().collect();
+        self.output_set = self.outputs.iter().copied().collect();
     }
 
     /// A short multi-line summary of the netlist composition.
@@ -659,6 +667,17 @@ impl Netlist {
             inputs: self.inputs.len(),
             outputs: self.outputs.len(),
         }
+    }
+}
+
+/// Appends `net` to a port list unless `set`, the list's members, has it.
+/// A set left empty by deserialization is refilled first.
+fn mark_port(list: &mut Vec<NetId>, set: &mut HashSet<NetId>, net: NetId) {
+    if set.len() != list.len() {
+        *set = list.iter().copied().collect();
+    }
+    if set.insert(net) {
+        list.push(net);
     }
 }
 
@@ -983,6 +1002,24 @@ mod tests {
         n2.add_net("a");
         n2.add_net("bc");
         assert_ne!(n1.structural_hash(), n2.structural_hash());
+    }
+
+    #[test]
+    fn marking_a_port_twice_is_a_no_op() {
+        let mut added = Netlist::new("t");
+        let x = added.add_input("x");
+        let y = added.add_output("y");
+        let mut marked = Netlist::new("t");
+        let x2 = marked.add_net("x");
+        let y2 = marked.add_net("y");
+        for _ in 0..2 {
+            marked.mark_input(x2);
+            marked.mark_output(y2);
+        }
+        assert_eq!(marked.inputs(), &[x]);
+        assert_eq!(marked.outputs(), &[y]);
+        assert_eq!(marked, added);
+        assert_eq!(marked.structural_hash(), added.structural_hash());
     }
 
     #[test]

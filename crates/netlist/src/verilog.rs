@@ -29,6 +29,7 @@ use crate::cell::{CellId, CellKind};
 use crate::error::NetlistError;
 use crate::intern::Symbol;
 use crate::netlist::{NetId, Netlist};
+use std::fmt;
 use std::fmt::Write as _;
 
 /// Pin names used by the writer for a cell kind with `n` inputs — the
@@ -38,12 +39,20 @@ fn pin_names(kind: CellKind, n: usize) -> (&'static [&'static str], &'static str
     (kind.input_pin_names(n), kind.output_pin_name())
 }
 
-/// Library cell name emitted for an instance (arity-suffixed for N-ary gates).
-pub(crate) fn instance_cell_name(kind: CellKind, num_inputs: usize) -> String {
-    match kind.fixed_arity() {
-        Some(_) => kind.canonical_name().to_string(),
-        None => format!("{}{}", kind.canonical_name(), num_inputs),
+/// Library cell name emitted for an instance (arity-suffixed for N-ary
+/// gates), formatted in place wherever it is written.
+pub(crate) fn instance_cell_name(kind: CellKind, num_inputs: usize) -> impl fmt::Display {
+    struct CellName(CellKind, usize);
+    impl fmt::Display for CellName {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str(self.0.canonical_name())?;
+            if self.0.fixed_arity().is_none() {
+                write!(f, "{}", self.1)?;
+            }
+            Ok(())
+        }
     }
+    CellName(kind, num_inputs)
 }
 
 /// Serializes a netlist to the structural-Verilog subset.
@@ -324,12 +333,12 @@ pub fn from_verilog(text: &str) -> Result<Netlist, NetlistError> {
                 None => netlist.add_net(sym),
             }
         };
-        let resolved: Vec<(String, NetId)> = conns
+        let mut resolved: Vec<(&str, NetId)> = conns
             .iter()
-            .map(|(pin, net)| (pin.clone(), lookup(net, &mut netlist)))
+            .map(|(pin, net)| (pin.as_str(), lookup(net, &mut netlist)))
             .collect();
         let (inputs, output) =
-            kind.order_connections(&resolved)
+            kind.order_connections(&mut resolved)
                 .map_err(|pin| NetlistError::Parse {
                     line,
                     message: format!("instance `{inst_name}` missing pin `{pin}`"),

@@ -77,6 +77,25 @@ proptest! {
     }
 }
 
+#[test]
+fn wide_port_design_roundtrips() {
+    // 20k inputs and 20k outputs, each output a buffer of its input.
+    // Flattening marks every port, so a membership scan per mark would
+    // make this quadratic in the port count.
+    const PORTS: usize = 20_000;
+    let mut n = Netlist::new("wide_ports");
+    let inputs: Vec<_> = (0..PORTS).map(|i| n.add_input(format!("in{i}"))).collect();
+    for (i, &a) in inputs.iter().enumerate() {
+        let y = n.add_output(format!("out{i}"));
+        n.add_gate(format!("b{i}"), CellKind::Buf, &[a], y).unwrap();
+    }
+    let back = from_edif(&to_edif(&n)).unwrap();
+    assert_eq!(back.inputs().len(), PORTS);
+    assert_eq!(back.outputs().len(), PORTS);
+    assert_eq!(back, n);
+    assert_eq!(back.structural_hash(), n.structural_hash());
+}
+
 // ---------------------------------------------------------------------------
 // Malformed corpus
 // ---------------------------------------------------------------------------
