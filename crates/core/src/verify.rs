@@ -10,11 +10,13 @@
 //! flip-flop's input edge.
 
 use crate::flow::DesyncDesign;
+use desync_mg::flow::FlowMismatch;
 use desync_mg::{FlowEquivalence, FlowTrace};
 use desync_netlist::{CellLibrary, Netlist};
 use desync_sim::{
-    AsyncTestbench, CompiledModel, PackedAsyncTestbench, PackedSimRun, PackedSyncTestbench,
-    PackedValue, PackedVectorSource, SimConfig, SimRun, SyncTestbench, VectorSource,
+    value_to_word, AsyncTestbench, CompiledModel, PackedAsyncTestbench, PackedSimRun, PackedStream,
+    PackedSyncTestbench, PackedValue, PackedVectorSource, SimConfig, SimRun, SyncTestbench,
+    VectorSource,
 };
 use desync_sta::TimingConfig;
 use serde::{Deserialize, Serialize};
@@ -279,35 +281,54 @@ pub fn verify_flow_equivalence_with_parts(
     let duration = bundle.horizon_ps + design.cycle_time_ps() + 1_000.0;
     let async_run = async_tb.run(duration, cycles, &bundle.schedule, &inputs);
 
-    // Rename master-latch streams back to the original flip-flop names (one
-    // stream move per register, not one push per captured value).
-    let mut mapped = FlowTrace::new();
-    for pair in &design.latch_design().pairs {
-        if let Some(stream) = async_run.flow_trace.stream(&pair.master) {
-            mapped.extend_stream(pair.register_name.clone(), stream.to_vec());
-        }
-    }
-    // Compare on the common prefix, capped by the requested cycle count.
-    let limit = cycles
-        .min(mapped.min_stream_len())
-        .min(sync_run.flow_trace.min_stream_len());
-    let equivalence = FlowEquivalence::compare_prefix(&sync_run.flow_trace, &mapped, limit);
+    let (equivalence, compared_cycles) =
+        compare_renamed(design, &sync_run.flow_trace, &async_run.flow_trace, cycles);
     Ok(EquivalenceReport {
         equivalence,
-        compared_cycles: limit,
+        compared_cycles,
         sync_run,
         async_run,
     })
+}
+
+/// Compares one execution pair: renames the master-latch streams of
+/// `async_trace` back to their flip-flop names (one stream move per
+/// register) and compares them against `sync_trace` on the common prefix,
+/// capped by the requested cycle count. Returns the verdict and the number
+/// of values compared per register.
+fn compare_renamed(
+    design: &DesyncDesign,
+    sync_trace: &FlowTrace,
+    async_trace: &FlowTrace,
+    cycles: usize,
+) -> (FlowEquivalence, usize) {
+    let mut mapped = FlowTrace::new();
+    for pair in &design.latch_design().pairs {
+        if let Some(stream) = async_trace.stream(&pair.master) {
+            mapped.extend_stream(pair.register_name.clone(), stream.to_vec());
+        }
+    }
+    let limit = cycles
+        .min(mapped.min_stream_len())
+        .min(sync_trace.min_stream_len());
+    (
+        FlowEquivalence::compare_prefix(sync_trace, &mapped, limit),
+        limit,
+    )
 }
 
 /// The outcome of a multi-seed (packed) flow-equivalence campaign point:
 /// one per-lane verdict for each stimulus seed, plus the word- and
 /// lane-level event accounting of the two packed runs.
 ///
-/// Unlike [`EquivalenceReport`] this does not retain the simulation runs —
-/// a 64-lane campaign point would otherwise hold 64 full capture/waveform
-/// sets; the per-lane verdicts and counters are what sweeps aggregate.
-/// Lane order follows the stimulus lane order, so verdicts merge
+/// The verdicts are computed in packed space, straight from the packed
+/// capture streams, and each equals the verdict of a scalar
+/// [`verify_flow_equivalence`] with that lane's stimulus: same mismatches
+/// (registers in name order, positions, values), missing registers and
+/// compared values. Unlike [`EquivalenceReport`] the report does not retain
+/// the simulation runs; a lane's scalar [`SimRun`] exists only if a caller
+/// builds it from a [`PackedSimRun`] with [`PackedSimRun::lane`]. Lane
+/// order follows the stimulus lane order, so verdicts merge
 /// deterministically regardless of worker scheduling.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiSeedReport {
@@ -366,21 +387,18 @@ impl MultiSeedReport {
 }
 
 impl crate::store::Weigh for PackedSimRun {
-    /// Weight of a cached packed reference run: the sum of its extracted
-    /// per-lane runs' weights.
+    /// Weight of a cached packed reference run: the sum of the weights its
+    /// live lanes have as scalar [`SimRun`]s, counted in packed space.
     fn weight(&self) -> usize {
-        self.lane_runs
-            .iter()
-            .map(crate::store::Weigh::weight)
-            .sum::<usize>()
+        (self.lane_captured_values() + self.lane_waveform_changes() + self.cycles * self.lanes())
             .max(1)
     }
 }
 
 /// The packed counterpart of [`sync_reference_run_with_model`]: one packed
 /// synchronous run carrying every stimulus lane, over the *same* compiled
-/// models the scalar path caches. Each extracted lane is bit-identical to
-/// [`sync_reference_run`] with that lane's stimulus.
+/// models the scalar path caches. Each lane ([`PackedSimRun::lane`]) is
+/// bit-identical to [`sync_reference_run`] with that lane's stimulus.
 ///
 /// # Errors
 ///
@@ -393,8 +411,7 @@ pub fn packed_sync_reference_run_with_model(
     cycles: usize,
     stimulus: &PackedVectorSource,
 ) -> Result<PackedSimRun, desync_netlist::NetlistError> {
-    let mut sync_tb =
-        PackedSyncTestbench::with_model(original, Arc::clone(model), stimulus.lanes())?;
+    let sync_tb = PackedSyncTestbench::with_model(original, Arc::clone(model), stimulus.lanes())?;
     Ok(sync_tb.run(cycles, period_ps, stimulus))
 }
 
@@ -422,8 +439,8 @@ pub fn packed_sync_reference_run(
 /// per-lane verdict each.
 ///
 /// Each lane's verdict is bit-identical to the `equivalence` of a scalar
-/// [`verify_flow_equivalence`] call with that lane's stimulus (the golden
-/// suite `sim_packed_golden.rs` pins this).
+/// [`verify_flow_equivalence`] call with that lane's stimulus (the suite
+/// `packed_compare.rs` pins this).
 pub fn verify_flow_equivalence_packed(
     original: &Netlist,
     design: &DesyncDesign,
@@ -465,6 +482,15 @@ pub fn verify_flow_equivalence_packed(
 /// [`sim_config_for`]`(design)` — the caches in
 /// [`DesyncEngine`](crate::DesyncEngine) enforce this by construction.
 ///
+/// The lanes are compared in packed space: each sync-register /
+/// master-latch stream pair is visited once, and one
+/// [`PackedValue::diff_mask`] per capture position finds every lane that
+/// mismatches there, so a point costs O(registers × captures) word
+/// operations and no per-lane extraction. Only if a capture was taken by
+/// some lanes but not all (a data-dependent capturing edge) does the check
+/// fall back to per-lane streams ([`PackedSimRun::lane`]) and
+/// [`FlowEquivalence::compare_prefix`].
+///
 /// # Panics
 ///
 /// Panics if `sync_run` covers a different lane or cycle count than
@@ -485,14 +511,12 @@ pub fn verify_flow_equivalence_packed_with_parts(
         sync_run.lanes(),
         stimulus.lanes(),
     );
-    for lane_run in &sync_run.lane_runs {
-        assert_eq!(
-            lane_run.cycles, cycles,
-            "sync reference run covers {} cycles but the equivalence check asked for {cycles}; \
-             compute the reference with the same cycle count (see packed_sync_reference_run)",
-            lane_run.cycles,
-        );
-    }
+    assert_eq!(
+        sync_run.cycles, cycles,
+        "sync reference run covers {} cycles but the equivalence check asked for {cycles}; \
+         compute the reference with the same cycle count (see packed_sync_reference_run)",
+        sync_run.cycles,
+    );
 
     // Identical setup to the scalar path: the enable schedule and the input
     // vector times are stimulus-independent, so they are computed once and
@@ -512,32 +536,13 @@ pub fn verify_flow_equivalence_packed_with_parts(
             }
         }
     }
-    let mut async_tb =
+    let async_tb =
         PackedAsyncTestbench::with_model(latch_netlist, Arc::clone(async_model), stimulus.lanes());
     let duration = bundle.horizon_ps + design.cycle_time_ps() + 1_000.0;
     let async_run = async_tb.run(duration, cycles, &bundle.schedule, &inputs);
 
-    let mut lane_equivalence = Vec::with_capacity(stimulus.lanes());
-    let mut compared_cycles = Vec::with_capacity(stimulus.lanes());
-    for lane in 0..stimulus.lanes() {
-        let sync_lane = &sync_run.lane_runs[lane];
-        let async_lane = &async_run.lane_runs[lane];
-        let mut mapped = FlowTrace::new();
-        for pair in &design.latch_design().pairs {
-            if let Some(stream) = async_lane.flow_trace.stream(&pair.master) {
-                mapped.extend_stream(pair.register_name.clone(), stream.to_vec());
-            }
-        }
-        let limit = cycles
-            .min(mapped.min_stream_len())
-            .min(sync_lane.flow_trace.min_stream_len());
-        lane_equivalence.push(FlowEquivalence::compare_prefix(
-            &sync_lane.flow_trace,
-            &mapped,
-            limit,
-        ));
-        compared_cycles.push(limit);
-    }
+    let (lane_equivalence, compared_cycles) =
+        compare_packed_lanes(design, sync_run, &async_run, cycles);
     Ok(MultiSeedReport {
         lanes: stimulus.lanes(),
         lane_equivalence,
@@ -547,6 +552,112 @@ pub fn verify_flow_equivalence_packed_with_parts(
         async_word_events: async_run.word_committed_events,
         async_lane_events: async_run.lane_committed_events(),
     })
+}
+
+/// Per-lane verdicts and compared-cycle counts of a packed co-simulation,
+/// equal to [`compare_renamed`] over every lane's extracted flow traces.
+fn compare_packed_lanes(
+    design: &DesyncDesign,
+    sync_run: &PackedSimRun,
+    async_run: &PackedSimRun,
+    cycles: usize,
+) -> (Vec<FlowEquivalence>, Vec<usize>) {
+    let live = sync_run.lane_mask();
+    // Master-latch streams under their flip-flop names (one pair per
+    // flip-flop, so the names are distinct), sorted by name.
+    let mut mapped: Vec<(&str, &PackedStream)> = design
+        .latch_design()
+        .pairs
+        .iter()
+        .filter_map(|pair| {
+            let stream = async_run.stream(&pair.master)?;
+            Some((pair.register_name.as_str(), stream))
+        })
+        .collect();
+    mapped.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    // Lanes line up position by position only if every lane took every
+    // capture.
+    let aligned = sync_run
+        .streams()
+        .iter()
+        .chain(mapped.iter().map(|&(_, stream)| stream))
+        .all(|stream| stream.is_uniform(live));
+    if !aligned {
+        return (0..sync_run.lanes())
+            .map(|lane| {
+                let (sync_lane, async_lane) = (sync_run.lane(lane), async_run.lane(lane));
+                compare_renamed(
+                    design,
+                    &sync_lane.flow_trace,
+                    &async_lane.flow_trace,
+                    cycles,
+                )
+            })
+            .unzip();
+    }
+
+    // Every lane sees the same stream lengths, hence the same prefix limit,
+    // compared-value count and missing registers. No stream is shorter than
+    // the limit, so each register pair compares exactly `limit` positions.
+    let shortest_mapped = mapped.iter().map(|(_, s)| s.captures.len()).min();
+    let shortest_sync = sync_run.streams().iter().map(|s| s.captures.len()).min();
+    let limit = cycles
+        .min(shortest_mapped.unwrap_or(0))
+        .min(shortest_sync.unwrap_or(0));
+    let mut mismatches: Vec<Vec<FlowMismatch>> = vec![Vec::new(); sync_run.lanes()];
+    let mut missing = Vec::new();
+    let mut compared = 0;
+    for reference in sync_run.streams() {
+        let name = reference.register.as_str();
+        let Ok(at) = mapped.binary_search_by(|&(mapped_name, _)| mapped_name.cmp(name)) else {
+            missing.push(reference.register.clone());
+            continue;
+        };
+        let checked = mapped[at].1;
+        compared += limit;
+        // Lanes still without a mismatch on this register (the first
+        // mismatch per register is the one reported).
+        let mut pending = live;
+        for (position, (&(_, want), &(_, got))) in reference
+            .captures
+            .iter()
+            .zip(&checked.captures)
+            .take(limit)
+            .enumerate()
+        {
+            let mut diff = want.diff_mask(got) & pending;
+            pending &= !diff;
+            while diff != 0 {
+                let lane = diff.trailing_zeros() as usize;
+                mismatches[lane].push(FlowMismatch {
+                    register: reference.register.clone(),
+                    position,
+                    reference: Some(value_to_word(want.lane(lane))),
+                    checked: Some(value_to_word(got.lane(lane))),
+                });
+                diff &= diff - 1;
+            }
+            if pending == 0 {
+                break;
+            }
+        }
+    }
+    for &(name, _) in &mapped {
+        if sync_run.stream(name).is_none() {
+            missing.push(name.to_string());
+        }
+    }
+    missing.sort();
+    let compared_cycles = vec![limit; sync_run.lanes()];
+    let lane_equivalence = mismatches
+        .into_iter()
+        .map(|mismatches| FlowEquivalence {
+            mismatches,
+            missing_registers: missing.clone(),
+            compared_values: compared,
+        })
+        .collect();
+    (lane_equivalence, compared_cycles)
 }
 
 #[cfg(test)]
@@ -732,6 +843,40 @@ mod tests {
         assert_eq!(report.async_lane_events, async_lane_events);
         assert!(report.sync_word_events <= sync_lane_events);
         assert!(report.async_word_events <= async_lane_events);
+
+        // Non-equivalent lanes too: the DLX under the non-overlapping
+        // protocol diverges in its program counter (the finding pinned by
+        // `dlx_verdict.rs`), and every lane's mismatches must equal its
+        // scalar verdict.
+        let dlx = desync_circuits::DlxConfig::default().generate().unwrap();
+        let design = Desynchronizer::new(
+            &dlx,
+            &library,
+            DesyncOptions::default().with_protocol(Protocol::NonOverlapping),
+        )
+        .run()
+        .unwrap();
+        let inputs: Vec<_> = dlx
+            .inputs()
+            .iter()
+            .copied()
+            .filter(|&net| dlx.net(net).name != "clk")
+            .collect();
+        let seeds: Vec<u64> = (0..8).map(|lane| 0xd1a0 + 17 * lane).collect();
+        let packed = PackedVectorSource::pseudo_random(inputs.clone(), &seeds);
+        let report = verify_flow_equivalence_packed(&dlx, &design, &library, &packed, 48).unwrap();
+        assert_eq!(report.lanes, seeds.len());
+        assert_eq!(report.equivalent_lanes(), 0);
+        for (lane, &seed) in seeds.iter().enumerate() {
+            let stim = VectorSource::pseudo_random(inputs.clone(), seed);
+            let scalar = verify_flow_equivalence(&dlx, &design, &library, &stim, 48).unwrap();
+            assert_eq!(
+                report.lane_equivalence[lane], scalar.equivalence,
+                "dlx lane {lane}"
+            );
+            assert_eq!(report.compared_cycles[lane], scalar.compared_cycles);
+            assert_eq!(report.lane_divergence(lane), scalar.divergence());
+        }
     }
 
     #[test]

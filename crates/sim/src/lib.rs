@@ -32,10 +32,16 @@
 //!   plane masks. Under matched delays the event *schedule* is
 //!   stimulus-independent, so the calendar queue, the CSR topology walk and
 //!   the scheduling rules are byte-for-byte the scalar kernel's — only the
-//!   payloads widen. Per-lane extraction ([`PackedSimRun`]) returns
-//!   captures, activity and waveforms bit-identical to 64 scalar runs at
-//!   roughly the cost of one, which is what makes 64-seed equivalence
-//!   campaigns ~1× the price of a single-seed verification.
+//!   payloads widen. A finished run stays packed ([`PackedSimRun`]): one
+//!   packed capture stream per register with per-capture lane masks, the
+//!   per-lane event and switching counters, and the raw packed waveform
+//!   records. Equivalence campaigns compare lanes in packed space — one
+//!   [`PackedValue::diff_mask`] per capture pair covers all 64 lanes — and
+//!   [`PackedSimRun::lane`] builds a lane's scalar [`SimRun`] (captures,
+//!   activity and waveforms bit-identical to the scalar run with that
+//!   lane's stimulus) only when a caller asks for it. So a 64-seed
+//!   campaign point costs one packed co-simulation plus word-wide
+//!   comparisons, not 64 scalar runs.
 //!
 //! [`PackedSyncTestbench`] / [`PackedAsyncTestbench`] mirror the scalar
 //! harnesses' drive scripts exactly (control nets are broadcast across
@@ -92,7 +98,9 @@
 //! byte-identical to a straightforward reference implementation across
 //! random circuits and all three handshake protocols; a second suite
 //! (`desync-core/tests/sim_packed_golden.rs`) pins the packed kernel's
-//! plane-extracted lanes bit-identical to scalar runs the same way.
+//! extracted lanes bit-identical to scalar runs the same way, and a third
+//! (`desync-core/tests/packed_compare.rs`) pins the packed-space campaign
+//! verdicts against per-lane comparison of the extracted runs.
 //! [`VectorSource::content_digest`] provides the stimulus half of the
 //! content-addressed sync-reference-run cache that `desync-core` layers on
 //! top for incremental co-simulation.
@@ -136,11 +144,11 @@ pub mod waveform;
 
 pub use activity::Activity;
 pub use engine::{EventSimulator, SimConfig};
-pub use harness::{AsyncTestbench, EnableSchedule, SimRun, SyncTestbench};
+pub use harness::{value_to_word, AsyncTestbench, EnableSchedule, SimRun, SyncTestbench};
 pub use model::CompiledModel;
 pub use packed::{
-    PackedAsyncTestbench, PackedCapture, PackedSimRun, PackedSimulator, PackedSyncTestbench,
-    PackedValue, MAX_LANES,
+    PackedAsyncTestbench, PackedCapture, PackedSimRun, PackedSimulator, PackedStream,
+    PackedSyncTestbench, PackedValue, MAX_LANES,
 };
 pub use stimulus::{PackedVectorSource, VectorSource};
 pub use waveform::{Waveform, WaveformSet};

@@ -36,23 +36,38 @@
 //! [`Value`] to [`PackedValue`]. A packed event is scheduled when *any* lane
 //! departs from its projected value; on lanes where the payload equals the
 //! projected value the event is invisible, exactly like the event the scalar
-//! kernel would not have scheduled. Per-lane observables (captures with lane
-//! masks, per-lane activity counters, per-lane waveform extraction with
-//! change collapsing) therefore plane-extract to results bit-identical to 64
-//! scalar runs — times, capture streams, activity counts and waveforms alike.
-//! The property suite `desync-core/tests/sim_packed_golden.rs` pins this
-//! across random circuits, all three handshake protocols and both harnesses.
+//! kernel would not have scheduled. Each lane therefore observes exactly
+//! what a scalar run with that lane's stimulus observes.
+//!
+//! A finished run stays packed ([`PackedSimulator::into_run`]): one packed
+//! capture stream per register, each capture carrying the mask of lanes
+//! that took it, the per-lane event and switching counters, and the raw
+//! packed change records of the watched nets. When every capture of a
+//! register was taken by all live lanes ([`PackedStream::is_uniform`] —
+//! true whenever the testbench's broadcast clock or enables reach the
+//! register without data-dependent gating), the lanes' scalar streams line
+//! up position by position, and one
+//! [`PackedValue::diff_mask`] per capture pair compares all lanes at once —
+//! which is how `desync-core` checks campaign lanes for flow equivalence.
+//! [`PackedSimRun::lane`] builds one lane's scalar [`SimRun`] only when a
+//! caller asks for it, bit-identical to the scalar run — times, capture
+//! streams, activity counts and waveforms alike. The property suite
+//! `desync-core/tests/sim_packed_golden.rs` pins this across random
+//! circuits, all three handshake protocols and both harnesses, and
+//! `desync-core/tests/packed_compare.rs` pins the packed-space verdicts
+//! against per-lane comparison of the extracted runs.
 //!
 //! Lane counts below 64 are supported: the packed stimulus replicates its
 //! last lane into the unused tail lanes (so they never create extra events)
 //! and all per-lane accounting is masked to the live lanes.
 
 use crate::activity::Activity;
-use crate::engine::{CalendarQueue, Capture, Event, SimConfig};
-use crate::harness::{collect_flow_trace, EnableSchedule, SimRun};
+use crate::engine::{CalendarQueue, Event, SimConfig};
+use crate::harness::{value_to_word, EnableSchedule, SimRun};
 use crate::model::CompiledModel;
 use crate::stimulus::PackedVectorSource;
 use crate::waveform::{Waveform, WaveformSet};
+use desync_mg::FlowTrace;
 use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist, NetlistError, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -62,7 +77,7 @@ pub const MAX_LANES: usize = 64;
 
 /// 64 independent 4-state values in two bit-planes (see the
 /// [module documentation](self) for the encoding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct PackedValue {
     lo: u64,
     hi: u64,
@@ -358,16 +373,11 @@ impl<'a> PackedSimulator<'a> {
             netlist.num_cells(),
         );
         let num_nets = model.num_nets();
-        let lane_mask = if lanes == MAX_LANES {
-            !0
-        } else {
-            (1u64 << lanes) - 1
-        };
         let mut sim = Self {
             netlist,
             model,
             lanes,
-            lane_mask,
+            lane_mask: live_mask(lanes),
             values: vec![PackedValue::all_x(); num_nets],
             projected: vec![PackedValue::all_x(); num_nets],
             queue: CalendarQueue::new(),
@@ -667,38 +677,163 @@ impl<'a> PackedSimulator<'a> {
         }
     }
 
-    /// Extracts lane `lane`'s switching-activity counters — bit-identical
-    /// to the `activity` of the corresponding scalar run.
-    pub fn lane_activity(&self, lane: usize) -> Activity {
-        let nets = self.model.num_nets;
-        Activity {
-            transitions: self.lane_transitions[lane * nets..(lane + 1) * nets].to_vec(),
+    /// Ends the run, moving its observables out of the cursor into a
+    /// [`PackedSimRun`] with `cycles` recorded as the logical cycle count:
+    /// the captures grouped into one packed stream per register (sorted by
+    /// register name), the per-lane event and switching counters, and the
+    /// raw packed change records of the watched nets. Nothing is extracted
+    /// per lane; [`PackedSimRun::lane`] does that on demand.
+    pub fn into_run(self, cycles: usize) -> PackedSimRun {
+        let netlist = self.netlist;
+        let mut per_cell: Vec<Vec<(u64, PackedValue)>> = vec![Vec::new(); self.model.num_cells()];
+        for cap in &self.captures {
+            per_cell[cap.cell.index()].push((cap.lanes, cap.value));
+        }
+        let mut streams: Vec<PackedStream> = per_cell
+            .into_iter()
+            .enumerate()
+            .filter(|(_, captures)| !captures.is_empty())
+            .map(|(index, captures)| PackedStream {
+                register: netlist.cell(CellId(index as u32)).name.to_string(),
+                captures,
+            })
+            .collect();
+        streams.sort_unstable_by(|a, b| a.register.cmp(&b.register));
+        let waves = self
+            .waves
+            .into_iter()
+            .map(|(net, changes)| (netlist.net(net).name.to_string(), changes))
+            .collect();
+        PackedSimRun {
+            lanes: self.lanes,
+            streams,
+            lane_events: self.lane_committed,
+            lane_transitions: self.lane_transitions,
+            waves,
+            cycles,
             duration_ps: self.duration_ps,
+            word_committed_events: self.committed_words,
         }
     }
+}
 
-    /// Extracts lane `lane`'s capture stream as scalar [`Capture`]s.
-    pub fn lane_captures(&self, lane: usize) -> Vec<Capture> {
-        let bit = 1u64 << lane;
-        self.captures
-            .iter()
-            .filter(|cap| cap.lanes & bit != 0)
-            .map(|cap| Capture {
-                time_ps: cap.time_ps,
-                cell: cap.cell,
-                value: cap.value.lane(lane),
-            })
-            .collect()
+/// Mask of the low `lanes` lanes of a word.
+fn live_mask(lanes: usize) -> u64 {
+    if lanes == MAX_LANES {
+        !0
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
+
+/// One register's packed capture stream: each capture in chronological
+/// order, as the mask of live lanes that captured at that edge together
+/// with the captured packed value (meaningful on those lanes only).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PackedStream {
+    /// Instance name of the capturing register.
+    pub register: String,
+    /// `(lane mask, value)` per capture, in capture order.
+    pub captures: Vec<(u64, PackedValue)>,
+}
+
+impl PackedStream {
+    /// Whether every capture was taken by exactly the `live` lanes. Every
+    /// lane's scalar stream is then `captures` read at that lane, position
+    /// for position, so lanes can be compared without extracting them.
+    pub fn is_uniform(&self, live: u64) -> bool {
+        self.captures.iter().all(|&(lanes, _)| lanes == live)
+    }
+}
+
+/// The observable result of one packed run, kept packed: one packed
+/// capture stream per register, the per-lane event and switching counters,
+/// the raw packed change records of the watched nets, and the word-level
+/// work the kernel actually did.
+///
+/// Equivalence campaigns compare lanes directly on the packed streams. A
+/// lane's scalar [`SimRun`] is built only when a caller asks for it through
+/// [`PackedSimRun::lane`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PackedSimRun {
+    lanes: usize,
+    /// Per-register capture streams, sorted by register name.
+    streams: Vec<PackedStream>,
+    /// Per-lane committed-event counters.
+    lane_events: Vec<u64>,
+    /// Lane-major per-net switching counters:
+    /// `lane_transitions[lane * num_nets + net]`.
+    lane_transitions: Vec<u64>,
+    /// Raw packed change records of the watched nets, by net name in watch
+    /// order.
+    waves: Vec<(String, Vec<(f64, PackedValue)>)>,
+    /// Number of clock cycles (synchronous) or scheduled iterations
+    /// (asynchronous) executed.
+    pub cycles: usize,
+    /// Total simulated time in picoseconds.
+    pub duration_ps: f64,
+    /// Number of committed word events (the kernel's real work; each word
+    /// event advances all lanes at once).
+    pub word_committed_events: usize,
+}
+
+impl PackedSimRun {
+    /// Number of live lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
-    /// Extracts lane `lane`'s waveforms for all watched nets.
+    /// Mask of the live lanes.
+    pub fn lane_mask(&self) -> u64 {
+        live_mask(self.lanes)
+    }
+
+    /// The packed capture streams, sorted by register name.
+    pub fn streams(&self) -> &[PackedStream] {
+        &self.streams
+    }
+
+    /// The packed capture stream of `register`, if it captured in any lane.
+    pub fn stream(&self, register: &str) -> Option<&PackedStream> {
+        self.streams
+            .binary_search_by(|stream| stream.register.as_str().cmp(register))
+            .ok()
+            .map(|index| &self.streams[index])
+    }
+
+    /// Builds lane `lane` as a scalar [`SimRun`], bit-identical to running
+    /// the scalar kernel with that lane's stimulus: capture streams,
+    /// activity, waveforms and committed events.
     ///
-    /// Packed change records are collapsed per lane: a record whose lane
-    /// value equals the previous one is a change on *other* lanes only and
-    /// is skipped, which reproduces the scalar recording exactly.
-    pub fn lane_waveforms(&self, lane: usize) -> WaveformSet {
-        let mut set = WaveformSet::new();
-        for (net, changes) in &self.waves {
+    /// Waveform records are collapsed per lane: a record whose lane value
+    /// equals the previous one is a change on *other* lanes only and is
+    /// skipped, which reproduces the scalar recording exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not a live lane.
+    pub fn lane(&self, lane: usize) -> SimRun {
+        assert!(
+            lane < self.lanes,
+            "lane {lane} of a {}-lane packed run",
+            self.lanes
+        );
+        let bit = 1u64 << lane;
+        let mut flow_trace = FlowTrace::new();
+        for stream in &self.streams {
+            let values: Vec<u64> = stream
+                .captures
+                .iter()
+                .filter(|&&(lanes, _)| lanes & bit != 0)
+                .map(|&(_, value)| value_to_word(value.lane(lane)))
+                .collect();
+            if !values.is_empty() {
+                flow_trace.extend_stream(stream.register.clone(), values);
+            }
+        }
+        let nets = self.lane_transitions.len() / self.lanes;
+        let mut waveforms = WaveformSet::new();
+        for (name, changes) in &self.waves {
             let mut wave = Waveform::new();
             let mut previous = Value::X;
             for &(time_ps, packed) in changes {
@@ -708,62 +843,52 @@ impl<'a> PackedSimulator<'a> {
                     previous = value;
                 }
             }
-            set.insert(self.netlist.net(*net).name.to_string(), wave);
+            waveforms.insert(name.clone(), wave);
         }
-        set
-    }
-
-    /// Extracts lane `lane` as a full scalar [`SimRun`] with `cycles`
-    /// recorded as the logical cycle count.
-    pub fn lane_run(&self, lane: usize, cycles: usize) -> SimRun {
         SimRun {
-            flow_trace: collect_flow_trace(self.netlist, &self.lane_captures(lane)),
-            activity: self.lane_activity(lane),
-            waveforms: self.lane_waveforms(lane),
-            cycles,
+            flow_trace,
+            activity: Activity {
+                transitions: self.lane_transitions[lane * nets..(lane + 1) * nets].to_vec(),
+                duration_ps: self.duration_ps,
+            },
+            waveforms,
+            cycles: self.cycles,
             duration_ps: self.duration_ps,
-            committed_events: self.lane_committed_events(lane),
+            committed_events: self.lane_events[lane] as usize,
         }
-    }
-}
-
-/// The observable result of one packed run: every lane extracted to a
-/// scalar [`SimRun`], plus the word-level work the kernel actually did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PackedSimRun {
-    /// One extracted scalar run per live lane, bit-identical to running the
-    /// scalar kernel with that lane's stimulus.
-    pub lane_runs: Vec<SimRun>,
-    /// Number of committed word events (the kernel's real work; each word
-    /// event advances all lanes at once).
-    pub word_committed_events: usize,
-}
-
-impl PackedSimRun {
-    /// Number of live lanes.
-    pub fn lanes(&self) -> usize {
-        self.lane_runs.len()
-    }
-
-    /// The extracted scalar run of lane `lane`.
-    pub fn lane(&self, lane: usize) -> &SimRun {
-        &self.lane_runs[lane]
     }
 
     /// Total scalar-equivalent committed events across all lanes — what 64
     /// scalar runs would have committed; the numerator of the packed
     /// speedup.
     pub fn lane_committed_events(&self) -> usize {
-        self.lane_runs.iter().map(|run| run.committed_events).sum()
+        self.lane_events.iter().sum::<u64>() as usize
     }
-}
 
-fn collect_packed_run(sim: &PackedSimulator<'_>, cycles: usize) -> PackedSimRun {
-    PackedSimRun {
-        lane_runs: (0..sim.lanes())
-            .map(|lane| sim.lane_run(lane, cycles))
-            .collect(),
-        word_committed_events: sim.committed_words(),
+    /// Captured values summed over the live lanes: what the lanes' scalar
+    /// flow traces would hold together, counted without extracting them.
+    pub fn lane_captured_values(&self) -> usize {
+        let live = self.lane_mask();
+        self.streams
+            .iter()
+            .flat_map(|stream| &stream.captures)
+            .map(|&(lanes, _)| (lanes & live).count_ones() as usize)
+            .sum()
+    }
+
+    /// Waveform changes summed over the live lanes: what the lanes' scalar
+    /// waveforms would record together, counted without extracting them.
+    pub fn lane_waveform_changes(&self) -> usize {
+        let live = self.lane_mask();
+        let mut changes = 0;
+        for (_, records) in &self.waves {
+            let mut previous = PackedValue::all_x();
+            for &(_, value) in records {
+                changes += (previous.diff_mask(value) & live).count_ones() as usize;
+                previous = value;
+            }
+        }
+        changes
     }
 }
 
@@ -773,7 +898,7 @@ fn collect_packed_run(sim: &PackedSimulator<'_>, cycles: usize) -> PackedSimRun 
 /// The drive script is byte-for-byte the scalar testbench's (registers to
 /// 0, inputs to 0, settle, then a fixed clock grid with vectors shortly
 /// after each rising edge), with control nets broadcast across lanes — so
-/// each extracted lane is bit-identical to a scalar run with that lane's
+/// each lane of the run is bit-identical to a scalar run with that lane's
 /// stimulus.
 #[derive(Debug)]
 pub struct PackedSyncTestbench<'a> {
@@ -829,14 +954,15 @@ impl<'a> PackedSyncTestbench<'a> {
     }
 
     /// Runs `cycles` clock cycles with period `period_ps`, applying one
-    /// packed vector from `source` per cycle.
+    /// packed vector from `source` per cycle. The testbench is consumed:
+    /// its cursor's counters and captures move into the returned run.
     ///
     /// # Panics
     ///
     /// Panics if `source` does not carry exactly this testbench's lane
     /// count.
     pub fn run(
-        &mut self,
+        mut self,
         cycles: usize,
         period_ps: f64,
         source: &PackedVectorSource,
@@ -874,7 +1000,7 @@ impl<'a> PackedSyncTestbench<'a> {
         let end = start + (cycles as f64 + 1.0) * period_ps;
         sim.run_until(end);
 
-        collect_packed_run(sim, cycles)
+        self.sim.into_run(cycles)
     }
 }
 
@@ -918,14 +1044,16 @@ impl<'a> PackedAsyncTestbench<'a> {
     }
 
     /// Runs the netlist under the given enable `schedule` (broadcast) and
-    /// timed packed data `inputs` until `duration_ps`.
+    /// timed packed data `inputs` until `duration_ps`. The testbench is
+    /// consumed: its cursor's counters and captures move into the returned
+    /// run.
     ///
     /// The drive script matches the scalar [`crate::AsyncTestbench::run`]
     /// exactly: `inputs` must be listed in the same order the scalar harness
     /// would receive them, as the stable time sort preserves that order
     /// among equal-time events (it fixes the event sequence numbers).
     pub fn run(
-        &mut self,
+        mut self,
         duration_ps: f64,
         iterations: usize,
         schedule: &EnableSchedule,
@@ -948,7 +1076,7 @@ impl<'a> PackedAsyncTestbench<'a> {
         }
         sim.run_until(duration_ps);
 
-        collect_packed_run(sim, iterations)
+        self.sim.into_run(iterations)
     }
 }
 
@@ -1143,7 +1271,7 @@ mod tests {
             let mut tb = SyncTestbench::new(&n, &library, SimConfig::default()).unwrap();
             tb.watch_named(&["clk", "q1"]);
             let scalar_run = tb.run(12, 4_000.0, source);
-            assert_eq!(packed_run.lane(lane), &scalar_run, "lane {lane}");
+            assert_eq!(packed_run.lane(lane), scalar_run, "lane {lane}");
         }
     }
 
