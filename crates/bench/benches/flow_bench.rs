@@ -39,7 +39,9 @@ fn bench_flow(c: &mut Criterion) {
 }
 
 /// The staged pipeline's resume advantage: a protocol change re-runs only
-/// controller synthesis, versus a full from-scratch run.
+/// controller synthesis, versus a full from-scratch run. The toggles below
+/// revisit two option sets, so after the first visit of each the flow's
+/// private store serves the resumed stages and only assembly remains.
 fn bench_staged_resume(c: &mut Criterion) {
     let library = CellLibrary::generic_90nm();
     let dlx = DlxConfig::default().generate().expect("dlx generation");

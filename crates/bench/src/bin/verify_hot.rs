@@ -18,14 +18,14 @@ fn main() {
     let report = run_verify_hot();
     println!("{report}");
     // Hard properties of the sweep (checked in CI):
-    // the 1-worker and 4-worker sweeps (and a detached cache-less flow)
+    // the 1-worker and 4-worker sweeps (and a fresh detached flow)
     // must agree bit for bit, and shared artifacts must be computed
     // exactly once on the parallel engine — one sync reference
     // simulation, one compiled datapath model (plus one sync model) and
     // one sizing analysis per design, everything else served.
     assert!(
         report.bit_identical_to_fresh,
-        "serial, parallel and cache-less verification must agree bit for bit"
+        "serial, parallel and fresh detached verification must agree bit for bit"
     );
     assert_eq!(
         report.sync_run_misses(),

@@ -500,7 +500,7 @@ fn run_faulty_phase(report: &mut ServiceBenchReport) {
 
 /// Runs the two store phases over the stock mixed designs plus the
 /// [`poisoned_design`] (whose requests must all be lint-rejected at
-/// admission), then the faulty-traffic [phase 3](run_faulty_phase) over
+/// admission), then the faulty-traffic phase 3 (`run_faulty_phase`) over
 /// the asynchronous submission queue.
 pub fn run_service_bench() -> ServiceBenchReport {
     let mut designs = mixed_designs();

@@ -1,13 +1,13 @@
 //! The verification hot-path benchmark: a sweep-shaped workload (protocol ×
 //! margin points over a pipeline and the DLX, submitted to a
-//! [`DesyncService`] as first-class sweep requests with gate-level
+//! [`DesyncService`](desync_core::DesyncService) as first-class sweep requests with gate-level
 //! verification on) that exercises exactly the paths the compiled-model /
 //! runtime-parallel rework accelerates.
 //!
 //! [`run_verify_hot`] runs the sweep twice — once on a single worker (the
 //! serial baseline) and once on [`SWEEP_THREADS`] workers — cross-checks
-//! every per-point [`EquivalenceReport`] bit-for-bit between the two (and
-//! against a detached, cache-less flow), then runs the same grid a third
+//! every per-point [`EquivalenceReport`](desync_core::EquivalenceReport) bit-for-bit between the two (and
+//! against a fresh detached flow), then runs the same grid a third
 //! time as a **packed campaign**: every point verified under
 //! [`CAMPAIGN_LANES`] pseudo-random stimulus seeds at once through the
 //! bit-parallel kernel, with probe lanes cross-checked bit-for-bit against
@@ -98,8 +98,8 @@ pub struct VerifyHotReport {
     /// Timed stages of the parallel sweep served by re-binding matched
     /// delays from a cached margin-independent sizing analysis.
     pub rebinds: usize,
-    /// Whether the parallel sweep, the serial sweep and a detached
-    /// cache-less flow all produced bit-identical reports.
+    /// Whether the parallel sweep, the serial sweep and a fresh detached
+    /// flow all produced bit-identical reports.
     pub bit_identical_to_fresh: bool,
     /// The parallel engine's cache counters after its sweep.
     pub engine_report: EngineReport,
@@ -270,7 +270,7 @@ impl fmt::Display for VerifyHotReport {
         )?;
         writeln!(
             f,
-            "  flow equivalent: {}/{} points; serial / parallel / cache-less identical: {}",
+            "  flow equivalent: {}/{} points; serial / parallel / fresh detached identical: {}",
             self.equivalent_points,
             self.points.len(),
             self.bit_identical_to_fresh
@@ -450,7 +450,7 @@ pub fn run_verify_hot() -> VerifyHotReport {
     );
 
     // Bit-identity: every parallel report equals its serial twin, and one
-    // probe point equals a detached, cache-less flow.
+    // probe point equals a fresh detached flow.
     let mut bit_identical = serial
         .results
         .iter()
@@ -498,8 +498,8 @@ pub fn run_verify_hot() -> VerifyHotReport {
         .sum();
 
     // Packed/scalar bit-identity gate: probe the first point of each
-    // design on three lanes (first, middle, last) against detached,
-    // cache-less scalar flows driven by the matching single-seed stimulus.
+    // design on three lanes (first, middle, last) against fresh detached
+    // scalar flows driven by the matching single-seed stimulus.
     let seeds = campaign_seeds();
     let mut bit_identical_packed = true;
     for design_idx in 0..designs.len() {

@@ -4,27 +4,27 @@
 //! options) triple every stage artifact is a pure function of its inputs.
 //! A [`DesyncEngine`] exploits that determinism across flows — a batch or
 //! service front-end pushing many requests through the toolkit attaches each
-//! [`DesyncFlow`](crate::DesyncFlow) to one shared engine
+//! [`DesyncFlow`] to one shared engine
 //! ([`DesyncEngine::flow`]), and any stage whose inputs were already seen is
 //! served from a shared [`ArtifactStore`] instead of recomputed:
 //!
-//! * **Cache keys** ([`ArtifactKey`]) pair an interned netlist/library
+//! * **Cache keys** (`ArtifactKey`) pair an interned netlist/library
 //!   identity (stable [`Netlist::structural_hash`] plus a full equality
 //!   check, so distinct designs can never collide) with either the options
-//!   *prefix* a stage consumes ([`DesyncOptions::stage_prefix`] — the same
+//!   *prefix* a stage consumes (`DesyncOptions::stage_prefix` — the same
 //!   mapping that drives stage invalidation, so cache validity and
 //!   invalidation can never drift apart) or, for synchronous reference
 //!   runs, the simulation inputs the run is a pure function of.
 //! * **Cached artifacts** are the four construction stages —
 //!   [`ClusterGraph`], [`LatchDesign`],
-//!   [`TimingTable`](crate::TimingTable),
-//!   [`ControlNetwork`](crate::ControlNetwork) — plus three simulation-side
+//!   [`TimingTable`],
+//!   [`ControlNetwork`] — plus three simulation-side
 //!   artifact kinds: the synchronous reference runs of incremental
 //!   co-simulation, the **compiled simulation models**
 //!   ([`CompiledModel`] — one per netlist structure × `SimConfig`, shared
 //!   by every sweep point that simulates that structure) and the
 //!   **margin-independent sizing analyses**
-//!   ([`SizingAnalysis`](crate::SizingAnalysis) — margin sweep points
+//!   ([`SizingAnalysis`] — margin sweep points
 //!   re-bind matched delays from them instead of re-running arrival
 //!   propagation). Full verification reports depend on the per-flow
 //!   stimulus and are never cached.
@@ -35,8 +35,11 @@
 //!   [`store`](crate::store) module).
 //! * **The runtime** ([`DesyncRuntime`]) owns the persistent matched-delay
 //!   sizing pool. Every engine holds a runtime handle; engines (and the
-//!   [`DesyncService`](crate::DesyncService)) can share one explicitly, and
-//!   detached flows draw from [`DesyncRuntime::global`].
+//!   [`DesyncService`](crate::DesyncService)) can share one explicitly.
+//! * **Detached flows** ([`DesyncFlow::new`](crate::DesyncFlow::new)) own a
+//!   private unbounded store on [`DesyncRuntime::global`], so every flow
+//!   sources its artifacts through the same store path; a detached flow
+//!   simply shares them with nobody but itself.
 //!
 //! ```
 //! use desync_core::{DesyncEngine, DesyncOptions, Stage};
@@ -190,175 +193,125 @@ impl StoreKey for ArtifactKey {
     }
 }
 
-/// One cached value: a construction-stage artifact, a sync reference run, a
-/// compiled simulation model or a sizing analysis, all shared by `Arc` so a
-/// store hit is a pointer clone.
-#[derive(Debug, Clone)]
-enum Artifact {
-    Clustered(Arc<ClusterGraph>),
-    Latched(Arc<LatchDesign>),
-    Timed(Arc<TimingTable>),
-    Controlled(Arc<ControlNetwork>),
-    SyncRun(Arc<SimRun>),
-    PackedSyncRun(Arc<PackedSimRun>),
-    Compiled(Arc<CompiledModel>),
-    Sizing(Arc<SizingAnalysis>),
-    Lint(Arc<LintReport>),
+/// An artifact type the engine's store holds: its conversion into and out
+/// of the store's value enum.
+pub(crate) trait Cached: Sized {
+    /// Wraps a shared artifact into the store's value enum.
+    fn wrap(value: Arc<Self>) -> Artifact;
+    /// Unwraps the store's value enum (`None` for another artifact type).
+    fn unwrap(artifact: Artifact) -> Option<Arc<Self>>;
 }
 
-impl Weigh for Artifact {
-    fn weight(&self) -> usize {
-        match self {
-            Artifact::Clustered(v) => v.weight(),
-            Artifact::Latched(v) => v.weight(),
-            Artifact::Timed(v) => v.weight(),
-            Artifact::Controlled(v) => v.weight(),
-            Artifact::SyncRun(v) => v.weight(),
-            Artifact::PackedSyncRun(v) => v.weight(),
-            Artifact::Compiled(v) => v.weight(),
-            Artifact::Sizing(v) => v.weight(),
-            Artifact::Lint(v) => v.weight(),
+/// Declares the store's value enum, one variant per artifact type, and the
+/// [`Cached`] conversion of each type.
+macro_rules! artifacts {
+    ($($variant:ident($ty:ty),)*) => {
+        /// One cached value, shared by `Arc` so a store hit is a pointer
+        /// clone.
+        #[derive(Debug, Clone)]
+        pub(crate) enum Artifact {
+            $($variant(Arc<$ty>),)*
         }
-    }
+
+        impl Weigh for Artifact {
+            fn weight(&self) -> usize {
+                match self {
+                    $(Artifact::$variant(v) => v.weight(),)*
+                }
+            }
+        }
+
+        $(impl Cached for $ty {
+            fn wrap(value: Arc<Self>) -> Artifact {
+                Artifact::$variant(value)
+            }
+
+            fn unwrap(artifact: Artifact) -> Option<Arc<Self>> {
+                match artifact {
+                    Artifact::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        })*
+    };
 }
 
-/// A flow's connection to its engine, carried inside
-/// [`DesyncFlow`](crate::DesyncFlow).
-#[derive(Debug, Clone, Copy)]
+artifacts! {
+    Clustered(ClusterGraph),
+    Latched(LatchDesign),
+    Timed(TimingTable),
+    Controlled(ControlNetwork),
+    SyncRun(SimRun),
+    PackedSyncRun(PackedSimRun),
+    Compiled(CompiledModel),
+    Sizing(SizingAnalysis),
+    Lint(LintReport),
+}
+
+/// The engine a flow draws its artifacts from.
+#[derive(Debug, Clone)]
+enum EngineRef<'a> {
+    /// A shared engine the flow is attached to.
+    Shared(&'a DesyncEngine),
+    /// The private store of a detached flow (shared only with the flow's
+    /// clones).
+    Private(Arc<DesyncEngine>),
+}
+
+/// A flow's connection to the store its artifacts come from, carried
+/// inside [`DesyncFlow`](crate::DesyncFlow): an attached engine, or the
+/// private store of a detached flow.
+#[derive(Debug, Clone)]
 pub(crate) struct EngineHandle<'a> {
-    engine: &'a DesyncEngine,
+    engine: EngineRef<'a>,
     netlist: NetlistId,
     library: LibraryId,
 }
 
 impl<'a> EngineHandle<'a> {
+    /// A detached flow's private store: unbounded, one shard, on
+    /// [`DesyncRuntime::global`]. It only ever holds one netlist and one
+    /// library, so it keys them with fixed identities and never hashes or
+    /// clones the netlist.
+    pub(crate) fn private() -> Self {
+        let engine = DesyncEngine::with_store_and_runtime(
+            StoreConfig::unbounded().with_shards(1),
+            DesyncRuntime::global().clone(),
+        );
+        Self {
+            engine: EngineRef::Private(Arc::new(engine)),
+            netlist: NetlistId(0),
+            library: LibraryId(0),
+        }
+    }
+
+    fn engine(&self) -> &DesyncEngine {
+        match &self.engine {
+            EngineRef::Shared(engine) => engine,
+            EngineRef::Private(engine) => engine,
+        }
+    }
+
+    fn key(&self, facet: Facet) -> ArtifactKey {
+        ArtifactKey {
+            netlist: self.netlist,
+            library: self.library,
+            facet,
+        }
+    }
+
     /// The cache key of `stage` under `options`.
     pub(crate) fn stage_key(&self, options: &DesyncOptions, stage: Stage) -> ArtifactKey {
-        ArtifactKey {
-            netlist: self.netlist,
-            library: self.library,
-            facet: Facet::Stage {
-                stage,
-                prefix: options.stage_prefix(stage),
-            },
-        }
+        self.key(Facet::Stage {
+            stage,
+            prefix: options.stage_prefix(stage),
+        })
     }
 
-    /// The engine's persistent sizing pool.
-    pub(crate) fn pool(&self) -> &'a SizingPool {
-        self.engine.runtime.pool()
-    }
-
-    /// Fetches the artifact under `key`, computing it at most once across
-    /// every racing flow on this engine (see
-    /// [`ArtifactStore::get_or_try_compute`]). `wrap`/`unwrap` convert
-    /// between the typed artifact and the store's enum; the unwrap cannot
-    /// fail because the key's facet names the variant.
-    fn fetch<T>(
-        &self,
-        key: ArtifactKey,
-        wrap: fn(Arc<T>) -> Artifact,
-        unwrap: fn(Artifact) -> Option<Arc<T>>,
-        compute: impl FnOnce() -> Result<Arc<T>, DesyncError>,
-    ) -> Result<(Arc<T>, Fetched), DesyncError> {
-        let (artifact, how) = self
-            .engine
-            .store
-            .get_or_try_compute(key, || compute().map(wrap))?;
-        let value = unwrap(artifact).expect("the key's facet names the artifact variant");
-        Ok((value, how))
-    }
-
-    pub(crate) fn clustered_or(
-        &self,
-        key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<ClusterGraph>, DesyncError>,
-    ) -> Result<(Arc<ClusterGraph>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::Clustered,
-            |a| match a {
-                Artifact::Clustered(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
-    }
-
-    pub(crate) fn latched_or(
-        &self,
-        key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<LatchDesign>, DesyncError>,
-    ) -> Result<(Arc<LatchDesign>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::Latched,
-            |a| match a {
-                Artifact::Latched(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
-    }
-
-    pub(crate) fn timed_or(
-        &self,
-        key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<TimingTable>, DesyncError>,
-    ) -> Result<(Arc<TimingTable>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::Timed,
-            |a| match a {
-                Artifact::Timed(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
-    }
-
-    pub(crate) fn controlled_or(
-        &self,
-        key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<ControlNetwork>, DesyncError>,
-    ) -> Result<(Arc<ControlNetwork>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::Controlled,
-            |a| match a {
-                Artifact::Controlled(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
-    }
-
-    /// The cache key of the scalar synchronous reference run under the
-    /// given simulation inputs.
+    /// The cache key of a synchronous reference run under the given
+    /// simulation inputs: `lanes` is 1 for a scalar run and the stimulus
+    /// lane count for a packed (multi-lane) run.
     pub(crate) fn sync_run_key(
-        &self,
-        config: SimConfig,
-        period_ps: f64,
-        cycles: usize,
-        stimulus_digest: u64,
-    ) -> ArtifactKey {
-        ArtifactKey {
-            netlist: self.netlist,
-            library: self.library,
-            facet: Facet::SyncRun {
-                config: config.key_bits(),
-                period: period_ps.to_bits(),
-                cycles,
-                stimulus: stimulus_digest,
-                lanes: 1,
-            },
-        }
-    }
-
-    /// The cache key of a packed (multi-lane) synchronous reference run:
-    /// the sim-key facet grown by the lane count and the packed stimulus
-    /// digest.
-    pub(crate) fn packed_sync_run_key(
         &self,
         config: SimConfig,
         period_ps: f64,
@@ -366,49 +319,13 @@ impl<'a> EngineHandle<'a> {
         stimulus_digest: u64,
         lanes: u32,
     ) -> ArtifactKey {
-        ArtifactKey {
-            netlist: self.netlist,
-            library: self.library,
-            facet: Facet::SyncRun {
-                config: config.key_bits(),
-                period: period_ps.to_bits(),
-                cycles,
-                stimulus: stimulus_digest,
-                lanes,
-            },
-        }
-    }
-
-    pub(crate) fn sync_run_or(
-        &self,
-        key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<SimRun>, DesyncError>,
-    ) -> Result<(Arc<SimRun>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::SyncRun,
-            |a| match a {
-                Artifact::SyncRun(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
-    }
-
-    pub(crate) fn packed_sync_run_or(
-        &self,
-        key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<PackedSimRun>, DesyncError>,
-    ) -> Result<(Arc<PackedSimRun>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::PackedSyncRun,
-            |a| match a {
-                Artifact::PackedSyncRun(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
+        self.key(Facet::SyncRun {
+            config: config.key_bits(),
+            period: period_ps.to_bits(),
+            cycles,
+            stimulus: stimulus_digest,
+            lanes,
+        })
     }
 
     /// The cache key of a compiled simulation model: `datapath` is `None`
@@ -419,81 +336,43 @@ impl<'a> EngineHandle<'a> {
         datapath: Option<StagePrefix>,
         config: SimConfig,
     ) -> ArtifactKey {
-        ArtifactKey {
-            netlist: self.netlist,
-            library: self.library,
-            facet: Facet::Compiled {
-                datapath,
-                config: config.key_bits(),
-            },
-        }
-    }
-
-    pub(crate) fn compiled_or(
-        &self,
-        key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<CompiledModel>, DesyncError>,
-    ) -> Result<(Arc<CompiledModel>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::Compiled,
-            |a| match a {
-                Artifact::Compiled(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
+        self.key(Facet::Compiled {
+            datapath,
+            config: config.key_bits(),
+        })
     }
 
     /// The cache key of the margin-independent sizing analysis.
     pub(crate) fn sizing_key(&self, prefix: StagePrefix) -> ArtifactKey {
-        ArtifactKey {
-            netlist: self.netlist,
-            library: self.library,
-            facet: Facet::Sizing { prefix },
-        }
-    }
-
-    pub(crate) fn sizing_or(
-        &self,
-        key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<SizingAnalysis>, DesyncError>,
-    ) -> Result<(Arc<SizingAnalysis>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::Sizing,
-            |a| match a {
-                Artifact::Sizing(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
+        self.key(Facet::Sizing { prefix })
     }
 
     /// The cache key of the pre-flight lint report (netlist identity only;
     /// the report ignores options and library).
     pub(crate) fn lint_key(&self) -> ArtifactKey {
-        ArtifactKey {
-            netlist: self.netlist,
-            library: self.library,
-            facet: Facet::Lint,
-        }
+        self.key(Facet::Lint)
     }
 
-    pub(crate) fn lint_or(
+    /// The persistent sizing pool of the store's runtime.
+    pub(crate) fn pool(&self) -> &SizingPool {
+        self.engine().runtime.pool()
+    }
+
+    /// Fetches the artifact under `key`, computing it at most once across
+    /// every racing flow on this store (see
+    /// [`ArtifactStore::get_or_try_compute`]). The unwrap cannot fail
+    /// because the key's facet names the artifact type.
+    pub(crate) fn fetch<T: Cached>(
         &self,
         key: ArtifactKey,
-        compute: impl FnOnce() -> Result<Arc<LintReport>, DesyncError>,
-    ) -> Result<(Arc<LintReport>, Fetched), DesyncError> {
-        self.fetch(
-            key,
-            Artifact::Lint,
-            |a| match a {
-                Artifact::Lint(v) => Some(v),
-                _ => None,
-            },
-            compute,
-        )
+        compute: impl FnOnce() -> Result<Arc<T>, DesyncError>,
+    ) -> Result<(Arc<T>, Fetched), DesyncError> {
+        let (artifact, how) = self
+            .engine()
+            .store
+            .get_or_try_compute(key, || compute().map(T::wrap))?;
+        let value = T::unwrap(artifact).expect("the key's facet names the artifact type");
+        Ok((value, how))
     }
 }
 
@@ -541,7 +420,7 @@ impl DesyncRuntime {
     }
 
     /// The process-wide runtime used by flows that are not attached to an
-    /// engine, spawned lazily on the first parallel sizing run and alive
+    /// engine, spawned lazily when the first such flow is created and alive
     /// for the rest of the process.
     pub fn global() -> &'static DesyncRuntime {
         static GLOBAL: OnceLock<DesyncRuntime> = OnceLock::new();
@@ -634,9 +513,9 @@ impl DesyncEngine {
     /// Creates a [`DesyncFlow`] over `netlist` attached to this engine.
     ///
     /// The flow behaves exactly like one from [`DesyncFlow::new`], except
-    /// that every construction stage first consults the engine's store and
-    /// publishes its artifact on a miss, and matched-delay sizing runs on
-    /// the runtime's persistent pool.
+    /// that its artifacts come from (and are published to) the engine's
+    /// shared store instead of a private one, and matched-delay sizing runs
+    /// on the engine runtime's persistent pool.
     ///
     /// # Errors
     ///
@@ -661,7 +540,7 @@ impl DesyncEngine {
         let (_, netlist_id) = self.intern_netlist_entry(netlist);
         let (_, library_id) = self.intern_library_entry(library);
         EngineHandle {
-            engine: self,
+            engine: EngineRef::Shared(self),
             netlist: netlist_id,
             library: library_id,
         }

@@ -6,7 +6,7 @@
 //! unreachable in a healthy run. This module makes those paths reachable
 //! *on demand and reproducibly*: named **failpoints** are compiled into the
 //! pipeline at the boundaries where real faults strike, and a test installs
-//! a [`FaultPlan`] saying which sites misbehave, how, and for which
+//! a `FaultPlan` saying which sites misbehave, how, and for which
 //! requests.
 //!
 //! Everything here is deterministic by construction:
@@ -19,12 +19,12 @@
 //!   submission order.
 //! * Entries are **multi-shot**: every evaluation of a matching site fires.
 //!   (One-shot entries would make the *surviving* evaluations depend on
-//!   scheduling.) A [`FireCount`] is still recorded per entry so tests can
+//!   scheduling.) A `FireCount` is still recorded per entry so tests can
 //!   assert a fault actually triggered.
 //! * [`FaultAction::Delay`] perturbs *scheduling only* (cooperative
 //!   `yield_now` loops) — no wall-clock sleeps, no entropy. A delayed run
 //!   must produce bit-identical results; the suite asserts exactly that.
-//! * [`FaultPlan::seeded`] derives a pseudo-random plan from a caller
+//! * `FaultPlan::seeded` derives a pseudo-random plan from a caller
 //!   seed via a xorshift generator, so "random" fault campaigns are
 //!   replayable from a single `u64`.
 //!
@@ -32,12 +32,12 @@
 //!
 //! | site | boundary | actions |
 //! |---|---|---|
-//! | `stage::clustered` | Clustered-stage compute (both engine-cached and detached paths) | panic, error, delay |
+//! | `stage::clustered` | Clustered-stage compute | panic, error, delay |
 //! | `stage::latched` | Latched-stage compute | panic, error, delay |
 //! | `stage::timed` | Timed-stage compute (before STA/sizing) | panic, error, delay |
 //! | `stage::controlled` | Controlled-stage compute | panic, error, delay |
 //! | `sim::commit` | After equivalence simulation, before the verified report is committed | panic, error, delay |
-//! | `store::insert` | [`ArtifactStore::insert`](crate::ArtifactStore::insert) publication | panic (error escalates to panic), delay |
+//! | `store::insert` | [`ArtifactStore::insert`](crate::store::ArtifactStore::insert) publication | panic (error escalates to panic), delay |
 //! | `pool::dispatch` | Inside a sizing-pool task, on the worker thread | panic (error escalates to panic), delay |
 //!
 //! `store::insert` and `pool::dispatch` are *unit* sites — they sit on
@@ -69,7 +69,7 @@ pub enum FaultAction {
     Delay,
 }
 
-/// Matches any request tag (see [`FaultPlan::with_fault`]).
+/// Matches any request tag (see `FaultPlan::with_fault`).
 pub const ANY_TAG: u64 = 0;
 
 #[cfg(feature = "failpoints")]

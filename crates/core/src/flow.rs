@@ -1,7 +1,7 @@
 //! The one-call desynchronization flow and its product.
 //!
 //! [`Desynchronizer::run`] is a thin convenience wrapper over the staged
-//! pipeline ([`DesyncFlow`](crate::DesyncFlow)): it advances a fresh flow
+//! pipeline ([`DesyncFlow`]): it advances a fresh flow
 //! through clustering, latch conversion, matched-delay sizing and controller
 //! synthesis, and bundles the artifacts into a [`DesyncDesign`]. Use the
 //! staged API directly when you need intermediate artifacts, want to resume
@@ -24,7 +24,7 @@ use std::collections::HashMap;
 /// set.
 ///
 /// This is the one-call entry point; it delegates to the staged
-/// [`DesyncFlow`](crate::DesyncFlow) and produces the identical
+/// [`DesyncFlow`] and produces the identical
 /// [`DesyncDesign`].
 #[derive(Debug, Clone)]
 pub struct Desynchronizer<'a> {
@@ -49,7 +49,7 @@ impl<'a> Desynchronizer<'a> {
     }
 
     /// Runs the complete flow by advancing a fresh
-    /// [`DesyncFlow`](crate::DesyncFlow) through every construction stage.
+    /// [`DesyncFlow`] through every construction stage.
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@
 //! | pipeline | [`DesyncFlow`] | the staged flow: five typed stages, lazy, resumable |
 //! | store | [`ArtifactStore`](store::ArtifactStore) | weight-accounted, sharded LRU cache of every artifact, with exactly-once in-flight coalescing |
 //! | engine | [`DesyncEngine`] | content-addressed cross-flow sharing on top of the store |
-//! | service | [`DesyncService`] | batch + sweep front-end: coalescing, bounded workers, deterministic merging |
+//! | service | [`DesyncService`] | batch, sweep and campaign front-end: coalescing, bounded workers, deterministic merging |
 //!
 //! # The staged pipeline
 //!
@@ -45,7 +45,7 @@
 //! library identity, and the per-stage options prefix that also drives flow
 //! invalidation). All cached values live in one
 //! [`ArtifactStore`](store::ArtifactStore): weight-accounted through the
-//! [`Weigh`](store::Weigh) trait, sharded so concurrent flows over
+//! [`Weigh`] trait, sharded so concurrent flows over
 //! different designs do not serialize on one lock, and optionally bounded —
 //! [`StoreConfig`] sets a capacity in weight units and the store evicts
 //! least-recently-used artifacts past it, with hit/miss/eviction/resident-
@@ -53,8 +53,10 @@
 //! unbounded and bit-identical to the historical per-stage maps.
 //!
 //! Matched-delay sizing runs on the persistent pool of a
-//! [`DesyncRuntime`] — an explicit, shareable handle; detached flows draw
-//! from [`DesyncRuntime::global`].
+//! [`DesyncRuntime`] — an explicit, shareable handle. A detached flow
+//! ([`DesyncFlow::new`]) owns a private unbounded store on
+//! [`DesyncRuntime::global`], so it sources its artifacts exactly like an
+//! engine-attached one.
 //!
 //! # The store and the engine, continued: simulation artifacts
 //!
@@ -72,13 +74,14 @@
 //! # The service
 //!
 //! [`DesyncService`] is the batch front-end: submit a slice of
-//! [`ServiceRequest`]s — or verification sweep points
-//! ([`SweepRequest`], via [`DesyncService::run_sweep`]) — identical
-//! in-flight requests coalesce onto one computation (instead of racing to
-//! fill the same store key), distinct requests execute with bounded
-//! concurrency derived from the runtime, results merge deterministically
-//! in request order, and every batch yields a [`ServiceReport`] /
-//! [`SweepReport`].
+//! [`ServiceRequest`]s — or verification sweep points ([`SweepRequest`],
+//! via [`DesyncService::run_sweep`]), or packed campaign points
+//! ([`CampaignRequest`], via [`DesyncService::run_campaign`]) — and every
+//! kind runs the same path: identical in-flight requests coalesce onto one
+//! computation (instead of racing to fill the same store key), distinct
+//! requests execute with bounded concurrency derived from the runtime,
+//! results merge deterministically in request order, and every batch
+//! yields a [`BatchReport`].
 //!
 //! # Example
 //!
@@ -149,8 +152,8 @@ pub use pipeline::{
     ControlNetwork, DesyncFlow, FlowReport, SizingAnalysis, Stage, StageReport, TimingTable,
 };
 pub use service::{
-    CampaignOutcome, CampaignRequest, DesyncService, ServiceOutcome, ServiceReport, ServiceRequest,
-    SweepOutcome, SweepReport, SweepRequest,
+    BatchKind, BatchOutcome, BatchReport, CampaignOutcome, CampaignRequest, DesyncService,
+    ServiceOutcome, ServiceRequest, SweepOutcome, SweepRequest, VerifyRequest,
 };
 pub use soak::{
     run_soak, SoakConfig, SoakEvent, SoakKind, SoakReport, SoakResolution, TrafficRecording,
@@ -159,7 +162,8 @@ pub use store::{Fetched, StoreConfig, Weigh};
 pub use submit::{
     AdmissionPolicy, CampaignPointOutcome, CancelToken, DispatchRecord, Interrupt, LaneCounters,
     Priority, QueueCampaignRequest, QueueConfig, QueueCounters, QueueRequest, QueueSweepRequest,
-    ServiceQueue, SubmitMeta, SubmitOptions, TenantCounters, TenantId, TicketHandle,
+    QueueVerifyRequest, ServiceQueue, SubmitMeta, SubmitOptions, TenantCounters, TenantId,
+    TicketHandle,
 };
 pub use verify::{
     packed_sync_reference_run, packed_sync_reference_run_with_model, sync_reference_run,

@@ -3,7 +3,7 @@
 //! Every cluster gets two local clock generators (one for its master/even
 //! latches, one for its slave/odd latches). For every pair of adjacent
 //! latch controllers the synchronization pattern of the chosen
-//! [`Protocol`](crate::Protocol) is instantiated (paper Figure 4), and the
+//! [`Protocol`] is instantiated (paper Figure 4), and the
 //! composition of all patterns plus the local controller cycles forms the
 //! timed marked graph of paper Figure 2. Its liveness and safeness certify
 //! the correctness of the control network; its maximum cycle ratio is the

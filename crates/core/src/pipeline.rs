@@ -28,13 +28,12 @@
 use crate::cluster::{ClusterGraph, Parity};
 use crate::controller::ControllerImpl;
 use crate::conversion::{to_desynchronized_datapath, LatchDesign};
-use crate::engine::{DesyncEngine, DesyncRuntime, EngineHandle};
+use crate::engine::{Cached, DesyncEngine, EngineHandle};
 use crate::error::DesyncError;
 use crate::failpoints;
 use crate::flow::DesyncDesign;
 use crate::model::{ControlModel, EnvironmentSpec, ModelDelays};
-use crate::options::{DesyncOptions, StagePrefix};
-use crate::store::Fetched;
+use crate::options::DesyncOptions;
 use crate::submit::{stage_trace, Interrupt};
 use crate::verify::{
     packed_sync_reference_run_with_model, sim_config_from, sync_reference_run_with_model,
@@ -42,8 +41,8 @@ use crate::verify::{
     EquivalenceReport, MultiSeedReport,
 };
 use desync_lint::{lint_design, LintReport};
-use desync_netlist::{CellLibrary, NetId, Netlist};
-use desync_sim::{CompiledModel, PackedSimRun, PackedVectorSource, SimRun, VectorSource};
+use desync_netlist::{CellLibrary, NetId, Netlist, NetlistError};
+use desync_sim::{CompiledModel, PackedVectorSource, SimRun, VectorSource};
 use desync_sta::{MatchedDelay, SizingPool, Sta, StaSnapshot, TimingConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -196,9 +195,9 @@ pub struct StageReport {
     /// How many times the stage has executed over the flow's lifetime
     /// (greater than one after option changes invalidated it).
     pub runs: usize,
-    /// How many times the stage was served from an attached
-    /// [`DesyncEngine`]'s cross-flow cache instead of executing (always zero
-    /// for detached flows).
+    /// How many times the stage was served from the flow's store (an
+    /// attached [`DesyncEngine`]'s, or a detached flow's private one)
+    /// instead of executing.
     pub cache_hits: usize,
     /// Wall time of the most recent execution.
     pub last_wall: Duration,
@@ -341,34 +340,18 @@ pub struct DesyncFlow<'a> {
     netlist: &'a Netlist,
     library: &'a CellLibrary,
     options: DesyncOptions,
-    engine: Option<EngineHandle<'a>>,
+    /// The store every artifact is fetched from: the attached engine's, or
+    /// the flow's private one.
+    engine: EngineHandle<'a>,
     /// The interrupt condition (cancellation + deadline) checked at every
     /// stage boundary; defaults to never firing for plain flows.
     interrupt: Interrupt,
     stimulus: Option<VectorSource>,
     verify_cycles: usize,
-    /// Per-flow memo of the synchronous reference run for detached flows
-    /// (engine-attached flows use the engine's cross-flow cache instead).
-    /// Keyed on everything the run depends on besides the flow-fixed
-    /// netlist and library, so a stale entry can never be served.
-    sync_memo: Option<(SyncMemoKey, Arc<SimRun>)>,
-    /// Detached-flow memo of the packed (multi-lane) synchronous reference
-    /// run — the campaign-path sibling of `sync_memo`, additionally keyed
-    /// on the lane count.
-    packed_sync_memo: Option<(PackedSyncMemoKey, Arc<PackedSimRun>)>,
-    /// Detached-flow memo of the compiled synchronous simulation model,
-    /// keyed by the `SimConfig` bits.
-    sync_model_memo: Option<([u64; 3], Arc<CompiledModel>)>,
-    /// Detached-flow memo of the compiled desynchronized-datapath model,
-    /// keyed by the latch-structure prefix and the `SimConfig` bits.
-    async_model_memo: Option<(AsyncModelKey, Arc<CompiledModel>)>,
-    /// Detached-flow memo of the margin-independent sizing analysis.
-    sizing_memo: Option<(StagePrefix, Arc<SizingAnalysis>)>,
     sync_run_hits: usize,
     compiled_model_hits: usize,
     sizing_rebinds: usize,
-    /// The pre-flight lint report (computed once per flow; engine-attached
-    /// flows share it across flows through the cross-flow store).
+    /// The pre-flight lint report (fetched once per flow).
     lint: Option<Arc<LintReport>>,
     lint_hits: usize,
     clustered: Option<Arc<ClusterGraph>>,
@@ -388,9 +371,12 @@ impl<'a> DesyncFlow<'a> {
     /// [`DesyncFlow::set_verification`] was not called.
     pub const DEFAULT_VERIFY_CYCLES: usize = 16;
 
-    /// Creates a flow over `netlist` with validated `options`.
+    /// Creates a detached flow over `netlist` with validated `options`.
     ///
-    /// No stage runs yet; stages execute lazily on first access.
+    /// No stage runs yet; stages execute lazily on first access. The flow
+    /// owns a private unbounded artifact store, so a stage revisited after
+    /// an option change (a margin set and then set back, say) is served
+    /// from it instead of recomputed.
     ///
     /// # Errors
     ///
@@ -404,10 +390,10 @@ impl<'a> DesyncFlow<'a> {
         Self::build(netlist, library, options, None)
     }
 
-    /// Creates a flow attached to a [`DesyncEngine`]: every construction
-    /// stage first consults the engine's cross-flow artifact cache
-    /// (publishing its artifact on a miss), and matched-delay sizing runs on
-    /// the engine's persistent worker pool. [`DesyncEngine::flow`] is the
+    /// Creates a flow attached to a [`DesyncEngine`]: every artifact comes
+    /// from the engine's cross-flow store (published there on a miss)
+    /// instead of a private one, and matched-delay sizing runs on the
+    /// engine's persistent worker pool. [`DesyncEngine::flow`] is the
     /// ergonomic spelling of the same call.
     ///
     /// The produced artifacts and [`DesyncDesign`] are identical to a
@@ -439,15 +425,10 @@ impl<'a> DesyncFlow<'a> {
             netlist,
             library,
             options,
-            engine: engine.map(|e| e.attach(netlist, library)),
+            engine: engine.map_or_else(EngineHandle::private, |e| e.attach(netlist, library)),
             interrupt: Interrupt::none(),
             stimulus: None,
             verify_cycles: Self::DEFAULT_VERIFY_CYCLES,
-            sync_memo: None,
-            packed_sync_memo: None,
-            sync_model_memo: None,
-            async_model_memo: None,
-            sizing_memo: None,
             sync_run_hits: 0,
             compiled_model_hits: 0,
             sizing_rebinds: 0,
@@ -591,8 +572,9 @@ impl<'a> DesyncFlow<'a> {
         self
     }
 
-    /// Drops the cached artifacts of `stage` and every later stage; they are
-    /// recomputed on next access.
+    /// Drops the flow's artifacts of `stage` and every later stage. On next
+    /// access each is fetched again from the flow's store, and recomputed
+    /// only if the store lacks it.
     pub fn invalidate_from(&mut self, stage: Stage) {
         if stage <= Stage::Clustered {
             self.clustered = None;
@@ -630,17 +612,17 @@ impl<'a> DesyncFlow<'a> {
 
     /// How many times `stage` has executed over the flow's lifetime.
     ///
-    /// A stage served from an attached engine's cache does **not** count as
-    /// a run — see [`DesyncFlow::cache_hits`].
+    /// A stage served from the flow's store does **not** count as a run —
+    /// see [`DesyncFlow::cache_hits`].
     pub fn stage_runs(&self, stage: Stage) -> usize {
         self.runs[stage.index()]
     }
 
-    /// How many times `stage` was served from the attached
-    /// [`DesyncEngine`]'s cross-flow cache instead of executing.
+    /// How many times `stage` was served from the flow's store (an attached
+    /// [`DesyncEngine`]'s, or a detached flow's private one) instead of
+    /// executing.
     ///
-    /// Always zero for detached flows and for [`Stage::Verified`] (which is
-    /// never cached).
+    /// Always zero for [`Stage::Verified`], which is never cached.
     pub fn cache_hits(&self, stage: Stage) -> usize {
         self.cache_hits[stage.index()]
     }
@@ -649,14 +631,12 @@ impl<'a> DesyncFlow<'a> {
 
     /// The static pre-flight lint report for the input netlist, running the
     /// full `desync-lint` design suite
-    /// ([`lint_design`](desync_lint::lint_design)) on first access.
+    /// ([`lint_design`]) on first access.
     ///
     /// The report is a pure function of the netlist alone (options are
-    /// validated separately when the flow is constructed), so
-    /// engine-attached flows cache it in the cross-flow store under the
-    /// interned netlist identity — a service admitting many requests over
-    /// the same design lints it exactly once. Detached flows memoize it per
-    /// flow.
+    /// validated separately when the flow is constructed), so it is stored
+    /// under the netlist identity alone — a service admitting many requests
+    /// over the same design to one engine lints it exactly once.
     ///
     /// The accessor itself never fails on a dirty design; callers decide
     /// what the report means. [`DesyncService`](crate::DesyncService)
@@ -673,26 +653,18 @@ impl<'a> DesyncFlow<'a> {
         if self.lint.is_none() {
             self.interrupt.check()?;
             let netlist = self.netlist;
-            let report = match self.engine {
-                Some(handle) => {
-                    let key = handle.lint_key();
-                    let (report, how) =
-                        handle.lint_or(key, || Ok(Arc::new(lint_design(netlist))))?;
-                    if how.served() {
-                        self.lint_hits += 1;
-                    }
-                    report
-                }
-                None => Arc::new(lint_design(netlist)),
-            };
+            let (report, how) = self.engine.fetch(self.engine.lint_key(), || {
+                Ok(Arc::new(lint_design(netlist)))
+            })?;
+            self.lint_hits += usize::from(how.served());
             self.lint = Some(report);
         }
         Ok(Arc::clone(self.lint.as_ref().expect("just computed")))
     }
 
-    /// How many times the attached engine served this flow's lint report
-    /// from the cross-flow store instead of running the pass suites (always
-    /// zero for detached flows).
+    /// How many times the flow's store served its lint report instead of
+    /// the pass suites running (an engine-attached flow is served whatever
+    /// another flow over the same netlist already linted).
     pub fn lint_cache_hits(&self) -> usize {
         self.lint_hits
     }
@@ -705,32 +677,11 @@ impl<'a> DesyncFlow<'a> {
     /// signatures uniform across stages.
     pub fn clustered(&mut self) -> Result<&ClusterGraph, DesyncError> {
         if self.clustered.is_none() {
-            self.interrupt.check()?;
-            stage_trace::enter("clustered");
             let netlist = self.netlist;
             let clustering = self.options.clustering;
-            let graph = match self.engine {
-                Some(handle) => {
-                    let key = handle.stage_key(&self.options, Stage::Clustered);
-                    let mut elapsed = None;
-                    let (graph, how) = handle.clustered_or(key, || {
-                        failpoints::hit("stage::clustered")?;
-                        let started = Instant::now();
-                        let graph = Arc::new(ClusterGraph::build(netlist, clustering));
-                        elapsed = Some(started.elapsed());
-                        Ok(graph)
-                    })?;
-                    self.note(Stage::Clustered, how, elapsed);
-                    graph
-                }
-                None => {
-                    failpoints::hit("stage::clustered")?;
-                    let started = Instant::now();
-                    let graph = Arc::new(ClusterGraph::build(netlist, clustering));
-                    self.record(Stage::Clustered, started);
-                    graph
-                }
-            };
+            let graph = self.fetch_stage(Stage::Clustered, "stage::clustered", || {
+                Ok(ClusterGraph::build(netlist, clustering))
+            })?;
             self.clustered = Some(graph);
         }
         Ok(self.clustered.as_deref().expect("just computed"))
@@ -747,32 +698,11 @@ impl<'a> DesyncFlow<'a> {
     pub fn latched(&mut self) -> Result<&LatchDesign, DesyncError> {
         if self.latched.is_none() {
             self.clustered()?;
-            self.interrupt.check()?;
-            stage_trace::enter("latched");
             let netlist = self.netlist;
             let clusters = Arc::clone(self.clustered.as_ref().expect("clustered stage ran"));
-            let design = match self.engine {
-                Some(handle) => {
-                    let key = handle.stage_key(&self.options, Stage::Latched);
-                    let mut elapsed = None;
-                    let (design, how) = handle.latched_or(key, || {
-                        failpoints::hit("stage::latched")?;
-                        let started = Instant::now();
-                        let design = to_desynchronized_datapath(netlist, &clusters)?;
-                        elapsed = Some(started.elapsed());
-                        Ok(Arc::new(design))
-                    })?;
-                    self.note(Stage::Latched, how, elapsed);
-                    design
-                }
-                None => {
-                    failpoints::hit("stage::latched")?;
-                    let started = Instant::now();
-                    let design = to_desynchronized_datapath(netlist, &clusters)?;
-                    self.record(Stage::Latched, started);
-                    Arc::new(design)
-                }
-            };
+            let design = self.fetch_stage(Stage::Latched, "stage::latched", || {
+                to_desynchronized_datapath(netlist, &clusters)
+            })?;
             self.latched = Some(design);
         }
         Ok(self.latched.as_deref().expect("just computed"))
@@ -781,9 +711,9 @@ impl<'a> DesyncFlow<'a> {
     /// The timing table, running stages through [`Stage::Timed`] if needed.
     ///
     /// The stage is internally split: the expensive arrival-time
-    /// propagation lives in a margin-independent [`SizingAnalysis`]
-    /// (engine-cached, or memoized per flow when detached), and the margin
-    /// knob only *re-binds* matched delays from it — so a margin sweep runs
+    /// propagation lives in a margin-independent [`SizingAnalysis`] (its own
+    /// artifact in the flow's store), and the margin knob only *re-binds*
+    /// matched delays from it — so a margin sweep runs
     /// STA once per netlist structure ([`DesyncFlow::sizing_rebinds`]
     /// counts the cheap bindings).
     ///
@@ -793,69 +723,26 @@ impl<'a> DesyncFlow<'a> {
     pub fn timed(&mut self) -> Result<&TimingTable, DesyncError> {
         if self.timed.is_none() {
             self.latched()?;
-            self.interrupt.check()?;
-            stage_trace::enter("timed");
-            let netlist = self.netlist;
-            let library = self.library;
-            let options = self.options;
+            let (netlist, library, options) = (self.netlist, self.library, self.options);
             let clusters = Arc::clone(self.clustered.as_ref().expect("clustered stage ran"));
-            // Parallel sizing runs on a persistent pool: the attached
-            // engine's own pool, or the process-wide one for detached flows.
+            // Parallel sizing runs on the persistent pool of the store's
+            // runtime (the process-wide one for detached flows).
             let parallel = options.parallel_sizing && clusters.len() > 1;
-            match self.engine {
-                Some(handle) => {
-                    let key = handle.stage_key(&options, Stage::Timed);
-                    let mut elapsed = None;
-                    let mut rebound = false;
-                    let (table, how) = handle.timed_or(key, || {
-                        failpoints::hit("stage::timed")?;
-                        let started = Instant::now();
-                        let analysis_key = handle.sizing_key(options.sizing_analysis_prefix());
-                        let (analysis, analysis_how) = handle.sizing_or(analysis_key, || {
-                            let pool = parallel.then(|| handle.pool());
-                            Ok(Arc::new(compute_sizing_analysis(
-                                netlist, library, &clusters, &options, pool,
-                            )))
-                        })?;
-                        rebound = analysis_how.served();
-                        let table = Arc::new(bind_timing(&analysis, &options, library));
-                        elapsed = Some(started.elapsed());
-                        Ok(table)
-                    })?;
-                    if rebound {
-                        self.sizing_rebinds += 1;
-                    }
-                    self.note(Stage::Timed, how, elapsed);
-                    self.timed = Some(table);
-                }
-                None => {
-                    failpoints::hit("stage::timed")?;
-                    let prefix = options.sizing_analysis_prefix();
-                    let memo = self
-                        .sizing_memo
-                        .as_ref()
-                        .filter(|(key, _)| *key == prefix)
-                        .map(|(_, analysis)| Arc::clone(analysis));
-                    let started = Instant::now();
-                    let analysis = match memo {
-                        Some(hit) => {
-                            self.sizing_rebinds += 1;
-                            hit
-                        }
-                        None => {
-                            let pool = parallel.then(|| DesyncRuntime::global().pool());
-                            let analysis = Arc::new(compute_sizing_analysis(
-                                netlist, library, &clusters, &options, pool,
-                            ));
-                            self.sizing_memo = Some((prefix, Arc::clone(&analysis)));
-                            analysis
-                        }
-                    };
-                    let table = Arc::new(bind_timing(&analysis, &options, library));
-                    self.record(Stage::Timed, started);
-                    self.timed = Some(table);
-                }
-            }
+            let engine = self.engine.clone();
+            let mut rebound = false;
+            let table = self.fetch_stage(Stage::Timed, "stage::timed", || {
+                let key = engine.sizing_key(options.sizing_analysis_prefix());
+                let (analysis, how) = engine.fetch(key, || {
+                    let pool = parallel.then(|| engine.pool());
+                    Ok(Arc::new(compute_sizing_analysis(
+                        netlist, library, &clusters, &options, pool,
+                    )))
+                })?;
+                rebound = how.served();
+                Ok(bind_timing(&analysis, &options, library))
+            })?;
+            self.sizing_rebinds += usize::from(rebound);
+            self.timed = Some(table);
         }
         Ok(self.timed.as_deref().expect("just computed"))
     }
@@ -871,34 +758,12 @@ impl<'a> DesyncFlow<'a> {
     pub fn controlled(&mut self) -> Result<&ControlNetwork, DesyncError> {
         if self.controlled.is_none() {
             self.timed()?;
-            self.interrupt.check()?;
-            stage_trace::enter("controlled");
-            let netlist = self.netlist;
-            let options = self.options;
+            let (netlist, options) = (self.netlist, self.options);
             let clusters = Arc::clone(self.clustered.as_ref().expect("clustered stage ran"));
             let timing = Arc::clone(self.timed.as_ref().expect("timed stage ran"));
-            let network = match self.engine {
-                Some(handle) => {
-                    let key = handle.stage_key(&options, Stage::Controlled);
-                    let mut elapsed = None;
-                    let (network, how) = handle.controlled_or(key, || {
-                        failpoints::hit("stage::controlled")?;
-                        let started = Instant::now();
-                        let network = build_control_network(netlist, &clusters, &timing, &options)?;
-                        elapsed = Some(started.elapsed());
-                        Ok(Arc::new(network))
-                    })?;
-                    self.note(Stage::Controlled, how, elapsed);
-                    network
-                }
-                None => {
-                    failpoints::hit("stage::controlled")?;
-                    let started = Instant::now();
-                    let network = build_control_network(netlist, &clusters, &timing, &options)?;
-                    self.record(Stage::Controlled, started);
-                    Arc::new(network)
-                }
-            };
+            let network = self.fetch_stage(Stage::Controlled, "stage::controlled", || {
+                build_control_network(netlist, &clusters, &timing, &options)
+            })?;
             self.controlled = Some(network);
         }
         Ok(self.controlled.as_deref().expect("just computed"))
@@ -993,7 +858,12 @@ impl<'a> DesyncFlow<'a> {
         self.interrupt.check()?;
         stage_trace::enter("verified");
         let started = Instant::now();
-        let reference = self.packed_sync_reference(stimulus, cycles)?;
+        let netlist = self.netlist;
+        let digest = stimulus.content_digest();
+        let lanes = stimulus.lanes() as u32;
+        let reference = self.fetch_sync_run(cycles, digest, lanes, |model, period_ps| {
+            packed_sync_reference_run_with_model(netlist, model, period_ps, cycles, stimulus)
+        })?;
         let async_model = self.async_model()?;
         let design = self.assembled.as_ref().expect("assembled above");
         let report = verify_flow_equivalence_packed_with_parts(
@@ -1011,159 +881,56 @@ impl<'a> DesyncFlow<'a> {
         Ok(report)
     }
 
-    /// The synchronous reference run for the current verification inputs:
-    /// served from the attached engine's cross-flow cache, from the per-flow
-    /// memo (detached flows), or freshly simulated (and then published).
+    /// The synchronous reference run for the current verification inputs,
+    /// fetched from the flow's store (simulated and published on a miss).
     ///
-    /// The cache key covers everything the run is a function of — netlist
-    /// and library identity, the simulation config, the STA clock period,
-    /// the capture count and the stimulus digest — so protocol and margin
+    /// The key covers everything the run is a function of — netlist and
+    /// library identity, the simulation config, the STA clock period, the
+    /// capture count and the stimulus digest — so protocol and margin
     /// sweeps, which change none of these, simulate the sync side once.
-    /// When the run does have to simulate, the synchronous netlist's
-    /// compiled model comes from its own cache tier.
     fn sync_reference(&mut self, stimulus: &VectorSource) -> Result<Arc<SimRun>, DesyncError> {
-        let config = sim_config_from(&self.options.timing);
-        let period_ps = self
-            .timed
-            .as_ref()
-            .expect("timed stage ran before verify")
-            .sync_clock_period_ps;
         let cycles = self.verify_cycles;
         let digest = stimulus.content_digest();
         let netlist = self.netlist;
-        let library = self.library;
-        match self.engine {
-            Some(handle) => {
-                let key = handle.sync_run_key(config, period_ps, cycles, digest);
-                let mut model_served = false;
-                let (run, how) = handle.sync_run_or(key, || {
-                    let model_key = handle.compiled_key(None, config);
-                    let (model, model_how) = handle.compiled_or(model_key, || {
-                        Ok(Arc::new(CompiledModel::compile(netlist, library, config)))
-                    })?;
-                    model_served = model_how.served();
-                    let run =
-                        sync_reference_run_with_model(netlist, &model, period_ps, cycles, stimulus)
-                            .map_err(DesyncError::Netlist)?;
-                    Ok(Arc::new(run))
-                })?;
-                if model_served {
-                    self.compiled_model_hits += 1;
-                }
-                if how.served() {
-                    self.sync_run_hits += 1;
-                }
-                Ok(run)
-            }
-            None => {
-                let memo_key: SyncMemoKey =
-                    (config.key_bits(), period_ps.to_bits(), cycles, digest);
-                if let Some((key, run)) = &self.sync_memo {
-                    if *key == memo_key {
-                        self.sync_run_hits += 1;
-                        return Ok(Arc::clone(run));
-                    }
-                }
-                let model = match &self.sync_model_memo {
-                    Some((bits, model)) if *bits == config.key_bits() => {
-                        self.compiled_model_hits += 1;
-                        Arc::clone(model)
-                    }
-                    _ => {
-                        let model = Arc::new(CompiledModel::compile(netlist, library, config));
-                        self.sync_model_memo = Some((config.key_bits(), Arc::clone(&model)));
-                        model
-                    }
-                };
-                let run = Arc::new(
-                    sync_reference_run_with_model(netlist, &model, period_ps, cycles, stimulus)
-                        .map_err(DesyncError::Netlist)?,
-                );
-                self.sync_memo = Some((memo_key, Arc::clone(&run)));
-                Ok(run)
-            }
-        }
+        self.fetch_sync_run(cycles, digest, 1, |model, period_ps| {
+            sync_reference_run_with_model(netlist, model, period_ps, cycles, stimulus)
+        })
     }
 
-    /// The packed synchronous reference run: the campaign-path sibling of
-    /// [`DesyncFlow::sync_reference`], sharing the scalar path's compiled
-    /// synchronous model tier (the topology does not depend on how many
-    /// stimulus lanes ride through it) but keyed additionally on the lane
-    /// count and the packed stimulus digest.
-    fn packed_sync_reference(
+    /// Fetches a synchronous reference run — scalar (`lanes` 1) or packed —
+    /// from the flow's store. On a miss, `simulate` runs over the
+    /// synchronous netlist's compiled model, itself fetched from the store
+    /// (the topology does not depend on how many stimulus lanes ride
+    /// through it, so scalar and packed runs share it).
+    fn fetch_sync_run<R: Cached>(
         &mut self,
-        stimulus: &PackedVectorSource,
         cycles: usize,
-    ) -> Result<Arc<PackedSimRun>, DesyncError> {
+        digest: u64,
+        lanes: u32,
+        simulate: impl FnOnce(&Arc<CompiledModel>, f64) -> Result<R, NetlistError>,
+    ) -> Result<Arc<R>, DesyncError> {
         let config = sim_config_from(&self.options.timing);
         let period_ps = self
             .timed
             .as_ref()
             .expect("timed stage ran before verify")
             .sync_clock_period_ps;
-        let digest = stimulus.content_digest();
-        let lanes = stimulus.lanes() as u32;
-        let netlist = self.netlist;
-        let library = self.library;
-        match self.engine {
-            Some(handle) => {
-                let key = handle.packed_sync_run_key(config, period_ps, cycles, digest, lanes);
-                let mut model_served = false;
-                let (run, how) = handle.packed_sync_run_or(key, || {
-                    let model_key = handle.compiled_key(None, config);
-                    let (model, model_how) = handle.compiled_or(model_key, || {
-                        Ok(Arc::new(CompiledModel::compile(netlist, library, config)))
-                    })?;
-                    model_served = model_how.served();
-                    let run = packed_sync_reference_run_with_model(
-                        netlist, &model, period_ps, cycles, stimulus,
-                    )
-                    .map_err(DesyncError::Netlist)?;
-                    Ok(Arc::new(run))
-                })?;
-                if model_served {
-                    self.compiled_model_hits += 1;
-                }
-                if how.served() {
-                    self.sync_run_hits += 1;
-                }
-                Ok(run)
-            }
-            None => {
-                let memo_key: PackedSyncMemoKey = (
-                    config.key_bits(),
-                    period_ps.to_bits(),
-                    cycles,
-                    digest,
-                    lanes,
-                );
-                if let Some((key, run)) = &self.packed_sync_memo {
-                    if *key == memo_key {
-                        self.sync_run_hits += 1;
-                        return Ok(Arc::clone(run));
-                    }
-                }
-                let model = match &self.sync_model_memo {
-                    Some((bits, model)) if *bits == config.key_bits() => {
-                        self.compiled_model_hits += 1;
-                        Arc::clone(model)
-                    }
-                    _ => {
-                        let model = Arc::new(CompiledModel::compile(netlist, library, config));
-                        self.sync_model_memo = Some((config.key_bits(), Arc::clone(&model)));
-                        model
-                    }
-                };
-                let run = Arc::new(
-                    packed_sync_reference_run_with_model(
-                        netlist, &model, period_ps, cycles, stimulus,
-                    )
-                    .map_err(DesyncError::Netlist)?,
-                );
-                self.packed_sync_memo = Some((memo_key, Arc::clone(&run)));
-                Ok(run)
-            }
-        }
+        let (netlist, library) = (self.netlist, self.library);
+        let engine = &self.engine;
+        let key = engine.sync_run_key(config, period_ps, cycles, digest, lanes);
+        let mut model_served = false;
+        let (run, how) = engine.fetch(key, || {
+            let (model, how) = engine.fetch(engine.compiled_key(None, config), || {
+                Ok(Arc::new(CompiledModel::compile(netlist, library, config)))
+            })?;
+            model_served = how.served();
+            Ok(Arc::new(
+                simulate(&model, period_ps).map_err(DesyncError::Netlist)?,
+            ))
+        })?;
+        self.compiled_model_hits += usize::from(model_served);
+        self.sync_run_hits += usize::from(how.served());
+        Ok(run)
     }
 
     /// The compiled model of the desynchronized datapath (the latch
@@ -1173,59 +940,32 @@ impl<'a> DesyncFlow<'a> {
     fn async_model(&mut self) -> Result<Arc<CompiledModel>, DesyncError> {
         let config = sim_config_from(&self.options.timing);
         let prefix = self.options.stage_prefix(Stage::Latched);
+        let key = self.engine.compiled_key(Some(prefix), config);
         let library = self.library;
-        match self.engine {
-            Some(handle) => {
-                let key = handle.compiled_key(Some(prefix), config);
-                let design = self.assembled.as_ref().expect("assembled before verify");
-                let (model, how) = handle.compiled_or(key, || {
-                    Ok(Arc::new(CompiledModel::compile(
-                        design.latch_netlist(),
-                        library,
-                        config,
-                    )))
-                })?;
-                if how.served() {
-                    self.compiled_model_hits += 1;
-                }
-                Ok(model)
-            }
-            None => {
-                let memo_key = (prefix, config.key_bits());
-                if let Some((key, model)) = &self.async_model_memo {
-                    if *key == memo_key {
-                        self.compiled_model_hits += 1;
-                        return Ok(Arc::clone(model));
-                    }
-                }
-                let model = {
-                    let design = self.assembled.as_ref().expect("assembled before verify");
-                    Arc::new(CompiledModel::compile(
-                        design.latch_netlist(),
-                        library,
-                        config,
-                    ))
-                };
-                self.async_model_memo = Some((memo_key, Arc::clone(&model)));
-                Ok(model)
-            }
-        }
+        let design = self.assembled.as_ref().expect("assembled before verify");
+        let (model, how) = self.engine.fetch(key, || {
+            Ok(Arc::new(CompiledModel::compile(
+                design.latch_netlist(),
+                library,
+                config,
+            )))
+        })?;
+        self.compiled_model_hits += usize::from(how.served());
+        Ok(model)
     }
 
-    /// How many times [`DesyncFlow::verified`] reused a cached synchronous
-    /// reference run (engine cache or per-flow memo) instead of
-    /// re-simulating the sync side.
+    /// How many times [`DesyncFlow::verified`] reused a stored synchronous
+    /// reference run instead of re-simulating the sync side.
     pub fn sync_run_cache_hits(&self) -> usize {
         self.sync_run_hits
     }
 
     /// How many times a simulation needed by [`DesyncFlow::verified`]
-    /// reused an already compiled [`CompiledModel`] (engine cache or
-    /// per-flow memo) instead of recompiling the topology.
+    /// reused an already compiled [`CompiledModel`] from the flow's store
+    /// instead of recompiling the topology.
     pub fn compiled_model_cache_hits(&self) -> usize {
         self.compiled_model_hits
     }
-
     /// How many [`Stage::Timed`] executions were served by *re-binding*
     /// matched delays from a cached margin-independent [`SizingAnalysis`]
     /// instead of re-running arrival propagation.
@@ -1331,32 +1071,39 @@ impl<'a> DesyncFlow<'a> {
         self.total_wall[i] += elapsed;
     }
 
-    /// Books an engine-served stage access: a hit (resident or coalesced
-    /// onto another flow's computation) counts as a cache hit; a
-    /// computation counts as a run with the wall time measured inside the
-    /// compute closure.
-    fn note(&mut self, stage: Stage, how: Fetched, elapsed: Option<Duration>) {
+    /// Fetches a construction stage's artifact from the flow's store after
+    /// the stage-boundary interrupt check. On a miss `compute` runs behind
+    /// the stage's failpoint `site` and counts as a run with its wall time;
+    /// a store hit (resident, or coalesced onto another flow's computation)
+    /// counts as a cache hit.
+    fn fetch_stage<T: Cached>(
+        &mut self,
+        stage: Stage,
+        site: &'static str,
+        compute: impl FnOnce() -> Result<T, DesyncError>,
+    ) -> Result<Arc<T>, DesyncError> {
+        self.interrupt.check()?;
+        stage_trace::enter(stage.name());
+        let mut elapsed = None;
+        let key = self.engine.stage_key(&self.options, stage);
+        let (artifact, how) = self.engine.fetch(key, || {
+            failpoints::hit(site)?;
+            let started = Instant::now();
+            let artifact = compute()?;
+            elapsed = Some(started.elapsed());
+            Ok(Arc::new(artifact))
+        })?;
         if how.served() {
             self.cache_hits[stage.index()] += 1;
         } else {
-            let elapsed = elapsed.expect("computed stages record their wall time");
-            self.record_elapsed(stage, elapsed);
+            self.record_elapsed(
+                stage,
+                elapsed.expect("computed stages record their wall time"),
+            );
         }
+        Ok(artifact)
     }
 }
-
-/// Key of a detached flow's synchronous-reference memo: `(SimConfig bits,
-/// period bits, cycles, stimulus digest)` — the netlist and library are
-/// fixed for the flow's lifetime and need no representation.
-type SyncMemoKey = ([u64; 3], u64, usize, u64);
-
-/// Key of a detached flow's *packed* synchronous-reference memo: the scalar
-/// key grown by the lane count, exactly like the engine's sim-key facet.
-type PackedSyncMemoKey = ([u64; 3], u64, usize, u64, u32);
-
-/// Key of a detached flow's compiled-datapath-model memo: the
-/// latch-structure ([`Stage::Latched`]) prefix plus the `SimConfig` bits.
-type AsyncModelKey = (StagePrefix, [u64; 3]);
 
 /// The earliest stage whose inputs differ between two option sets.
 ///
@@ -1482,13 +1229,13 @@ type SizingTask = Box<dyn FnOnce() -> Vec<AnalyzedEdge> + Send>;
 /// yet — plus launch overheads and the synchronous clock period.
 ///
 /// A margin sweep shares one analysis per netlist structure and derives
-/// each point's [`TimingTable`] through [`bind_timing`], which
+/// each point's [`TimingTable`] through `bind_timing`, which
 /// [`MatchedDelay::rebind`]s every base delay to the point's margin —
 /// bit-identical to a from-scratch timing run at that margin (rebinding
 /// re-sizes from the recorded combinational delay through the same
-/// [`MatchedDelay::for_delay`] arithmetic). [`DesyncEngine`] caches
-/// analyses under the margin-stripped Timed prefix; detached flows keep a
-/// per-flow memo.
+/// [`MatchedDelay::for_delay`] arithmetic). The flow's store (an attached
+/// [`DesyncEngine`]'s or a detached flow's private one) holds analyses
+/// under the margin-stripped Timed prefix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SizingAnalysis {
     /// Minimum clock period of the synchronous baseline (from STA), ps.
@@ -1496,7 +1243,7 @@ pub struct SizingAnalysis {
     /// Zero-margin matched delay per cluster edge `(from, to)` (its
     /// `combinational_ps` is the edge's worst arrival).
     pub edge_base: HashMap<(usize, usize), MatchedDelay>,
-    /// Launch overhead per cluster edge (see [`SourceSizingJob`]), ps.
+    /// Launch overhead per cluster edge (see `SourceSizingJob`), ps.
     pub launch_overhead_ps: HashMap<(usize, usize), f64>,
     /// Zero-margin matched delay of the primary-input → register-data path
     /// per input-fed cluster.

@@ -1,7 +1,7 @@
 //! The batch service front-end over [`DesyncEngine`].
 //!
 //! A [`DesyncService`] is what a synthesis server's request loop talks to.
-//! It accepts two kinds of work:
+//! It accepts three kinds of work:
 //!
 //! * **Design batches** ([`DesyncService::run_batch`]): a slice of
 //!   `(netlist, library, options)` [`ServiceRequest`]s, each producing a
@@ -10,22 +10,17 @@
 //!   [`SweepRequest`]s — `(netlist, library, options, stimulus, cycles)`
 //!   points, the protocol × margin × stimulus grid of a co-simulation
 //!   sweep — each producing an
-//!   [`EquivalenceReport`](crate::EquivalenceReport). Sweep points are
-//!   first-class service work: they are scheduled across the worker pool
-//!   like design requests, results are merged back **in request order**
-//!   (deterministic regardless of scheduling), and a [`SweepReport`]
-//!   accounts points, compiled-model reuses, sizing rebinds, sync-run
-//!   cache traffic and per-worker simulated events.
+//!   [`EquivalenceReport`].
 //! * **Randomized-stimulus equivalence campaigns**
-//!   ([`DesyncService::run_campaign`]): sweep points verified against up
-//!   to 64 independent stimulus lanes each, executed by the bit-parallel
-//!   packed simulation kernel at roughly the cost of one scalar
-//!   verification per point. Each point produces a
-//!   [`MultiSeedReport`](crate::MultiSeedReport) whose per-lane verdicts
-//!   are bit-identical to 64 scalar [`DesyncService::run_sweep`] points,
-//!   merged back in request order like any sweep.
+//!   ([`DesyncService::run_campaign`]): [`CampaignRequest`] points verified
+//!   against up to 64 independent stimulus lanes each, executed by the
+//!   bit-parallel packed simulation kernel at roughly the cost of one
+//!   scalar verification per point. Each point produces a
+//!   [`MultiSeedReport`] whose per-lane verdicts
+//!   are bit-identical to 64 scalar [`DesyncService::run_sweep`] points.
 //!
-//! Both entry points share the execution machinery:
+//! All three entry points run one batch path, and report through one
+//! [`BatchReport`]:
 //!
 //! * **static admission control** — before any stage computes, each request
 //!   group runs the `desync-lint` pre-flight
@@ -33,8 +28,8 @@
 //!   the engine's store). A design with error-severity diagnostics is
 //!   rejected with [`DesyncError::LintRejected`] carrying the full
 //!   witness-bearing report — the request fails in O(V+E) with zero stage
-//!   computations, and [`ServiceReport::lint_rejections`] /
-//!   [`ServiceReport::lint_cache_hits`] account for the traffic,
+//!   computations, and [`BatchReport::lint_rejections`] /
+//!   [`BatchReport::lint_cache_hits`] account for the traffic,
 //! * **coalesced scheduling** — identical in-flight requests are grouped
 //!   onto *one* computation; duplicates receive clones of the shared
 //!   result. Below the request level, the engine's
@@ -47,9 +42,11 @@
 //! * **bounded worker concurrency** — request groups execute on at most
 //!   [`DesyncService::concurrency`] threads, a bound derived from the
 //!   engine's [`DesyncRuntime`](crate::DesyncRuntime) so one handle sizes both the request
-//!   workers and the matched-delay sizing pool they fan into, and
-//! * **per-batch reports** — [`ServiceReport`] / [`SweepReport`] with the
-//!   engine's cache-hit, eviction and resident-weight deltas.
+//!   workers and the matched-delay sizing pool they fan into,
+//! * **deterministic merging** — results come back **in request order**,
+//!   regardless of scheduling, and
+//! * **per-batch reports** — the engine's cache-hit, eviction, reuse and
+//!   resident-weight deltas plus the simulated events per worker.
 //!
 //! The service owns its engine, so the cache (and its capacity policy, see
 //! [`StoreConfig`](crate::StoreConfig)) persists across batches: a second
@@ -58,8 +55,8 @@
 //!
 //! # The asynchronous core underneath
 //!
-//! Both entry points are thin synchronous wrappers over the async
-//! submission front-end, [`ServiceQueue`](crate::ServiceQueue) (module
+//! The entry points are thin synchronous wrappers over the async
+//! submission front-end, [`ServiceQueue`] (module
 //! [`submit`](crate::submit)). A caller that wants the full lifecycle —
 //! non-blocking submission with per-request [`TicketHandle`](crate::TicketHandle)s
 //! (`poll` / `try_wait` / `wait`), cooperative cancellation through
@@ -67,7 +64,8 @@
 //! [`DesyncFlow`](crate::DesyncFlow) stage boundary, per-request deadlines,
 //! and backpressure via a bounded queue with a configurable
 //! [`AdmissionPolicy`](crate::AdmissionPolicy) — creates a queue directly
-//! with [`DesyncService::queue_with`] and keeps it alive across requests.
+//! with [`ServiceQueue::new`] over the engine and keeps it alive across
+//! requests.
 //!
 //! The wrappers stage a batch deterministically: the queue is **paused**,
 //! every coalesced group is submitted, then the queue resumes — so the
@@ -81,7 +79,7 @@
 //!
 //! # Multi-tenant scheduling
 //!
-//! Every request can carry a [`SubmitMeta`](crate::SubmitMeta) — a
+//! Every request can carry a [`SubmitMeta`] — a
 //! [`TenantId`](crate::TenantId) plus a [`Priority`](crate::Priority) lane
 //! — via `with_meta` on [`ServiceRequest`] / [`SweepRequest`] /
 //! [`CampaignRequest`]. The queue underneath dispatches tag → lane →
@@ -92,8 +90,8 @@
 //! different tags never coalesce — each tenant's traffic is dispatched
 //! and accounted under its own tag, while the engine's store still
 //! computes shared artifacts exactly once. The reports carry the
-//! per-tenant and per-lane counter blocks ([`ServiceReport::tenants`],
-//! [`ServiceReport::lanes`]); untagged batches see one default-tenant
+//! per-tenant and per-lane counter blocks ([`BatchReport::tenants`],
+//! [`BatchReport::lanes`]); untagged batches see one default-tenant
 //! entry and behave exactly as before.
 //!
 //! Robustness guarantees (proven deterministically by the fault-injection
@@ -145,9 +143,8 @@ use crate::error::DesyncError;
 use crate::flow::DesyncDesign;
 use crate::options::DesyncOptions;
 use crate::submit::{
-    CampaignPointOutcome, LaneCounters, QueueCampaignRequest, QueueConfig, QueueCounters,
-    QueueRequest, QueueSweepRequest, ServiceQueue, SubmitMeta, SubmitOptions, TenantCounters,
-    TicketHandle,
+    LaneCounters, QueueConfig, QueueCounters, QueueRequest, QueueVerifyRequest, ServiceQueue,
+    SubmitMeta, SubmitOptions, TenantCounters, Work,
 };
 use crate::verify::{EquivalenceReport, MultiSeedReport};
 use desync_netlist::{CellLibrary, Netlist};
@@ -199,25 +196,15 @@ impl<'a> ServiceRequest<'a> {
         self.meta = meta;
         self
     }
-
-    /// Whether two requests describe the identical computation (same
-    /// netlist content, library and options) and can therefore share one
-    /// result. Requests with different scheduling tags never coalesce —
-    /// each tenant's traffic is dispatched and accounted under its own
-    /// tag, even for identical inputs (the store still computes the
-    /// artifacts only once).
-    fn coalesces_with(&self, other: &Self) -> bool {
-        self.meta == other.meta
-            && self.options == other.options
-            && same_inputs(self.netlist, self.library, other.netlist, other.library)
-    }
 }
 
-/// One verification sweep point for [`DesyncService::run_sweep`]: a design
-/// request plus the co-simulation inputs (stimulus and capture count) its
-/// flow-equivalence check runs under.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepRequest<'a> {
+/// One verification point: a design request plus the stimulus `S` and
+/// capture count its flow-equivalence check runs under. A [`SweepRequest`]
+/// ([`DesyncService::run_sweep`]) carries a scalar [`VectorSource`]; a
+/// [`CampaignRequest`] ([`DesyncService::run_campaign`]) carries an
+/// interleaved [`PackedVectorSource`] of up to 64 stimulus lanes.
+#[derive(Debug)]
+pub struct VerifyRequest<'a, S> {
     /// The synchronous netlist to desynchronize and verify against.
     pub netlist: &'a Netlist,
     /// The cell library to size and simulate against.
@@ -225,20 +212,28 @@ pub struct SweepRequest<'a> {
     /// The flow options of this point (protocol, margin, …).
     pub options: DesyncOptions,
     /// The input stimulus of the co-simulation.
-    pub stimulus: &'a VectorSource,
-    /// Number of captures compared per register.
+    pub stimulus: &'a S,
+    /// Number of captures compared per register (per lane).
     pub cycles: usize,
     /// The scheduling tag (tenant + priority) the point submits under.
     pub meta: SubmitMeta,
 }
 
-impl<'a> SweepRequest<'a> {
-    /// Bundles one sweep point (default scheduling tag).
+impl<S> Clone for VerifyRequest<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for VerifyRequest<'_, S> {}
+
+impl<'a, S> VerifyRequest<'a, S> {
+    /// Bundles one verification point (default scheduling tag).
     pub fn new(
         netlist: &'a Netlist,
         library: &'a CellLibrary,
         options: DesyncOptions,
-        stimulus: &'a VectorSource,
+        stimulus: &'a S,
         cycles: usize,
     ) -> Self {
         Self {
@@ -256,82 +251,107 @@ impl<'a> SweepRequest<'a> {
         self.meta = meta;
         self
     }
-
-    /// Whether two sweep points describe the identical verification (same
-    /// design computation and the same co-simulation inputs). The stimulus
-    /// short-circuits on pointer identity, then the content digest, and —
-    /// like the netlist's structural-hash check beside it — confirms a
-    /// digest match with full equality so a 64-bit collision can never
-    /// hand one point another point's report. Points with different
-    /// scheduling tags never coalesce (see
-    /// [`ServiceRequest`]'s coalescing notes).
-    fn coalesces_with(&self, other: &Self) -> bool {
-        self.meta == other.meta
-            && self.options == other.options
-            && self.cycles == other.cycles
-            && (std::ptr::eq(self.stimulus, other.stimulus)
-                || (self.stimulus.content_digest() == other.stimulus.content_digest()
-                    && self.stimulus == other.stimulus))
-            && same_inputs(self.netlist, self.library, other.netlist, other.library)
-    }
 }
+
+/// One verification sweep point for [`DesyncService::run_sweep`].
+pub type SweepRequest<'a> = VerifyRequest<'a, VectorSource>;
 
 /// One randomized-stimulus equivalence campaign point for
-/// [`DesyncService::run_campaign`]: a design request plus the packed
-/// multi-lane stimulus its flow-equivalence check runs under.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignRequest<'a> {
-    /// The synchronous netlist to desynchronize and verify against.
-    pub netlist: &'a Netlist,
-    /// The cell library to size and simulate against.
-    pub library: &'a CellLibrary,
-    /// The flow options of this point (protocol, margin, …).
-    pub options: DesyncOptions,
-    /// The interleaved multi-lane stimulus (up to 64 seeds per point).
-    pub stimulus: &'a PackedVectorSource,
-    /// Number of captures compared per register, per lane.
-    pub cycles: usize,
-    /// The scheduling tag (tenant + priority) the point submits under.
-    pub meta: SubmitMeta,
+/// [`DesyncService::run_campaign`].
+pub type CampaignRequest<'a> = VerifyRequest<'a, PackedVectorSource>;
+
+/// A co-simulation stimulus, identified by its content digest (which, for
+/// a packed source, covers lane count, lane order and per-lane content).
+trait Stimulus: Clone + PartialEq {
+    fn digest(&self) -> u64;
 }
 
-impl<'a> CampaignRequest<'a> {
-    /// Bundles one campaign point (default scheduling tag).
-    pub fn new(
-        netlist: &'a Netlist,
-        library: &'a CellLibrary,
-        options: DesyncOptions,
-        stimulus: &'a PackedVectorSource,
-        cycles: usize,
-    ) -> Self {
-        Self {
-            netlist,
-            library,
-            options,
-            stimulus,
-            cycles,
-            meta: SubmitMeta::default(),
-        }
+impl Stimulus for VectorSource {
+    fn digest(&self) -> u64 {
+        self.content_digest()
+    }
+}
+
+impl Stimulus for PackedVectorSource {
+    fn digest(&self) -> u64 {
+        self.content_digest()
+    }
+}
+
+/// The batch side of a request kind: how its duplicates coalesce, and the
+/// queue request its group submits.
+trait Batched: Copy {
+    /// The owned queue request of the kind.
+    type Queued: Work;
+
+    /// The kind of batch the requests form.
+    const KIND: BatchKind;
+
+    /// Whether two requests describe the identical computation and can
+    /// therefore share one result. Requests with different scheduling
+    /// tags never coalesce — each tenant's traffic is dispatched and
+    /// accounted under its own tag, even for identical inputs (the store
+    /// still computes the artifacts only once).
+    fn coalesces_with(&self, other: &Self) -> bool;
+
+    /// The queue request of this request, its inputs interned in
+    /// `engine`, plus its scheduling tag.
+    fn queued(&self, engine: &DesyncEngine) -> (Self::Queued, SubmitMeta);
+}
+
+impl Batched for ServiceRequest<'_> {
+    type Queued = QueueRequest;
+
+    const KIND: BatchKind = BatchKind::Design;
+
+    fn coalesces_with(&self, other: &Self) -> bool {
+        self.meta == other.meta
+            && self.options == other.options
+            && same_inputs(self.netlist, self.library, other.netlist, other.library)
     }
 
-    /// Returns the point with a scheduling tag.
-    pub fn with_meta(mut self, meta: SubmitMeta) -> Self {
-        self.meta = meta;
-        self
+    fn queued(&self, engine: &DesyncEngine) -> (QueueRequest, SubmitMeta) {
+        let request = QueueRequest::new(
+            engine.intern_netlist(self.netlist),
+            engine.intern_library(self.library),
+            self.options,
+        );
+        (request, self.meta)
     }
+}
 
-    /// Whether two campaign points describe the identical verification —
-    /// the same discipline as [`SweepRequest::coalesces_with`], with the
-    /// packed stimulus digest (which covers lane count, lane order and
-    /// per-lane content) in place of the scalar one.
+impl<S: Stimulus> Batched for VerifyRequest<'_, S>
+where
+    QueueVerifyRequest<S>: Work,
+{
+    type Queued = QueueVerifyRequest<S>;
+
+    const KIND: BatchKind = BatchKind::Verification;
+
+    /// Same design computation and the same co-simulation inputs. The
+    /// stimulus short-circuits on pointer identity, then the content
+    /// digest, and — like the netlist's structural-hash check beside it —
+    /// confirms a digest match with full equality so a 64-bit collision can
+    /// never hand one point another point's report.
     fn coalesces_with(&self, other: &Self) -> bool {
         self.meta == other.meta
             && self.options == other.options
             && self.cycles == other.cycles
             && (std::ptr::eq(self.stimulus, other.stimulus)
-                || (self.stimulus.content_digest() == other.stimulus.content_digest()
+                || (self.stimulus.digest() == other.stimulus.digest()
                     && self.stimulus == other.stimulus))
             && same_inputs(self.netlist, self.library, other.netlist, other.library)
+    }
+
+    fn queued(&self, engine: &DesyncEngine) -> (QueueVerifyRequest<S>, SubmitMeta) {
+        let request = QueueVerifyRequest::new(
+            engine.intern_netlist(self.netlist),
+            engine.intern_library(self.library),
+            self.options,
+            self.stimulus.clone(),
+            self.cycles,
+        );
+        (request, self.meta)
     }
 }
 
@@ -391,27 +411,6 @@ impl DesyncService {
         &self.engine
     }
 
-    /// The shared handle to the engine (for building long-lived
-    /// [`ServiceQueue`]s or other co-owners of the store).
-    pub fn shared_engine(&self) -> Arc<DesyncEngine> {
-        Arc::clone(&self.engine)
-    }
-
-    /// Spawns a standalone async submission queue over this service's
-    /// engine: unbounded depth, reject-new admission, and as many workers
-    /// as the service's concurrency bound. The queue shares the engine's
-    /// store, so its requests reuse (and feed) the same artifact cache as
-    /// the synchronous wrappers.
-    pub fn queue(&self) -> ServiceQueue {
-        self.queue_with(QueueConfig::with_workers(self.concurrency))
-    }
-
-    /// Spawns a standalone async submission queue with an explicit
-    /// [`QueueConfig`] (depth bound, admission policy, worker count).
-    pub fn queue_with(&self, config: QueueConfig) -> ServiceQueue {
-        ServiceQueue::new(Arc::clone(&self.engine), config)
-    }
-
     /// Runs a batch of requests and returns one result per request, in
     /// request order, plus the batch report.
     ///
@@ -423,14 +422,73 @@ impl DesyncService {
     /// Per-request errors (invalid options, unsupported netlists) land in
     /// that request's result slot; they fail the request, never the batch.
     pub fn run_batch(&self, requests: &[ServiceRequest<'_>]) -> ServiceOutcome {
+        self.run(requests, |design| design)
+    }
+
+    /// Runs a batch of verification sweep points and returns one
+    /// [`EquivalenceReport`] result per point, **in request order**, plus
+    /// the batch report.
+    ///
+    /// Scheduling is identical to [`DesyncService::run_batch`]. The
+    /// engine's store guarantees each underlying artifact — shared
+    /// construction stages, the per-design sync reference run, the
+    /// per-design compiled datapath model, the margin-independent sizing
+    /// analysis — is computed *exactly once* across the whole sweep (racing
+    /// points coalesce at the store), so the merged reports are
+    /// bit-identical to running the points serially in any order.
+    ///
+    /// Per-point errors (invalid options, missing stimulus, unsupported
+    /// netlists) land in that point's result slot; they fail the point,
+    /// never the sweep.
+    pub fn run_sweep(&self, requests: &[SweepRequest<'_>]) -> SweepOutcome {
+        self.run(requests, |report| report)
+    }
+
+    /// Runs a batch of randomized-stimulus equivalence campaign points and
+    /// returns one [`MultiSeedReport`] result per point, **in request
+    /// order**, plus the batch report and the total scalar-equivalent lane
+    /// events.
+    ///
+    /// Each point is verified by a single bit-parallel co-simulation
+    /// carrying all its stimulus lanes, so a 64-seed campaign point costs
+    /// roughly one scalar [`DesyncService::run_sweep`] point. Scheduling is
+    /// identical to `run_sweep`; the [`BatchReport`]'s `per_worker_events`
+    /// count word-level committed events (one per packed net change),
+    /// while [`CampaignOutcome::lane_events_simulated`] counts the
+    /// scalar-equivalent work those words carried.
+    pub fn run_campaign(&self, requests: &[CampaignRequest<'_>]) -> CampaignOutcome {
+        // Lane events are summed once per executed group — coalesced
+        // duplicates share a computation and must not double-count it.
+        let mut lane_events_simulated = 0;
+        let BatchOutcome { results, report } = self.run(requests, |point| {
+            lane_events_simulated += point.lane_events;
+            point.report
+        });
+        CampaignOutcome {
+            results,
+            report,
+            lane_events_simulated,
+        }
+    }
+
+    /// The one batch path: coalesces identical requests into groups,
+    /// stages one submission per group on a paused [`ServiceQueue`],
+    /// resumes it, fans each group's result (`finish`ed once per group)
+    /// back out to every member slot in request order, and fills the
+    /// [`BatchReport`] from the engine and queue counter deltas.
+    fn run<R: Batched, T: Clone>(
+        &self,
+        requests: &[R],
+        mut finish: impl FnMut(<R::Queued as Work>::Output) -> T,
+    ) -> BatchOutcome<T> {
         let before = self.engine.report();
         let started = Instant::now();
 
-        // Coalesce identical in-flight requests: one group per distinct
-        // computation, remembering which request slots it serves. The scan
-        // is quadratic in *groups* but each comparison short-circuits on a
-        // pointer check, then a structural hash, before any deep equality.
-        let mut groups: Vec<(ServiceRequest<'_>, Vec<usize>)> = Vec::new();
+        // One group per distinct computation, remembering which request
+        // slots it serves. The scan is quadratic in *groups* but each
+        // comparison short-circuits on a pointer check, then a structural
+        // hash, before any deep equality.
+        let mut groups: Vec<(R, Vec<usize>)> = Vec::new();
         for (index, request) in requests.iter().enumerate() {
             match groups
                 .iter_mut()
@@ -448,48 +506,47 @@ impl DesyncService {
         // historical all-at-once batch semantics and pinning the queue's
         // high-water mark at the group count, independent of scheduling.
         let workers = self.concurrency.clamp(1, groups.len().max(1));
-        let mut queue_counters = QueueCounters::default();
-        let group_results: Vec<Result<DesyncDesign, DesyncError>> = if groups.is_empty() {
-            Vec::new()
+        let (group_results, counters, per_worker_events) = if groups.is_empty() {
+            (Vec::new(), QueueCounters::default(), vec![0; workers])
         } else {
-            let queue = self.queue_with(QueueConfig::with_workers(workers));
+            let queue =
+                ServiceQueue::new(Arc::clone(&self.engine), QueueConfig::with_workers(workers));
             queue.pause();
-            let handles: Vec<_> = groups
+            let tickets: Vec<_> = groups
                 .iter()
                 .map(|(leader, _)| {
-                    let request = QueueRequest::new(
-                        self.engine.intern_netlist(leader.netlist),
-                        self.engine.intern_library(leader.library),
-                        leader.options,
-                    );
-                    queue.submit(request, SubmitOptions::default().with_meta(leader.meta))
+                    let (request, meta) = leader.queued(&self.engine);
+                    queue.submit_work(request, SubmitOptions::default().with_meta(meta))
                 })
                 .collect();
             queue.resume();
-            let results = handles.into_iter().map(TicketHandle::wait).collect();
-            queue_counters = queue.counters();
-            results
+            let results: Vec<Result<T, DesyncError>> = tickets
+                .into_iter()
+                .map(|ticket| ticket.wait().map(&mut finish))
+                .collect();
+            (results, queue.counters(), queue.worker_events())
         };
 
         // Fan the shared results back out to every coalesced request slot:
         // clones only for the coalesced duplicates, the group's own result
         // is moved.
-        let mut results: Vec<Option<Result<DesyncDesign, DesyncError>>> =
+        let mut slots: Vec<Option<Result<T, DesyncError>>> =
             (0..requests.len()).map(|_| None).collect();
         for (result, (_, members)) in group_results.into_iter().zip(&groups) {
             for &index in &members[1..] {
-                results[index] = Some(result.clone());
+                slots[index] = Some(result.clone());
             }
-            results[members[0]] = Some(result);
+            slots[members[0]] = Some(result);
         }
-        let results: Vec<Result<DesyncDesign, DesyncError>> = results
+        let results: Vec<Result<T, DesyncError>> = slots
             .into_iter()
             .map(|slot| slot.expect("every request mapped to a group"))
             .collect();
 
         let wall = started.elapsed();
         let after = self.engine.report();
-        let report = ServiceReport {
+        let report = BatchReport {
+            kind: R::KIND,
             requests: requests.len(),
             unique: groups.len(),
             coalesced: requests.len() - groups.len(),
@@ -499,119 +556,10 @@ impl DesyncService {
             cache_misses: after.total_misses() - before.total_misses(),
             evictions: after.total_evictions() - before.total_evictions(),
             resident_weight: after.resident_weight,
-            lint_rejections: results
-                .iter()
-                .filter(|r| matches!(r, Err(DesyncError::LintRejected(_))))
-                .count(),
-            lint_cache_hits: after.lint_hits - before.lint_hits,
-            failures: results.iter().filter(|r| r.is_err()).count(),
-            queue_high_water: queue_counters.high_water,
-            shed: queue_counters.shed,
-            panics_contained: queue_counters.panics_contained,
-            cancelled: queue_counters.cancelled,
-            deadline_exceeded: queue_counters.deadline_exceeded,
-            tenants: queue_counters.tenants,
-            lanes: queue_counters.lanes,
-        };
-        ServiceOutcome { results, report }
-    }
-
-    /// Runs a batch of verification sweep points and returns one
-    /// [`EquivalenceReport`] result per point, **in request order**, plus
-    /// the sweep statistics.
-    ///
-    /// Scheduling is identical to [`DesyncService::run_batch`]: identical
-    /// points coalesce onto one verification, distinct points run
-    /// concurrently on at most [`DesyncService::concurrency`] workers, and
-    /// every flow attaches to the shared engine. The engine's store
-    /// guarantees each underlying artifact — shared construction stages,
-    /// the per-design sync reference run, the per-design compiled datapath
-    /// model, the margin-independent sizing analysis — is computed
-    /// *exactly once* across the whole sweep (racing points coalesce at
-    /// the store), so the merged reports are bit-identical to running the
-    /// points serially in any order.
-    ///
-    /// Per-point errors (invalid options, missing stimulus, unsupported
-    /// netlists) land in that point's result slot; they fail the point,
-    /// never the sweep.
-    pub fn run_sweep(&self, requests: &[SweepRequest<'_>]) -> SweepOutcome {
-        let before = self.engine.report();
-        let started = Instant::now();
-
-        // Coalesce identical in-flight points, exactly like run_batch.
-        let mut groups: Vec<(SweepRequest<'_>, Vec<usize>)> = Vec::new();
-        for (index, request) in requests.iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|(leader, _)| leader.coalesces_with(request))
-            {
-                Some((_, members)) => members.push(index),
-                None => groups.push((*request, vec![index])),
-            }
-        }
-
-        // One verification per group, through the async submission core
-        // (pause → stage all groups → resume, exactly like run_batch). The
-        // queue's workers additionally accumulate the events their
-        // simulations actually committed (sync references served from the
-        // cache count zero — nothing was simulated).
-        let workers = self.concurrency.clamp(1, groups.len().max(1));
-        let mut queue_counters = QueueCounters::default();
-        let mut per_worker_events = vec![0usize; workers];
-        let group_results: Vec<Result<EquivalenceReport, DesyncError>> = if groups.is_empty() {
-            Vec::new()
-        } else {
-            let queue = self.queue_with(QueueConfig::with_workers(workers));
-            queue.pause();
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|(leader, _)| {
-                    let request = QueueSweepRequest::new(
-                        self.engine.intern_netlist(leader.netlist),
-                        self.engine.intern_library(leader.library),
-                        leader.options,
-                        leader.stimulus.clone(),
-                        leader.cycles,
-                    );
-                    queue.submit_sweep(request, SubmitOptions::default().with_meta(leader.meta))
-                })
-                .collect();
-            queue.resume();
-            let results = handles.into_iter().map(TicketHandle::wait).collect();
-            queue_counters = queue.counters();
-            per_worker_events = queue.worker_events();
-            results
-        };
-
-        // Deterministic merge: fan the shared results back out to every
-        // coalesced point slot, in request order.
-        let mut results: Vec<Option<Result<EquivalenceReport, DesyncError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        for (result, (_, members)) in group_results.into_iter().zip(&groups) {
-            for &index in &members[1..] {
-                results[index] = Some(result.clone());
-            }
-            results[members[0]] = Some(result);
-        }
-        let results: Vec<Result<EquivalenceReport, DesyncError>> = results
-            .into_iter()
-            .map(|slot| slot.expect("every point mapped to a group"))
-            .collect();
-
-        let wall = started.elapsed();
-        let after = self.engine.report();
-        let report = SweepReport {
-            points: requests.len(),
-            unique: groups.len(),
-            coalesced: requests.len() - groups.len(),
-            workers,
-            wall,
             compile_reuses: after.compiled_model_hits - before.compiled_model_hits,
             rebinds: after.sizing_hits - before.sizing_hits,
             sync_run_hits: after.sync_run_hits - before.sync_run_hits,
             sync_run_misses: after.sync_run_misses - before.sync_run_misses,
-            cache_hits: after.total_hits() - before.total_hits(),
-            cache_misses: after.total_misses() - before.total_misses(),
             store_coalesced: after.store_coalesced - before.store_coalesced,
             per_worker_events,
             lint_rejections: results
@@ -620,150 +568,66 @@ impl DesyncService {
                 .count(),
             lint_cache_hits: after.lint_hits - before.lint_hits,
             failures: results.iter().filter(|r| r.is_err()).count(),
-            queue_high_water: queue_counters.high_water,
-            shed: queue_counters.shed,
-            panics_contained: queue_counters.panics_contained,
-            cancelled: queue_counters.cancelled,
-            deadline_exceeded: queue_counters.deadline_exceeded,
-            tenants: queue_counters.tenants,
-            lanes: queue_counters.lanes,
+            queue_high_water: counters.high_water,
+            shed: counters.shed,
+            panics_contained: counters.panics_contained,
+            cancelled: counters.cancelled,
+            deadline_exceeded: counters.deadline_exceeded,
+            tenants: counters.tenants,
+            lanes: counters.lanes,
         };
-        SweepOutcome { results, report }
+        BatchOutcome { results, report }
     }
+}
 
-    /// Runs a batch of randomized-stimulus equivalence campaign points and
-    /// returns one [`MultiSeedReport`] result per point, **in request
-    /// order**, plus the sweep statistics and the total scalar-equivalent
-    /// lane events.
-    ///
-    /// Each point is verified by a single bit-parallel co-simulation
-    /// carrying all its stimulus lanes, so a 64-seed campaign point costs
-    /// roughly one scalar [`DesyncService::run_sweep`] point. Scheduling,
-    /// coalescing and the deterministic request-order merge are identical
-    /// to `run_sweep`; the [`SweepReport`]'s `per_worker_events` count
-    /// word-level committed events (one per packed net change), while
-    /// [`CampaignOutcome::lane_events_simulated`] counts the
-    /// scalar-equivalent work those words carried.
-    pub fn run_campaign(&self, requests: &[CampaignRequest<'_>]) -> CampaignOutcome {
-        let before = self.engine.report();
-        let started = Instant::now();
-
-        // Coalesce identical in-flight points, exactly like run_sweep.
-        let mut groups: Vec<(CampaignRequest<'_>, Vec<usize>)> = Vec::new();
-        for (index, request) in requests.iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|(leader, _)| leader.coalesces_with(request))
-            {
-                Some((_, members)) => members.push(index),
-                None => groups.push((*request, vec![index])),
-            }
-        }
-
-        let workers = self.concurrency.clamp(1, groups.len().max(1));
-        let mut queue_counters = QueueCounters::default();
-        let mut per_worker_events = vec![0usize; workers];
-        let group_results: Vec<Result<CampaignPointOutcome, DesyncError>> = if groups.is_empty() {
-            Vec::new()
-        } else {
-            let queue = self.queue_with(QueueConfig::with_workers(workers));
-            queue.pause();
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|(leader, _)| {
-                    let request = QueueCampaignRequest::new(
-                        self.engine.intern_netlist(leader.netlist),
-                        self.engine.intern_library(leader.library),
-                        leader.options,
-                        leader.stimulus.clone(),
-                        leader.cycles,
-                    );
-                    queue.submit_campaign(request, SubmitOptions::default().with_meta(leader.meta))
-                })
-                .collect();
-            queue.resume();
-            let results = handles.into_iter().map(TicketHandle::wait).collect();
-            queue_counters = queue.counters();
-            per_worker_events = queue.worker_events();
-            results
-        };
-
-        // Lane events are summed over the executed groups only — coalesced
-        // duplicates share a computation and must not double-count it.
-        let lane_events_simulated = group_results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|outcome| outcome.lane_events)
-            .sum();
-
-        // Deterministic merge, in request order (reports only; the lane
-        // event totals are batch-level).
-        let mut results: Vec<Option<Result<MultiSeedReport, DesyncError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        for (result, (_, members)) in group_results.into_iter().zip(&groups) {
-            let result = result.map(|outcome| outcome.report);
-            for &index in &members[1..] {
-                results[index] = Some(result.clone());
-            }
-            results[members[0]] = Some(result);
-        }
-        let results: Vec<Result<MultiSeedReport, DesyncError>> = results
-            .into_iter()
-            .map(|slot| slot.expect("every point mapped to a group"))
-            .collect();
-
-        let wall = started.elapsed();
-        let after = self.engine.report();
-        let report = SweepReport {
-            points: requests.len(),
-            unique: groups.len(),
-            coalesced: requests.len() - groups.len(),
-            workers,
-            wall,
-            compile_reuses: after.compiled_model_hits - before.compiled_model_hits,
-            rebinds: after.sizing_hits - before.sizing_hits,
-            sync_run_hits: after.sync_run_hits - before.sync_run_hits,
-            sync_run_misses: after.sync_run_misses - before.sync_run_misses,
-            cache_hits: after.total_hits() - before.total_hits(),
-            cache_misses: after.total_misses() - before.total_misses(),
-            store_coalesced: after.store_coalesced - before.store_coalesced,
-            per_worker_events,
-            lint_rejections: results
-                .iter()
-                .filter(|r| matches!(r, Err(DesyncError::LintRejected(_))))
-                .count(),
-            lint_cache_hits: after.lint_hits - before.lint_hits,
-            failures: results.iter().filter(|r| r.is_err()).count(),
-            queue_high_water: queue_counters.high_water,
-            shed: queue_counters.shed,
-            panics_contained: queue_counters.panics_contained,
-            cancelled: queue_counters.cancelled,
-            deadline_exceeded: queue_counters.deadline_exceeded,
-            tenants: queue_counters.tenants,
-            lanes: queue_counters.lanes,
-        };
-        CampaignOutcome {
-            results,
-            report,
-            lane_events_simulated,
-        }
-    }
+/// Everything one [`DesyncService`] batch produces.
+#[derive(Debug)]
+pub struct BatchOutcome<T> {
+    /// One result per submitted request, in request order. Coalesced
+    /// requests hold clones of their group's shared result.
+    pub results: Vec<Result<T, DesyncError>>,
+    /// The batch statistics.
+    pub report: BatchReport,
 }
 
 /// Everything [`DesyncService::run_batch`] produces.
+pub type ServiceOutcome = BatchOutcome<DesyncDesign>;
+
+/// Everything [`DesyncService::run_sweep`] produces.
+pub type SweepOutcome = BatchOutcome<EquivalenceReport>;
+
+/// Everything [`DesyncService::run_campaign`] produces.
 #[derive(Debug)]
-pub struct ServiceOutcome {
-    /// One result per submitted request, in request order. Coalesced
-    /// requests hold clones of their group's shared result.
-    pub results: Vec<Result<DesyncDesign, DesyncError>>,
-    /// The batch statistics.
-    pub report: ServiceReport,
+pub struct CampaignOutcome {
+    /// One result per submitted campaign point, in request order.
+    /// Coalesced points hold clones of their group's shared report.
+    pub results: Vec<Result<MultiSeedReport, DesyncError>>,
+    /// The campaign statistics ([`BatchReport::per_worker_events`] counts
+    /// word-level committed events — one per packed net change).
+    pub report: BatchReport,
+    /// Scalar-equivalent lane events the campaign's simulations committed:
+    /// what 64 scalar sweep points would have had to simulate to produce
+    /// the same per-lane verdicts. The packed-over-scalar throughput win
+    /// is this number against the same wall clock.
+    pub lane_events_simulated: usize,
 }
 
-/// Statistics of one [`DesyncService::run_batch`] call.
+/// What a [`BatchReport`]'s requests were.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchKind {
+    /// Design requests ([`DesyncService::run_batch`]).
+    Design,
+    /// Verification points ([`DesyncService::run_sweep`] and
+    /// [`DesyncService::run_campaign`]).
+    Verification,
+}
+
+/// Statistics of one [`DesyncService`] batch, whatever its kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceReport {
-    /// Requests submitted.
+pub struct BatchReport {
+    /// Design requests or verification points.
+    pub kind: BatchKind,
+    /// Requests (or points) submitted.
     pub requests: usize,
     /// Distinct computations after coalescing.
     pub unique: usize,
@@ -778,10 +642,29 @@ pub struct ServiceReport {
     pub cache_hits: usize,
     /// Engine stage-cache misses during the batch.
     pub cache_misses: usize,
-    /// Artifacts evicted during the batch (stages + sync runs).
+    /// Artifacts of every kind evicted during the batch.
     pub evictions: usize,
     /// Resident store weight after the batch.
     pub resident_weight: usize,
+    /// Simulations that reused an already compiled model instead of
+    /// recompiling topology (compiled-model store hits during the batch).
+    pub compile_reuses: usize,
+    /// Timed stages served by re-binding matched delays from a cached
+    /// margin-independent sizing analysis (sizing store hits).
+    pub rebinds: usize,
+    /// Sync reference runs served from the store during the batch.
+    pub sync_run_hits: usize,
+    /// Sync reference runs that had to simulate (one per distinct sync
+    /// side when the store starts cold).
+    pub sync_run_misses: usize,
+    /// Artifact computations that coalesced onto another worker's
+    /// in-flight computation at the store (the exactly-once guarantee
+    /// under parallel scheduling).
+    pub store_coalesced: usize,
+    /// Word-level events actually committed by each worker's simulations,
+    /// indexed by worker (all zero for a design batch). The total is
+    /// scheduling-independent; the split shows the load balance.
+    pub per_worker_events: Vec<usize>,
     /// Requests rejected at admission by the static pre-flight lint
     /// (their result slot holds [`DesyncError::LintRejected`] with the
     /// witness-bearing report; counted inside `failures` too).
@@ -813,43 +696,22 @@ pub struct ServiceReport {
     pub lanes: Vec<LaneCounters>,
 }
 
-/// Renders the shared per-tenant / per-lane block of the service reports.
-fn write_scheduling_block(
-    f: &mut fmt::Formatter<'_>,
-    tenants: &[TenantCounters],
-    lanes: &[LaneCounters],
-) -> fmt::Result {
-    for t in tenants {
-        write!(
-            f,
-            "\n  tenant {}: {} submitted, {} dispatched, {} shed, \
-             waits sum {} max {} tick(s), high water {}",
-            t.tenant,
-            t.submitted,
-            t.dispatched,
-            t.shed,
-            t.wait_ticks,
-            t.max_wait_ticks,
-            t.high_water
-        )?;
+impl BatchReport {
+    /// Events committed across all workers.
+    pub fn events_simulated(&self) -> usize {
+        self.per_worker_events.iter().sum()
     }
-    if lanes.iter().any(|l| l.submitted > 0) {
-        write!(f, "\n  lanes:")?;
-        for (i, l) in lanes.iter().enumerate() {
-            let sep = if i == 0 { " " } else { ", " };
-            write!(f, "{sep}{} {}/{}", l.priority, l.dispatched, l.submitted)?;
-        }
-        let aged: usize = lanes.iter().map(|l| l.aged_promotions).sum();
-        write!(f, " dispatched/submitted, {aged} aged promotion(s)")?;
-    }
-    Ok(())
 }
 
-impl fmt::Display for ServiceReport {
+impl fmt::Display for BatchReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (batch, unit) = match self.kind {
+            BatchKind::Design => ("service batch", "request"),
+            BatchKind::Verification => ("verification sweep", "point"),
+        };
         writeln!(
             f,
-            "service batch: {} request(s), {} unique ({} coalesced), {} worker(s), wall {} us",
+            "{batch}: {} {unit}(s), {} unique ({} coalesced), {} worker(s), wall {} us",
             self.requests,
             self.unique,
             self.coalesced,
@@ -860,131 +722,6 @@ impl fmt::Display for ServiceReport {
             f,
             "  store: {} hit(s) / {} miss(es), {} eviction(s), {} weight resident; {} failure(s)",
             self.cache_hits, self.cache_misses, self.evictions, self.resident_weight, self.failures
-        )?;
-        writeln!(
-            f,
-            "  lint: {} rejection(s) at admission, {} report(s) served from cache",
-            self.lint_rejections, self.lint_cache_hits
-        )?;
-        write!(
-            f,
-            "  queue: high water {}, {} shed, {} panic(s) contained, {} cancelled, {} past deadline",
-            self.queue_high_water,
-            self.shed,
-            self.panics_contained,
-            self.cancelled,
-            self.deadline_exceeded
-        )?;
-        write_scheduling_block(f, &self.tenants, &self.lanes)
-    }
-}
-
-/// Everything [`DesyncService::run_sweep`] produces.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// One result per submitted sweep point, in request order. Coalesced
-    /// points hold clones of their group's shared report.
-    pub results: Vec<Result<EquivalenceReport, DesyncError>>,
-    /// The sweep statistics.
-    pub report: SweepReport,
-}
-
-/// Everything [`DesyncService::run_campaign`] produces.
-#[derive(Debug)]
-pub struct CampaignOutcome {
-    /// One result per submitted campaign point, in request order.
-    /// Coalesced points hold clones of their group's shared report.
-    pub results: Vec<Result<MultiSeedReport, DesyncError>>,
-    /// The campaign statistics ([`SweepReport::per_worker_events`] counts
-    /// word-level committed events — one per packed net change).
-    pub report: SweepReport,
-    /// Scalar-equivalent lane events the campaign's simulations committed:
-    /// what 64 scalar sweep points would have had to simulate to produce
-    /// the same per-lane verdicts. The packed-over-scalar throughput win
-    /// is this number against the same wall clock.
-    pub lane_events_simulated: usize,
-}
-
-/// Statistics of one [`DesyncService::run_sweep`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepReport {
-    /// Sweep points submitted.
-    pub points: usize,
-    /// Distinct verifications after coalescing.
-    pub unique: usize,
-    /// Points served by another point's verification (`points - unique`).
-    pub coalesced: usize,
-    /// Worker threads the sweep actually used.
-    pub workers: usize,
-    /// Wall time of the whole sweep.
-    pub wall: Duration,
-    /// Simulations that reused an already compiled model instead of
-    /// recompiling topology (compiled-model store hits during the sweep).
-    pub compile_reuses: usize,
-    /// Timed stages served by re-binding matched delays from a cached
-    /// margin-independent sizing analysis (sizing store hits).
-    pub rebinds: usize,
-    /// Sync reference runs served from the store during the sweep.
-    pub sync_run_hits: usize,
-    /// Sync reference runs that had to simulate (one per distinct sync
-    /// side when the store starts cold).
-    pub sync_run_misses: usize,
-    /// Engine stage-cache hits during the sweep.
-    pub cache_hits: usize,
-    /// Engine stage-cache misses during the sweep.
-    pub cache_misses: usize,
-    /// Artifact computations that coalesced onto another worker's
-    /// in-flight computation at the store (the exactly-once guarantee
-    /// under parallel scheduling).
-    pub store_coalesced: usize,
-    /// Events actually committed by each worker's simulations, indexed by
-    /// worker. The total is scheduling-independent; the split shows the
-    /// load balance.
-    pub per_worker_events: Vec<usize>,
-    /// Points rejected at admission by the static pre-flight lint
-    /// (counted inside `failures` too).
-    pub lint_rejections: usize,
-    /// Lint pre-flight reports served from the engine's store instead of
-    /// re-analyzed.
-    pub lint_cache_hits: usize,
-    /// Points whose result is an error.
-    pub failures: usize,
-    /// Highest pending depth the submission queue reached (equals `unique`
-    /// under the pause-stage-resume wrappers, deterministically).
-    pub queue_high_water: usize,
-    /// Points shed with [`DesyncError::QueueFull`] (always zero for the
-    /// synchronous wrappers, which run an unbounded queue).
-    pub shed: usize,
-    /// Worker panics contained into per-point
-    /// [`DesyncError::StagePanicked`] results (counted inside `failures`).
-    pub panics_contained: usize,
-    /// Points resolved [`DesyncError::Cancelled`].
-    pub cancelled: usize,
-    /// Points resolved [`DesyncError::DeadlineExceeded`].
-    pub deadline_exceeded: usize,
-    /// Per-tenant scheduling counters, in first-submission order.
-    pub tenants: Vec<TenantCounters>,
-    /// Per-lane scheduling counters, highest priority first.
-    pub lanes: Vec<LaneCounters>,
-}
-
-impl SweepReport {
-    /// Events committed across all workers.
-    pub fn events_simulated(&self) -> usize {
-        self.per_worker_events.iter().sum()
-    }
-}
-
-impl fmt::Display for SweepReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "verification sweep: {} point(s), {} unique ({} coalesced), {} worker(s), wall {} us",
-            self.points,
-            self.unique,
-            self.coalesced,
-            self.workers,
-            self.wall.as_micros()
         )?;
         writeln!(
             f,
@@ -1017,7 +754,30 @@ impl fmt::Display for SweepReport {
             self.cancelled,
             self.deadline_exceeded
         )?;
-        write_scheduling_block(f, &self.tenants, &self.lanes)
+        for t in &self.tenants {
+            write!(
+                f,
+                "\n  tenant {}: {} submitted, {} dispatched, {} shed, \
+                 waits sum {} max {} tick(s), high water {}",
+                t.tenant,
+                t.submitted,
+                t.dispatched,
+                t.shed,
+                t.wait_ticks,
+                t.max_wait_ticks,
+                t.high_water
+            )?;
+        }
+        if self.lanes.iter().any(|l| l.submitted > 0) {
+            write!(f, "\n  lanes:")?;
+            for (i, l) in self.lanes.iter().enumerate() {
+                let sep = if i == 0 { " " } else { ", " };
+                write!(f, "{sep}{} {}/{}", l.priority, l.dispatched, l.submitted)?;
+            }
+            let aged: usize = self.lanes.iter().map(|l| l.aged_promotions).sum();
+            write!(f, " dispatched/submitted, {aged} aged promotion(s)")?;
+        }
+        Ok(())
     }
 }
 
@@ -1260,7 +1020,7 @@ mod tests {
 
         let outcome = service.run_sweep(&requests);
         assert_eq!(outcome.results.len(), requests.len());
-        assert_eq!(outcome.report.points, 7);
+        assert_eq!(outcome.report.requests, 7);
         assert_eq!(outcome.report.unique, 6);
         assert_eq!(outcome.report.coalesced, 1);
         assert_eq!(outcome.report.failures, 0);
@@ -1308,7 +1068,7 @@ mod tests {
 
         let outcome = service.run_campaign(&requests);
         assert_eq!(outcome.results.len(), requests.len());
-        assert_eq!(outcome.report.points, 4);
+        assert_eq!(outcome.report.requests, 4);
         assert_eq!(outcome.report.unique, 3);
         assert_eq!(outcome.report.coalesced, 1);
         assert_eq!(outcome.report.failures, 0);

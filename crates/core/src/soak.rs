@@ -23,7 +23,7 @@
 //! Because the batch is staged before any worker runs, the report is a
 //! pure function of (recording, config) — **bit-identical across worker
 //! counts**. Replaying under seeded fault plans (install a
-//! [`FaultScope`](crate::failpoints::FaultScope) around `run_soak` with
+//! `failpoints::FaultScope` around `run_soak` with
 //! tags from [`soak_tags`]) keeps that property: fault actions are keyed
 //! by site and netlist tag, not by timing. The `soak_bench` binary in
 //! `desync-bench` is the standing CI gate built from exactly this loop.
@@ -277,7 +277,7 @@ pub fn soak_design(index: usize) -> Netlist {
 
 /// The structural hashes of the distinct designs a recording touches, in
 /// order of first appearance — the tags a seeded
-/// [`FaultPlan`](crate::failpoints::FaultPlan) should target so fault
+/// `failpoints::FaultPlan` should target so fault
 /// injection hits real replayed traffic.
 pub fn soak_tags(recording: &TrafficRecording) -> Vec<u64> {
     let mut indices: Vec<usize> = Vec::new();
@@ -487,7 +487,7 @@ enum Ticket {
 /// The whole recording is staged (queue paused) before execution starts,
 /// so the report — resolutions, dispatch log, counters — is bit-identical
 /// across worker counts. Install a
-/// [`FaultScope`](crate::failpoints::FaultScope) around the call to replay
+/// `failpoints::FaultScope` around the call to replay
 /// under a seeded fault plan.
 ///
 /// # Errors

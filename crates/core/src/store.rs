@@ -1,4 +1,4 @@
-//! The unified, weight-accounted artifact store behind [`DesyncEngine`].
+//! The unified, weight-accounted artifact store behind [`DesyncEngine`](crate::DesyncEngine).
 //!
 //! Until this store existed the engine kept one unbounded `HashMap` per
 //! artifact class (four construction stages plus the sync-reference runs)

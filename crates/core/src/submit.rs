@@ -4,11 +4,16 @@
 //!
 //! [`ServiceQueue`] is the execution core that
 //! [`DesyncService`](crate::DesyncService) layers its synchronous
-//! `run_batch`/`run_sweep` wrappers over. Callers **submit** work — a
-//! design request ([`QueueRequest`]) or a verification sweep point
-//! ([`QueueSweepRequest`]) — and immediately receive a [`TicketHandle`]
+//! `run_batch`/`run_sweep`/`run_campaign` wrappers over. Callers **submit**
+//! work — a design request ([`QueueRequest`]), a verification sweep point
+//! ([`QueueSweepRequest`]) or a packed equivalence campaign point
+//! ([`QueueCampaignRequest`]) — and immediately receive a [`TicketHandle`]
 //! they can poll, block on, or abandon; a fixed set of worker threads
-//! drains the queue and resolves each ticket with a `Result`.
+//! drains the queue and resolves each ticket with a `Result`. Every kind
+//! is admitted through one submission path and runs through one executor,
+//! which opens the engine flow and runs the lint admission gate; only the
+//! final step (`design`, `verified` or `verify_packed`) depends on the
+//! kind.
 //!
 //! # Lifecycle of a request: tag → lane → tenant-DRR → worker
 //!
@@ -54,14 +59,16 @@
 //!    [`CancelToken`] and deadline — a request cancelled while queued is
 //!    resolved [`DesyncError::Cancelled`] without touching the engine, an
 //!    expired one [`DesyncError::DeadlineExceeded`].
-//! 7. **Execution.** The worker runs the flow attached to the shared
-//!    engine. The request's [`Interrupt`] travels inside the flow and is
+//! 7. **Execution.** The worker opens the flow attached to the shared
+//!    engine, rejects a design whose pre-flight lint is not clean with
+//!    [`DesyncError::LintRejected`], and runs the request kind's step. The
+//!    request's [`Interrupt`] travels inside the flow and is
 //!    re-checked at **every stage boundary** (cooperative cancellation:
 //!    a cancelled request stops at the next stage edge, never mid-stage).
 //! 8. **Containment.** The whole execution runs under `catch_unwind`: a
 //!    panicking stage resolves *that request's* ticket with
 //!    [`DesyncError::StagePanicked`] (carrying the stage name from the
-//!    sticky [`stage_trace`]) and the worker survives. The store's
+//!    sticky `stage_trace`) and the worker survives. The store's
 //!    in-flight registry is unwound by its own drop guard, so followers of
 //!    a failed leader retry instead of hanging — no wedged keys.
 //! 9. **Resolution.** The ticket resolves exactly once (first write wins);
@@ -94,6 +101,7 @@ use crate::error::DesyncError;
 use crate::failpoints;
 use crate::flow::DesyncDesign;
 use crate::options::DesyncOptions;
+use crate::pipeline::DesyncFlow;
 use crate::verify::{EquivalenceReport, MultiSeedReport};
 use desync_netlist::{CellLibrary, Netlist};
 use desync_sim::{PackedVectorSource, VectorSource};
@@ -262,7 +270,7 @@ impl SubmitMeta {
 /// A shared flag requesting cooperative cancellation of one request.
 ///
 /// Cloning shares the flag. Cancellation is *cooperative*: the request
-/// observes the token at pickup and at every [`DesyncFlow`](crate::DesyncFlow)
+/// observes the token at pickup and at every [`DesyncFlow`]
 /// stage boundary, then resolves its ticket [`DesyncError::Cancelled`] —
 /// an already-running stage finishes (its artifact may still be published
 /// to the store, where it benefits other requests).
@@ -290,7 +298,7 @@ impl CancelToken {
 
 /// The interrupt condition a request executes under: its cancel token plus
 /// an optional absolute deadline. Checked at request pickup and at every
-/// stage boundary of [`DesyncFlow`](crate::DesyncFlow).
+/// stage boundary of [`DesyncFlow`].
 #[derive(Debug, Clone, Default)]
 pub struct Interrupt {
     cancel: Option<CancelToken>,
@@ -298,7 +306,7 @@ pub struct Interrupt {
 }
 
 impl Interrupt {
-    /// An interrupt that never fires (detached flows default to this).
+    /// An interrupt that never fires (flows default to this).
     pub fn none() -> Self {
         Self::default()
     }
@@ -307,12 +315,6 @@ impl Interrupt {
     /// `deadline`.
     pub fn new(cancel: Option<CancelToken>, deadline: Option<Instant>) -> Self {
         Self { cancel, deadline }
-    }
-
-    /// Whether either condition could ever fire (used to skip per-stage
-    /// checks entirely for plain synchronous flows).
-    pub fn is_armed(&self) -> bool {
-        self.cancel.is_some() || self.deadline.is_some()
     }
 
     /// Checks both conditions: cancellation wins over the deadline when
@@ -362,8 +364,8 @@ impl<T> TicketCell<T> {
     }
 }
 
-/// A per-request completion handle returned by
-/// [`ServiceQueue::submit`] / [`ServiceQueue::submit_sweep`].
+/// A per-request completion handle returned by [`ServiceQueue::submit`],
+/// [`ServiceQueue::submit_sweep`] and [`ServiceQueue::submit_campaign`].
 ///
 /// The handle is also the request's cancellation surface:
 /// [`TicketHandle::cancel`] fires the request's [`CancelToken`].
@@ -384,9 +386,11 @@ impl<T: Clone> TicketHandle<T> {
             .clone()
     }
 
-    /// Blocks until resolution or `timeout`, whichever first.
+    /// Blocks until resolution or `timeout`, whichever first. A timeout
+    /// past the representable range of [`Instant`] waits until the ticket
+    /// resolves.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, DesyncError>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut slot = self
             .cell
             .slot
@@ -396,16 +400,20 @@ impl<T: Clone> TicketHandle<T> {
             if slot.is_some() {
                 return slot.clone();
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (guard, _timed_out) = self
-                .cell
-                .ready
-                .wait_timeout(slot, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = guard;
+            slot = match deadline {
+                Some(deadline) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return None;
+                    }
+                    let waited = self.cell.ready.wait_timeout(slot, remaining);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => {
+                    let waited = self.cell.ready.wait(slot);
+                    waited.unwrap_or_else(PoisonError::into_inner)
+                }
+            };
         }
     }
 }
@@ -485,9 +493,15 @@ impl QueueRequest {
     }
 }
 
-/// An owned verification sweep point for [`ServiceQueue::submit_sweep`].
+/// An owned verification point: a design request plus the stimulus `S`
+/// and capture count its flow-equivalence check runs under. A
+/// [`QueueSweepRequest`] ([`ServiceQueue::submit_sweep`]) carries a scalar
+/// [`VectorSource`]; a [`QueueCampaignRequest`]
+/// ([`ServiceQueue::submit_campaign`]) carries an interleaved
+/// [`PackedVectorSource`] of up to 64 stimulus lanes, verified in a single
+/// packed co-simulation.
 #[derive(Debug, Clone)]
-pub struct QueueSweepRequest {
+pub struct QueueVerifyRequest<S> {
     /// The synchronous netlist to desynchronize and verify against.
     pub netlist: Arc<Netlist>,
     /// The cell library to size and simulate against.
@@ -495,18 +509,18 @@ pub struct QueueSweepRequest {
     /// The flow options of this point (protocol, margin, …).
     pub options: DesyncOptions,
     /// The input stimulus of the co-simulation.
-    pub stimulus: VectorSource,
-    /// Number of captures compared per register.
+    pub stimulus: S,
+    /// Number of captures compared per register (per lane).
     pub cycles: usize,
 }
 
-impl QueueSweepRequest {
-    /// Bundles one owned sweep point.
+impl<S> QueueVerifyRequest<S> {
+    /// Bundles one owned verification point.
     pub fn new(
         netlist: Arc<Netlist>,
         library: Arc<CellLibrary>,
         options: DesyncOptions,
-        stimulus: VectorSource,
+        stimulus: S,
         cycles: usize,
     ) -> Self {
         Self {
@@ -519,39 +533,84 @@ impl QueueSweepRequest {
     }
 }
 
+/// An owned verification sweep point for [`ServiceQueue::submit_sweep`].
+pub type QueueSweepRequest = QueueVerifyRequest<VectorSource>;
+
 /// An owned randomized-stimulus equivalence campaign point for
-/// [`ServiceQueue::submit_campaign`]: one design point verified against up
-/// to 64 independent stimulus lanes in a single packed co-simulation.
-#[derive(Debug, Clone)]
-pub struct QueueCampaignRequest {
-    /// The synchronous netlist to desynchronize and verify against.
-    pub netlist: Arc<Netlist>,
-    /// The cell library to size and simulate against.
-    pub library: Arc<CellLibrary>,
-    /// The flow options of this point (protocol, margin, …).
-    pub options: DesyncOptions,
-    /// The interleaved multi-lane stimulus of the packed co-simulation.
-    pub stimulus: PackedVectorSource,
-    /// Number of captures compared per register, per lane.
-    pub cycles: usize,
+/// [`ServiceQueue::submit_campaign`].
+pub type QueueCampaignRequest = QueueVerifyRequest<PackedVectorSource>;
+
+/// One request kind of the queue: the design point it desynchronizes plus
+/// the kind-specific step the executor runs once the flow is admitted.
+pub(crate) trait Work: Send + 'static {
+    /// What the request's ticket resolves with.
+    type Output: Send + 'static;
+
+    /// The netlist, library and options of the request's flow.
+    fn design_point(&self) -> (&Netlist, &CellLibrary, DesyncOptions);
+
+    /// Runs the kind's step on the admitted flow, returning the output
+    /// plus the word-level events its simulations committed (cached sync
+    /// references count zero — nothing was simulated).
+    fn step(&self, flow: &mut DesyncFlow<'_>) -> Result<(Self::Output, usize), DesyncError>;
 }
 
-impl QueueCampaignRequest {
-    /// Bundles one owned campaign point.
-    pub fn new(
-        netlist: Arc<Netlist>,
-        library: Arc<CellLibrary>,
-        options: DesyncOptions,
-        stimulus: PackedVectorSource,
-        cycles: usize,
-    ) -> Self {
-        Self {
-            netlist,
-            library,
-            options,
-            stimulus,
-            cycles,
+impl Work for QueueRequest {
+    type Output = DesyncDesign;
+
+    fn design_point(&self) -> (&Netlist, &CellLibrary, DesyncOptions) {
+        (&self.netlist, &self.library, self.options)
+    }
+
+    fn step(&self, flow: &mut DesyncFlow<'_>) -> Result<(DesyncDesign, usize), DesyncError> {
+        Ok((flow.design()?, 0))
+    }
+}
+
+impl Work for QueueSweepRequest {
+    type Output = EquivalenceReport;
+
+    fn design_point(&self) -> (&Netlist, &CellLibrary, DesyncOptions) {
+        (&self.netlist, &self.library, self.options)
+    }
+
+    fn step(&self, flow: &mut DesyncFlow<'_>) -> Result<(EquivalenceReport, usize), DesyncError> {
+        flow.set_verification(self.stimulus.clone(), self.cycles);
+        let report = flow.verified()?.clone();
+        let mut simulated = report.async_run.committed_events;
+        if flow.sync_run_cache_hits() == 0 {
+            simulated += report.sync_run.committed_events;
         }
+        Ok((report, simulated))
+    }
+}
+
+impl Work for QueueCampaignRequest {
+    type Output = CampaignPointOutcome;
+
+    fn design_point(&self) -> (&Netlist, &CellLibrary, DesyncOptions) {
+        (&self.netlist, &self.library, self.options)
+    }
+
+    /// The packed kernel commits one word event per net change regardless
+    /// of lane count; the scalar-equivalent lane events ride along in the
+    /// outcome.
+    fn step(
+        &self,
+        flow: &mut DesyncFlow<'_>,
+    ) -> Result<(CampaignPointOutcome, usize), DesyncError> {
+        let report = flow.verify_packed(&self.stimulus, self.cycles)?;
+        let mut word_events = report.async_word_events;
+        let mut lane_events = report.async_lane_events;
+        if flow.sync_run_cache_hits() == 0 {
+            word_events += report.sync_word_events;
+            lane_events += report.sync_lane_events;
+        }
+        let outcome = CampaignPointOutcome {
+            report,
+            lane_events,
+        };
+        Ok((outcome, word_events))
     }
 }
 
@@ -1173,7 +1232,8 @@ struct QueueShared {
     cancelled: AtomicUsize,
     deadline_exceeded: AtomicUsize,
     panics_contained: AtomicUsize,
-    /// Simulation events committed per worker (sweep jobs only).
+    /// Word-level simulation events committed per worker (sweep and
+    /// campaign points; design requests simulate nothing).
     worker_events: Vec<AtomicUsize>,
 }
 
@@ -1275,12 +1335,7 @@ impl ServiceQueue {
         request: QueueRequest,
         options: SubmitOptions,
     ) -> TicketHandle<DesyncDesign> {
-        let engine = Arc::clone(&self.shared.engine);
-        let tag = request.netlist.structural_hash();
-        self.submit_job(options, move |interrupt| {
-            let result = failpoints::with_tag(tag, || run_design(&engine, &request, interrupt));
-            (result, 0)
-        })
+        self.submit_work(request, options)
     }
 
     /// Submits a verification sweep point; the returned ticket resolves
@@ -1290,14 +1345,7 @@ impl ServiceQueue {
         request: QueueSweepRequest,
         options: SubmitOptions,
     ) -> TicketHandle<EquivalenceReport> {
-        let engine = Arc::clone(&self.shared.engine);
-        let tag = request.netlist.structural_hash();
-        self.submit_job(options, move |interrupt| {
-            match failpoints::with_tag(tag, || run_sweep_point(&engine, &request, interrupt)) {
-                Ok((report, simulated)) => (Ok(report), simulated),
-                Err(error) => (Err(error), 0),
-            }
-        })
+        self.submit_work(request, options)
     }
 
     /// Submits a packed equivalence campaign point; the returned ticket
@@ -1310,34 +1358,31 @@ impl ServiceQueue {
         request: QueueCampaignRequest,
         options: SubmitOptions,
     ) -> TicketHandle<CampaignPointOutcome> {
-        let engine = Arc::clone(&self.shared.engine);
-        let tag = request.netlist.structural_hash();
-        self.submit_job(options, move |interrupt| {
-            match failpoints::with_tag(tag, || run_campaign_point(&engine, &request, interrupt)) {
-                Ok((outcome, simulated)) => (Ok(outcome), simulated),
-                Err(error) => (Err(error), 0),
-            }
-        })
+        self.submit_work(request, options)
     }
 
-    /// The shared submission path: admission control (global depth +
-    /// tenant quota + shutdown), ticket creation, enqueue into the
-    /// scheduler. `execute` returns the request's result plus the
-    /// simulation events it committed (zero for design requests).
-    fn submit_job<T: Send + 'static>(
+    /// The one submission path of every request kind: admission control
+    /// (global depth + tenant quota + shutdown), ticket creation, enqueue
+    /// into the scheduler. The enqueued job runs [`execute`] under the
+    /// request's failpoint tag (the netlist's structural hash) and books
+    /// the simulation events it committed.
+    pub(crate) fn submit_work<W: Work>(
         &self,
+        request: W,
         options: SubmitOptions,
-        execute: impl FnOnce(&Interrupt) -> (Result<T, DesyncError>, usize) + Send + 'static,
-    ) -> TicketHandle<T> {
+    ) -> TicketHandle<W::Output> {
         let meta = options.meta;
         let cancel = options.cancel.unwrap_or_default();
-        let deadline = options.deadline.map(|d| Instant::now() + d);
+        // A deadline past the representable range of `Instant` is no
+        // deadline at all.
+        let deadline = options.deadline.and_then(|d| Instant::now().checked_add(d));
         let interrupt = Interrupt::new(Some(cancel.clone()), deadline);
         let cell = Arc::new(TicketCell::new());
         let handle = TicketHandle {
             cell: Arc::clone(&cell),
             cancel,
         };
+        let tag = request.design_point().0.structural_hash();
 
         let mut state = self.shared.lock_state();
         // Register the tenant first so shed/cancel paths have a counter
@@ -1396,7 +1441,12 @@ impl ServiceQueue {
         let tenant = meta.tenant;
         state.sched.enqueue(Job {
             run: Box::new(move |shared: &QueueShared, worker: usize| {
-                let (result, simulated) = execute(&run_interrupt);
+                let executed =
+                    failpoints::with_tag(tag, || execute(&shared.engine, &request, &run_interrupt));
+                let (result, simulated) = match executed {
+                    Ok((output, simulated)) => (Ok(output), simulated),
+                    Err(error) => (Err(error), 0),
+                };
                 // Counters strictly before resolution (see `Job` docs).
                 match &result {
                     Err(DesyncError::Cancelled) => {
@@ -1481,9 +1531,10 @@ impl ServiceQueue {
         self.shared.lock_state().dispatch_log.clone()
     }
 
-    /// Simulation events committed per worker (sweep requests only),
-    /// indexed by worker. The total is scheduling-independent; the split
-    /// shows the load balance.
+    /// Word-level simulation events committed per worker by sweep and
+    /// campaign points (one packed word event carries every lane), indexed
+    /// by worker. The total is scheduling-independent; the split shows the
+    /// load balance.
     pub fn worker_events(&self) -> Vec<usize> {
         self.shared
             .worker_events
@@ -1536,78 +1587,23 @@ impl Drop for ServiceQueue {
     }
 }
 
-/// Executes one design request against the shared engine: lint admission
-/// gate, then the full construction pipeline. Mirrors the synchronous
-/// service exactly (the wrappers' bit-identity to PR-7 rests on this).
-fn run_design(
+/// The one executor of every request kind: opens the flow attached to the
+/// shared engine under the request's interrupt, runs the lint admission
+/// gate (the O(V+E) pre-flight, or its stored report) before any stage
+/// computes, then the kind's step.
+fn execute<W: Work>(
     engine: &DesyncEngine,
-    request: &QueueRequest,
+    request: &W,
     interrupt: &Interrupt,
-) -> Result<DesyncDesign, DesyncError> {
-    let mut flow = engine.flow(&request.netlist, &request.library, request.options)?;
-    flow.set_interrupt(interrupt.clone());
-    // Admission control: the O(V+E) lint pre-flight runs (or is served
-    // from the store) before any stage computes.
-    let lint = flow.lint()?;
-    if !lint.is_clean() {
-        return Err(DesyncError::LintRejected(lint));
-    }
-    flow.design()
-}
-
-/// Executes one verification sweep point, returning the report plus the
-/// events its simulations actually committed (cached sync references count
-/// zero — nothing was simulated).
-fn run_sweep_point(
-    engine: &DesyncEngine,
-    request: &QueueSweepRequest,
-    interrupt: &Interrupt,
-) -> Result<(EquivalenceReport, usize), DesyncError> {
-    let mut flow = engine.flow(&request.netlist, &request.library, request.options)?;
+) -> Result<(W::Output, usize), DesyncError> {
+    let (netlist, library, options) = request.design_point();
+    let mut flow = engine.flow(netlist, library, options)?;
     flow.set_interrupt(interrupt.clone());
     let lint = flow.lint()?;
     if !lint.is_clean() {
         return Err(DesyncError::LintRejected(lint));
     }
-    flow.set_verification(request.stimulus.clone(), request.cycles);
-    let report = flow.verified()?.clone();
-    let mut simulated = report.async_run.committed_events;
-    if flow.sync_run_cache_hits() == 0 {
-        simulated += report.sync_run.committed_events;
-    }
-    Ok((report, simulated))
-}
-
-/// Executes one packed campaign point, returning the outcome plus the
-/// word-level events its simulations committed (the packed kernel commits
-/// one word event per net change regardless of lane count; cached packed
-/// sync references count zero, mirroring the scalar discipline).
-fn run_campaign_point(
-    engine: &DesyncEngine,
-    request: &QueueCampaignRequest,
-    interrupt: &Interrupt,
-) -> Result<(CampaignPointOutcome, usize), DesyncError> {
-    let mut flow = engine.flow(&request.netlist, &request.library, request.options)?;
-    flow.set_interrupt(interrupt.clone());
-    let lint = flow.lint()?;
-    if !lint.is_clean() {
-        return Err(DesyncError::LintRejected(lint));
-    }
-    let report = flow.verify_packed(&request.stimulus, request.cycles)?;
-    let sync_cached = flow.sync_run_cache_hits() > 0;
-    let mut word_events = report.async_word_events;
-    let mut lane_events = report.async_lane_events;
-    if !sync_cached {
-        word_events += report.sync_word_events;
-        lane_events += report.sync_lane_events;
-    }
-    Ok((
-        CampaignPointOutcome {
-            report,
-            lane_events,
-        },
-        word_events,
-    ))
+    request.step(&mut flow)
 }
 
 fn worker_loop(shared: &QueueShared, index: usize) {

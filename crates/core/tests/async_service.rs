@@ -9,10 +9,13 @@
 //! wedging the suite.
 
 use desync_core::{
-    AdmissionPolicy, CancelToken, DesyncEngine, DesyncError, DesyncFlow, DesyncOptions,
-    DesyncService, Interrupt, QueueConfig, QueueRequest, ServiceRequest, SubmitOptions,
+    AdmissionPolicy, BatchReport, CampaignPointOutcome, CampaignRequest, CancelToken, DesyncDesign,
+    DesyncEngine, DesyncError, DesyncFlow, DesyncOptions, DesyncService, EquivalenceReport,
+    Interrupt, MultiSeedReport, QueueCampaignRequest, QueueConfig, QueueRequest, QueueSweepRequest,
+    ServiceQueue, ServiceRequest, SubmitOptions, SweepRequest, TicketHandle,
 };
 use desync_netlist::{CellKind, CellLibrary, Netlist};
+use desync_sim::{PackedVectorSource, VectorSource};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -485,5 +488,282 @@ fn cancel_while_queued_is_identical_across_policies_and_workers() {
         assert_eq!(one.cancelled, 1);
         assert_eq!(one.completed, 2);
         assert_eq!(one.shed, 0);
+    }
+}
+
+#[test]
+fn a_deadline_past_the_instant_range_means_no_deadline() {
+    // Regression: `Instant + Duration::MAX` overflowed and panicked on the
+    // submitting thread.
+    let engine = Arc::new(DesyncEngine::with_workers(1));
+    let queue = ServiceQueue::new(Arc::clone(&engine), QueueConfig::with_workers(1));
+    let netlist = pipeline3("unbounded_deadline");
+    let library = CellLibrary::generic_90nm();
+    let ticket = queue.submit(
+        request(&engine, &netlist, &library),
+        SubmitOptions::new().with_deadline(Duration::MAX),
+    );
+    assert!(ticket.wait_timeout(WAIT).expect("resolves").is_ok());
+    assert_eq!(queue.counters().deadline_exceeded, 0);
+}
+
+#[test]
+fn a_timeout_past_the_instant_range_waits_until_resolution() {
+    // Regression: `wait_timeout(Duration::MAX)` overflowed and panicked.
+    let engine = Arc::new(DesyncEngine::with_workers(1));
+    let queue = ServiceQueue::new(Arc::clone(&engine), QueueConfig::with_workers(1));
+    let netlist = pipeline3("unbounded_wait");
+    let library = CellLibrary::generic_90nm();
+    let ticket = queue.submit(request(&engine, &netlist, &library), SubmitOptions::new());
+    let outcome = ticket
+        .wait_timeout(Duration::MAX)
+        .expect("waits until resolved");
+    assert!(outcome.is_ok());
+}
+
+/// The three request kinds of the service, for the table test below.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Design,
+    Sweep,
+    Campaign,
+}
+
+/// One resolved request of any kind.
+#[derive(Debug, Clone, PartialEq)]
+enum Output {
+    Design(Box<DesyncDesign>),
+    Sweep(EquivalenceReport),
+    Campaign(MultiSeedReport),
+}
+
+/// The inputs every row shares: the library and both stimuli of the
+/// pipeline's one data input.
+struct Inputs {
+    library: CellLibrary,
+    scalar: VectorSource,
+    packed: PackedVectorSource,
+}
+
+impl Inputs {
+    fn new() -> Self {
+        let a = pipeline3("inputs").find_net("a").unwrap();
+        Self {
+            library: CellLibrary::generic_90nm(),
+            scalar: VectorSource::pseudo_random(vec![a], 3),
+            packed: PackedVectorSource::pseudo_random(vec![a], &[3, 5, 8]),
+        }
+    }
+}
+
+impl Kind {
+    /// Runs `points` as one batch through the kind's `DesyncService` entry.
+    fn run_service(
+        self,
+        service: &DesyncService,
+        inputs: &Inputs,
+        points: &[(&Netlist, DesyncOptions)],
+    ) -> (Vec<Result<Output, DesyncError>>, BatchReport) {
+        let lib = &inputs.library;
+        match self {
+            Kind::Design => {
+                let requests: Vec<_> = points
+                    .iter()
+                    .map(|&(n, o)| ServiceRequest::new(n, lib, o))
+                    .collect();
+                let outcome = service.run_batch(&requests);
+                let results = outcome.results.into_iter();
+                (
+                    results
+                        .map(|r| r.map(|d| Output::Design(Box::new(d))))
+                        .collect(),
+                    outcome.report,
+                )
+            }
+            Kind::Sweep => {
+                let requests: Vec<_> = points
+                    .iter()
+                    .map(|&(n, o)| SweepRequest::new(n, lib, o, &inputs.scalar, 8))
+                    .collect();
+                let outcome = service.run_sweep(&requests);
+                let results = outcome.results.into_iter();
+                (
+                    results.map(|r| r.map(Output::Sweep)).collect(),
+                    outcome.report,
+                )
+            }
+            Kind::Campaign => {
+                let requests: Vec<_> = points
+                    .iter()
+                    .map(|&(n, o)| CampaignRequest::new(n, lib, o, &inputs.packed, 8))
+                    .collect();
+                let outcome = service.run_campaign(&requests);
+                let results = outcome.results.into_iter();
+                (
+                    results.map(|r| r.map(Output::Campaign)).collect(),
+                    outcome.report,
+                )
+            }
+        }
+    }
+
+    /// Submits one point through the kind's `ServiceQueue` entry.
+    fn submit(
+        self,
+        queue: &ServiceQueue,
+        inputs: &Inputs,
+        point: (&Netlist, DesyncOptions),
+        submit: SubmitOptions,
+    ) -> Ticket {
+        let engine = queue.engine();
+        let netlist = engine.intern_netlist(point.0);
+        let library = engine.intern_library(&inputs.library);
+        let options = point.1;
+        match self {
+            Kind::Design => {
+                let request = QueueRequest::new(netlist, library, options);
+                Ticket::Design(queue.submit(request, submit))
+            }
+            Kind::Sweep => {
+                let stimulus = inputs.scalar.clone();
+                let request = QueueSweepRequest::new(netlist, library, options, stimulus, 8);
+                Ticket::Sweep(queue.submit_sweep(request, submit))
+            }
+            Kind::Campaign => {
+                let stimulus = inputs.packed.clone();
+                let request = QueueCampaignRequest::new(netlist, library, options, stimulus, 8);
+                Ticket::Campaign(queue.submit_campaign(request, submit))
+            }
+        }
+    }
+}
+
+/// A ticket of any request kind.
+enum Ticket {
+    Design(TicketHandle<DesyncDesign>),
+    Sweep(TicketHandle<EquivalenceReport>),
+    Campaign(TicketHandle<CampaignPointOutcome>),
+}
+
+impl Ticket {
+    fn wait(self) -> Result<Output, DesyncError> {
+        match self {
+            Ticket::Design(t) => {
+                let design = t.wait_timeout(WAIT).expect("resolves");
+                design.map(|d| Output::Design(Box::new(d)))
+            }
+            Ticket::Sweep(t) => t.wait_timeout(WAIT).expect("resolves").map(Output::Sweep),
+            Ticket::Campaign(t) => {
+                let outcome = t.wait_timeout(WAIT).expect("resolves");
+                outcome.map(|point| Output::Campaign(point.report))
+            }
+        }
+    }
+}
+
+/// `pipeline3` with a second driver on `q0`: registers exist, so only the
+/// lint pre-flight's NL001 stands between it and the construction stages.
+fn multi_driven(name: &str) -> Netlist {
+    let mut n = pipeline3(name);
+    let a = n.find_net("a").unwrap();
+    let q0 = n.find_net("q0").unwrap();
+    n.add_gate("dup", CellKind::Buf, &[a], q0).unwrap();
+    n
+}
+
+#[test]
+fn every_request_kind_shares_admission_isolation_coalescing_and_interrupts() {
+    let inputs = Inputs::new();
+    let good = pipeline3("kinds_good");
+    let bad = multi_driven("kinds_bad");
+    let default = DesyncOptions::default();
+    let invalid = default.with_margin(-1.0);
+    for kind in [Kind::Design, Kind::Sweep, Kind::Campaign] {
+        // --- DesyncService::run_* ---------------------------------------
+        // Lint rejection at admission: no stage, sync run or simulation.
+        let service = DesyncService::with_engine(DesyncEngine::with_workers(1));
+        let (results, report) = kind.run_service(&service, &inputs, &[(&bad, default)]);
+        assert!(
+            matches!(results[0], Err(DesyncError::LintRejected(_))),
+            "{kind:?}: {:?}",
+            results[0]
+        );
+        assert_eq!(report.lint_rejections, 1, "{kind:?}");
+        assert_eq!(report.cache_misses, 0, "{kind:?}");
+        assert_eq!(report.sync_run_misses, 0, "{kind:?}");
+        assert_eq!(report.events_simulated(), 0, "{kind:?}");
+
+        // Invalid options stay in their slot; duplicates coalesce onto one
+        // computation.
+        let service = DesyncService::with_engine(DesyncEngine::with_workers(2));
+        let points = [(&good, default), (&good, invalid), (&good, default)];
+        let (results, report) = kind.run_service(&service, &inputs, &points);
+        assert!(results[0].is_ok(), "{kind:?}: {:?}", results[0]);
+        assert!(
+            matches!(results[1], Err(DesyncError::InvalidOptions(_))),
+            "{kind:?}: {:?}",
+            results[1]
+        );
+        assert_eq!(results[2], results[0], "{kind:?}");
+        assert_eq!((report.unique, report.coalesced), (2, 1), "{kind:?}");
+        assert_eq!(report.failures, 1, "{kind:?}");
+        assert_eq!(report.cache_misses, 4, "{kind:?}: one computation");
+
+        // --- ServiceQueue::submit* ---------------------------------------
+        let engine = Arc::new(DesyncEngine::with_workers(1));
+        let queue = ServiceQueue::new(Arc::clone(&engine), QueueConfig::with_workers(1));
+        let rejected = kind.submit(&queue, &inputs, (&bad, default), SubmitOptions::new());
+        assert!(
+            matches!(rejected.wait(), Err(DesyncError::LintRejected(_))),
+            "{kind:?}"
+        );
+        assert_eq!(engine.report().total_misses(), 0, "{kind:?}");
+        assert_eq!(engine.report().sync_run_misses, 0, "{kind:?}");
+
+        // Staged under pause: an invalid point, two duplicates, a
+        // pre-cancelled token and an expired deadline.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        queue.pause();
+        let tickets = [
+            kind.submit(&queue, &inputs, (&good, invalid), SubmitOptions::new()),
+            kind.submit(&queue, &inputs, (&good, default), SubmitOptions::new()),
+            kind.submit(&queue, &inputs, (&good, default), SubmitOptions::new()),
+            kind.submit(
+                &queue,
+                &inputs,
+                (&good, default),
+                SubmitOptions::new().with_cancel(cancelled),
+            ),
+            kind.submit(
+                &queue,
+                &inputs,
+                (&good, default),
+                SubmitOptions::new().with_deadline(Duration::ZERO),
+            ),
+        ];
+        queue.resume();
+        let [invalid_slot, first, duplicate, cancel_slot, deadline_slot] =
+            tickets.map(Ticket::wait);
+        assert!(
+            matches!(invalid_slot, Err(DesyncError::InvalidOptions(_))),
+            "{kind:?}"
+        );
+        assert!(first.is_ok(), "{kind:?}: {first:?}");
+        assert_eq!(duplicate, first, "{kind:?}");
+        assert_eq!(cancel_slot, Err(DesyncError::Cancelled), "{kind:?}");
+        assert_eq!(
+            deadline_slot,
+            Err(DesyncError::DeadlineExceeded),
+            "{kind:?}"
+        );
+        // The duplicate was served from the store: one computation of each
+        // construction stage (and of the sync reference, when verifying).
+        let stored = engine.report();
+        assert_eq!(stored.total_misses(), 4, "{kind:?}");
+        assert_eq!(stored.total_hits(), 4, "{kind:?}");
+        let counters = queue.counters();
+        assert_eq!(counters.cancelled, 1, "{kind:?}");
+        assert_eq!(counters.deadline_exceeded, 1, "{kind:?}");
     }
 }

@@ -78,7 +78,7 @@ fn bounded_engine_keeps_weight_inside_capacity_and_stays_correct() {
             + report.sizing_evictions,
     );
 
-    // Every design equals its detached (cache-less) computation even
+    // Every design equals its fresh detached computation even
     // though parts of the store were evicted mid-workload...
     for (netlist, cached) in netlists.iter().zip(&first_pass) {
         let fresh = DesyncFlow::new(netlist, &library, DesyncOptions::default())

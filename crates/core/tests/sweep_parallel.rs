@@ -6,7 +6,7 @@
 //! the worker interleaving, whatever order points arrive in, every
 //! [`EquivalenceReport`] (verdict, traces, activity, waveforms — full
 //! structural equality, which for the f64-carrying simulation types means
-//! bit-for-bit) must equal the report of a detached, cache-less,
+//! bit-for-bit) must equal the report of a fresh detached,
 //! serially-executed flow over the same point.
 
 use desync_circuits::random::RandomCircuitConfig;

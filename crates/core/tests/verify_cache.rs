@@ -1,7 +1,8 @@
-//! Incremental co-simulation: the synchronous reference-run cache (engine
-//! tier and per-flow memo) must change *where* the sync run comes from, and
-//! nothing else — every `EquivalenceReport` stays bit-identical to a fresh,
-//! cache-less verification.
+//! Incremental co-simulation: the synchronous reference-run cache (an
+//! engine's shared store or a detached flow's private one) must change
+//! *where* the sync run comes from, and nothing else — every
+//! `EquivalenceReport` stays bit-identical to a fresh detached
+//! verification.
 
 use desync_circuits::LinearPipelineConfig;
 use desync_core::{DesyncEngine, DesyncFlow, DesyncOptions, Protocol, Stage};
@@ -52,7 +53,7 @@ fn engine_sweep_simulates_the_sync_side_once() {
     assert_eq!(engine_report.sync_run_hits, 5);
     assert!(engine_report.to_string().contains("sync-run"));
 
-    // Bit-identical to cache-less verification: reports (sync run included)
+    // Bit-identical to fresh detached verification: reports (sync run included)
     // equal those of detached flows re-simulating everything.
     for (options, cached_report) in &reports {
         let mut fresh = DesyncFlow::new(&netlist, &library, *options).unwrap();
@@ -95,7 +96,7 @@ fn detached_flow_memoizes_the_reference_across_knob_changes() {
     assert_eq!(flow.sync_run_cache_hits(), 0);
 
     // A protocol change invalidates Verified but leaves the sync side
-    // untouched: the re-verification reuses the per-flow memo.
+    // untouched: the re-verification reuses the flow's stored run.
     flow.set_protocol(Protocol::NonOverlapping).unwrap();
     flow.set_verification(stim.clone(), 10);
     let second = flow.verified().unwrap().clone();
@@ -104,7 +105,7 @@ fn detached_flow_memoizes_the_reference_across_knob_changes() {
     assert_eq!(first.sync_run, second.sync_run);
     assert_eq!(flow.stage_runs(Stage::Verified), 2);
 
-    // The memoized result still equals a from-scratch verification.
+    // The stored result still equals a from-scratch verification.
     let mut fresh = DesyncFlow::new(
         &netlist,
         &library,
@@ -114,7 +115,7 @@ fn detached_flow_memoizes_the_reference_across_knob_changes() {
     fresh.set_verification(stim.clone(), 10);
     assert_eq!(fresh.verified().unwrap(), &second);
 
-    // Changing the stimulus bypasses the memo (key mismatch), a changed
+    // Changing the stimulus misses the store (key mismatch), a changed
     // timing config likewise (it moves the period and the sim config).
     flow.set_verification(stimulus(&netlist, 8), 10);
     flow.verified().unwrap();

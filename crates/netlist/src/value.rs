@@ -1,7 +1,7 @@
 //! Three-valued logic (`0`, `1`, `X`) and cell evaluation semantics.
 //!
 //! The simulator and the equivalence checkers share this single source of
-//! truth for what every [`CellKind`](crate::CellKind) computes.
+//! truth for what every [`CellKind`] computes.
 
 use crate::cell::CellKind;
 use serde::{Deserialize, Serialize};

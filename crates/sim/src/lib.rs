@@ -82,7 +82,7 @@
 //! * Input values are gathered into one reused scratch buffer, and
 //!   flip-flops are not registered as readers of their data nets (they
 //!   only react to clock edges).
-//! * Watched nets are a **bitset**, waveforms are recorded per [`NetId`]
+//! * Watched nets are a **bitset**, waveforms are recorded per [`NetId`](desync_netlist::NetId)
 //!   and names are resolved once at export
 //!   ([`EventSimulator::waveforms`]), and capture streams are grouped per
 //!   register before any name is cloned.

@@ -117,14 +117,14 @@ pub mod prelude {
     pub use desync_circuits::{DlxConfig, FirConfig, LinearPipelineConfig};
     pub use desync_core::{
         run_soak, sync_reference_run, verify_flow_equivalence, verify_flow_equivalence_packed,
-        verify_flow_equivalence_with_reference, AdmissionPolicy, CampaignOutcome, CampaignRequest,
-        CancelToken, ClusteringStrategy, ControlNetwork, DesyncDesign, DesyncEngine, DesyncError,
-        DesyncFlow, DesyncOptions, DesyncRuntime, DesyncService, Desynchronizer, DispatchRecord,
-        DivergenceWindow, EngineReport, EquivalenceReport, FlowReport, LaneCounters,
-        MultiSeedReport, Priority, Protocol, QueueConfig, QueueCounters, QueueRequest,
-        QueueSweepRequest, ServiceQueue, ServiceReport, ServiceRequest, SizingAnalysis, SoakConfig,
-        SoakReport, Stage, StoreConfig, SubmitMeta, SubmitOptions, SweepReport, SweepRequest,
-        TenantCounters, TenantId, TicketHandle, TimingTable, TrafficRecording,
+        verify_flow_equivalence_with_reference, AdmissionPolicy, BatchReport, CampaignOutcome,
+        CampaignRequest, CancelToken, ClusteringStrategy, ControlNetwork, DesyncDesign,
+        DesyncEngine, DesyncError, DesyncFlow, DesyncOptions, DesyncRuntime, DesyncService,
+        Desynchronizer, DispatchRecord, DivergenceWindow, EngineReport, EquivalenceReport,
+        FlowReport, LaneCounters, MultiSeedReport, Priority, Protocol, QueueCampaignRequest,
+        QueueConfig, QueueCounters, QueueRequest, QueueSweepRequest, ServiceQueue, ServiceRequest,
+        SizingAnalysis, SoakConfig, SoakReport, Stage, StoreConfig, SubmitMeta, SubmitOptions,
+        SweepRequest, TenantCounters, TenantId, TicketHandle, TimingTable, TrafficRecording,
     };
     pub use desync_lint::{lint_design, Diagnostic, LintCode, LintReport, Severity};
     pub use desync_mg::{FlowEquivalence, FlowTrace, MarkedGraph, Stg};

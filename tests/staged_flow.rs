@@ -50,6 +50,28 @@ fn margin_change_preserves_clustering_and_conversion() {
 }
 
 #[test]
+fn a_detached_flow_serves_a_revisited_stage_from_its_store() {
+    let netlist = fir();
+    let library = CellLibrary::generic_90nm();
+    let mut flow =
+        DesyncFlow::new(&netlist, &library, DesyncOptions::default()).expect("valid options");
+    flow.timed().expect("timing");
+    flow.set_margin(0.3).expect("valid margin");
+    flow.timed().expect("timing");
+    // Back to the default margin: the flow's private store still holds
+    // that Timed artifact, so the visit is a hit, not a third run.
+    flow.set_margin(DesyncOptions::default().matched_delay_margin)
+        .expect("valid margin");
+    flow.timed().expect("timing");
+    assert_eq!(flow.stage_runs(Stage::Timed), 2);
+    assert_eq!(flow.cache_hits(Stage::Timed), 1);
+    let fresh = Desynchronizer::new(&netlist, &library, DesyncOptions::default())
+        .run()
+        .expect("wrapper flow");
+    assert_eq!(flow.design().expect("flow"), fresh);
+}
+
+#[test]
 fn staged_flow_matches_the_one_call_wrapper() {
     let netlist = fir();
     let library = CellLibrary::generic_90nm();
@@ -97,10 +119,18 @@ fn parallel_sizing_is_deterministic_on_a_wide_cluster_graph() {
         serial.timed().expect("timing"),
         parallel.timed().expect("timing")
     );
-    // Repeated parallel runs agree with themselves, too.
+    // Repeated parallel runs agree with themselves, too: a second, fresh
+    // detached flow computes its own sizing (re-timing the first flow
+    // would only be served from its store).
     let first = parallel.timed().expect("timing").clone();
-    parallel.invalidate_from(Stage::Timed);
-    assert_eq!(&first, parallel.timed().expect("timing"));
+    let mut repeat = DesyncFlow::new(
+        &netlist,
+        &library,
+        DesyncOptions::default().with_parallel_sizing(true),
+    )
+    .expect("valid options");
+    assert_eq!(&first, repeat.timed().expect("timing"));
+    assert_eq!(repeat.stage_runs(Stage::Timed), 1);
     // An engine-attached flow sizes on the engine's persistent worker pool;
     // the result is bit-identical to both detached paths.
     let engine = DesyncEngine::with_workers(4);
