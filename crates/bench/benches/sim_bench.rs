@@ -19,7 +19,7 @@ fn bench_sim(c: &mut Criterion) {
     let stimulus = bus_stimulus(&pipeline, "din", 16, 3);
     c.bench_function("sync_sim_pipeline_64cycles", |b| {
         b.iter(|| {
-            let mut tb = SyncTestbench::new(&pipeline, &library, SimConfig::default())
+            let tb = SyncTestbench::new(&pipeline, &library, SimConfig::default())
                 .expect("single clock");
             tb.run(64, period, &stimulus)
         })
@@ -32,7 +32,7 @@ fn bench_sim(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("sync_32cycles", |b| {
         b.iter(|| {
-            let mut tb =
+            let tb =
                 SyncTestbench::new(&dlx, &library, SimConfig::default()).expect("single clock");
             tb.run(32, dlx_period, &dlx_stim)
         })

@@ -137,7 +137,7 @@ pub fn run_table1(config: Table1Config) -> Table1 {
     // ---- synchronous baseline -----------------------------------------
     let sta = Sta::new(&netlist, &library, TimingConfig::default());
     let sync_period = sta.clock_period();
-    let mut sync_tb = SyncTestbench::new(&netlist, &library, SimConfig::default())
+    let sync_tb = SyncTestbench::new(&netlist, &library, SimConfig::default())
         .expect("DLX has a single clock");
     let sync_run = sync_tb.run(config.cycles, sync_period, &stimulus);
     let clock_tree = ClockTree::synthesize(

@@ -64,10 +64,11 @@
 //! first-class artifacts too: the synchronous reference run, the
 //! **compiled simulation model** ([`desync_sim::CompiledModel`] — the
 //! CSR topology/pin-list/delay half of a simulator, one per netlist
-//! structure, with [`EventSimulator`](desync_sim::EventSimulator) a cheap
-//! cursor over it) and the **margin-independent sizing analysis**
-//! ([`SizingAnalysis`]) whose matched delays each margin point merely
-//! re-binds. The store's
+//! structure; a [`Simulator`](desync_sim::Simulator), the one cursor
+//! generic over lane width, runs over it, so the scalar sweep and the
+//! packed campaign bind to the same model) and the **margin-independent
+//! sizing analysis** ([`SizingAnalysis`]) whose matched delays each margin
+//! point merely re-binds. The store's
 //! [`get_or_try_compute`](store::ArtifactStore::get_or_try_compute)
 //! guarantees each is computed exactly once even when sweep points race.
 //!

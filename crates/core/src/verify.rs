@@ -12,11 +12,10 @@
 use crate::flow::DesyncDesign;
 use desync_mg::flow::FlowMismatch;
 use desync_mg::{FlowEquivalence, FlowTrace};
-use desync_netlist::{CellLibrary, Netlist};
+use desync_netlist::{CellLibrary, Netlist, Value};
 use desync_sim::{
-    value_to_word, AsyncTestbench, CompiledModel, PackedAsyncTestbench, PackedSimRun, PackedStream,
-    PackedSyncTestbench, PackedValue, PackedVectorSource, SimConfig, SimRun, SyncTestbench,
-    VectorSource,
+    value_to_word, AsyncBench, CompiledModel, Lanes, PackedSimRun, PackedStream, PackedValue,
+    PackedVectorSource, SimConfig, SimRun, SyncBench, VectorSource,
 };
 use desync_sta::TimingConfig;
 use serde::{Deserialize, Serialize};
@@ -143,8 +142,8 @@ pub fn sync_reference_run(
     cycles: usize,
     stimulus: &VectorSource,
 ) -> Result<SimRun, desync_netlist::NetlistError> {
-    let mut sync_tb = SyncTestbench::new(original, library, config)?;
-    Ok(sync_tb.run(cycles, period_ps, stimulus))
+    let model = Arc::new(CompiledModel::compile(original, library, config));
+    sync_reference_run_with_model(original, &model, period_ps, cycles, stimulus)
 }
 
 /// [`sync_reference_run`] over a pre-compiled simulation model of
@@ -163,7 +162,20 @@ pub fn sync_reference_run_with_model(
     cycles: usize,
     stimulus: &VectorSource,
 ) -> Result<SimRun, desync_netlist::NetlistError> {
-    let mut sync_tb = SyncTestbench::with_model(original, Arc::clone(model))?;
+    sync_run::<Value>(original, model, period_ps, cycles, stimulus)
+}
+
+/// The synchronous reference run at lane width `L` over a compiled model of
+/// `original`, with as many lanes as `stimulus` carries.
+fn sync_run<L: Lanes>(
+    original: &Netlist,
+    model: &Arc<CompiledModel>,
+    period_ps: f64,
+    cycles: usize,
+    stimulus: &L::Source,
+) -> Result<L::Run, desync_netlist::NetlistError> {
+    let lanes = L::source_lanes(stimulus);
+    let sync_tb = SyncBench::<L>::with_lanes(original, Arc::clone(model), lanes)?;
     Ok(sync_tb.run(cycles, period_ps, stimulus))
 }
 
@@ -256,31 +268,7 @@ pub fn verify_flow_equivalence_with_parts(
         sync_run.cycles,
     );
 
-    // Desynchronized run: enables from the control model, inputs retimed to
-    // the captures of the input-fed master latches. The schedule starts only
-    // after the simulator has had one full synchronous period to settle the
-    // combinational logic from the reset state, so no enable event can race
-    // the initialization wave.
-    let start_offset = design.synchronous_period_ps() + 1_000.0;
-    let bundle = design.enable_schedule(cycles + 2, start_offset);
-    let latch_netlist = design.latch_netlist();
-    let mut inputs = Vec::new();
-    // Map the original primary-input net names onto the latch netlist.
-    for (k, &t) in bundle.input_vector_times.iter().enumerate() {
-        if k >= cycles {
-            break;
-        }
-        for (net, value) in stimulus.vector_for(k) {
-            let name = original.net(net).name;
-            if let Some(mapped) = latch_netlist.find_net_symbol(name) {
-                inputs.push((t, mapped, value));
-            }
-        }
-    }
-    let mut async_tb = AsyncTestbench::with_model(latch_netlist, Arc::clone(async_model));
-    let duration = bundle.horizon_ps + design.cycle_time_ps() + 1_000.0;
-    let async_run = async_tb.run(duration, cycles, &bundle.schedule, &inputs);
-
+    let async_run = async_run::<Value>(original, design, stimulus, cycles, async_model);
     let (equivalence, compared_cycles) =
         compare_renamed(design, &sync_run.flow_trace, &async_run.flow_trace, cycles);
     Ok(EquivalenceReport {
@@ -289,6 +277,39 @@ pub fn verify_flow_equivalence_with_parts(
         sync_run,
         async_run,
     })
+}
+
+/// The desynchronized run at lane width `L`: enables from the control
+/// model, inputs retimed to the captures of the input-fed master latches.
+///
+/// The schedule starts only after the simulator has had one full
+/// synchronous period to settle the combinational logic from the reset
+/// state, so no enable event can race the initialization wave. The enable
+/// schedule and the input vector times are stimulus-independent; only the
+/// input payloads widen with `L`.
+fn async_run<L: Lanes>(
+    original: &Netlist,
+    design: &DesyncDesign,
+    stimulus: &L::Source,
+    cycles: usize,
+    async_model: &Arc<CompiledModel>,
+) -> L::Run {
+    let start_offset = design.synchronous_period_ps() + 1_000.0;
+    let bundle = design.enable_schedule(cycles + 2, start_offset);
+    let latch_netlist = design.latch_netlist();
+    let mut inputs = Vec::new();
+    // Map the original primary-input net names onto the latch netlist.
+    for (k, &t) in bundle.input_vector_times.iter().enumerate().take(cycles) {
+        for (net, value) in L::vector_for(stimulus, k) {
+            if let Some(mapped) = latch_netlist.find_net_symbol(original.net(net).name) {
+                inputs.push((t, mapped, value));
+            }
+        }
+    }
+    let lanes = L::source_lanes(stimulus);
+    let async_tb = AsyncBench::<L>::with_lanes(latch_netlist, Arc::clone(async_model), lanes);
+    let duration = bundle.horizon_ps + design.cycle_time_ps() + 1_000.0;
+    async_tb.run(duration, cycles, &bundle.schedule, &inputs)
 }
 
 /// Compares one execution pair: renames the master-latch streams of
@@ -411,8 +432,7 @@ pub fn packed_sync_reference_run_with_model(
     cycles: usize,
     stimulus: &PackedVectorSource,
 ) -> Result<PackedSimRun, desync_netlist::NetlistError> {
-    let sync_tb = PackedSyncTestbench::with_model(original, Arc::clone(model), stimulus.lanes())?;
-    Ok(sync_tb.run(cycles, period_ps, stimulus))
+    sync_run::<PackedValue>(original, model, period_ps, cycles, stimulus)
 }
 
 /// [`packed_sync_reference_run_with_model`] with a private compile.
@@ -484,7 +504,7 @@ pub fn verify_flow_equivalence_packed(
 ///
 /// The lanes are compared in packed space: each sync-register /
 /// master-latch stream pair is visited once, and one
-/// [`PackedValue::diff_mask`] per capture position finds every lane that
+/// [`Lanes::diff_mask`] per capture position finds every lane that
 /// mismatches there, so a point costs O(registers × captures) word
 /// operations and no per-lane extraction. Only if a capture was taken by
 /// some lanes but not all (a data-dependent capturing edge) does the check
@@ -518,29 +538,7 @@ pub fn verify_flow_equivalence_packed_with_parts(
         sync_run.cycles,
     );
 
-    // Identical setup to the scalar path: the enable schedule and the input
-    // vector times are stimulus-independent, so they are computed once and
-    // shared by every lane; only the input *payloads* widen.
-    let start_offset = design.synchronous_period_ps() + 1_000.0;
-    let bundle = design.enable_schedule(cycles + 2, start_offset);
-    let latch_netlist = design.latch_netlist();
-    let mut inputs: Vec<(f64, desync_netlist::NetId, PackedValue)> = Vec::new();
-    for (k, &t) in bundle.input_vector_times.iter().enumerate() {
-        if k >= cycles {
-            break;
-        }
-        for (net, value) in stimulus.packed_vector_for(k) {
-            let name = original.net(net).name;
-            if let Some(mapped) = latch_netlist.find_net_symbol(name) {
-                inputs.push((t, mapped, value));
-            }
-        }
-    }
-    let async_tb =
-        PackedAsyncTestbench::with_model(latch_netlist, Arc::clone(async_model), stimulus.lanes());
-    let duration = bundle.horizon_ps + design.cycle_time_ps() + 1_000.0;
-    let async_run = async_tb.run(duration, cycles, &bundle.schedule, &inputs);
-
+    let async_run = async_run::<PackedValue>(original, design, stimulus, cycles, async_model);
     let (lane_equivalence, compared_cycles) =
         compare_packed_lanes(design, sync_run, &async_run, cycles);
     Ok(MultiSeedReport {

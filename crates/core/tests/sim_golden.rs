@@ -420,13 +420,13 @@ fn assert_golden(sim: &EventSimulator<'_>, reference: &RefSim<'_>) {
             "capture time differs"
         );
     }
+    let run = sim.clone().into_run(0);
     assert_eq!(
-        sim.activity.transitions, reference.transitions,
+        run.activity.transitions, reference.transitions,
         "per-net activity counters differ"
     );
     assert_eq!(
-        sim.waveforms(),
-        reference.waveforms,
+        run.waveforms, reference.waveforms,
         "watched waveforms differ"
     );
     assert_eq!(sim.time().to_bits(), reference.time.to_bits());

@@ -1,17 +1,34 @@
-//! The core event-driven simulation engine.
+//! The event-driven simulation kernel: one cursor, generic over lane width.
 //!
-//! [`EventSimulator`] executes any [`Netlist`] — purely synchronous,
+//! A [`Simulator`] executes any [`Netlist`] — purely synchronous,
 //! latch-based, or containing handshake-controller cells — with per-cell
 //! propagation delays taken from a [`CellLibrary`] plus a linear wire-load
-//! term. It maintains three observable artifacts:
+//! term. Each net carries one [`Lanes`] payload: a [`Value`] (one stimulus
+//! per run, [`EventSimulator`]) or a [`PackedValue`] of up to 64
+//! independent stimulus lanes ([`PackedSimulator`]). Both widths are
+//! monomorphizations of the one commit loop below. A cursor records:
 //!
-//! * the switching [`Activity`] counters (for the power model),
-//! * per-net waveforms for watched nets (recorded by [`NetId`] during the
-//!   run; names are resolved once at export time by
-//!   [`EventSimulator::waveforms`]), and
+//! * per-lane switching-activity counters (for the power model),
+//! * the change records of watched nets (recorded by [`NetId`] during the
+//!   run; names are resolved once, by [`Simulator::into_run`]), and
 //! * the list of register *captures* — the value latched by every flip-flop
 //!   at each rising clock edge and by every latch at each closing enable
-//!   edge — from which the flow-equivalence traces are built.
+//!   edge, with the mask of lanes that saw the edge — from which the
+//!   flow-equivalence traces are built.
+//!
+//! # Bit-identity contract
+//!
+//! Both widths run the one commit loop, so they share every scheduling
+//! rule. An event is scheduled when *any* lane departs from its projected
+//! value; on lanes where the payload equals the projected value the event
+//! is invisible, exactly like the event a one-lane run would not have
+//! scheduled. Under matched delays the schedule is stimulus-independent, so
+//! each lane of a packed run observes exactly what a scalar run with that
+//! lane's stimulus observes: the same captures, activity, waveforms and
+//! committed events. The
+//! property suite `desync-core/tests/sim_packed_golden.rs` pins this, and
+//! `desync-core/tests/sim_golden.rs` pins the scalar width against a
+//! straightforward reference kernel.
 //!
 //! # Kernel design
 //!
@@ -22,11 +39,11 @@
 //! * **Compiled model + cursor split.** Everything derived from the netlist
 //!   structure and the library — CSR topology, pin lists, per-cell delays,
 //!   constant seeds, the register list — lives in an immutable
-//!   [`CompiledModel`] built once by [`CompiledModel::compile`]. An
-//!   `EventSimulator` is a cursor over an `Arc` of that model
-//!   ([`EventSimulator::with_model`]): it owns only the per-run mutable
-//!   state (net values, the calendar queue, activity, captures, the watch
-//!   list), so a verification sweep re-binds schedules and stimuli onto one
+//!   [`CompiledModel`] built once by [`CompiledModel::compile`]. A
+//!   `Simulator` is a cursor over an `Arc` of that model
+//!   ([`Simulator::with_lanes`]): it owns only the per-run mutable state
+//!   (net values, the calendar queue, counters, captures, the watch list),
+//!   so a verification sweep re-binds schedules and stimuli onto one
 //!   compiled model instead of recompiling topology per point.
 //! * **Integer time keys.** Events are ordered by a `u64` key — the IEEE-754
 //!   bit pattern of the (always non-negative, finite) f64 picosecond time.
@@ -35,7 +52,7 @@
 //!   exactly the f64 order while converting back losslessly: event times are
 //!   bit-identical to an f64 kernel, with none of the `partial_cmp`
 //!   NaN-in-the-heap hazards. Non-finite times are rejected at the
-//!   [`EventSimulator::schedule`] boundary.
+//!   [`Simulator::schedule`] boundary.
 //! * **Calendar queue.** The pending-event set is a bucketed calendar queue:
 //!   a window of fixed-width time buckets (each a small binary heap on
 //!   `(key, seq)`) plus a heap *overflow tier* for events beyond the window
@@ -48,16 +65,19 @@
 //!   reacting to a committed event walks a contiguous slice instead of
 //!   cloning a per-net `Vec`, and evaluating a cell gathers its input
 //!   values into one reused scratch buffer instead of collecting a fresh
-//!   `Vec<Value>` per evaluation.
+//!   `Vec` per evaluation.
 //! * **Bitset watch list.** Whether a net is watched is one bit test; the
-//!   waveform of a watched net is appended to a dense per-net slot with no
+//!   changes of a watched net are appended to a dense per-net slot with no
 //!   name lookup on the commit path.
 
 use crate::activity::Activity;
+use crate::harness::{value_to_word, SimRun};
 use crate::model::CompiledModel;
+use crate::packed::{live_mask, PackedValue};
+use crate::stimulus::VectorSource;
 use crate::waveform::{Waveform, WaveformSet};
-use desync_netlist::value::{evaluate, evaluate_c_element, evaluate_latch};
-use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist, Value};
+use desync_mg::FlowTrace;
+use desync_netlist::{value, CellId, CellKind, CellLibrary, NetId, Netlist, Value};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -97,27 +117,170 @@ impl SimConfig {
     }
 }
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for desync_netlist::Value {}
+    impl Sealed for crate::PackedValue {}
+}
+
+/// The payload one net carries in one run: how many stimulus lanes a
+/// [`Simulator`] advances per committed event.
+///
+/// The trait is sealed. Its two impls are [`Value`] (one lane: the scalar
+/// sweep) and [`PackedValue`] (up to 64 lanes in two bit-planes: the
+/// packed campaign). Lane masks are `u64` words in which bit *i* stands for
+/// lane *i*; a [`Value`] answers in bit 0. The kernel and both testbench
+/// scripts are written once against these operations and monomorphized
+/// per impl.
+pub trait Lanes: sealed::Sealed + Copy + PartialEq + std::fmt::Debug {
+    /// The per-cycle stimulus of a synchronous run at this width.
+    type Source;
+    /// A finished run at this width.
+    type Run;
+    /// The most lanes one payload carries.
+    const WIDTH: usize;
+
+    /// The same scalar value in every lane.
+    fn splat(value: Value) -> Self;
+    /// Mask of lanes holding `One`.
+    fn ones_mask(self) -> u64;
+    /// Mask of lanes holding `Zero`.
+    fn zeros_mask(self) -> u64;
+    /// Mask of lanes holding `X`.
+    fn x_mask(self) -> u64;
+    /// Mask of lanes where `self` and `other` differ.
+    fn diff_mask(self, other: Self) -> u64;
+    /// Per-lane choice: lanes set in `mask` take `then`, the rest `other`.
+    fn select(mask: u64, then: Self, other: Self) -> Self;
+    /// Lane-wise [`value::evaluate`] of a combinational `kind`.
+    fn evaluate(kind: CellKind, inputs: &[Self]) -> Self;
+    /// Lane-wise [`value::evaluate_latch`].
+    fn evaluate_latch(data: Self, enable: Self, stored: Self, transparent_high: bool) -> Self;
+    /// Lane-wise [`value::evaluate_c_element`].
+    fn evaluate_c_element(inputs: &[Self], previous: Self) -> Self;
+    /// Number of live lanes `source` drives.
+    fn source_lanes(source: &Self::Source) -> usize;
+    /// The assignments `source` applies in cycle `cycle` (0-based).
+    fn vector_for(source: &Self::Source, cycle: usize) -> Vec<(NetId, Self)>;
+    /// Moves the observables of a finished cursor into this width's run
+    /// type; [`Simulator::into_run`] calls it.
+    fn finish(sim: Simulator<'_, Self>, cycles: usize) -> Self::Run;
+}
+
+impl Lanes for Value {
+    type Source = VectorSource;
+    type Run = SimRun;
+    const WIDTH: usize = 1;
+
+    fn splat(value: Value) -> Self {
+        value
+    }
+
+    fn ones_mask(self) -> u64 {
+        u64::from(self == Value::One)
+    }
+
+    fn zeros_mask(self) -> u64 {
+        u64::from(self == Value::Zero)
+    }
+
+    fn x_mask(self) -> u64 {
+        u64::from(self == Value::X)
+    }
+
+    fn diff_mask(self, other: Self) -> u64 {
+        u64::from(self != other)
+    }
+
+    fn select(mask: u64, then: Self, other: Self) -> Self {
+        if mask & 1 != 0 {
+            then
+        } else {
+            other
+        }
+    }
+
+    fn evaluate(kind: CellKind, inputs: &[Self]) -> Self {
+        value::evaluate(kind, inputs)
+    }
+
+    fn evaluate_latch(data: Self, enable: Self, stored: Self, transparent_high: bool) -> Self {
+        value::evaluate_latch(data, enable, stored, transparent_high)
+    }
+
+    fn evaluate_c_element(inputs: &[Self], previous: Self) -> Self {
+        value::evaluate_c_element(inputs, previous)
+    }
+
+    fn source_lanes(_: &VectorSource) -> usize {
+        1
+    }
+
+    fn vector_for(source: &VectorSource, cycle: usize) -> Vec<(NetId, Self)> {
+        source.vector_for(cycle)
+    }
+
+    /// Builds the [`SimRun`]: captures are grouped by cell id first (dense,
+    /// chronological per cell), so each register's name is resolved and
+    /// cloned exactly once instead of once per captured value.
+    fn finish(sim: Simulator<'_, Self>, cycles: usize) -> SimRun {
+        let netlist = sim.netlist;
+        let mut per_cell: Vec<Vec<u64>> = vec![Vec::new(); netlist.num_cells()];
+        for cap in &sim.captures {
+            per_cell[cap.cell.index()].push(value_to_word(cap.value));
+        }
+        let mut flow_trace = FlowTrace::new();
+        for (index, values) in per_cell.into_iter().enumerate() {
+            if !values.is_empty() {
+                let name = netlist.cell(CellId(index as u32)).name.to_string();
+                flow_trace.extend_stream(name, values);
+            }
+        }
+        let mut waveforms = WaveformSet::new();
+        for (net, changes) in sim.waves {
+            let mut wave = Waveform::new();
+            for (time_ps, value) in changes {
+                wave.push(time_ps, value);
+            }
+            waveforms.insert(netlist.net(net).name.to_string(), wave);
+        }
+        SimRun {
+            flow_trace,
+            activity: Activity {
+                transitions: sim.lane_transitions,
+                duration_ps: sim.time,
+            },
+            waveforms,
+            cycles,
+            duration_ps: sim.time,
+            committed_events: sim.committed,
+        }
+    }
+}
+
 /// One register capture: the value stored into a sequential cell at a
 /// capturing edge (clock rising edge for flip-flops, closing enable edge for
-/// latches).
+/// latches), with the mask of live lanes that saw the edge.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Capture {
+pub struct Capture<L> {
     /// Simulation time of the capture, in picoseconds.
     pub time_ps: f64,
     /// The sequential cell that captured.
     pub cell: CellId,
-    /// The captured value.
-    pub value: Value,
+    /// The captured value (meaningful on `lanes` only).
+    pub value: L,
+    /// Mask of live lanes that captured at this edge.
+    pub lanes: u64,
 }
+
+/// A packed register capture: [`Capture`] at the packed width.
+pub type PackedCapture = Capture<PackedValue>;
 
 /// An event ordered by `(key, seq)` — both plain integers, so the order is
 /// total. `key` is the bit pattern of the non-negative f64 event time.
 ///
-/// Generic over the payload `P`: the scalar kernel carries one [`Value`],
-/// the packed kernel ([`crate::PackedSimulator`]) a
-/// [`PackedValue`](crate::PackedValue) of 64 lanes. Ordering ignores the
-/// payload entirely, so both kernels pop events in the identical
-/// `(time, sequence)` order.
+/// Generic over the payload `P`. Ordering ignores the payload entirely, so
+/// every width pops events in the identical `(time, sequence)` order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event<P> {
     pub(crate) key: u64,
@@ -270,61 +433,98 @@ impl<P: Copy> CalendarQueue<P> {
     }
 }
 
-/// An event-driven gate-level simulator: a per-run *cursor* over a shared
-/// [`CompiledModel`] of one netlist.
+/// An event-driven gate-level simulator at lane width `L`: a per-run
+/// *cursor* over a shared [`CompiledModel`] of one netlist.
+///
+/// See the [module documentation](self) for the kernel design and the
+/// bit-identity contract between widths.
 #[derive(Debug, Clone)]
-pub struct EventSimulator<'a> {
-    netlist: &'a Netlist,
+pub struct Simulator<'a, L: Lanes> {
+    pub(crate) netlist: &'a Netlist,
     /// The immutable structure half: topology, pin lists, delays. Shared
     /// across cursors (and across sweep points, via `desync-core`'s
     /// artifact store).
     model: Arc<CompiledModel>,
-    values: Vec<Value>,
+    pub(crate) lanes: usize,
+    /// Mask of live lanes (`lanes` low bits); the tail lanes of a packed
+    /// payload replicate the last live lane and are excluded from all
+    /// per-lane accounting.
+    lane_mask: u64,
+    values: Vec<L>,
     /// The value most recently *scheduled* for each net (projected value).
     /// Cells compare against this, not against the committed value, so that
     /// a pending event is always followed by a corrective event when the
     /// inputs change back before it commits.
-    projected: Vec<Value>,
-    queue: CalendarQueue<Value>,
+    projected: Vec<L>,
+    queue: CalendarQueue<L>,
     seq: u64,
-    time: f64,
-    committed: usize,
-    /// One bit per net: whether a waveform is recorded for it.
+    pub(crate) time: f64,
+    /// Committed events; a packed event counts once however many lanes it
+    /// changes.
+    pub(crate) committed: usize,
+    /// Per-lane committed-event counters (events visible to that lane).
+    pub(crate) lane_events: Vec<u64>,
+    /// Lane-major per-net switching counters:
+    /// `lane_transitions[lane * num_nets + net]`.
+    pub(crate) lane_transitions: Vec<u64>,
+    /// One bit per net: whether its changes are recorded.
     watched: Vec<u64>,
     /// Net → index into `waves` (`u32::MAX` = not watched).
     watch_slot: Vec<u32>,
-    waves: Vec<(NetId, Waveform)>,
+    /// Raw change records of the watched nets.
+    pub(crate) waves: Vec<(NetId, Vec<(f64, L)>)>,
     /// Reused input-value gather buffer (cleared per evaluation, never
     /// reallocated after warm-up).
-    scratch: Vec<Value>,
-    /// Switching-activity counters (one slot per net).
-    pub activity: Activity,
+    scratch: Vec<L>,
     /// Register captures in chronological order.
-    pub captures: Vec<Capture>,
+    pub captures: Vec<Capture<L>>,
 }
 
-impl<'a> EventSimulator<'a> {
-    /// Creates a simulator for `netlist` with delays from `library`,
-    /// compiling a private model. When several runs share one netlist
-    /// structure, compile once and use [`EventSimulator::with_model`].
-    pub fn new(netlist: &'a Netlist, library: &CellLibrary, config: SimConfig) -> Self {
-        Self::with_model(
-            netlist,
-            Arc::new(CompiledModel::compile(netlist, library, config)),
-        )
-    }
+/// The scalar cursor: one stimulus per run.
+pub type EventSimulator<'a> = Simulator<'a, Value>;
 
-    /// Creates a cursor over a previously compiled `model` of `netlist`.
-    ///
-    /// The run is bit-identical to one from [`EventSimulator::new`] with
-    /// the inputs the model was compiled from — construction only allocates
-    /// the per-run state vectors.
+/// The packed cursor: up to 64 independent stimulus lanes per run.
+pub type PackedSimulator<'a> = Simulator<'a, PackedValue>;
+
+impl<'a> Simulator<'a, Value> {
+    /// A scalar cursor over a private compile of `netlist`.
+    pub fn new(netlist: &'a Netlist, library: &CellLibrary, config: SimConfig) -> Self {
+        let model = Arc::new(CompiledModel::compile(netlist, library, config));
+        Self::with_lanes(netlist, model, 1)
+    }
+}
+
+impl<'a> Simulator<'a, PackedValue> {
+    /// A packed cursor with `lanes` live lanes over a private compile of
+    /// `netlist`.
+    pub fn new(
+        netlist: &'a Netlist,
+        library: &CellLibrary,
+        config: SimConfig,
+        lanes: usize,
+    ) -> Self {
+        let model = Arc::new(CompiledModel::compile(netlist, library, config));
+        Self::with_lanes(netlist, model, lanes)
+    }
+}
+
+impl<'a, L: Lanes> Simulator<'a, L> {
+    /// Creates a cursor with `lanes` live stimulus lanes (1 for a scalar
+    /// cursor) over a compiled `model` of `netlist`. Construction only
+    /// allocates the per-run state; nothing about [`CompiledModel`] is
+    /// lane-aware.
     ///
     /// # Panics
     ///
-    /// Panics if the model's dimensions do not match `netlist` (the model
-    /// was compiled from a different structure).
-    pub fn with_model(netlist: &'a Netlist, model: Arc<CompiledModel>) -> Self {
+    /// Panics if `lanes` is not in `1..=L::WIDTH`, or if the model's
+    /// dimensions do not match `netlist` (the model was compiled from a
+    /// different structure).
+    pub fn with_lanes(netlist: &'a Netlist, model: Arc<CompiledModel>, lanes: usize) -> Self {
+        assert!(
+            (1..=L::WIDTH).contains(&lanes),
+            "simulation carries 1..={} lanes, got {lanes}",
+            L::WIDTH
+        );
         assert!(
             model.num_nets() == netlist.num_nets() && model.num_cells() == netlist.num_cells(),
             "compiled model ({} nets, {} cells) does not match netlist `{}` ({} nets, {} cells)",
@@ -338,25 +538,27 @@ impl<'a> EventSimulator<'a> {
         let mut sim = Self {
             netlist,
             model,
-            values: vec![Value::X; num_nets],
-            projected: vec![Value::X; num_nets],
+            lanes,
+            lane_mask: live_mask(lanes),
+            values: vec![L::splat(Value::X); num_nets],
+            projected: vec![L::splat(Value::X); num_nets],
             queue: CalendarQueue::new(),
             seq: 0,
             time: 0.0,
             committed: 0,
+            lane_events: vec![0; lanes],
+            lane_transitions: vec![0; lanes * num_nets],
             watched: vec![0u64; num_nets.div_ceil(64)],
             watch_slot: vec![u32::MAX; num_nets],
             waves: Vec::new(),
             scratch: Vec::new(),
-            activity: Activity::new(num_nets),
             captures: Vec::new(),
         };
-        // Seed the constant drivers at time zero, in the same (cell) order
-        // the old constructor used — the order fixes the event sequence
-        // numbers, keeping runs bit-identical.
+        // Seed the constant drivers at time zero, in cell order — the order
+        // fixes the event sequence numbers, keeping runs bit-identical.
         for i in 0..sim.model.const_seeds.len() {
             let (net, value) = sim.model.const_seeds[i];
-            sim.schedule(net, value, 0.0);
+            sim.schedule(net, L::splat(value), 0.0);
         }
         sim
     }
@@ -371,41 +573,28 @@ impl<'a> EventSimulator<'a> {
         self.time
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> SimConfig {
-        self.model.config
-    }
-
-    /// Total number of committed events since construction.
+    /// Total number of committed events since construction — the work the
+    /// kernel did: a packed event counts once however many lanes it changes.
     pub fn committed_events(&self) -> usize {
         self.committed
     }
 
     /// The current value of a net.
-    pub fn value(&self, net: NetId) -> Value {
+    pub fn value(&self, net: NetId) -> L {
         self.values[net.index()]
     }
 
-    /// The current value of a net looked up by name, or `X` for unknown
-    /// names.
-    pub fn value_by_name(&self, name: &str) -> Value {
-        self.netlist
-            .find_net(name)
-            .map(|n| self.value(n))
-            .unwrap_or(Value::X)
-    }
-
-    /// Starts recording a waveform for `net`.
+    /// Starts recording the changes of `net`.
     pub fn watch(&mut self, net: NetId) {
         let index = net.index();
         if self.watch_slot[index] == u32::MAX {
             self.watched[index / 64] |= 1u64 << (index % 64);
             self.watch_slot[index] = self.waves.len() as u32;
-            self.waves.push((net, Waveform::new()));
+            self.waves.push((net, Vec::new()));
         }
     }
 
-    /// Starts recording waveforms for every net whose name is in `names`.
+    /// Starts recording the changes of every net whose name is in `names`.
     pub fn watch_named(&mut self, names: &[&str]) {
         for &name in names {
             if let Some(net) = self.netlist.find_net(name) {
@@ -414,33 +603,13 @@ impl<'a> EventSimulator<'a> {
         }
     }
 
-    /// The waveform recorded for `net`, if it is watched.
-    pub fn waveform_of(&self, net: NetId) -> Option<&Waveform> {
-        match self.watch_slot.get(net.index()) {
-            Some(&slot) if slot != u32::MAX => Some(&self.waves[slot as usize].1),
-            _ => None,
-        }
-    }
-
-    /// The waveforms of all watched nets as a name-keyed set.
-    ///
-    /// Waveforms are recorded by [`NetId`] during the run; this resolves
-    /// each watched net's name exactly once, at export time.
-    pub fn waveforms(&self) -> WaveformSet {
-        let mut set = WaveformSet::new();
-        for (net, wave) in &self.waves {
-            set.insert(self.netlist.net(*net).name.to_string(), wave.clone());
-        }
-        set
-    }
-
     /// Schedules a value change on `net` at absolute time `at_ps`.
     ///
     /// # Panics
     ///
     /// Panics if `at_ps` is not finite (NaN or ±∞ would corrupt the event
     /// order), or if it is in the past (before the current simulation time).
-    pub fn schedule(&mut self, net: NetId, value: Value, at_ps: f64) {
+    pub fn schedule(&mut self, net: NetId, value: L, at_ps: f64) {
         assert!(
             at_ps.is_finite(),
             "cannot schedule an event at non-finite time {at_ps} ps on net `{}`",
@@ -466,13 +635,15 @@ impl<'a> EventSimulator<'a> {
     }
 
     /// Drives a primary input (or any net) to `value` at the current time.
-    pub fn set(&mut self, net: NetId, value: Value) {
+    pub fn set(&mut self, net: NetId, value: L) {
         self.schedule(net, value, self.time);
     }
 
-    /// Forces the output nets of all flip-flops and latches to `value` at
-    /// the current time, modelling a global reset of the register state.
+    /// Forces the output nets of all flip-flops and latches to `value` in
+    /// every lane at the current time, modelling a global reset of the
+    /// register state.
     pub fn initialize_registers(&mut self, value: Value) {
+        let value = L::splat(value);
         for i in 0..self.model.register_outputs.len() {
             let output = self.model.register_outputs[i];
             self.schedule(output, value, self.time);
@@ -495,7 +666,6 @@ impl<'a> EventSimulator<'a> {
             committed += self.commit(event);
         }
         self.time = self.time.max(until_ps);
-        self.activity.duration_ps = self.time;
         committed
     }
 
@@ -511,26 +681,42 @@ impl<'a> EventSimulator<'a> {
             self.time = event.time_ps();
             committed += self.commit(event);
         }
-        self.activity.duration_ps = self.time;
         committed
     }
 
-    fn commit(&mut self, event: Event<Value>) -> usize {
+    /// Ends the run, moving its observables out of the cursor into the
+    /// width's run type with `cycles` recorded as the logical cycle count:
+    /// a [`SimRun`] for a scalar cursor, a
+    /// [`PackedSimRun`](crate::PackedSimRun) for a packed one.
+    pub fn into_run(self, cycles: usize) -> L::Run {
+        L::finish(self, cycles)
+    }
+
+    fn commit(&mut self, event: Event<L>) -> usize {
         let net = event.net.index();
         let old = self.values[net];
-        if old == event.value {
+        let changed = old.diff_mask(event.value);
+        if changed == 0 {
             return 0;
         }
         self.values[net] = event.value;
         self.committed += 1;
-        if old != Value::X {
-            // Transitions out of the unknown initialization state are not
-            // counted as switching activity.
-            self.activity.record(event.net);
+        let mut visible = changed & self.lane_mask;
+        while visible != 0 {
+            self.lane_events[visible.trailing_zeros() as usize] += 1;
+            visible &= visible - 1;
+        }
+        // Transitions out of the unknown initialization state are not
+        // counted as switching activity.
+        let mut toggled = changed & self.lane_mask & !old.x_mask();
+        while toggled != 0 {
+            let lane = toggled.trailing_zeros() as usize;
+            self.lane_transitions[lane * self.model.num_nets + net] += 1;
+            toggled &= toggled - 1;
         }
         if self.watched[net / 64] & (1u64 << (net % 64)) != 0 {
             let slot = self.watch_slot[net] as usize;
-            self.waves[slot].1.push(self.time, event.value);
+            self.waves[slot].1.push((self.time, event.value));
         }
         // React: evaluate every reader of the changed net (a contiguous CSR
         // slice — nothing is cloned).
@@ -557,25 +743,38 @@ impl<'a> EventSimulator<'a> {
         );
     }
 
-    fn evaluate_cell(&mut self, cell_id: CellId, changed: NetId, old: Value, new: Value) {
+    /// Records a capture of `value` by `cell` in the live lanes of `lanes`.
+    fn capture(&mut self, cell: CellId, value: L, lanes: u64) {
+        let lanes = lanes & self.lane_mask;
+        if lanes != 0 {
+            self.captures.push(Capture {
+                time_ps: self.time,
+                cell,
+                value,
+                lanes,
+            });
+        }
+    }
+
+    fn evaluate_cell(&mut self, cell_id: CellId, changed: NetId, old: L, new: L) {
         let ci = cell_id.index();
         let kind = self.model.cell_kind[ci];
         let delay = self.model.cell_delay[ci];
         let pins = self.model.input_offsets[ci] as usize;
         match kind {
             CellKind::Dff => {
-                let clk = self.model.input_nets[pins + 1];
-                if changed == clk && new == Value::One && old != Value::One {
-                    // Rising clock edge: capture D (read once, reused for
-                    // both the capture record and the scheduled output).
+                // Rising-edge lanes: the clock became One where it was not.
+                let rising = new.ones_mask() & !old.ones_mask();
+                if changed == self.model.input_nets[pins + 1] && rising != 0 {
+                    // Capture D (read once, reused for both the capture
+                    // record and the scheduled output).
                     let d = self.values[self.model.input_nets[pins].index()];
+                    self.capture(cell_id, d, rising);
+                    // Non-rising lanes keep their projected value, so the
+                    // event is invisible to them.
                     let output = self.model.cell_output[ci];
-                    self.captures.push(Capture {
-                        time_ps: self.time,
-                        cell: cell_id,
-                        value: d,
-                    });
-                    self.schedule(output, d, self.time + delay);
+                    let payload = L::select(rising, d, self.projected[output.index()]);
+                    self.schedule(output, payload, self.time + delay);
                 }
             }
             CellKind::LatchLow | CellKind::LatchHigh => {
@@ -588,38 +787,31 @@ impl<'a> EventSimulator<'a> {
                 // (the last scheduled value), so that pending events and the
                 // hold behaviour stay consistent.
                 let stored = self.projected[output.index()];
-                let q = evaluate_latch(d, en, stored, transparent_high);
-                if q != stored {
+                let q = L::evaluate_latch(d, en, stored, transparent_high);
+                if q.diff_mask(stored) != 0 {
                     self.schedule(output, q, self.time + delay);
                 }
-                // A closing enable edge captures the current data value.
-                let closing = if transparent_high {
-                    Value::Zero
-                } else {
-                    Value::One
-                };
-                if changed == enable_net && new == closing && old != closing && old != Value::X {
-                    self.captures.push(Capture {
-                        time_ps: self.time,
-                        cell: cell_id,
-                        value: d,
-                    });
-                }
-            }
-            CellKind::CElement => {
-                self.gather_inputs(ci);
-                let output = self.model.cell_output[ci];
-                let stored = self.projected[output.index()];
-                let q = evaluate_c_element(&self.scratch, stored);
-                if q != stored {
-                    self.schedule(output, q, self.time + delay);
+                // A closing enable edge captures the current data value:
+                // new == closing && old != closing && old != X, per lane.
+                if changed == enable_net {
+                    let (closing_new, closing_old) = if transparent_high {
+                        (new.zeros_mask(), old.zeros_mask())
+                    } else {
+                        (new.ones_mask(), old.ones_mask())
+                    };
+                    self.capture(cell_id, d, closing_new & !closing_old & !old.x_mask());
                 }
             }
             kind => {
                 self.gather_inputs(ci);
                 let output = self.model.cell_output[ci];
-                let q = evaluate(kind, &self.scratch);
-                if q != self.projected[output.index()] {
+                let stored = self.projected[output.index()];
+                let q = if kind == CellKind::CElement {
+                    L::evaluate_c_element(&self.scratch, stored)
+                } else {
+                    L::evaluate(kind, &self.scratch)
+                };
+                if q.diff_mask(stored) != 0 {
                     self.schedule(output, q, self.time + delay);
                 }
             }
@@ -634,6 +826,11 @@ mod tests {
 
     fn lib() -> CellLibrary {
         CellLibrary::generic_90nm()
+    }
+
+    /// The activity counters of the run so far.
+    fn activity(sim: &EventSimulator<'_>) -> Activity {
+        sim.clone().into_run(0).activity
     }
 
     #[test]
@@ -652,8 +849,6 @@ mod tests {
         sim.set(b, Value::Zero);
         sim.settle(1000);
         assert_eq!(sim.value(y), Value::Zero);
-        assert_eq!(sim.value_by_name("y"), Value::Zero);
-        assert_eq!(sim.value_by_name("missing"), Value::X);
         assert!(sim.committed_events() > 0);
     }
 
@@ -757,12 +952,12 @@ mod tests {
         sim.set(a, Value::Zero);
         sim.settle(100);
         // X -> 0 / X -> 1 are not counted.
-        assert_eq!(sim.activity.total_transitions(), 0);
+        assert_eq!(activity(&sim).total_transitions(), 0);
         sim.set(a, Value::One);
         sim.settle(100);
         // a toggled and y toggled.
-        assert_eq!(sim.activity.transitions_on(a), 1);
-        assert_eq!(sim.activity.transitions_on(y), 1);
+        assert_eq!(activity(&sim).transitions_on(a), 1);
+        assert_eq!(activity(&sim).transitions_on(y), 1);
     }
 
     #[test]
@@ -778,15 +973,13 @@ mod tests {
         sim.settle(100);
         sim.set(a, Value::One);
         sim.settle(100);
-        let waves = sim.waveforms();
+        let waves = sim.clone().into_run(0).waveforms;
         let w = waves.get("y").unwrap();
         assert!(w.len() >= 2);
         assert!(waves.get("a").is_none(), "a was not watched");
-        assert_eq!(sim.waveform_of(y).unwrap(), w);
-        assert!(sim.waveform_of(a).is_none());
         // Watching twice does not reset the recorded waveform.
         sim.watch(y);
-        assert_eq!(sim.waveform_of(y).unwrap().len(), w.len());
+        assert_eq!(sim.into_run(0).waveforms.get("y"), Some(w));
     }
 
     #[test]
@@ -852,7 +1045,7 @@ mod tests {
         sim.settle(100);
         // The -0.0 event commits first (as time 0), the 5 ps event after.
         assert_eq!(sim.value(a), Value::Zero);
-        assert_eq!(sim.activity.transitions_on(a), 1);
+        assert_eq!(activity(&sim).transitions_on(a), 1);
     }
 
     #[test]
@@ -873,8 +1066,8 @@ mod tests {
         sim.run_until(50.0 * span);
         assert_eq!(sim.value(y), Value::One);
         // a: X->1->0->1 gives two counted transitions; y follows.
-        assert_eq!(sim.activity.transitions_on(a), 2);
-        assert_eq!(sim.activity.transitions_on(y), 2);
+        assert_eq!(activity(&sim).transitions_on(a), 2);
+        assert_eq!(activity(&sim).transitions_on(y), 2);
     }
 
     #[test]
@@ -901,16 +1094,15 @@ mod tests {
         let mut fresh = EventSimulator::new(&n, &l, SimConfig::default());
         drive(&mut fresh);
         for _ in 0..2 {
-            let mut cursor = EventSimulator::with_model(&n, Arc::clone(&model));
+            let mut cursor = EventSimulator::with_lanes(&n, Arc::clone(&model), 1);
             drive(&mut cursor);
             assert_eq!(cursor.value(q), fresh.value(q));
             assert_eq!(cursor.captures, fresh.captures);
             assert_eq!(cursor.committed_events(), fresh.committed_events());
             assert_eq!(
-                cursor.activity.total_transitions(),
-                fresh.activity.total_transitions()
+                activity(&cursor).total_transitions(),
+                activity(&fresh).total_transitions()
             );
-            assert_eq!(cursor.config(), fresh.config());
             assert_eq!(cursor.model().config(), fresh.model().config());
         }
     }
@@ -927,7 +1119,7 @@ mod tests {
         b.add_gate("g", CellKind::Buf, &[y], z).unwrap();
         let l = lib();
         let model = Arc::new(CompiledModel::compile(&a, &l, SimConfig::default()));
-        let _ = EventSimulator::with_model(&b, model);
+        let _ = EventSimulator::with_lanes(&b, model, 1);
     }
 
     #[test]
@@ -957,5 +1149,49 @@ mod tests {
         assert_eq!(popped.time_ps(), far);
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    /// The two `Lanes` impls agree: on splatted inputs, lane 0 of every
+    /// packed mask, `select` and evaluator equals the scalar one, for every
+    /// combination of four inputs over `{Zero, One, X}` (shorter input lists
+    /// are its prefixes).
+    #[test]
+    fn scalar_lanes_equal_lane_zero_of_splatted_packed_lanes() {
+        const VALUES: [Value; 3] = [Value::Zero, Value::One, Value::X];
+        for combination in 0..81 {
+            let row: Vec<Value> = (0..4)
+                .map(|i| VALUES[combination / 3usize.pow(i) % 3])
+                .collect();
+            let packed: Vec<PackedValue> = row.iter().map(|&v| PackedValue::splat(v)).collect();
+            let (a, b, c, d) = (row[0], row[1], row[2], row[3]);
+            let (pa, pb, pc) = (packed[0], packed[1], packed[2]);
+            assert_eq!(a.ones_mask(), pa.ones_mask() & 1, "ones {a:?}");
+            assert_eq!(a.zeros_mask(), pa.zeros_mask() & 1, "zeros {a:?}");
+            assert_eq!(a.x_mask(), pa.x_mask() & 1, "x {a:?}");
+            assert_eq!(a.diff_mask(b), pa.diff_mask(pb) & 1, "diff {a:?} {b:?}");
+            for mask in [0, 1, !1, !0] {
+                let lane = PackedValue::select(mask, pa, pb).lane(0);
+                assert_eq!(Value::select(mask, a, b), lane, "select {mask} {a:?} {b:?}");
+            }
+            for high in [false, true] {
+                let lane = PackedValue::evaluate_latch(pa, pb, pc, high).lane(0);
+                assert_eq!(Value::evaluate_latch(a, b, c, high), lane, "latch {row:?}");
+            }
+            for arity in 0..=4 {
+                let (inputs, packed_inputs) = (&row[..arity], &packed[..arity]);
+                for &kind in CellKind::all().iter().filter(|k| k.is_combinational()) {
+                    if arity < 4 || kind == CellKind::AndOrInv {
+                        let lane = PackedValue::evaluate(kind, packed_inputs).lane(0);
+                        assert_eq!(Value::evaluate(kind, inputs), lane, "{kind:?} {inputs:?}");
+                    }
+                }
+                if arity < 4 {
+                    // The fourth input is the C-element's previous value.
+                    let lane = PackedValue::evaluate_c_element(packed_inputs, packed[3]).lane(0);
+                    let scalar = Value::evaluate_c_element(inputs, d);
+                    assert_eq!(scalar, lane, "c-element {inputs:?} previous {d:?}");
+                }
+            }
+        }
     }
 }

@@ -1,10 +1,16 @@
 //! Simulation harnesses: a clocked testbench for synchronous netlists and a
 //! schedule-driven testbench for desynchronized (latch-based) netlists.
+//!
+//! Each is one drive script generic over the lane width ([`Lanes`]): the
+//! scalar [`SyncTestbench`] / [`AsyncTestbench`] and the packed
+//! [`PackedSyncTestbench`] / [`PackedAsyncTestbench`] are the same script
+//! at two widths, with control nets broadcast across lanes. So each lane of
+//! a packed run is bit-identical to a scalar run with that lane's stimulus.
 
 use crate::activity::Activity;
-use crate::engine::{EventSimulator, SimConfig};
+use crate::engine::{Lanes, SimConfig, Simulator};
 use crate::model::CompiledModel;
-use crate::stimulus::VectorSource;
+use crate::packed::PackedValue;
 use crate::waveform::WaveformSet;
 use desync_mg::FlowTrace;
 use desync_netlist::{CellLibrary, NetId, Netlist, NetlistError, Value};
@@ -51,80 +57,87 @@ pub fn value_to_word(value: Value) -> u64 {
     }
 }
 
-/// Builds the per-register capture streams: captures are grouped by cell id
-/// first (dense, chronological per cell), so each register's name is
-/// resolved and cloned exactly once instead of once per captured value.
-pub(crate) fn collect_flow_trace(
-    netlist: &Netlist,
-    captures: &[crate::engine::Capture],
-) -> FlowTrace {
-    let mut per_cell: Vec<Vec<u64>> = vec![Vec::new(); netlist.num_cells()];
-    for cap in captures {
-        per_cell[cap.cell.index()].push(value_to_word(cap.value));
-    }
-    let mut flow_trace = FlowTrace::new();
-    for (index, values) in per_cell.into_iter().enumerate() {
-        if !values.is_empty() {
-            let name = netlist
-                .cell(desync_netlist::CellId(index as u32))
-                .name
-                .to_string();
-            flow_trace.extend_stream(name, values);
-        }
-    }
-    flow_trace
-}
-
-/// A clocked testbench for flip-flop based (synchronous) netlists.
+/// A clocked testbench for flip-flop based (synchronous) netlists, at lane
+/// width `L`.
 ///
 /// The testbench drives the single clock net with a 50 % duty cycle,
 /// applies one input vector per cycle shortly after the rising edge, and
 /// records every flip-flop capture.
 #[derive(Debug)]
-pub struct SyncTestbench<'a> {
-    netlist: &'a Netlist,
-    sim: EventSimulator<'a>,
+pub struct SyncBench<'a, L: Lanes> {
+    sim: Simulator<'a, L>,
     clock: NetId,
 }
 
-impl<'a> SyncTestbench<'a> {
-    /// Creates a testbench for `netlist`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::ClockError`] if the netlist does not have
-    /// exactly one clock net.
+/// The scalar synchronous testbench: one stimulus per run.
+///
+/// [`run`](SyncBench::run) consumes the testbench, so two runs can never
+/// merge their captures and counters into one result:
+///
+/// ```compile_fail
+/// # use desync_netlist::{CellKind, CellLibrary, Netlist};
+/// # use desync_sim::{SimConfig, SyncTestbench, VectorSource};
+/// # let mut n = Netlist::new("toggler");
+/// # let clk = n.add_input("clk");
+/// # let q = n.add_output("q");
+/// # let d = n.add_net("d");
+/// # n.add_gate("inv", CellKind::Not, &[q], d).unwrap();
+/// # n.add_dff("r", d, clk, q).unwrap();
+/// let library = CellLibrary::generic_90nm();
+/// let stimulus = VectorSource::constant(vec![]);
+/// let tb = SyncTestbench::new(&n, &library, SimConfig::default()).unwrap();
+/// let first = tb.run(10, 4_000.0, &stimulus);
+/// let second = tb.run(10, 4_000.0, &stimulus); // error: use of moved `tb`
+/// ```
+pub type SyncTestbench<'a> = SyncBench<'a, Value>;
+
+/// The packed synchronous testbench: up to 64 stimulus lanes per run.
+pub type PackedSyncTestbench<'a> = SyncBench<'a, PackedValue>;
+
+impl<'a> SyncBench<'a, Value> {
+    /// A scalar testbench over a private compile of `netlist`; errors as
+    /// [`SyncBench::with_lanes`].
     pub fn new(
         netlist: &'a Netlist,
         library: &'a CellLibrary,
         config: SimConfig,
     ) -> Result<Self, NetlistError> {
-        let clock = netlist.single_clock()?;
-        Ok(Self {
-            netlist,
-            sim: EventSimulator::new(netlist, library, config),
-            clock,
-        })
+        let model = Arc::new(CompiledModel::compile(netlist, library, config));
+        Self::with_lanes(netlist, model, 1)
     }
+}
 
-    /// Like [`SyncTestbench::new`] but over a previously compiled `model`
-    /// of `netlist`, so repeated testbenches share one topology compilation
-    /// (see [`CompiledModel`]). Runs are bit-identical to
-    /// [`SyncTestbench::new`] with the model's compile inputs.
+impl<'a> SyncBench<'a, PackedValue> {
+    /// A packed testbench with `lanes` stimulus lanes over a private compile
+    /// of `netlist`; errors as [`SyncBench::with_lanes`].
+    pub fn new(
+        netlist: &'a Netlist,
+        library: &'a CellLibrary,
+        config: SimConfig,
+        lanes: usize,
+    ) -> Result<Self, NetlistError> {
+        let model = Arc::new(CompiledModel::compile(netlist, library, config));
+        Self::with_lanes(netlist, model, lanes)
+    }
+}
+
+impl<'a, L: Lanes> SyncBench<'a, L> {
+    /// Creates a testbench with `lanes` stimulus lanes (1 for a scalar
+    /// testbench) over a compiled `model` of `netlist`, so repeated
+    /// testbenches share one topology compilation (see [`CompiledModel`]).
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::ClockError`] if the netlist does not have
-    /// exactly one clock net.
-    pub fn with_model(
+    /// exactly one clock net. Panics as [`Simulator::with_lanes`].
+    pub fn with_lanes(
         netlist: &'a Netlist,
         model: Arc<CompiledModel>,
+        lanes: usize,
     ) -> Result<Self, NetlistError> {
-        let clock = netlist.single_clock()?;
         Ok(Self {
-            netlist,
-            sim: EventSimulator::with_model(netlist, model),
-            clock,
+            clock: netlist.single_clock()?,
+            sim: Simulator::with_lanes(netlist, model, lanes),
         })
     }
 
@@ -135,19 +148,32 @@ impl<'a> SyncTestbench<'a> {
 
     /// Runs `cycles` clock cycles with period `period_ps`, applying one
     /// vector from `source` per cycle, and returns the collected results.
+    /// The testbench is consumed: its cursor's counters and captures move
+    /// into the returned run.
     ///
     /// Registers are initialized to 0 and all non-clock primary inputs start
     /// at 0. Inputs for cycle *k* are applied shortly after rising edge *k*
     /// and are captured by the flip-flops at rising edge *k + 1*.
-    pub fn run(&mut self, cycles: usize, period_ps: f64, source: &VectorSource) -> SimRun {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` does not carry exactly this testbench's lane
+    /// count.
+    pub fn run(mut self, cycles: usize, period_ps: f64, source: &L::Source) -> L::Run {
+        assert_eq!(
+            L::source_lanes(source),
+            self.sim.lanes,
+            "stimulus lane count does not match the testbench"
+        );
         let sim = &mut self.sim;
+        let (zero, one) = (L::splat(Value::Zero), L::splat(Value::One));
         sim.initialize_registers(Value::Zero);
-        for &input in self.netlist.inputs() {
+        for &input in sim.netlist.inputs() {
             if input != self.clock {
-                sim.set(input, Value::Zero);
+                sim.set(input, zero);
             }
         }
-        sim.set(self.clock, Value::Zero);
+        sim.set(self.clock, zero);
         sim.settle(1_000_000);
         // The clock grid starts after the reset state has fully settled, so
         // the first rising edge can never race the initialization wave (the
@@ -159,9 +185,9 @@ impl<'a> SyncTestbench<'a> {
         for cycle in 0..cycles {
             // Schedule relative to a fixed grid to keep the edges periodic.
             let base = start + (cycle as f64 + 1.0) * period_ps;
-            sim.schedule(self.clock, Value::One, base);
-            sim.schedule(self.clock, Value::Zero, base + period_ps * 0.5);
-            for (net, value) in source.vector_for(cycle) {
+            sim.schedule(self.clock, one, base);
+            sim.schedule(self.clock, zero, base + period_ps * 0.5);
+            for (net, value) in L::vector_for(source, cycle) {
                 sim.schedule(net, value, base + input_offset);
             }
             sim.run_until(base + period_ps - 1.0);
@@ -170,14 +196,7 @@ impl<'a> SyncTestbench<'a> {
         let end = start + (cycles as f64 + 1.0) * period_ps;
         sim.run_until(end);
 
-        SimRun {
-            flow_trace: collect_flow_trace(self.netlist, &sim.captures),
-            activity: sim.activity.clone(),
-            waveforms: sim.waveforms(),
-            cycles,
-            duration_ps: sim.time(),
-            committed_events: sim.committed_events(),
-        }
+        self.sim.into_run(cycles)
     }
 }
 
@@ -234,34 +253,53 @@ impl FromIterator<(f64, NetId, Value)> for EnableSchedule {
     }
 }
 
-/// A testbench for desynchronized, latch-based netlists.
+/// A testbench for desynchronized, latch-based netlists, at lane width `L`.
 ///
 /// The latch-enable waveforms are supplied externally (from the timed
-/// marked-graph model of the handshake controllers); data inputs are applied
-/// as absolute-time events.
+/// marked-graph model of the handshake controllers) and broadcast across
+/// lanes; data inputs are applied as absolute-time events.
 #[derive(Debug)]
-pub struct AsyncTestbench<'a> {
-    netlist: &'a Netlist,
-    sim: EventSimulator<'a>,
+pub struct AsyncBench<'a, L: Lanes> {
+    sim: Simulator<'a, L>,
 }
 
-impl<'a> AsyncTestbench<'a> {
-    /// Creates a testbench for a latch-based `netlist`.
-    pub fn new(netlist: &'a Netlist, library: &'a CellLibrary, config: SimConfig) -> Self {
-        Self {
-            netlist,
-            sim: EventSimulator::new(netlist, library, config),
-        }
-    }
+/// The scalar asynchronous testbench: one stimulus per run.
+pub type AsyncTestbench<'a> = AsyncBench<'a, Value>;
 
-    /// Like [`AsyncTestbench::new`] but over a previously compiled `model`
-    /// of `netlist` — the sweep-point fast path: every protocol × margin
-    /// point of a verification sweep simulates the same latch datapath, so
-    /// they all bind their schedules onto one [`CompiledModel`].
-    pub fn with_model(netlist: &'a Netlist, model: Arc<CompiledModel>) -> Self {
+/// The packed asynchronous testbench: up to 64 stimulus lanes per run.
+pub type PackedAsyncTestbench<'a> = AsyncBench<'a, PackedValue>;
+
+impl<'a> AsyncBench<'a, Value> {
+    /// A scalar testbench over a private compile of `netlist`.
+    pub fn new(netlist: &'a Netlist, library: &'a CellLibrary, config: SimConfig) -> Self {
+        let model = Arc::new(CompiledModel::compile(netlist, library, config));
+        Self::with_lanes(netlist, model, 1)
+    }
+}
+
+impl<'a> AsyncBench<'a, PackedValue> {
+    /// A packed testbench with `lanes` stimulus lanes over a private compile
+    /// of `netlist`.
+    pub fn new(
+        netlist: &'a Netlist,
+        library: &'a CellLibrary,
+        config: SimConfig,
+        lanes: usize,
+    ) -> Self {
+        let model = Arc::new(CompiledModel::compile(netlist, library, config));
+        Self::with_lanes(netlist, model, lanes)
+    }
+}
+
+impl<'a, L: Lanes> AsyncBench<'a, L> {
+    /// Creates a testbench with `lanes` stimulus lanes (1 for a scalar
+    /// testbench) over a compiled `model` of `netlist` — the sweep-point
+    /// fast path: every protocol × margin point of a verification sweep
+    /// simulates the same latch datapath, so they all bind their schedules
+    /// onto one [`CompiledModel`]. Panics as [`Simulator::with_lanes`].
+    pub fn with_lanes(netlist: &'a Netlist, model: Arc<CompiledModel>, lanes: usize) -> Self {
         Self {
-            netlist,
-            sim: EventSimulator::with_model(netlist, model),
+            sim: Simulator::with_lanes(netlist, model, lanes),
         }
     }
 
@@ -271,50 +309,49 @@ impl<'a> AsyncTestbench<'a> {
     }
 
     /// Runs the netlist under the given enable `schedule` and timed data
-    /// `inputs` until `duration_ps`, returning the collected results.
+    /// `inputs` until `duration_ps`, returning the collected results. The
+    /// testbench is consumed: its cursor's counters and captures move into
+    /// the returned run.
     ///
     /// Registers are initialized to 0 and all primary inputs not driven by
     /// the schedule start at 0. `iterations` is recorded in the result as
     /// the logical cycle count (the caller knows how many handshake
-    /// iterations the schedule encodes).
+    /// iterations the schedule encodes). The stable time sort of `inputs`
+    /// keeps their order among equal times, which fixes the event sequence
+    /// numbers: list a packed run's inputs in the order a scalar run would
+    /// receive them.
     pub fn run(
-        &mut self,
+        mut self,
         duration_ps: f64,
         iterations: usize,
         schedule: &EnableSchedule,
-        inputs: &[(f64, NetId, Value)],
-    ) -> SimRun {
+        inputs: &[(f64, NetId, L)],
+    ) -> L::Run {
         let sim = &mut self.sim;
         sim.initialize_registers(Value::Zero);
-        for &input in self.netlist.inputs() {
-            sim.set(input, Value::Zero);
+        for &input in sim.netlist.inputs() {
+            sim.set(input, L::splat(Value::Zero));
         }
         sim.settle(1_000_000);
 
         for (t, net, value) in schedule.sorted_events() {
-            sim.schedule(net, value, t.max(sim.time()));
+            sim.schedule(net, L::splat(value), t.max(sim.time()));
         }
-        let mut sorted_inputs: Vec<&(f64, NetId, Value)> = inputs.iter().collect();
+        let mut sorted_inputs: Vec<&(f64, NetId, L)> = inputs.iter().collect();
         sorted_inputs.sort_by(|a, b| a.0.total_cmp(&b.0));
         for &(t, net, value) in sorted_inputs {
             sim.schedule(net, value, t.max(sim.time()));
         }
         sim.run_until(duration_ps);
 
-        SimRun {
-            flow_trace: collect_flow_trace(self.netlist, &sim.captures),
-            activity: sim.activity.clone(),
-            waveforms: sim.waveforms(),
-            cycles: iterations,
-            duration_ps: sim.time(),
-            committed_events: sim.committed_events(),
-        }
+        self.sim.into_run(iterations)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stimulus::VectorSource;
     use desync_netlist::CellKind;
 
     fn lib() -> CellLibrary {
@@ -371,7 +408,7 @@ mod tests {
         n.add_dff("r0", din, clk, q0).unwrap();
         n.add_dff("r1", q0, clk, q1).unwrap();
         let l = lib();
-        let mut tb = SyncTestbench::new(&n, &l, SimConfig::default()).unwrap();
+        let tb = SyncTestbench::new(&n, &l, SimConfig::default()).unwrap();
         let stim = VectorSource::sequence(vec![vec![(din, Value::One)], vec![(din, Value::Zero)]]);
         let run = tb.run(8, 4_000.0, &stim);
         let s0 = run.flow_trace.stream("r0").unwrap();
@@ -392,7 +429,7 @@ mod tests {
         n.add_latch("l0", din, en0, q0, true).unwrap();
         n.add_latch("l1", q0, en1, q1, true).unwrap();
         let l = lib();
-        let mut tb = AsyncTestbench::new(&n, &l, SimConfig::default());
+        let tb = AsyncTestbench::new(&n, &l, SimConfig::default());
         let mut sched = EnableSchedule::new();
         // Alternate non-overlapping pulses: l0 open 1000-2000, l1 open 3000-4000, ...
         let mut inputs = Vec::new();

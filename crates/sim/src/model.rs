@@ -1,21 +1,21 @@
 //! The compiled simulation model: everything about a netlist's structure
 //! that every simulation run shares.
 //!
-//! Building an [`EventSimulator`](crate::EventSimulator) used to re-derive
-//! the whole flattened topology — fan-out counts, per-cell delays, the CSR
-//! reader map and pin lists, the constant-driver seeds — on every
-//! construction, even though none of it depends on the stimulus, the enable
-//! schedule or the run length. For a verification sweep that simulates the
-//! same latch netlist once per protocol × margin point, that rebuild is
-//! pure waste.
+//! A simulation run needs the whole flattened topology — fan-out counts,
+//! per-cell delays, the CSR reader map and pin lists, the constant-driver
+//! seeds — but none of it depends on the stimulus, the enable schedule, the
+//! run length or the lane width. For a verification sweep that simulates
+//! the same latch netlist once per protocol × margin point, deriving it per
+//! run would be pure waste.
 //!
 //! [`CompiledModel`] captures exactly the shareable half: it is a pure
 //! function of `(netlist, library, SimConfig)`, immutable after
-//! [`CompiledModel::compile`], and cheap to share behind an `Arc`. An
-//! [`EventSimulator`](crate::EventSimulator) is then a *cursor* over the
-//! model — per-run mutable state only (net values, the calendar queue,
-//! activity counters, captures, watch list) — so sweep points re-bind their
-//! schedules and inputs onto one compiled model instead of recompiling it.
+//! [`CompiledModel::compile`], and cheap to share behind an `Arc`. A
+//! [`Simulator`](crate::Simulator) of either lane width is then a *cursor*
+//! over the model — per-run mutable state only (net values, the calendar
+//! queue, activity counters, captures, watch list) — so sweep points and
+//! campaign points re-bind their schedules and inputs onto one compiled
+//! model instead of recompiling it.
 //! `desync-core` caches compiled models in its artifact store keyed by the
 //! netlist identity and the `SimConfig` bits.
 
@@ -49,7 +49,7 @@ pub struct CompiledModel {
     pub(crate) const_seeds: Vec<(NetId, Value)>,
     /// Output nets of all sequential cells (flip-flops and latches), in
     /// netlist cell order, for
-    /// [`EventSimulator::initialize_registers`](crate::EventSimulator::initialize_registers).
+    /// [`Simulator::initialize_registers`](crate::Simulator::initialize_registers).
     pub(crate) register_outputs: Vec<NetId>,
 }
 

@@ -132,28 +132,22 @@ impl WaveformSet {
     }
 
     /// Serializes the set as a minimal VCD (value change dump) document with
-    /// 1 ps resolution, usable with standard waveform viewers.
+    /// 1 ps resolution, usable with standard waveform viewers. Signals get
+    /// distinct identifiers of one or more printable ASCII characters.
     pub fn to_vcd(&self, module: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "$timescale 1ps $end");
         let _ = writeln!(out, "$scope module {module} $end");
-        let ids: Vec<(String, char)> = self
-            .waves
-            .keys()
-            .enumerate()
-            .map(|(i, name)| (name.clone(), (33u8 + (i % 90) as u8) as char))
-            .collect();
-        for (name, id) in &ids {
+        let ids: Vec<String> = (0..self.waves.len()).map(vcd_id).collect();
+        for (name, id) in self.waves.keys().zip(&ids) {
             let _ = writeln!(out, "$var wire 1 {id} {name} $end");
         }
         let _ = writeln!(out, "$upscope $end");
         let _ = writeln!(out, "$enddefinitions $end");
         // Merge all changes into a single time-ordered stream.
-        let mut events: Vec<(f64, char, Value)> = Vec::new();
-        for (name, id) in &ids {
-            for &(t, v) in self.waves[name].changes() {
-                events.push((t, *id, v));
-            }
+        let mut events: Vec<(f64, &str, Value)> = Vec::new();
+        for (wave, id) in self.waves.values().zip(&ids) {
+            events.extend(wave.changes().iter().map(|&(t, v)| (t, id.as_str(), v)));
         }
         events.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut last_time = f64::NEG_INFINITY;
@@ -179,9 +173,24 @@ impl WaveformSet {
     }
 }
 
+/// The VCD identifier of signal `index`: its base-94 digits over the
+/// printable ASCII range `!`..`~`, least significant first, so every index
+/// gets its own code.
+fn vcd_id(mut index: usize) -> String {
+    let mut id = String::new();
+    loop {
+        id.push(char::from(b'!' + (index % 94) as u8));
+        index /= 94;
+        if index == 0 {
+            return id;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn push_collapses_duplicates() {
@@ -231,6 +240,37 @@ mod tests {
         assert!(vcd.contains("$var wire 1"));
         assert!(vcd.contains("#10"));
         assert_eq!(set.iter().count(), 2);
+    }
+
+    #[test]
+    fn vcd_ids_stay_distinct_beyond_one_character() {
+        // Signal `sNNN` rises at NNN ps, so the body is one `#t` / `1<id>`
+        // pair per signal, in signal order.
+        let mut set = WaveformSet::new();
+        for i in 0..200 {
+            set.push(&format!("s{i:03}"), i as f64, Value::One);
+        }
+        let vcd = set.to_vcd("top");
+        // `$var wire 1 <id> <name> $end`, one per signal in name order.
+        let vars: Vec<Vec<&str>> = vcd
+            .lines()
+            .filter(|line| line.starts_with("$var"))
+            .map(|line| line.split(' ').collect())
+            .collect();
+        let ids: BTreeSet<&str> = vars.iter().map(|var| var[3]).collect();
+        assert_eq!(ids.len(), 200, "identifiers collide");
+        let body: Vec<&str> = vcd
+            .split("$enddefinitions $end\n")
+            .nth(1)
+            .unwrap()
+            .lines()
+            .collect();
+        assert_eq!(body.len(), 400);
+        for (i, (var, change)) in vars.iter().zip(body.chunks(2)).enumerate() {
+            assert_eq!(var[4], format!("s{i:03}"));
+            assert_eq!(change[0], format!("#{i}"));
+            assert_eq!(change[1], format!("1{}", var[3]));
+        }
     }
 
     #[test]

@@ -122,7 +122,7 @@ proptest! {
         let library = CellLibrary::generic_90nm();
         let stim = VectorSource::pseudo_random(vec![din], seed);
         let run = |cycles: usize| {
-            let mut tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
+            let tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
             tb.run(cycles, 4_000.0, &stim)
         };
         let a = run(cycles);
@@ -148,7 +148,7 @@ proptest! {
         netlist.mark_output(prev);
         let library = CellLibrary::generic_90nm();
         let stim = VectorSource::pseudo_random(vec![din], seed);
-        let mut tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
+        let tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
         let run = tb.run(cycles, 3_000.0, &stim);
         for s in 1..stages {
             let upstream = run.flow_trace.stream(&format!("r{}", s - 1)).unwrap();
@@ -171,11 +171,11 @@ proptest! {
         let library = CellLibrary::generic_90nm();
         let stim = VectorSource::constant(vec![]);
         let short = {
-            let mut tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
+            let tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
             tb.run(cycles, 4_000.0, &stim)
         };
         let long = {
-            let mut tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
+            let tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
             tb.run(cycles * 2, 4_000.0, &stim)
         };
         prop_assert!(long.activity.total_transitions() >= short.activity.total_transitions());

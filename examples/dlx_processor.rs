@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sta = Sta::new(&netlist, &library, TimingConfig::default());
     let sync_period = sta.clock_period();
     let stimulus = instruction_stream(&netlist);
-    let mut sync_tb = SyncTestbench::new(&netlist, &library, SimConfig::default())?;
+    let sync_tb = SyncTestbench::new(&netlist, &library, SimConfig::default())?;
     let sync_run = sync_tb.run(cycles, sync_period, &stimulus);
     let clock_tree = ClockTree::synthesize(
         netlist.num_flip_flops(),
