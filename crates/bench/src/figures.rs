@@ -11,8 +11,8 @@ use desync_core::controller::{initial_tokens, PairEvent, Protocol};
 use desync_core::{verify_flow_equivalence, ClusteringStrategy, DesyncFlow, DesyncOptions};
 use desync_mg::compose::{compose, same_structure};
 use desync_mg::{MarkedGraph, Stg};
-use desync_netlist::{CellKind, CellLibrary, Netlist};
-use desync_sim::{AsyncTestbench, SimConfig, VectorSource};
+use desync_netlist::{CellKind, CellLibrary, Netlist, Value};
+use desync_sim::{AsyncBench, SimConfig, VectorSource};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -285,7 +285,7 @@ pub fn figure3() -> Figure3 {
     let start_offset = design.synchronous_period_ps() + 1_000.0;
     let bundle = design.enable_schedule(10, start_offset);
     let latch_netlist = design.latch_netlist();
-    let mut tb = AsyncTestbench::new(latch_netlist, &library, SimConfig::default());
+    let mut tb = AsyncBench::<Value>::new(latch_netlist, &library, SimConfig::default());
     let enable_names: Vec<String> = design
         .latch_design()
         .cluster_enables
@@ -315,9 +315,7 @@ pub fn figure3() -> Figure3 {
         };
         let mut t = start;
         while t < end {
-            if wa.value_at(t) == desync_netlist::Value::One
-                && wb.value_at(t) == desync_netlist::Value::One
-            {
+            if wa.value_at(t) == Value::One && wb.value_at(t) == Value::One {
                 return true;
             }
             t += step / 4.0;

@@ -4,11 +4,11 @@
 use crate::workloads::{dlx_program, dlx_stimulus};
 use desync_circuits::DlxConfig;
 use desync_core::{DesyncFlow, DesyncOptions, FlowReport};
-use desync_netlist::CellLibrary;
+use desync_netlist::{CellLibrary, Value};
 use desync_power::{
     dynamic_power_mw, leakage_power_mw, AreaReport, ClockTree, ClockTreeConfig, PowerReport,
 };
-use desync_sim::{SimConfig, SyncTestbench};
+use desync_sim::{SimConfig, SyncBench};
 use desync_sta::{Sta, TimingConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -137,7 +137,7 @@ pub fn run_table1(config: Table1Config) -> Table1 {
     // ---- synchronous baseline -----------------------------------------
     let sta = Sta::new(&netlist, &library, TimingConfig::default());
     let sync_period = sta.clock_period();
-    let sync_tb = SyncTestbench::new(&netlist, &library, SimConfig::default())
+    let sync_tb = SyncBench::<Value>::new(&netlist, &library, SimConfig::default())
         .expect("DLX has a single clock");
     let sync_run = sync_tb.run(config.cycles, sync_period, &stimulus);
     let clock_tree = ClockTree::synthesize(

@@ -417,9 +417,8 @@ pub fn run_verify_hot() -> VerifyHotReport {
     let designs = sweep_designs();
     let requests = sweep_requests(&designs, &library);
 
-    // Serial baseline: one worker, one-worker sizing pool. Points execute
-    // in submission order, so the per-point sync-simulation attribution
-    // below is deterministic.
+    // Serial baseline: one worker. Points execute in submission order, so
+    // the per-point sync-simulation attribution below is deterministic.
     let serial_service =
         desync_core::DesyncService::with_engine(DesyncEngine::with_store_and_runtime(
             StoreConfig::default(),

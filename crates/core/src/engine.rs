@@ -33,13 +33,14 @@
 //!   long-running services, while the default engine is unbounded and
 //!   bit-identical to the historical per-stage maps (see the
 //!   [`store`](crate::store) module).
-//! * **The runtime** ([`DesyncRuntime`]) owns the persistent matched-delay
-//!   sizing pool. Every engine holds a runtime handle; engines (and the
-//!   [`DesyncService`](crate::DesyncService)) can share one explicitly.
+//! * **The runtime** ([`DesyncRuntime`]) carries the default request
+//!   concurrency of a [`DesyncService`](crate::DesyncService) built on the
+//!   engine. It spawns no threads: every stage, matched-delay sizing
+//!   included, runs on the thread that asks for it.
 //! * **Detached flows** ([`DesyncFlow::new`](crate::DesyncFlow::new)) own a
-//!   private unbounded store on [`DesyncRuntime::global`], so every flow
-//!   sources its artifacts through the same store path; a detached flow
-//!   simply shares them with nobody but itself.
+//!   private unbounded store, so every flow sources its artifacts through
+//!   the same store path; a detached flow simply shares them with nobody
+//!   but itself.
 //!
 //! ```
 //! use desync_core::{DesyncEngine, DesyncOptions, Stage};
@@ -80,12 +81,11 @@ use crate::store::{ArtifactStore, Fetched, StoreConfig, StoreKey, Weigh};
 use desync_lint::LintReport;
 use desync_netlist::{CellLibrary, Netlist};
 use desync_sim::{CompiledModel, PackedSimRun, SimConfig, SimRun};
-use desync_sta::SizingPool;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// Number of stages the engine caches (`Clustered` through `Controlled`).
@@ -269,14 +269,13 @@ pub(crate) struct EngineHandle<'a> {
 }
 
 impl<'a> EngineHandle<'a> {
-    /// A detached flow's private store: unbounded, one shard, on
-    /// [`DesyncRuntime::global`]. It only ever holds one netlist and one
-    /// library, so it keys them with fixed identities and never hashes or
-    /// clones the netlist.
+    /// A detached flow's private store: unbounded, one shard. It only ever
+    /// holds one netlist and one library, so it keys them with fixed
+    /// identities and never hashes or clones the netlist.
     pub(crate) fn private() -> Self {
         let engine = DesyncEngine::with_store_and_runtime(
             StoreConfig::unbounded().with_shards(1),
-            DesyncRuntime::global().clone(),
+            DesyncRuntime::with_workers(1),
         );
         Self {
             engine: EngineRef::Private(Arc::new(engine)),
@@ -353,11 +352,6 @@ impl<'a> EngineHandle<'a> {
         self.key(Facet::Lint)
     }
 
-    /// The persistent sizing pool of the store's runtime.
-    pub(crate) fn pool(&self) -> &SizingPool {
-        self.engine().runtime.pool()
-    }
-
     /// Fetches the artifact under `key`, computing it at most once across
     /// every racing flow on this store (see
     /// [`ArtifactStore::get_or_try_compute`]). The unwrap cannot fail
@@ -378,26 +372,15 @@ impl<'a> EngineHandle<'a> {
 
 // ---- the runtime --------------------------------------------------------
 
-/// The execution runtime of the desynchronization toolkit: an explicit,
-/// shareable handle on the persistent matched-delay [`SizingPool`].
+/// The execution settings of the desynchronization toolkit: the default
+/// request concurrency of a [`DesyncService`](crate::DesyncService).
 ///
 /// Every [`DesyncEngine`] owns a runtime (its own by default, or a shared
-/// one via [`DesyncEngine::with_runtime`]), and the
-/// [`DesyncService`](crate::DesyncService) derives its worker-concurrency
-/// bound from the same handle. Flows not attached to any engine draw from
-/// the process-wide [`DesyncRuntime::global`] runtime.
-///
-/// # Lifecycle
-///
-/// A runtime is a cheap clone (`Arc` inside). The pool's worker threads are
-/// spawned when the runtime is created and live until the **last** handle
-/// is dropped — so an explicitly created runtime cleans up with its owners,
-/// while the global runtime (spawned lazily on first use) lives for the
-/// rest of the process, which is exactly the old implicit behaviour made
-/// explicit and documented.
+/// one via [`DesyncEngine::with_runtime`]), and the service derives its
+/// worker-concurrency bound from it. A runtime spawns no threads.
 #[derive(Debug, Clone)]
 pub struct DesyncRuntime {
-    pool: Arc<SizingPool>,
+    workers: usize,
 }
 
 impl Default for DesyncRuntime {
@@ -407,7 +390,7 @@ impl Default for DesyncRuntime {
 }
 
 impl DesyncRuntime {
-    /// A runtime with one sizing worker per available CPU.
+    /// A runtime with one worker per available CPU.
     pub fn new() -> Self {
         Self::with_workers(default_workers())
     }
@@ -415,26 +398,14 @@ impl DesyncRuntime {
     /// A runtime with an explicit worker count (clamped to at least one).
     pub fn with_workers(workers: usize) -> Self {
         Self {
-            pool: Arc::new(SizingPool::new(workers)),
+            workers: workers.max(1),
         }
     }
 
-    /// The process-wide runtime used by flows that are not attached to an
-    /// engine, spawned lazily when the first such flow is created and alive
-    /// for the rest of the process.
-    pub fn global() -> &'static DesyncRuntime {
-        static GLOBAL: OnceLock<DesyncRuntime> = OnceLock::new();
-        GLOBAL.get_or_init(DesyncRuntime::new)
-    }
-
-    /// Number of sizing worker threads.
+    /// The worker count: the default concurrency of a service on this
+    /// runtime.
     pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// The underlying pool.
-    pub(crate) fn pool(&self) -> &SizingPool {
-        &self.pool
+        self.workers
     }
 }
 
@@ -452,7 +423,7 @@ struct InternState {
 }
 
 /// A cross-flow artifact cache (one weight-accounted [`ArtifactStore`])
-/// plus a [`DesyncRuntime`] handle for matched-delay sizing.
+/// plus a [`DesyncRuntime`] handle.
 ///
 /// See the [module documentation](self) for the caching model and an
 /// end-to-end example. An engine is `Sync`: many threads may drive flows
@@ -478,14 +449,14 @@ impl Default for DesyncEngine {
 }
 
 impl DesyncEngine {
-    /// Creates an unbounded engine whose own sizing pool has one worker per
+    /// Creates an unbounded engine whose own runtime has one worker per
     /// available CPU.
     pub fn new() -> Self {
         Self::with_store_and_runtime(StoreConfig::default(), DesyncRuntime::new())
     }
 
-    /// Creates an unbounded engine with an explicit sizing-pool size
-    /// (clamped to at least one worker).
+    /// Creates an unbounded engine with an explicit runtime worker count
+    /// (clamped to at least one).
     pub fn with_workers(workers: usize) -> Self {
         Self::with_store_and_runtime(StoreConfig::default(), DesyncRuntime::with_workers(workers))
     }
@@ -514,8 +485,7 @@ impl DesyncEngine {
     ///
     /// The flow behaves exactly like one from [`DesyncFlow::new`], except
     /// that its artifacts come from (and are published to) the engine's
-    /// shared store instead of a private one, and matched-delay sizing runs
-    /// on the engine runtime's persistent pool.
+    /// shared store instead of a private one.
     ///
     /// # Errors
     ///
@@ -650,15 +620,10 @@ impl DesyncEngine {
         self.store.inflight_len()
     }
 
-    /// The engine's runtime handle (clone it to share the sizing pool with
+    /// The engine's runtime handle (clone it to share the worker count with
     /// another engine or a [`DesyncService`](crate::DesyncService)).
     pub fn runtime(&self) -> &DesyncRuntime {
         &self.runtime
-    }
-
-    /// Number of worker threads in the runtime's sizing pool.
-    pub fn pool_workers(&self) -> usize {
-        self.runtime.workers()
     }
 
     /// The configured store capacity in [`Weigh`] units (`None` =
@@ -688,7 +653,6 @@ impl DesyncEngine {
         EngineReport {
             netlists,
             libraries,
-            pool_workers: self.runtime.workers(),
             capacity: stats.capacity,
             resident_weight: stats.resident_weight(),
             store_coalesced: stats.total_coalesced(),
@@ -761,8 +725,6 @@ pub struct EngineReport {
     pub netlists: usize,
     /// Distinct cell libraries interned so far.
     pub libraries: usize,
-    /// Worker threads in the runtime's sizing pool.
-    pub pool_workers: usize,
     /// Configured store capacity in [`Weigh`] units (`None` = unbounded).
     pub capacity: Option<usize>,
     /// Resident weight across every cached artifact (stages, sync runs,
@@ -862,9 +824,8 @@ impl fmt::Display for EngineReport {
         };
         writeln!(
             f,
-            "desync engine: {} netlist(s), {} library(ies), {} sizing worker(s), \
-             store {} / {} weight resident",
-            self.netlists, self.libraries, self.pool_workers, self.resident_weight, capacity
+            "desync engine: {} netlist(s), {} library(ies), store {} / {} weight resident",
+            self.netlists, self.libraries, self.resident_weight, capacity
         )?;
         writeln!(
             f,
@@ -961,14 +922,8 @@ mod tests {
         let runtime = DesyncRuntime::with_workers(2);
         let a = DesyncEngine::with_runtime(runtime.clone());
         let b = DesyncEngine::with_runtime(runtime.clone());
-        assert_eq!(a.pool_workers(), 2);
-        assert_eq!(b.pool_workers(), 2);
-        // Both engines draw from the very same pool.
-        assert!(Arc::ptr_eq(&a.runtime.pool, &b.runtime.pool));
-        assert!(Arc::ptr_eq(
-            &DesyncRuntime::global().pool,
-            &DesyncRuntime::global().pool
-        ));
+        assert_eq!(a.runtime().workers(), 2);
+        assert_eq!(b.runtime().workers(), 2);
     }
 
     #[test]

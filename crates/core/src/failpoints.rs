@@ -38,12 +38,11 @@
 //! | `stage::controlled` | Controlled-stage compute | panic, error, delay |
 //! | `sim::commit` | After equivalence simulation, before the verified report is committed | panic, error, delay |
 //! | `store::insert` | [`ArtifactStore::insert`](crate::store::ArtifactStore::insert) publication | panic (error escalates to panic), delay |
-//! | `pool::dispatch` | Inside a sizing-pool task, on the worker thread | panic (error escalates to panic), delay |
 //!
-//! `store::insert` and `pool::dispatch` are *unit* sites — they sit on
-//! paths with no `Result` channel, so an `Error` action escalates to a
-//! panic there (which the containment machinery must still turn into a
-//! typed per-request outcome; that is the point of injecting it).
+//! `store::insert` is a *unit* site — it sits on a path with no `Result`
+//! channel, so an `Error` action escalates to a panic there (which the
+//! containment machinery must still turn into a typed per-request outcome;
+//! that is the point of injecting it).
 //!
 //! # Feature gating
 //!
@@ -122,16 +121,15 @@ mod imp {
     }
 
     /// The failpoint sites that accept a full action set (used by seeded
-    /// campaigns; the unit sites `store::insert` / `pool::dispatch` are
-    /// included — their `Error` draws escalate to panics by design).
-    pub const SITES: [&str; 7] = [
+    /// campaigns; the unit site `store::insert` is included — its `Error`
+    /// draws escalate to panics by design).
+    pub const SITES: [&str; 6] = [
         "stage::clustered",
         "stage::latched",
         "stage::timed",
         "stage::controlled",
         "sim::commit",
         "store::insert",
-        "pool::dispatch",
     ];
 
     impl FaultPlan {
@@ -278,8 +276,7 @@ mod imp {
     }
 
     /// The tag of the request this thread is currently executing (0 when
-    /// outside request context). Capture it when building closures that hop
-    /// threads (sizing-pool tasks) and replay it via [`hit_in_pool`].
+    /// outside request context).
     pub fn current_tag() -> u64 {
         CURRENT_TAG.with(|t| t.get())
     }
@@ -307,13 +304,7 @@ mod imp {
     /// Evaluates the failpoint `site` under the current thread's tag.
     /// Result-channel sites call this and propagate the error.
     pub fn hit(site: &'static str) -> Result<(), DesyncError> {
-        hit_for_tag(site, current_tag())
-    }
-
-    /// Evaluates `site` under an explicit `tag` (for closures that captured
-    /// the tag before hopping threads).
-    pub fn hit_for_tag(site: &'static str, tag: u64) -> Result<(), DesyncError> {
-        match matching_action(site, tag) {
+        match matching_action(site, current_tag()) {
             Some(FaultAction::Panic) => panic!("injected panic at failpoint '{site}'"),
             Some(FaultAction::Error) => Err(DesyncError::FaultInjected { site }),
             Some(FaultAction::Delay) => {
@@ -327,12 +318,7 @@ mod imp {
     /// Evaluates a *unit* failpoint (no error channel): `Error` escalates
     /// to a panic, like `Panic`.
     pub fn hit_unit(site: &'static str) {
-        hit_unit_for_tag(site, current_tag());
-    }
-
-    /// [`hit_unit`] under an explicit captured tag.
-    pub fn hit_unit_for_tag(site: &'static str, tag: u64) {
-        match matching_action(site, tag) {
+        match matching_action(site, current_tag()) {
             Some(FaultAction::Panic) | Some(FaultAction::Error) => {
                 panic!("injected panic at failpoint '{site}'")
             }
@@ -340,18 +326,11 @@ mod imp {
             None => {}
         }
     }
-
-    /// Evaluates `pool::dispatch`-style sites on a pool worker thread with
-    /// the tag captured at closure-build time.
-    pub fn hit_in_pool(site: &'static str, tag: u64) {
-        hit_unit_for_tag(site, tag);
-    }
 }
 
 #[cfg(feature = "failpoints")]
 pub use imp::{
-    current_tag, hit, hit_for_tag, hit_in_pool, hit_unit, hit_unit_for_tag, with_tag, FaultEntry,
-    FaultPlan, FaultScope, FireCount, SITES,
+    current_tag, hit, hit_unit, with_tag, FaultEntry, FaultPlan, FaultScope, FireCount, SITES,
 };
 
 #[cfg(not(feature = "failpoints"))]
@@ -364,23 +343,9 @@ mod noop {
         Ok(())
     }
 
-    /// No-op failpoint evaluation under an explicit tag.
-    #[inline(always)]
-    pub fn hit_for_tag(_site: &'static str, _tag: u64) -> Result<(), DesyncError> {
-        Ok(())
-    }
-
     /// No-op unit failpoint evaluation.
     #[inline(always)]
     pub fn hit_unit(_site: &'static str) {}
-
-    /// No-op unit failpoint evaluation under an explicit tag.
-    #[inline(always)]
-    pub fn hit_unit_for_tag(_site: &'static str, _tag: u64) {}
-
-    /// No-op pool-thread failpoint evaluation.
-    #[inline(always)]
-    pub fn hit_in_pool(_site: &'static str, _tag: u64) {}
 
     /// The ambient request tag is always 0 with the feature off.
     #[inline(always)]
@@ -396,7 +361,7 @@ mod noop {
 }
 
 #[cfg(not(feature = "failpoints"))]
-pub use noop::{current_tag, hit, hit_for_tag, hit_in_pool, hit_unit, hit_unit_for_tag, with_tag};
+pub use noop::{current_tag, hit, hit_unit, with_tag};
 
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {
@@ -446,21 +411,6 @@ mod tests {
         let err = std::panic::catch_unwind(|| hit_unit("store::insert")).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("store::insert"), "{msg}");
-    }
-
-    #[test]
-    fn tags_capture_and_replay_across_threads() {
-        let _scope = FaultScope::install(FaultPlan::new().with_fault(
-            "pool::dispatch",
-            11,
-            FaultAction::Error,
-        ));
-        let tag = with_tag(11, current_tag);
-        assert_eq!(tag, 11);
-        let handle = std::thread::spawn(move || {
-            std::panic::catch_unwind(|| hit_in_pool("pool::dispatch", tag)).is_err()
-        });
-        assert!(handle.join().unwrap(), "captured tag must fire remotely");
     }
 
     #[test]

@@ -52,10 +52,9 @@
 //! weight counters in the [`EngineReport`]. The default engine is
 //! unbounded and bit-identical to the historical per-stage maps.
 //!
-//! Matched-delay sizing runs on the persistent pool of a
-//! [`DesyncRuntime`] — an explicit, shareable handle. A detached flow
-//! ([`DesyncFlow::new`]) owns a private unbounded store on
-//! [`DesyncRuntime::global`], so it sources its artifacts exactly like an
+//! Matched-delay sizing walks each source cluster's forward cone on the
+//! calling thread. A detached flow ([`DesyncFlow::new`]) owns a private
+//! unbounded store, so it sources its artifacts exactly like an
 //! engine-attached one.
 //!
 //! # The store and the engine, continued: simulation artifacts
@@ -154,7 +153,7 @@ pub use pipeline::{
 };
 pub use service::{
     BatchKind, BatchOutcome, BatchReport, CampaignOutcome, CampaignRequest, DesyncService,
-    ServiceOutcome, ServiceRequest, SweepOutcome, SweepRequest, VerifyRequest,
+    ServiceRequest, SweepRequest, VerifyRequest,
 };
 pub use soak::{
     run_soak, SoakConfig, SoakEvent, SoakKind, SoakReport, SoakResolution, TrafficRecording,

@@ -34,7 +34,6 @@ pub enum ClusteringStrategy {
 /// | `clustering` | `Clustered` |
 /// | `timing`, `matched_delay_margin` | `Timed` |
 /// | `protocol`, `controller_delay_ps`, `environment` | `Controlled` |
-/// | `parallel_sizing` | none (results are bit-identical either way) |
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DesyncOptions {
     /// Handshake protocol implemented by the controllers.
@@ -51,11 +50,6 @@ pub struct DesyncOptions {
     /// Required for meaningful flow-equivalence checks against a clocked
     /// reference; disable it only to inspect the bare circuit model.
     pub environment: bool,
-    /// Whether matched-delay sizing fans out across worker threads (one
-    /// chunk of source clusters per thread). The result is bit-identical to
-    /// the serial path — every cluster edge is sized independently — so this
-    /// is purely a wall-time knob.
-    pub parallel_sizing: bool,
     /// Timing parameters shared with the static timing analyzer.
     pub timing: TimingConfig,
 }
@@ -68,7 +62,6 @@ impl Default for DesyncOptions {
             matched_delay_margin: 0.05,
             controller_delay_ps: 120.0,
             environment: true,
-            parallel_sizing: true,
             timing: TimingConfig::default(),
         }
     }
@@ -106,13 +99,6 @@ impl DesyncOptions {
         self
     }
 
-    /// Returns a copy with parallel matched-delay sizing enabled or
-    /// disabled.
-    pub fn with_parallel_sizing(mut self, parallel: bool) -> Self {
-        self.parallel_sizing = parallel;
-        self
-    }
-
     /// Returns a copy with different timing parameters.
     pub fn with_timing(mut self, timing: TimingConfig) -> Self {
         self.timing = timing;
@@ -136,17 +122,14 @@ impl DesyncOptions {
     pub(crate) fn stage_prefix(&self, stage: Stage) -> StagePrefix {
         // Exhaustive destructuring (no `..`) of both the option set and the
         // timing sub-struct: adding a knob to either is a compile error here
-        // until it is explicitly classified into a stage prefix (or, like
-        // `parallel_sizing`, deliberately excluded because no stage consumes
-        // it) — a new knob can never silently fall out of the cache keys /
-        // invalidation.
+        // until it is explicitly classified into a stage prefix — a new knob
+        // can never silently fall out of the cache keys / invalidation.
         let DesyncOptions {
             protocol,
             clustering,
             matched_delay_margin,
             controller_delay_ps,
             environment,
-            parallel_sizing: _,
             timing,
         } = *self;
         let mut prefix = StagePrefix {
@@ -270,7 +253,6 @@ mod tests {
         assert!(o.matched_delay_margin > 0.0 && o.matched_delay_margin < 0.5);
         assert!(o.controller_delay_ps > 0.0);
         assert!(o.environment);
-        assert!(o.parallel_sizing);
         assert!(o.validate().is_ok());
     }
 
@@ -280,24 +262,17 @@ mod tests {
             .with_protocol(Protocol::NonOverlapping)
             .with_clustering(ClusteringStrategy::PerRegister)
             .with_margin(0.2)
-            .with_controller_delay_ps(90.0)
-            .with_parallel_sizing(false);
+            .with_controller_delay_ps(90.0);
         assert_eq!(o.protocol, Protocol::NonOverlapping);
         assert_eq!(o.clustering, ClusteringStrategy::PerRegister);
         assert_eq!(o.matched_delay_margin, 0.2);
         assert_eq!(o.controller_delay_ps, 90.0);
-        assert!(!o.parallel_sizing);
         assert!(o.validate().is_ok());
     }
 
     #[test]
     fn stage_prefixes_track_exactly_the_consumed_knobs() {
         let base = DesyncOptions::default();
-        // The parallelism knob is consumed by no stage.
-        let toggled = base.with_parallel_sizing(!base.parallel_sizing);
-        for stage in Stage::ALL {
-            assert_eq!(base.stage_prefix(stage), toggled.stage_prefix(stage));
-        }
         // A protocol change is invisible before `Controlled`.
         let proto = base.with_protocol(Protocol::NonOverlapping);
         for stage in [Stage::Clustered, Stage::Latched, Stage::Timed] {

@@ -17,10 +17,8 @@
 //! ([`DesyncFlow::set_protocol`], [`DesyncFlow::set_margin`], …) drops only
 //! the artifacts the change invalidates, so a protocol sweep re-runs
 //! controller synthesis per protocol while clustering, latch conversion and
-//! delay sizing are computed once. Matched-delay sizing — the hot path on
-//! large cluster graphs — fans out across worker threads; the result is
-//! bit-identical to the serial path because every cluster edge is sized
-//! independently.
+//! delay sizing are computed once. Matched-delay sizing walks only each
+//! source cluster's forward cone, so it runs on the calling thread.
 //!
 //! [`DesyncFlow::report`] returns a [`FlowReport`] with per-stage run counts
 //! and wall times, which the bench crate uses to attribute cost to stages.
@@ -41,9 +39,9 @@ use crate::verify::{
     EquivalenceReport, MultiSeedReport,
 };
 use desync_lint::{lint_design, LintReport};
-use desync_netlist::{CellLibrary, NetId, Netlist, NetlistError};
+use desync_netlist::{CellLibrary, Netlist, NetlistError};
 use desync_sim::{CompiledModel, PackedVectorSource, SimRun, VectorSource};
-use desync_sta::{MatchedDelay, SizingPool, Sta, StaSnapshot, TimingConfig};
+use desync_sta::{ConeArrivals, MatchedDelay, Sta, TimingConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -392,9 +390,8 @@ impl<'a> DesyncFlow<'a> {
 
     /// Creates a flow attached to a [`DesyncEngine`]: every artifact comes
     /// from the engine's cross-flow store (published there on a miss)
-    /// instead of a private one, and matched-delay sizing runs on the
-    /// engine's persistent worker pool. [`DesyncEngine::flow`] is the
-    /// ergonomic spelling of the same call.
+    /// instead of a private one. [`DesyncEngine::flow`] is the ergonomic
+    /// spelling of the same call.
     ///
     /// The produced artifacts and [`DesyncDesign`] are identical to a
     /// detached flow's — the engine only changes *where* they come from.
@@ -477,12 +474,6 @@ impl<'a> DesyncFlow<'a> {
         options.validate()?;
         if let Some(stage) = earliest_invalidated(&self.options, &options) {
             self.invalidate_from(stage);
-        } else if options != self.options {
-            // No stage consumes the changed knobs (parallel_sizing), but the
-            // assembled design embeds the option set verbatim — drop only
-            // the assembly so design() reports the current knobs. All stage
-            // artifacts survive; reassembly is a handful of clones.
-            self.assembled = None;
         }
         self.options = options;
         Ok(self)
@@ -725,17 +716,13 @@ impl<'a> DesyncFlow<'a> {
             self.latched()?;
             let (netlist, library, options) = (self.netlist, self.library, self.options);
             let clusters = Arc::clone(self.clustered.as_ref().expect("clustered stage ran"));
-            // Parallel sizing runs on the persistent pool of the store's
-            // runtime (the process-wide one for detached flows).
-            let parallel = options.parallel_sizing && clusters.len() > 1;
             let engine = self.engine.clone();
             let mut rebound = false;
             let table = self.fetch_stage(Stage::Timed, "stage::timed", || {
                 let key = engine.sizing_key(options.sizing_analysis_prefix());
                 let (analysis, how) = engine.fetch(key, || {
-                    let pool = parallel.then(|| engine.pool());
                     Ok(Arc::new(compute_sizing_analysis(
-                        netlist, library, &clusters, &options, pool,
+                        netlist, library, &clusters, &options,
                     )))
                 })?;
                 rebound = how.served();
@@ -1119,109 +1106,6 @@ fn earliest_invalidated(old: &DesyncOptions, new: &DesyncOptions) -> Option<Stag
 
 // ---- Stage::Timed ------------------------------------------------------
 
-/// One matched-delay sizing job: a source cluster with at least one
-/// successor. Fully owned (no borrows of the netlist or analyzer), so jobs
-/// can be moved onto the persistent pool's long-lived worker threads. The
-/// serial path runs the very same jobs in source order, so there is exactly
-/// one sizing implementation to keep correct.
-struct SourceSizingJob {
-    src_idx: usize,
-    /// Output nets of the source cluster's registers, in register order.
-    src_outputs: Vec<NetId>,
-    /// Launch overhead shared by every outgoing edge of the source.
-    launch_ps: f64,
-    /// Per successor cluster: its index and the data nets of its registers,
-    /// in register order (the same order the serial path folds over).
-    targets: Vec<(usize, Vec<NetId>)>,
-}
-
-/// Builds one [`SourceSizingJob`] per source cluster with successors.
-fn build_sizing_jobs(
-    netlist: &Netlist,
-    clusters: &ClusterGraph,
-    fanout: &[usize],
-    options: &DesyncOptions,
-) -> Vec<SourceSizingJob> {
-    (0..clusters.len())
-        .filter_map(|src_idx| {
-            let targets: Vec<(usize, Vec<NetId>)> = clusters
-                .edges
-                .iter()
-                .filter(|e| e.from == src_idx)
-                .map(|e| {
-                    let dst = &clusters.clusters[e.to];
-                    let data_nets = dst
-                        .registers
-                        .iter()
-                        .filter_map(|&reg| netlist.cell(reg).data_net())
-                        .collect();
-                    (e.to, data_nets)
-                })
-                .collect();
-            if targets.is_empty() {
-                return None;
-            }
-            let src = &clusters.clusters[src_idx];
-            let src_outputs: Vec<NetId> = src
-                .registers
-                .iter()
-                .map(|&r| netlist.cell(r).output)
-                .collect();
-            // Launch overhead: the time from the source slave latch opening
-            // until its output carries the forwarded data item. In the worst
-            // case the master latch captured its data right at its closing
-            // edge, so the item still has to traverse the master latch (one
-            // latch delay plus the wire to the slave) and then the slave
-            // latch itself (one latch delay plus the wire load of its
-            // possibly high fan-out output net).
-            let max_fanout = src_outputs
-                .iter()
-                .map(|n| fanout[n.index()])
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            let launch_ps = 2.0 * options.timing.latch_d_to_q_ps
-                + options.timing.wire_delay_per_fanout_ps * (1 + max_fanout) as f64;
-            Some(SourceSizingJob {
-                src_idx,
-                src_outputs,
-                launch_ps,
-                targets,
-            })
-        })
-        .collect()
-}
-
-/// Executes one sizing job against an owned arrival snapshot, producing the
-/// worst-case combinational arrival per outgoing edge (margin-free — the
-/// margin is applied later by [`bind_timing`]).
-///
-/// Both the serial and the pooled path run this exact function;
-/// [`StaSnapshot::arrival_from`] replays [`Sta::arrival_from`] bit-for-bit
-/// (asserted by a test in `desync-sta`), so scheduling cannot change a
-/// single bit of the result.
-fn run_sizing_job(snapshot: &StaSnapshot, job: &SourceSizingJob) -> Vec<AnalyzedEdge> {
-    let arrival = snapshot.arrival_from(&job.src_outputs);
-    job.targets
-        .iter()
-        .map(|(dst_idx, data_nets)| {
-            let mut worst = 0.0_f64;
-            for net in data_nets {
-                if let Some(a) = arrival[net.index()] {
-                    worst = worst.max(a);
-                }
-            }
-            ((job.src_idx, *dst_idx), worst, job.launch_ps)
-        })
-        .collect()
-}
-
-/// One analyzed cluster edge: `((from, to), worst arrival, launch
-/// overhead)`.
-type AnalyzedEdge = ((usize, usize), f64, f64);
-/// A sizing task handed to the persistent pool.
-type SizingTask = Box<dyn FnOnce() -> Vec<AnalyzedEdge> + Send>;
-
 /// The margin-independent half of [`Stage::Timed`]: the results of every
 /// arrival-time propagation the stage needs, each edge and environment arc
 /// carried as a **zero-margin matched delay** — the chain sized to cover
@@ -1243,7 +1127,7 @@ pub struct SizingAnalysis {
     /// Zero-margin matched delay per cluster edge `(from, to)` (its
     /// `combinational_ps` is the edge's worst arrival).
     pub edge_base: HashMap<(usize, usize), MatchedDelay>,
-    /// Launch overhead per cluster edge (see `SourceSizingJob`), ps.
+    /// Launch overhead per cluster edge (see `compute_sizing_analysis`), ps.
     pub launch_overhead_ps: HashMap<(usize, usize), f64>,
     /// Zero-margin matched delay of the primary-input → register-data path
     /// per input-fed cluster.
@@ -1263,65 +1147,81 @@ impl crate::store::Weigh for SizingAnalysis {
     }
 }
 
-/// Runs every arrival-time propagation of [`Stage::Timed`]: STA, one
-/// per-source-cluster job (optionally fanned out over the persistent
-/// sizing pool — bit-identical either way, every edge is independent) and
-/// the environment arcs. The result is margin-free; see [`bind_timing`].
+/// Runs every arrival-time propagation of [`Stage::Timed`] on the calling
+/// thread: STA for the clock period, one forward-cone walk per source
+/// cluster (serving both its outgoing edges and its output environment
+/// arc) and one full walk from the primary inputs. The result is
+/// margin-free; see [`bind_timing`].
 fn compute_sizing_analysis(
     netlist: &Netlist,
     library: &CellLibrary,
     clusters: &ClusterGraph,
     options: &DesyncOptions,
-    pool: Option<&SizingPool>,
 ) -> SizingAnalysis {
     let sta = Sta::new(netlist, library, options.timing);
     let sync_clock_period_ps = sta.clock_period();
     let fanout = netlist.fanout_map();
+    let mut successors = vec![Vec::new(); clusters.len()];
+    for edge in &clusters.edges {
+        successors[edge.from].push(edge.to);
+    }
 
-    let jobs = build_sizing_jobs(netlist, clusters, &fanout, options);
-    let snapshot = sta.snapshot();
-    let analyzed: Vec<AnalyzedEdge> = match pool {
-        Some(pool) => {
-            // Fan the per-source jobs out over the persistent worker pool.
-            // The jobs own their inputs (an arrival snapshot plus per-source
-            // net lists) and every edge is analyzed independently, so the
-            // merged result is bit-identical regardless of scheduling.
-            let snapshot = Arc::new(snapshot);
-            // Pool tasks hop threads: capture the request tag here so the
-            // dispatch failpoint still matches on the worker thread.
-            let tag = failpoints::current_tag();
-            let tasks: Vec<SizingTask> = jobs
-                .into_iter()
-                .map(|job| {
-                    let snapshot = Arc::clone(&snapshot);
-                    Box::new(move || {
-                        failpoints::hit_in_pool("pool::dispatch", tag);
-                        run_sizing_job(&snapshot, &job)
-                    }) as SizingTask
-                })
-                .collect();
-            pool.run(tasks).into_iter().flatten().collect()
+    let mut edge_base = HashMap::with_capacity(clusters.edges.len());
+    let mut launch_overhead_ps = HashMap::with_capacity(clusters.edges.len());
+    let mut env_output_base = HashMap::new();
+    let mut cone = ConeArrivals::default();
+    let mut src_outputs = Vec::new();
+    for (src_idx, src) in clusters.clusters.iter().enumerate() {
+        let targets = &successors[src_idx];
+        let feeds_output = clusters.output_feeding[src_idx];
+        if targets.is_empty() && !feeds_output {
+            continue;
         }
-        None => jobs
+        src_outputs.clear();
+        src_outputs.extend(src.registers.iter().map(|&r| netlist.cell(r).output));
+        sta.cone_arrival_from(&src_outputs, &mut cone);
+        // Launch overhead: the time from the source slave latch opening
+        // until its output carries the forwarded data item. In the worst
+        // case the master latch captured its data right at its closing
+        // edge, so the item still has to traverse the master latch (one
+        // latch delay plus the wire to the slave) and then the slave latch
+        // itself (one latch delay plus the wire load of its possibly high
+        // fan-out output net).
+        let max_fanout = src_outputs
             .iter()
-            .flat_map(|job| run_sizing_job(&snapshot, job))
-            .collect(),
-    };
-
-    let mut edge_base = HashMap::with_capacity(analyzed.len());
-    let mut launch_overhead_ps = HashMap::with_capacity(analyzed.len());
-    for (edge, worst, launch) in analyzed {
-        edge_base.insert(edge, MatchedDelay::for_delay(worst, 0.0, library));
-        launch_overhead_ps.insert(edge, launch);
+            .map(|n| fanout[n.index()])
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        let launch_ps = 2.0 * options.timing.latch_d_to_q_ps
+            + options.timing.wire_delay_per_fanout_ps * (1 + max_fanout) as f64;
+        for &dst_idx in targets {
+            let mut worst = 0.0_f64;
+            for &reg in &clusters.clusters[dst_idx].registers {
+                if let Some(a) = netlist.cell(reg).data_net().and_then(|d| cone.get(d)) {
+                    worst = worst.max(a);
+                }
+            }
+            let edge = (src_idx, dst_idx);
+            edge_base.insert(edge, MatchedDelay::for_delay(worst, 0.0, library));
+            launch_overhead_ps.insert(edge, launch_ps);
+        }
+        if feeds_output {
+            let worst = netlist
+                .outputs()
+                .iter()
+                .filter_map(|&o| cone.get(o))
+                .fold(0.0, f64::max);
+            env_output_base.insert(src_idx, MatchedDelay::for_delay(worst, 0.0, library));
+        }
     }
 
     // Environment arcs (the paper's auxiliary arcs): the worst arrival for
     // data travelling from the primary inputs into each input-fed cluster,
-    // and from each output-feeding cluster to the primary outputs. Computed
-    // unconditionally so toggling `options.environment` (consumed at the
-    // Controlled transition) never invalidates this stage.
+    // and (above) from each output-feeding cluster to the primary outputs.
+    // Computed unconditionally so toggling `options.environment` (consumed
+    // at the Controlled transition) never invalidates this stage.
     let mut env_input_base = HashMap::new();
-    let mut env_output_base = HashMap::new();
     let input_arrival = sta.arrival_from(netlist.inputs());
     for (idx, cluster) in clusters.clusters.iter().enumerate() {
         if !clusters.input_fed[idx] {
@@ -1336,23 +1236,6 @@ fn compute_sizing_analysis(
             }
         }
         env_input_base.insert(idx, MatchedDelay::for_delay(worst, 0.0, library));
-    }
-    for (idx, cluster) in clusters.clusters.iter().enumerate() {
-        if !clusters.output_feeding[idx] {
-            continue;
-        }
-        let outputs: Vec<_> = cluster
-            .registers
-            .iter()
-            .map(|&r| netlist.cell(r).output)
-            .collect();
-        let arrival = sta.arrival_from(&outputs);
-        let worst = netlist
-            .outputs()
-            .iter()
-            .filter_map(|&o| arrival[o.index()])
-            .fold(0.0, f64::max);
-        env_output_base.insert(idx, MatchedDelay::for_delay(worst, 0.0, library));
     }
 
     SizingAnalysis {
@@ -1601,12 +1484,6 @@ mod tests {
         let same = *flow.options();
         flow.set_options(same).unwrap();
         assert_eq!(flow.computed_through(), Some(Stage::Controlled));
-        // Toggling only the parallelism knob invalidates nothing either...
-        flow.set_options(same.with_parallel_sizing(false)).unwrap();
-        assert_eq!(flow.computed_through(), Some(Stage::Controlled));
-        // ...but the assembled design must still report the current knobs
-        // (regression: it used to keep the pre-change option set).
-        assert!(!flow.design().unwrap().options().parallel_sizing);
         assert_eq!(flow.stage_runs(Stage::Controlled), 1);
     }
 
@@ -1628,33 +1505,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(resumed, fresh);
-    }
-
-    #[test]
-    fn parallel_and_serial_sizing_agree() {
-        let n = pipeline3();
-        let library = lib();
-        let mut parallel = DesyncFlow::new(
-            &n,
-            &library,
-            DesyncOptions::default().with_parallel_sizing(true),
-        )
-        .unwrap();
-        let mut serial = DesyncFlow::new(
-            &n,
-            &library,
-            DesyncOptions::default().with_parallel_sizing(false),
-        )
-        .unwrap();
-        assert_eq!(parallel.timed().unwrap(), serial.timed().unwrap());
-        // The assembled designs agree on every artifact (the stored options
-        // necessarily differ in the parallelism knob itself).
-        let p = parallel.design().unwrap();
-        let s = serial.design().unwrap();
-        assert_eq!(p.matched_delays(), s.matched_delays());
-        assert_eq!(p.overhead_netlist(), s.overhead_netlist());
-        assert_eq!(p.control_model(), s.control_model());
-        assert_eq!(p.cycle_time_ps(), s.cycle_time_ps());
     }
 
     #[test]
@@ -1856,17 +1706,6 @@ mod tests {
         assert_eq!(other.cache_hits(Stage::Controlled), 0);
         assert_eq!(other.stage_runs(Stage::Controlled), 1);
 
-        // The parallelism knob is not part of any cache key.
-        let mut serial_knob = engine
-            .flow(
-                &n,
-                &library,
-                DesyncOptions::default().with_parallel_sizing(false),
-            )
-            .unwrap();
-        serial_knob.controlled().unwrap();
-        assert_eq!(serial_knob.cache_hits(Stage::Controlled), 1);
-
         // A structurally different netlist misses everywhere.
         let mut m = pipeline3();
         m.set_name("other");
@@ -1909,28 +1748,6 @@ mod tests {
             .design()
             .unwrap();
         assert_eq!(later_design, fresh);
-    }
-
-    #[test]
-    fn engine_pool_sizing_is_bit_identical_to_serial() {
-        let n = pipeline3();
-        let library = lib();
-        let engine = crate::engine::DesyncEngine::with_workers(3);
-        assert_eq!(engine.pool_workers(), 3);
-        let mut pooled = engine
-            .flow(
-                &n,
-                &library,
-                DesyncOptions::default().with_parallel_sizing(true),
-            )
-            .unwrap();
-        let mut serial = DesyncFlow::new(
-            &n,
-            &library,
-            DesyncOptions::default().with_parallel_sizing(false),
-        )
-        .unwrap();
-        assert_eq!(pooled.timed().unwrap(), serial.timed().unwrap());
     }
 
     #[test]

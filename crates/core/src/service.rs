@@ -40,9 +40,8 @@
 //!   blocks briefly and is served — artifacts are computed exactly once
 //!   per batch, never redundantly,
 //! * **bounded worker concurrency** — request groups execute on at most
-//!   [`DesyncService::concurrency`] threads, a bound derived from the
-//!   engine's [`DesyncRuntime`](crate::DesyncRuntime) so one handle sizes both the request
-//!   workers and the matched-delay sizing pool they fan into,
+//!   [`DesyncService::concurrency`] threads, a bound that defaults to the
+//!   worker count of the engine's [`DesyncRuntime`](crate::DesyncRuntime),
 //! * **deterministic merging** — results come back **in request order**,
 //!   regardless of scheduling, and
 //! * **per-batch reports** — the engine's cache-hit, eviction, reuse and
@@ -372,7 +371,7 @@ impl Default for DesyncService {
 
 impl DesyncService {
     /// A service over a fresh unbounded engine, with request concurrency
-    /// equal to the runtime's sizing-worker count.
+    /// equal to the runtime's worker count.
     pub fn new() -> Self {
         Self::with_engine(DesyncEngine::new())
     }
@@ -421,7 +420,7 @@ impl DesyncService {
     ///
     /// Per-request errors (invalid options, unsupported netlists) land in
     /// that request's result slot; they fail the request, never the batch.
-    pub fn run_batch(&self, requests: &[ServiceRequest<'_>]) -> ServiceOutcome {
+    pub fn run_batch(&self, requests: &[ServiceRequest<'_>]) -> BatchOutcome<DesyncDesign> {
         self.run(requests, |design| design)
     }
 
@@ -440,7 +439,7 @@ impl DesyncService {
     /// Per-point errors (invalid options, missing stimulus, unsupported
     /// netlists) land in that point's result slot; they fail the point,
     /// never the sweep.
-    pub fn run_sweep(&self, requests: &[SweepRequest<'_>]) -> SweepOutcome {
+    pub fn run_sweep(&self, requests: &[SweepRequest<'_>]) -> BatchOutcome<EquivalenceReport> {
         self.run(requests, |report| report)
     }
 
@@ -589,12 +588,6 @@ pub struct BatchOutcome<T> {
     /// The batch statistics.
     pub report: BatchReport,
 }
-
-/// Everything [`DesyncService::run_batch`] produces.
-pub type ServiceOutcome = BatchOutcome<DesyncDesign>;
-
-/// Everything [`DesyncService::run_sweep`] produces.
-pub type SweepOutcome = BatchOutcome<EquivalenceReport>;
 
 /// Everything [`DesyncService::run_campaign`] produces.
 #[derive(Debug)]

@@ -3,11 +3,13 @@
 //! the regression gate for the interned-symbol hot paths (`net_index` /
 //! `cell_index` keyed by `Symbol`, per-base duplicate-name counters) — with
 //! string-keyed maps or quadratic name probing this test times out instead
-//! of finishing in seconds.
+//! of finishing in seconds. On the same fabric, a work-counter gate pins the
+//! matched-delay sizing walk to each source cluster's forward cone.
 
 use desync_core::{ClusterGraph, ClusteringStrategy};
 use desync_netlist::edif::{from_edif, to_edif};
-use desync_netlist::{CellKind, Netlist};
+use desync_netlist::{CellKind, CellLibrary, Netlist};
+use desync_sta::{ConeArrivals, Sta, TimingConfig};
 use std::time::Instant;
 
 const CHAINS: usize = 400;
@@ -62,6 +64,22 @@ fn hundred_thousand_cell_fabric_roundtrips_and_clusters() {
         .clusters
         .iter()
         .all(|c| c.registers.len() == STAGES));
+
+    // Work counters, not seconds: a walk from one chain's register outputs
+    // visits only that chain's NANDs after its first stage, while `stir`
+    // reaches every NAND of the fabric.
+    let library = CellLibrary::generic_90nm();
+    let sta = Sta::new(&back, &library, TimingConfig::default());
+    let mut cone = ConeArrivals::default();
+    let chain: Vec<_> = clusters.clusters[0]
+        .registers
+        .iter()
+        .map(|&r| back.cell(r).output)
+        .collect();
+    sta.cone_arrival_from(&chain, &mut cone);
+    assert_eq!(cone.cells_visited(), STAGES - 1);
+    sta.cone_arrival_from(&[back.find_net("stir").unwrap()], &mut cone);
+    assert_eq!(cone.cells_visited(), CHAINS * STAGES);
 
     // Loose wall-clock ceiling: linear-time paths finish this in seconds
     // (debug) / well under one second each (release); any reintroduced

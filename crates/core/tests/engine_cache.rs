@@ -18,7 +18,7 @@ fn testbed() -> Netlist {
 
 /// One option mutation per code, covering every invalidation depth: full
 /// restart (clustering), timing re-run (margin), controller re-synthesis
-/// (protocol/environment) and the no-op parallelism knob.
+/// (protocol/environment) and the identity.
 fn mutate(options: DesyncOptions, code: usize) -> DesyncOptions {
     let protocols = Protocol::all();
     match code % 8 {
@@ -29,7 +29,7 @@ fn mutate(options: DesyncOptions, code: usize) -> DesyncOptions {
         4 => options.with_clustering(ClusteringStrategy::PerRegister),
         5 => options.with_clustering(ClusteringStrategy::ByNamePrefix),
         6 => options.with_environment(false),
-        _ => options.with_parallel_sizing(false),
+        _ => options,
     }
 }
 

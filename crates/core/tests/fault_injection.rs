@@ -233,42 +233,6 @@ fn error_faults_surface_fault_injected() {
 }
 
 #[test]
-fn pool_dispatch_panics_are_contained_as_the_timed_stage() {
-    let victim = pipeline3("pooled");
-    let bystander = pipeline3("unpooled");
-    // parallel_sizing is on by default and pipeline3 has three clusters,
-    // so the timed stage fans its sizing jobs into the pool.
-    let requests = vec![
-        (victim.clone(), DesyncOptions::default()),
-        (bystander.clone(), DesyncOptions::default()),
-    ];
-    let clean = baseline(&requests);
-
-    let _scope = FaultScope::install(FaultPlan::new().with_fault(
-        "pool::dispatch",
-        victim.structural_hash(),
-        FaultAction::Error, // unit site: escalates to a panic by design
-    ));
-    let order: Vec<usize> = (0..requests.len()).collect();
-    let (results, inflight) = run_queue(&requests, &order, 2);
-    assert_eq!(inflight, 0);
-    match &results[0] {
-        Err(DesyncError::StagePanicked { stage, message }) => {
-            // The panic crossed two containment layers: the sizing pool
-            // caught its worker, re-raised typed on the request thread,
-            // and the queue contained that as the timed stage.
-            assert_eq!(*stage, "timed");
-            assert!(message.contains("sizing task"), "{message}");
-        }
-        other => panic!("expected contained pool panic, got {other:?}"),
-    }
-    assert_eq!(results[1].as_ref().unwrap(), clean[1].as_ref().unwrap());
-    // The sizing pool survived its poisoned task: the victim's own retry
-    // under no plan must also be provable, but that needs the scope gone —
-    // covered by targeted_stage_panic_is_contained_per_request.
-}
-
-#[test]
 fn delay_faults_change_nothing() {
     let a = pipeline3("delay_a");
     let b = pipeline3("delay_b");
@@ -286,7 +250,6 @@ fn delay_faults_change_nothing() {
         "stage::timed",
         "stage::controlled",
         "store::insert",
-        "pool::dispatch",
     ] {
         plan = plan.with_fault(site, ANY_TAG, FaultAction::Delay);
     }

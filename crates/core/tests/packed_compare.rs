@@ -30,8 +30,8 @@ use desync_core::{
 use desync_mg::{FlowEquivalence, FlowTrace};
 use desync_netlist::{CellLibrary, NetId, Netlist, Value};
 use desync_sim::{
-    CompiledModel, PackedAsyncTestbench, PackedSimRun, PackedSimulator, PackedSyncTestbench,
-    PackedValue, PackedVectorSource, SimConfig, MAX_LANES,
+    AsyncBench, CompiledModel, PackedSimRun, PackedValue, PackedVectorSource, SimConfig, Simulator,
+    SyncBench, MAX_LANES,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -99,7 +99,7 @@ fn async_packed_run(
         }
     }
     let duration = bundle.horizon_ps + design.cycle_time_ps() + 1_000.0;
-    PackedAsyncTestbench::new(
+    AsyncBench::<PackedValue>::new(
         latch_netlist,
         library,
         sim_config_for(design),
@@ -172,7 +172,7 @@ fn assert_lanes_match_oracle(
 }
 
 /// A packed synchronous run whose clock skips rising edges in some lanes:
-/// `PackedSyncTestbench::run`'s drive script, except that a lane keeps the
+/// `SyncBench::run`'s packed drive script, except that a lane keeps the
 /// clock low in the cycles picked by `(lane + 2 * cycle) % 5 == 3`. Its
 /// flip-flops miss those captures, so with more than one lane the capture
 /// lane masks differ from the live lanes.
@@ -186,7 +186,7 @@ fn gated_clock_sync_run(
 ) -> PackedSimRun {
     let lanes = stimulus.lanes();
     let clock = netlist.single_clock().expect("single clock");
-    let mut sim = PackedSimulator::new(netlist, library, config, lanes);
+    let mut sim = Simulator::<PackedValue>::new(netlist, library, config, lanes);
     sim.initialize_registers(Value::Zero);
     for &input in netlist.inputs() {
         if input != clock {
@@ -391,8 +391,8 @@ fn packed_run_weight_is_the_sum_of_lane_weights() {
         let stimulus =
             PackedVectorSource::pseudo_random(data_inputs(&netlist), &lane_seeds(3, lanes));
         for watched in [false, true] {
-            let mut sync_tb =
-                PackedSyncTestbench::new(&netlist, &library, config, lanes).expect("single clock");
+            let mut sync_tb = SyncBench::<PackedValue>::new(&netlist, &library, config, lanes)
+                .expect("single clock");
             if watched {
                 sync_tb.watch_named(&["in0", "ff0_q", "g0_y"]);
             }
@@ -401,7 +401,8 @@ fn packed_run_weight_is_the_sum_of_lane_weights() {
             assert_weight_is_lane_sum(&sync_run);
 
             let bundle = design.enable_schedule(12, 5_000.0);
-            let mut async_tb = PackedAsyncTestbench::new(latch_netlist, &library, config, lanes);
+            let mut async_tb =
+                AsyncBench::<PackedValue>::new(latch_netlist, &library, config, lanes);
             if watched {
                 async_tb.watch_named(&latch_watch);
             }

@@ -16,7 +16,7 @@ use desync_circuits::random::RandomCircuitConfig;
 use desync_core::{DesyncOptions, Desynchronizer, Protocol};
 use desync_netlist::value::{evaluate, evaluate_c_element, evaluate_latch};
 use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist, Value};
-use desync_sim::{EnableSchedule, EventSimulator, SimConfig, VectorSource, WaveformSet};
+use desync_sim::{EnableSchedule, SimConfig, Simulator, VectorSource, WaveformSet};
 use proptest::prelude::*;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -257,7 +257,7 @@ impl<'a> RefSim<'a> {
 
 // ---- shared testbench scripts, applied identically to both kernels ------
 
-/// The synchronous testbench script of `SyncTestbench::run`, replayed
+/// The synchronous testbench script of `SyncBench::run`, replayed
 /// against the reference kernel.
 fn ref_sync_run(
     netlist: &Netlist,
@@ -310,8 +310,8 @@ fn new_sync_run<'a>(
     period_ps: f64,
     source: &VectorSource,
     watch: &[&str],
-) -> EventSimulator<'a> {
-    let mut sim = EventSimulator::new(netlist, library, config);
+) -> Simulator<'a, Value> {
+    let mut sim = Simulator::<Value>::new(netlist, library, config);
     sim.watch_named(watch);
     let clock = netlist.single_clock().expect("single clock");
     sim.initialize_registers(Value::Zero);
@@ -337,7 +337,7 @@ fn new_sync_run<'a>(
     sim
 }
 
-/// The asynchronous testbench script of `AsyncTestbench::run`, replayed
+/// The asynchronous testbench script of `AsyncBench::run`, replayed
 /// against the reference kernel.
 fn ref_async_run(
     netlist: &Netlist,
@@ -380,8 +380,8 @@ fn new_async_run<'a>(
     schedule: &EnableSchedule,
     inputs: &[(f64, NetId, Value)],
     watch: &[&str],
-) -> EventSimulator<'a> {
-    let mut sim = EventSimulator::new(netlist, library, config);
+) -> Simulator<'a, Value> {
+    let mut sim = Simulator::<Value>::new(netlist, library, config);
     sim.watch_named(watch);
     sim.initialize_registers(Value::Zero);
     for &input in netlist.inputs() {
@@ -405,7 +405,7 @@ fn new_async_run<'a>(
 /// Asserts that the production kernel and the reference kernel produced
 /// byte-identical observables: capture stream (cells, values **and** exact
 /// f64 times), per-net activity counters and watched waveforms.
-fn assert_golden(sim: &EventSimulator<'_>, reference: &RefSim<'_>) {
+fn assert_golden(sim: &Simulator<'_, Value>, reference: &RefSim<'_>) {
     assert_eq!(
         sim.captures.len(),
         reference.captures.len(),

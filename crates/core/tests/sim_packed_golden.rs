@@ -14,10 +14,9 @@
 
 use desync_circuits::random::RandomCircuitConfig;
 use desync_core::{DesyncOptions, Desynchronizer, Protocol};
-use desync_netlist::{CellLibrary, NetId, Netlist};
+use desync_netlist::{CellLibrary, NetId, Netlist, Value};
 use desync_sim::{
-    AsyncTestbench, PackedAsyncTestbench, PackedSyncTestbench, PackedVectorSource, SimConfig,
-    SyncTestbench, VectorSource, MAX_LANES,
+    AsyncBench, PackedValue, PackedVectorSource, SimConfig, SyncBench, VectorSource, MAX_LANES,
 };
 use proptest::prelude::*;
 
@@ -63,7 +62,7 @@ fn assert_sync_lanes_golden(
     let nets = data_inputs(netlist);
     let packed_source = PackedVectorSource::pseudo_random(nets.clone(), seeds);
     let mut packed_tb =
-        PackedSyncTestbench::new(netlist, library, config, seeds.len()).expect("single clock");
+        SyncBench::<PackedValue>::new(netlist, library, config, seeds.len()).expect("single clock");
     packed_tb.watch_named(watch);
     let packed_run = packed_tb.run(cycles, period_ps, &packed_source);
     assert_eq!(packed_run.lanes(), seeds.len());
@@ -73,7 +72,8 @@ fn assert_sync_lanes_golden(
 
     for (lane, &seed) in seeds.iter().enumerate() {
         let source = VectorSource::pseudo_random(nets.clone(), seed);
-        let mut scalar_tb = SyncTestbench::new(netlist, library, config).expect("single clock");
+        let mut scalar_tb =
+            SyncBench::<Value>::new(netlist, library, config).expect("single clock");
         scalar_tb.watch_named(watch);
         let scalar_run = scalar_tb.run(cycles, period_ps, &source);
         assert_eq!(
@@ -164,7 +164,7 @@ proptest! {
             .collect();
         let watch: Vec<&str> = watch_owned.iter().map(String::as_str).collect();
 
-        let mut packed_tb = PackedAsyncTestbench::new(latch_netlist, &library, config, lanes);
+        let mut packed_tb = AsyncBench::<PackedValue>::new(latch_netlist, &library, config, lanes);
         packed_tb.watch_named(&watch);
         let packed_run = packed_tb.run(duration, cycles, &bundle.schedule, &packed_inputs);
         assert_eq!(packed_run.lanes(), lanes);
@@ -184,7 +184,7 @@ proptest! {
                     }
                 }
             }
-            let mut scalar_tb = AsyncTestbench::new(latch_netlist, &library, config);
+            let mut scalar_tb = AsyncBench::<Value>::new(latch_netlist, &library, config);
             scalar_tb.watch_named(&watch);
             let scalar_run = scalar_tb.run(duration, cycles, &bundle.schedule, &inputs);
             assert_eq!(

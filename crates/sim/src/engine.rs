@@ -4,9 +4,8 @@
 //! latch-based, or containing handshake-controller cells — with per-cell
 //! propagation delays taken from a [`CellLibrary`] plus a linear wire-load
 //! term. Each net carries one [`Lanes`] payload: a [`Value`] (one stimulus
-//! per run, [`EventSimulator`]) or a [`PackedValue`] of up to 64
-//! independent stimulus lanes ([`PackedSimulator`]). Both widths are
-//! monomorphizations of the one commit loop below. A cursor records:
+//! per run) or a [`PackedValue`] of up to 64 independent stimulus lanes.
+//! Both widths are monomorphizations of the one commit loop below. A cursor records:
 //!
 //! * per-lane switching-activity counters (for the power model),
 //! * the change records of watched nets (recorded by [`NetId`] during the
@@ -273,9 +272,6 @@ pub struct Capture<L> {
     pub lanes: u64,
 }
 
-/// A packed register capture: [`Capture`] at the packed width.
-pub type PackedCapture = Capture<PackedValue>;
-
 /// An event ordered by `(key, seq)` — both plain integers, so the order is
 /// total. `key` is the bit pattern of the non-negative f64 event time.
 ///
@@ -479,12 +475,6 @@ pub struct Simulator<'a, L: Lanes> {
     /// Register captures in chronological order.
     pub captures: Vec<Capture<L>>,
 }
-
-/// The scalar cursor: one stimulus per run.
-pub type EventSimulator<'a> = Simulator<'a, Value>;
-
-/// The packed cursor: up to 64 independent stimulus lanes per run.
-pub type PackedSimulator<'a> = Simulator<'a, PackedValue>;
 
 impl<'a> Simulator<'a, Value> {
     /// A scalar cursor over a private compile of `netlist`.
@@ -829,7 +819,7 @@ mod tests {
     }
 
     /// The activity counters of the run so far.
-    fn activity(sim: &EventSimulator<'_>) -> Activity {
+    fn activity(sim: &Simulator<'_, Value>) -> Activity {
         sim.clone().into_run(0).activity
     }
 
@@ -841,7 +831,7 @@ mod tests {
         let y = n.add_output("y");
         n.add_gate("g", CellKind::And, &[a, b], y).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.set(a, Value::One);
         sim.set(b, Value::One);
         sim.settle(1000);
@@ -859,7 +849,7 @@ mod tests {
         let y = n.add_output("y");
         n.add_gate("g", CellKind::Buf, &[a], y).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.set(a, Value::One);
         // Before the buffer delay elapses the output is still X.
         sim.run_until(1.0);
@@ -877,7 +867,7 @@ mod tests {
         let q = n.add_output("q");
         n.add_dff("r", d, clk, q).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.set(clk, Value::Zero);
         sim.set(d, Value::One);
         sim.settle(100);
@@ -902,7 +892,7 @@ mod tests {
         let q = n.add_output("q");
         n.add_latch("l", d, en, q, true).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.set(en, Value::Zero);
         sim.set(d, Value::Zero);
         sim.settle(100);
@@ -928,7 +918,7 @@ mod tests {
         let y = n.add_output("y");
         n.add_c_element("c", &[a, b], y).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.set(a, Value::Zero);
         sim.set(b, Value::Zero);
         sim.settle(100);
@@ -948,7 +938,7 @@ mod tests {
         let y = n.add_output("y");
         n.add_gate("g", CellKind::Not, &[a], y).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.set(a, Value::Zero);
         sim.settle(100);
         // X -> 0 / X -> 1 are not counted.
@@ -967,7 +957,7 @@ mod tests {
         let y = n.add_output("y");
         n.add_gate("g", CellKind::Not, &[a], y).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.watch_named(&["y"]);
         sim.set(a, Value::Zero);
         sim.settle(100);
@@ -990,7 +980,7 @@ mod tests {
         let q = n.add_output("q");
         n.add_dff("r", d, clk, q).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.initialize_registers(Value::Zero);
         sim.settle(100);
         assert_eq!(sim.value(q), Value::Zero);
@@ -1003,7 +993,7 @@ mod tests {
         let a = n.add_input("a");
         n.mark_output(a);
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.run_until(100.0);
         sim.schedule(a, Value::One, 5.0);
     }
@@ -1015,7 +1005,7 @@ mod tests {
         let a = n.add_input("a");
         n.mark_output(a);
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.schedule(a, Value::One, f64::NAN);
     }
 
@@ -1026,7 +1016,7 @@ mod tests {
         let a = n.add_input("a");
         n.mark_output(a);
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.schedule(a, Value::One, f64::INFINITY);
     }
 
@@ -1039,7 +1029,7 @@ mod tests {
         let y = n.add_output("y");
         n.add_gate("g", CellKind::Buf, &[a], y).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         sim.schedule(a, Value::One, -0.0);
         sim.schedule(a, Value::Zero, 5.0);
         sim.settle(100);
@@ -1057,7 +1047,7 @@ mod tests {
         let y = n.add_output("y");
         n.add_gate("g", CellKind::Buf, &[a], y).unwrap();
         let l = lib();
-        let mut sim = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
         let span = CALENDAR_BUCKET_WIDTH_PS * CALENDAR_BUCKETS as f64;
         // A mix of near, far and very far events, scheduled out of order.
         sim.schedule(a, Value::One, 40.0 * span);
@@ -1083,7 +1073,7 @@ mod tests {
         n.add_dff("r", w, clk, q).unwrap();
         let l = lib();
         let model = Arc::new(CompiledModel::compile(&n, &l, SimConfig::default()));
-        let drive = |sim: &mut EventSimulator<'_>| {
+        let drive = |sim: &mut Simulator<'_, Value>| {
             sim.initialize_registers(Value::Zero);
             sim.set(clk, Value::Zero);
             sim.set(d, Value::One);
@@ -1091,10 +1081,10 @@ mod tests {
             sim.schedule(clk, Value::One, sim.time() + 100.0);
             sim.settle(1000);
         };
-        let mut fresh = EventSimulator::new(&n, &l, SimConfig::default());
+        let mut fresh = Simulator::<Value>::new(&n, &l, SimConfig::default());
         drive(&mut fresh);
         for _ in 0..2 {
-            let mut cursor = EventSimulator::with_lanes(&n, Arc::clone(&model), 1);
+            let mut cursor = Simulator::<Value>::with_lanes(&n, Arc::clone(&model), 1);
             drive(&mut cursor);
             assert_eq!(cursor.value(q), fresh.value(q));
             assert_eq!(cursor.captures, fresh.captures);
@@ -1119,7 +1109,7 @@ mod tests {
         b.add_gate("g", CellKind::Buf, &[y], z).unwrap();
         let l = lib();
         let model = Arc::new(CompiledModel::compile(&a, &l, SimConfig::default()));
-        let _ = EventSimulator::with_lanes(&b, model, 1);
+        let _ = Simulator::<Value>::with_lanes(&b, model, 1);
     }
 
     #[test]

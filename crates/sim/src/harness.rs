@@ -2,9 +2,9 @@
 //! schedule-driven testbench for desynchronized (latch-based) netlists.
 //!
 //! Each is one drive script generic over the lane width ([`Lanes`]): the
-//! scalar [`SyncTestbench`] / [`AsyncTestbench`] and the packed
-//! [`PackedSyncTestbench`] / [`PackedAsyncTestbench`] are the same script
-//! at two widths, with control nets broadcast across lanes. So each lane of
+//! scalar (`Value`) and packed ([`PackedValue`]) [`SyncBench`] /
+//! [`AsyncBench`] are the same script at two widths, with control nets
+//! broadcast across lanes. So each lane of
 //! a packed run is bit-identical to a scalar run with that lane's stimulus.
 
 use crate::activity::Activity;
@@ -58,25 +58,18 @@ pub fn value_to_word(value: Value) -> u64 {
 }
 
 /// A clocked testbench for flip-flop based (synchronous) netlists, at lane
-/// width `L`.
+/// width `L`: one stimulus per run at `Value`, up to 64 lanes at
+/// [`PackedValue`].
 ///
 /// The testbench drives the single clock net with a 50 % duty cycle,
 /// applies one input vector per cycle shortly after the rising edge, and
-/// records every flip-flop capture.
-#[derive(Debug)]
-pub struct SyncBench<'a, L: Lanes> {
-    sim: Simulator<'a, L>,
-    clock: NetId,
-}
-
-/// The scalar synchronous testbench: one stimulus per run.
-///
-/// [`run`](SyncBench::run) consumes the testbench, so two runs can never
-/// merge their captures and counters into one result:
+/// records every flip-flop capture. [`run`](SyncBench::run) consumes the
+/// testbench, so two runs can never merge their captures and counters into
+/// one result:
 ///
 /// ```compile_fail
-/// # use desync_netlist::{CellKind, CellLibrary, Netlist};
-/// # use desync_sim::{SimConfig, SyncTestbench, VectorSource};
+/// # use desync_netlist::{CellKind, CellLibrary, Netlist, Value};
+/// # use desync_sim::{SimConfig, SyncBench, VectorSource};
 /// # let mut n = Netlist::new("toggler");
 /// # let clk = n.add_input("clk");
 /// # let q = n.add_output("q");
@@ -85,14 +78,15 @@ pub struct SyncBench<'a, L: Lanes> {
 /// # n.add_dff("r", d, clk, q).unwrap();
 /// let library = CellLibrary::generic_90nm();
 /// let stimulus = VectorSource::constant(vec![]);
-/// let tb = SyncTestbench::new(&n, &library, SimConfig::default()).unwrap();
+/// let tb = SyncBench::<Value>::new(&n, &library, SimConfig::default()).unwrap();
 /// let first = tb.run(10, 4_000.0, &stimulus);
 /// let second = tb.run(10, 4_000.0, &stimulus); // error: use of moved `tb`
 /// ```
-pub type SyncTestbench<'a> = SyncBench<'a, Value>;
-
-/// The packed synchronous testbench: up to 64 stimulus lanes per run.
-pub type PackedSyncTestbench<'a> = SyncBench<'a, PackedValue>;
+#[derive(Debug)]
+pub struct SyncBench<'a, L: Lanes> {
+    sim: Simulator<'a, L>,
+    clock: NetId,
+}
 
 impl<'a> SyncBench<'a, Value> {
     /// A scalar testbench over a private compile of `netlist`; errors as
@@ -253,7 +247,8 @@ impl FromIterator<(f64, NetId, Value)> for EnableSchedule {
     }
 }
 
-/// A testbench for desynchronized, latch-based netlists, at lane width `L`.
+/// A testbench for desynchronized, latch-based netlists, at lane width `L`:
+/// one stimulus per run at `Value`, up to 64 lanes at [`PackedValue`].
 ///
 /// The latch-enable waveforms are supplied externally (from the timed
 /// marked-graph model of the handshake controllers) and broadcast across
@@ -262,12 +257,6 @@ impl FromIterator<(f64, NetId, Value)> for EnableSchedule {
 pub struct AsyncBench<'a, L: Lanes> {
     sim: Simulator<'a, L>,
 }
-
-/// The scalar asynchronous testbench: one stimulus per run.
-pub type AsyncTestbench<'a> = AsyncBench<'a, Value>;
-
-/// The packed asynchronous testbench: up to 64 stimulus lanes per run.
-pub type PackedAsyncTestbench<'a> = AsyncBench<'a, PackedValue>;
 
 impl<'a> AsyncBench<'a, Value> {
     /// A scalar testbench over a private compile of `netlist`.
@@ -374,7 +363,7 @@ mod tests {
     fn sync_testbench_runs_toggler() {
         let n = toggler();
         let l = lib();
-        let mut tb = SyncTestbench::new(&n, &l, SimConfig::default()).unwrap();
+        let mut tb = SyncBench::<Value>::new(&n, &l, SimConfig::default()).unwrap();
         tb.watch_named(&["clk", "q"]);
         let run = tb.run(10, 4_000.0, &VectorSource::constant(vec![]));
         assert_eq!(run.cycles, 10);
@@ -394,7 +383,7 @@ mod tests {
     fn sync_testbench_requires_single_clock() {
         let n = Netlist::new("empty");
         let l = lib();
-        assert!(SyncTestbench::new(&n, &l, SimConfig::default()).is_err());
+        assert!(SyncBench::<Value>::new(&n, &l, SimConfig::default()).is_err());
     }
 
     #[test]
@@ -408,7 +397,7 @@ mod tests {
         n.add_dff("r0", din, clk, q0).unwrap();
         n.add_dff("r1", q0, clk, q1).unwrap();
         let l = lib();
-        let tb = SyncTestbench::new(&n, &l, SimConfig::default()).unwrap();
+        let tb = SyncBench::<Value>::new(&n, &l, SimConfig::default()).unwrap();
         let stim = VectorSource::sequence(vec![vec![(din, Value::One)], vec![(din, Value::Zero)]]);
         let run = tb.run(8, 4_000.0, &stim);
         let s0 = run.flow_trace.stream("r0").unwrap();
@@ -429,7 +418,7 @@ mod tests {
         n.add_latch("l0", din, en0, q0, true).unwrap();
         n.add_latch("l1", q0, en1, q1, true).unwrap();
         let l = lib();
-        let tb = AsyncTestbench::new(&n, &l, SimConfig::default());
+        let tb = AsyncBench::<Value>::new(&n, &l, SimConfig::default());
         let mut sched = EnableSchedule::new();
         // Alternate non-overlapping pulses: l0 open 1000-2000, l1 open 3000-4000, ...
         let mut inputs = Vec::new();

@@ -10,9 +10,9 @@
 //!
 //! Two harnesses are provided on top of the raw engine:
 //!
-//! * [`SyncTestbench`] — drives a global clock and per-cycle input vectors
+//! * [`SyncBench`] — drives a global clock and per-cycle input vectors
 //!   into a flip-flop based netlist.
-//! * [`AsyncTestbench`] — drives a latch-based (desynchronized) netlist
+//! * [`AsyncBench`] — drives a latch-based (desynchronized) netlist
 //!   whose latch-enable waveforms come from the timed marked-graph model of
 //!   the control network.
 //!
@@ -25,15 +25,14 @@
 //! types go with it. The trait has two impls, and the compiler
 //! monomorphizes the kernel for each:
 //!
-//! * **[`Value`]** — one 4-state value per net: the scalar sweep.
-//!   [`EventSimulator`], [`SyncTestbench`] and [`AsyncTestbench`] name this
-//!   width, take a [`VectorSource`] and finish into a [`SimRun`].
+//! * **[`Value`]** — one 4-state value per net: the scalar sweep. At this
+//!   width the kernel and testbenches take a [`VectorSource`] and finish
+//!   into a [`SimRun`].
 //! * **[`PackedValue`]** — 64 independent stimulus lanes per net, encoded
 //!   as two `u64` bit-planes (`lo` = definitely-One, `hi` = possibly-One,
 //!   so `Zero = 00`, `One = 11`, `X = 01` per lane), every [`CellKind`]
-//!   evaluated with branch-free word-wide logic: the packed campaign.
-//!   [`PackedSimulator`], [`PackedSyncTestbench`] and
-//!   [`PackedAsyncTestbench`] name this width, take a [`PackedVectorSource`]
+//!   evaluated with branch-free word-wide logic: the packed campaign. At
+//!   this width the kernel and testbenches take a [`PackedVectorSource`]
 //!   (up to 64 interleaved [`VectorSource`] lanes with a combined content
 //!   digest for the sync-reference-run cache) and finish into a
 //!   [`PackedSimRun`].
@@ -93,8 +92,8 @@
 //! # Example
 //!
 //! ```
-//! use desync_netlist::{Netlist, CellKind, CellLibrary};
-//! use desync_sim::{SimConfig, SyncTestbench, VectorSource};
+//! use desync_netlist::{Netlist, CellKind, CellLibrary, Value};
+//! use desync_sim::{SimConfig, SyncBench, VectorSource};
 //!
 //! # fn main() -> Result<(), desync_netlist::NetlistError> {
 //! let mut n = Netlist::new("counter_bit");
@@ -106,7 +105,7 @@
 //! n.mark_output(q);
 //!
 //! let lib = CellLibrary::generic_90nm();
-//! let tb = SyncTestbench::new(&n, &lib, SimConfig::default())?;
+//! let tb = SyncBench::<Value>::new(&n, &lib, SimConfig::default())?;
 //! let run = tb.run(16, 5_000.0, &VectorSource::constant(vec![]));
 //! assert_eq!(run.cycles, 16);
 //! // The single register toggles every cycle.
@@ -128,13 +127,8 @@ pub mod stimulus;
 pub mod waveform;
 
 pub use activity::Activity;
-pub use engine::{
-    Capture, EventSimulator, Lanes, PackedCapture, PackedSimulator, SimConfig, Simulator,
-};
-pub use harness::{
-    value_to_word, AsyncBench, AsyncTestbench, EnableSchedule, PackedAsyncTestbench,
-    PackedSyncTestbench, SimRun, SyncBench, SyncTestbench,
-};
+pub use engine::{Capture, Lanes, SimConfig, Simulator};
+pub use harness::{value_to_word, AsyncBench, EnableSchedule, SimRun, SyncBench};
 pub use model::CompiledModel;
 pub use packed::{PackedSimRun, PackedStream, PackedValue, MAX_LANES};
 pub use stimulus::{PackedVectorSource, VectorSource};

@@ -481,8 +481,8 @@ impl PackedSimRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{PackedSimulator, SimConfig};
-    use crate::harness::{PackedSyncTestbench, SyncTestbench};
+    use crate::engine::SimConfig;
+    use crate::harness::SyncBench;
     use crate::stimulus::VectorSource;
     use desync_netlist::value::{evaluate, evaluate_c_element, evaluate_latch};
     use desync_netlist::{CellLibrary, Netlist};
@@ -660,7 +660,7 @@ mod tests {
         let packed_source = PackedVectorSource::interleave(lanes.clone());
 
         let mut packed_tb =
-            PackedSyncTestbench::new(&n, &library, SimConfig::default(), lanes.len()).unwrap();
+            SyncBench::<PackedValue>::new(&n, &library, SimConfig::default(), lanes.len()).unwrap();
         packed_tb.watch_named(&["clk", "q1"]);
         let packed_run = packed_tb.run(12, 4_000.0, &packed_source);
         assert_eq!(packed_run.lanes(), lanes.len());
@@ -668,7 +668,7 @@ mod tests {
         assert!(packed_run.lane_committed_events() >= packed_run.word_committed_events);
 
         for (lane, source) in lanes.iter().enumerate() {
-            let mut tb = SyncTestbench::new(&n, &library, SimConfig::default()).unwrap();
+            let mut tb = SyncBench::<Value>::new(&n, &library, SimConfig::default()).unwrap();
             tb.watch_named(&["clk", "q1"]);
             let scalar_run = tb.run(12, 4_000.0, source);
             assert_eq!(packed_run.lane(lane), scalar_run, "lane {lane}");
@@ -682,6 +682,6 @@ mod tests {
         let a = n.add_input("a");
         n.mark_output(a);
         let library = CellLibrary::generic_90nm();
-        let _ = PackedSimulator::new(&n, &library, SimConfig::default(), 0);
+        let _ = Simulator::<PackedValue>::new(&n, &library, SimConfig::default(), 0);
     }
 }

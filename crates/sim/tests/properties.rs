@@ -5,7 +5,7 @@
 
 use desync_netlist::value::evaluate;
 use desync_netlist::{CellKind, CellLibrary, NetId, Netlist, Value};
-use desync_sim::{EventSimulator, SimConfig, SyncTestbench, VectorSource};
+use desync_sim::{SimConfig, Simulator, SyncBench, VectorSource};
 use proptest::prelude::*;
 
 /// A random purely combinational netlist plus a reference evaluation
@@ -81,7 +81,7 @@ proptest! {
             .map(|(&n, &b)| (n, Value::from_bool(b)))
             .collect();
 
-        let mut sim = EventSimulator::new(&netlist, &library, SimConfig::default());
+        let mut sim = Simulator::<Value>::new(&netlist, &library, SimConfig::default());
         for &(net, value) in &assignment {
             sim.set(net, value);
         }
@@ -122,7 +122,7 @@ proptest! {
         let library = CellLibrary::generic_90nm();
         let stim = VectorSource::pseudo_random(vec![din], seed);
         let run = |cycles: usize| {
-            let tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
+            let tb = SyncBench::<Value>::new(&netlist, &library, SimConfig::default()).unwrap();
             tb.run(cycles, 4_000.0, &stim)
         };
         let a = run(cycles);
@@ -148,7 +148,7 @@ proptest! {
         netlist.mark_output(prev);
         let library = CellLibrary::generic_90nm();
         let stim = VectorSource::pseudo_random(vec![din], seed);
-        let tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
+        let tb = SyncBench::<Value>::new(&netlist, &library, SimConfig::default()).unwrap();
         let run = tb.run(cycles, 3_000.0, &stim);
         for s in 1..stages {
             let upstream = run.flow_trace.stream(&format!("r{}", s - 1)).unwrap();
@@ -171,11 +171,11 @@ proptest! {
         let library = CellLibrary::generic_90nm();
         let stim = VectorSource::constant(vec![]);
         let short = {
-            let tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
+            let tb = SyncBench::<Value>::new(&netlist, &library, SimConfig::default()).unwrap();
             tb.run(cycles, 4_000.0, &stim)
         };
         let long = {
-            let tb = SyncTestbench::new(&netlist, &library, SimConfig::default()).unwrap();
+            let tb = SyncBench::<Value>::new(&netlist, &library, SimConfig::default()).unwrap();
             tb.run(cycles * 2, 4_000.0, &stim)
         };
         prop_assert!(long.activity.total_transitions() >= short.activity.total_transitions());

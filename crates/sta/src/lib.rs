@@ -4,7 +4,9 @@
 //! needs:
 //!
 //! * longest combinational path delays (arrival times) through a gate-level
-//!   netlist, with a linear wire-load model ([`Sta`]),
+//!   netlist, with a linear wire-load model ([`Sta`]), over the whole
+//!   netlist or only a source set's forward cone
+//!   ([`Sta::cone_arrival_from`]),
 //! * the synchronous clock period (worst register-to-register path plus
 //!   clock-to-Q and setup, [`Sta::clock_period`]),
 //! * per-register *stage delays*, i.e. the worst-case delay of the
@@ -42,9 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod matched;
-pub mod pool;
 pub mod sta;
 
 pub use matched::MatchedDelay;
-pub use pool::{PoolPanic, SizingPool};
-pub use sta::{CriticalPath, Sta, StaSnapshot, StageDelay, TimingConfig};
+pub use sta::{ConeArrivals, CriticalPath, Sta, StageDelay, TimingConfig};

@@ -4,7 +4,8 @@
 use desync_netlist::analysis::topological_order;
 use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Global timing parameters: wire-load model, sequential cell overheads and
 /// the default matched-delay margin.
@@ -62,9 +63,16 @@ pub struct Sta<'a> {
     netlist: &'a Netlist,
     library: &'a CellLibrary,
     config: TimingConfig,
+    /// The combinational cells in topological order; a cell's index here is
+    /// its *rank*.
     topo: Vec<CellId>,
     driver: Vec<Option<CellId>>,
     fanout: Vec<usize>,
+    /// CSR map from each net to the ranks of the combinational cells
+    /// reading it: net `n`'s readers are
+    /// `readers[reader_start[n]..reader_start[n + 1]]`, in rank order.
+    reader_start: Vec<u32>,
+    readers: Vec<u32>,
 }
 
 impl<'a> Sta<'a> {
@@ -79,6 +87,25 @@ impl<'a> Sta<'a> {
             .expect("netlist has a combinational cycle; validate() it before timing analysis");
         let driver = netlist.driver_map();
         let fanout = netlist.fanout_map();
+        let mut reader_start = vec![0u32; netlist.num_nets() + 1];
+        for &cell in &topo {
+            for &input in &netlist.cell(cell).inputs {
+                reader_start[input.index() + 1] += 1;
+            }
+        }
+        for i in 1..reader_start.len() {
+            reader_start[i] += reader_start[i - 1];
+        }
+        let mut cursor = reader_start.clone();
+        let mut readers =
+            vec![0u32; *reader_start.last().expect("one entry per net plus one") as usize];
+        for (rank, &cell) in topo.iter().enumerate() {
+            for &input in &netlist.cell(cell).inputs {
+                let slot = &mut cursor[input.index()];
+                readers[*slot as usize] = rank as u32;
+                *slot += 1;
+            }
+        }
         Self {
             netlist,
             library,
@@ -86,6 +113,8 @@ impl<'a> Sta<'a> {
             topo,
             driver,
             fanout,
+            reader_start,
+            readers,
         }
     }
 
@@ -111,27 +140,87 @@ impl<'a> Sta<'a> {
     /// Returns one entry per net: `None` when the net is not reachable from
     /// the sources through combinational logic, otherwise the worst-case
     /// arrival time in picoseconds (sources themselves arrive at 0).
+    ///
+    /// This walks every combinational cell of the netlist; when the sources
+    /// reach only a small part of it, [`Sta::cone_arrival_from`] gives the
+    /// same arrivals for the work of that part.
     pub fn arrival_from(&self, sources: &[NetId]) -> Vec<Option<f64>> {
         let mut arrival: Vec<Option<f64>> = vec![None; self.netlist.num_nets()];
         for &s in sources {
             arrival[s.index()] = Some(0.0);
         }
         for &cell_id in &self.topo {
-            let cell = self.netlist.cell(cell_id);
-            debug_assert!(cell.kind.is_combinational());
-            let mut worst: Option<f64> = None;
-            for &input in &cell.inputs {
-                if let Some(a) = arrival[input.index()] {
-                    worst = Some(worst.map_or(a, |w: f64| w.max(a)));
-                }
-            }
-            if let Some(w) = worst {
-                let out_arrival = w + self.cell_delay_ps(cell_id);
-                let slot = &mut arrival[cell.output.index()];
-                *slot = Some(slot.map_or(out_arrival, |v| v.max(out_arrival)));
-            }
+            self.fold_cell(cell_id, &mut arrival);
         }
         arrival
+    }
+
+    /// Walks only the forward cone of `sources`, writing into `cone` the
+    /// arrivals [`Sta::arrival_from`] gives for the same sources,
+    /// bit for bit: `cone.get(net)` equals `arrival_from(sources)[net]` on
+    /// every net.
+    ///
+    /// The walk visits the cone's cells in topological rank order and folds
+    /// each exactly as the full walk does; a cell outside the cone has no
+    /// input with an arrival, so the full walk leaves its output untouched
+    /// too. `cone` is reset first in time proportional to what its previous
+    /// walk touched, so one buffer serves many walks.
+    pub fn cone_arrival_from(&self, sources: &[NetId], cone: &mut ConeArrivals) {
+        cone.reset(self.netlist.num_nets(), self.topo.len());
+        for &s in sources {
+            cone.arrive(s);
+            self.queue_readers(s, None, cone);
+        }
+        while let Some(Reverse(rank)) = cone.pending.pop() {
+            let cell_id = self.topo[rank as usize];
+            let output = self.netlist.cell(cell_id).output;
+            cone.touched.push(output);
+            let fired = self.fold_cell(cell_id, &mut cone.arrival);
+            debug_assert!(fired, "a queued cell reads a net with an arrival");
+            // Readers ranked at or below this cell already ran in the full
+            // walk's order (only possible on a multi-driven net), so they
+            // must not see this arrival.
+            self.queue_readers(output, Some(rank), cone);
+        }
+    }
+
+    /// Queues every not-yet-queued combinational reader of `net` ranked
+    /// above `after`.
+    fn queue_readers(&self, net: NetId, after: Option<u32>, cone: &mut ConeArrivals) {
+        let (start, end) = (
+            self.reader_start[net.index()] as usize,
+            self.reader_start[net.index() + 1] as usize,
+        );
+        for &rank in &self.readers[start..end] {
+            if after.is_some_and(|after| rank <= after) || cone.queued[rank as usize] {
+                continue;
+            }
+            cone.queued[rank as usize] = true;
+            cone.queued_ranks.push(rank);
+            cone.pending.push(Reverse(rank));
+        }
+    }
+
+    /// The per-cell step of both arrival walks: folds the arrivals at
+    /// `cell_id`'s inputs, adds the cell's delay and merges the result into
+    /// its output net. Returns `false`, writing nothing, when no input has
+    /// an arrival.
+    fn fold_cell(&self, cell_id: CellId, arrival: &mut [Option<f64>]) -> bool {
+        let cell = self.netlist.cell(cell_id);
+        debug_assert!(cell.kind.is_combinational());
+        let mut worst: Option<f64> = None;
+        for &input in &cell.inputs {
+            if let Some(a) = arrival[input.index()] {
+                worst = Some(worst.map_or(a, |w: f64| w.max(a)));
+            }
+        }
+        let Some(w) = worst else {
+            return false;
+        };
+        let out_arrival = w + self.cell_delay_ps(cell_id);
+        let slot = &mut arrival[cell.output.index()];
+        *slot = Some(slot.map_or(out_arrival, |v| v.max(out_arrival)));
+        true
     }
 
     /// The source nets of register-to-register timing: outputs of all
@@ -264,85 +353,52 @@ impl<'a> Sta<'a> {
     pub fn matched_delay(&self, delay_ps: f64) -> crate::MatchedDelay {
         crate::MatchedDelay::for_delay(delay_ps, self.config.matched_delay_margin, self.library)
     }
-
-    /// Captures an owned, borrow-free snapshot of the arrival-time engine.
-    ///
-    /// [`StaSnapshot::arrival_from`] reproduces [`Sta::arrival_from`]
-    /// bit-for-bit (same cells in the same topological order, the same
-    /// per-cell delay values, the same fold order), but the snapshot owns
-    /// all of its data, so it can be moved into `Arc` and shared across
-    /// long-lived worker threads — the borrow-bound [`Sta`] cannot.
-    pub fn snapshot(&self) -> StaSnapshot {
-        let cells = self
-            .topo
-            .iter()
-            .map(|&cell_id| {
-                let cell = self.netlist.cell(cell_id);
-                SnapshotCell {
-                    inputs: cell.inputs.clone(),
-                    output: cell.output,
-                    delay_ps: self.cell_delay_ps(cell_id),
-                }
-            })
-            .collect();
-        StaSnapshot {
-            num_nets: self.netlist.num_nets(),
-            cells,
-        }
-    }
 }
 
-/// One combinational cell of a [`StaSnapshot`], with its delay precomputed.
-#[derive(Debug, Clone)]
-struct SnapshotCell {
-    inputs: Vec<NetId>,
-    output: NetId,
-    delay_ps: f64,
+/// The reusable buffer of [`Sta::cone_arrival_from`]: dense per-net
+/// arrivals plus the list of nets and cells the last walk touched, so the
+/// next walk resets in time proportional to that list, not to the netlist.
+/// A default buffer is empty and grows to the analyzed netlist on its first
+/// walk.
+#[derive(Debug, Clone, Default)]
+pub struct ConeArrivals {
+    arrival: Vec<Option<f64>>,
+    touched: Vec<NetId>,
+    /// Per rank: whether the cell has been queued in the current walk.
+    queued: Vec<bool>,
+    /// The ranks queued in the current walk; every one is visited.
+    queued_ranks: Vec<u32>,
+    pending: BinaryHeap<Reverse<u32>>,
 }
 
-/// An owned snapshot of a [`Sta`]'s arrival-time computation.
-///
-/// Created by [`Sta::snapshot`]; holds the combinational cells in
-/// topological order with their per-instance delays already evaluated.
-/// Because it borrows nothing it is `Send + Sync + 'static`, which lets a
-/// persistent worker pool size matched delays for many source clusters in
-/// parallel while the results stay bit-identical to the serial
-/// [`Sta::arrival_from`] path.
-#[derive(Debug, Clone)]
-pub struct StaSnapshot {
-    num_nets: usize,
-    cells: Vec<SnapshotCell>,
-}
-
-impl StaSnapshot {
-    /// Longest combinational delay from any net in `sources` to every net.
-    ///
-    /// Identical in contract *and in floating-point result* to
-    /// [`Sta::arrival_from`] on the analyzer the snapshot was taken from.
-    pub fn arrival_from(&self, sources: &[NetId]) -> Vec<Option<f64>> {
-        let mut arrival: Vec<Option<f64>> = vec![None; self.num_nets];
-        for &s in sources {
-            arrival[s.index()] = Some(0.0);
-        }
-        for cell in &self.cells {
-            let mut worst: Option<f64> = None;
-            for &input in &cell.inputs {
-                if let Some(a) = arrival[input.index()] {
-                    worst = Some(worst.map_or(a, |w: f64| w.max(a)));
-                }
-            }
-            if let Some(w) = worst {
-                let out_arrival = w + cell.delay_ps;
-                let slot = &mut arrival[cell.output.index()];
-                *slot = Some(slot.map_or(out_arrival, |v| v.max(out_arrival)));
-            }
-        }
-        arrival
+impl ConeArrivals {
+    /// The last walk's arrival at `net`: `None` when the net is not
+    /// reachable from its sources.
+    pub fn get(&self, net: NetId) -> Option<f64> {
+        self.arrival.get(net.index()).copied().flatten()
     }
 
-    /// Number of nets in the snapshotted netlist.
-    pub fn num_nets(&self) -> usize {
-        self.num_nets
+    /// How many combinational cells the last walk visited: the size of its
+    /// sources' forward cone.
+    pub fn cells_visited(&self) -> usize {
+        self.queued_ranks.len()
+    }
+
+    fn reset(&mut self, nets: usize, cells: usize) {
+        for net in self.touched.drain(..) {
+            self.arrival[net.index()] = None;
+        }
+        for rank in self.queued_ranks.drain(..) {
+            self.queued[rank as usize] = false;
+        }
+        self.arrival.resize(nets.max(self.arrival.len()), None);
+        self.queued.resize(cells.max(self.queued.len()), false);
+    }
+
+    /// Marks `net` as a source: it arrives at time zero.
+    fn arrive(&mut self, net: NetId) {
+        self.touched.push(net);
+        self.arrival[net.index()] = Some(0.0);
     }
 }
 
@@ -479,23 +535,35 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_arrival_is_bit_identical_to_sta() {
-        let n = pipeline();
+    fn cone_walk_keeps_rank_order_on_a_multi_driven_net() {
+        // `n` has two drivers. The reader `r` depends on the last one
+        // (`a`), so it ranks before the slow driver `b`: in the full walk
+        // from `z`, `r` runs before `b` writes `n` and never fires.
+        let mut n = Netlist::new("multi");
+        let z = n.add_input("z");
+        let x = n.add_input("x");
+        let z1 = n.add_net("z1");
+        let z2 = n.add_net("z2");
+        let shared = n.add_net("n");
+        let y = n.add_output("y");
+        n.add_gate("c1", CellKind::Buf, &[z], z1).unwrap();
+        n.add_gate("c2", CellKind::Buf, &[z1], z2).unwrap();
+        n.add_gate("b", CellKind::Not, &[z2], shared).unwrap();
+        n.add_gate("a", CellKind::Not, &[x], shared).unwrap();
+        n.add_gate("r", CellKind::Buf, &[shared], y).unwrap();
         let l = lib();
         let sta = Sta::new(&n, &l, TimingConfig::default());
-        let snapshot = sta.snapshot();
-        assert_eq!(snapshot.num_nets(), n.num_nets());
-        let q0 = n.find_net("q0").unwrap();
-        let a = n.find_net("a").unwrap();
-        let all: Vec<NetId> = n.nets().map(|(id, _)| id).collect();
-        for sources in [vec![q0], vec![a], vec![q0, a], vec![], all] {
-            // Exact equality, not approximate: the snapshot replays the very
-            // same float operations in the same order.
-            assert_eq!(sta.arrival_from(&sources), snapshot.arrival_from(&sources));
+        let mut cone = ConeArrivals::default();
+        for sources in [vec![z], vec![x], vec![x, z], vec![]] {
+            let full = sta.arrival_from(&sources);
+            sta.cone_arrival_from(&sources, &mut cone);
+            for (id, _) in n.nets() {
+                assert_eq!(cone.get(id), full[id.index()], "{sources:?}");
+            }
         }
-        // The snapshot is borrow-free, so it can cross thread boundaries.
-        fn assert_static_send_sync<T: Send + Sync + 'static>(_: &T) {}
-        assert_static_send_sync(&snapshot);
+        sta.cone_arrival_from(&[z], &mut cone);
+        assert_eq!(cone.get(y), None);
+        assert_eq!(cone.cells_visited(), 3);
     }
 
     #[test]

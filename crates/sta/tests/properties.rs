@@ -1,9 +1,10 @@
 //! Property-based tests of the static timing analyzer and the matched-delay
 //! sizing: matched delays always cover the true critical path, arrival times
-//! are monotone along paths, and the clock period dominates every stage.
+//! are monotone along paths, the clock period dominates every stage, and the
+//! forward-cone walk reproduces the full-netlist walk bit for bit.
 
-use desync_netlist::{CellKind, CellLibrary, Netlist};
-use desync_sta::{MatchedDelay, Sta, TimingConfig};
+use desync_netlist::{CellKind, CellLibrary, NetId, Netlist};
+use desync_sta::{ConeArrivals, MatchedDelay, Sta, TimingConfig};
 use proptest::prelude::*;
 
 /// A random acyclic pipeline-ish netlist (same generator idea as the netlist
@@ -109,6 +110,41 @@ proptest! {
         for stage in &stages {
             let matched = sta.matched_delay(stage.delay_ps);
             prop_assert!(matched.achieved_ps + 1e-9 >= stage.delay_ps);
+        }
+    }
+
+    /// The cone walk gives `arrival_from`'s arrivals on every net: the same
+    /// bits where it reaches, `None` where it does not. One buffer serves
+    /// four consecutive walks over different random source sets, so an
+    /// entry left stale by an earlier walk fails the comparison.
+    #[test]
+    fn cone_walk_equals_the_full_walk(seed in 0u64..3000, gates in 1usize..60, pick in 1u64..1_000_000) {
+        let netlist = random_netlist(seed, gates);
+        let library = CellLibrary::generic_90nm();
+        let sta = Sta::new(&netlist, &library, TimingConfig::default());
+        let nets: Vec<NetId> = netlist.nets().map(|(id, _)| id).collect();
+        let mut state = pick;
+        let mut cone = ConeArrivals::default();
+        for walk in 0..4 {
+            let sources: Vec<NetId> = nets
+                .iter()
+                .copied()
+                .filter(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state % 4 == 0
+                })
+                .collect();
+            let full = sta.arrival_from(&sources);
+            sta.cone_arrival_from(&sources, &mut cone);
+            for &net in &nets {
+                prop_assert_eq!(
+                    cone.get(net).map(f64::to_bits),
+                    full[net.index()].map(f64::to_bits),
+                    "walk {} from {:?}, net {:?}", walk, sources, net
+                );
+            }
         }
     }
 

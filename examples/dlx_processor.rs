@@ -11,7 +11,6 @@
 use desync::circuits::dlx::{encode_instruction, instruction_nets};
 use desync::power::ClockTreeConfig;
 use desync::prelude::*;
-use desync::sim::SyncTestbench;
 
 /// A small instruction loop exercising the ALU, immediates, loads and stores.
 fn instruction_stream(netlist: &Netlist) -> VectorSource {
@@ -51,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sta = Sta::new(&netlist, &library, TimingConfig::default());
     let sync_period = sta.clock_period();
     let stimulus = instruction_stream(&netlist);
-    let sync_tb = SyncTestbench::new(&netlist, &library, SimConfig::default())?;
+    let sync_tb = SyncBench::<Value>::new(&netlist, &library, SimConfig::default())?;
     let sync_run = sync_tb.run(cycles, sync_period, &stimulus);
     let clock_tree = ClockTree::synthesize(
         netlist.num_flip_flops(),

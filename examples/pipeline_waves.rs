@@ -9,7 +9,6 @@
 //! ```
 
 use desync::prelude::*;
-use desync::sim::AsyncTestbench;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 4-stage pipeline named after the paper's latches A, B, C, D.
@@ -25,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // and record the enable waveforms.
     let bundle = design.enable_schedule(8, design.synchronous_period_ps() + 1_000.0);
     let latch_netlist = design.latch_netlist();
-    let mut tb = AsyncTestbench::new(latch_netlist, &library, SimConfig::default());
+    let mut tb = AsyncBench::<Value>::new(latch_netlist, &library, SimConfig::default());
     let enable_names: Vec<String> = design
         .latch_design()
         .cluster_enables

@@ -37,8 +37,8 @@
 //! Stages run lazily and cache their artifacts; changing one knob re-runs
 //! only the invalidated suffix of the pipeline (a protocol sweep, for
 //! example, re-runs controller synthesis per protocol while clustering and
-//! delay sizing are computed once). Matched-delay sizing fans out across a
-//! persistent worker pool with results bit-identical to the serial path.
+//! delay sizing are computed once). Matched-delay sizing walks only each
+//! source cluster's forward cone.
 //! [`Desynchronizer`](core::Desynchronizer) remains as a one-call wrapper
 //! that advances a fresh flow end to end, and a
 //! [`DesyncEngine`](core::DesyncEngine) shares stage artifacts *across*
@@ -133,8 +133,8 @@ pub mod prelude {
         dynamic_power_mw, leakage_power_mw, AreaReport, ClockTree, PowerReport,
     };
     pub use desync_sim::{
-        AsyncTestbench, CompiledModel, PackedAsyncTestbench, PackedSyncTestbench,
-        PackedVectorSource, SimConfig, SyncTestbench, VectorSource, MAX_LANES,
+        AsyncBench, CompiledModel, PackedValue, PackedVectorSource, SimConfig, SyncBench,
+        VectorSource, MAX_LANES,
     };
     pub use desync_sta::{MatchedDelay, Sta, TimingConfig};
 }

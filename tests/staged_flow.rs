@@ -1,8 +1,7 @@
 //! Integration tests of the staged pipeline API (`DesyncFlow`): resume
-//! semantics across option changes, equality with the one-call
-//! `Desynchronizer` wrapper, and determinism of parallel matched-delay
-//! sizing — all exercised on generated benchmark circuits rather than
-//! hand-built netlists.
+//! semantics across option changes and equality with the one-call
+//! `Desynchronizer` wrapper — all exercised on generated benchmark circuits
+//! rather than hand-built netlists.
 
 use desync::prelude::*;
 
@@ -91,63 +90,6 @@ fn staged_flow_matches_the_one_call_wrapper() {
             .expect("staged flow");
         assert_eq!(via_wrapper, via_stages);
     }
-}
-
-#[test]
-fn parallel_sizing_is_deterministic_on_a_wide_cluster_graph() {
-    // The DLX has dozens of clusters, so parallel sizing genuinely fans out.
-    let netlist = DlxConfig {
-        width: 8,
-        name: "dlx8".into(),
-    }
-    .generate()
-    .expect("dlx generation");
-    let library = CellLibrary::generic_90nm();
-    let mut serial = DesyncFlow::new(
-        &netlist,
-        &library,
-        DesyncOptions::default().with_parallel_sizing(false),
-    )
-    .expect("valid options");
-    let mut parallel = DesyncFlow::new(
-        &netlist,
-        &library,
-        DesyncOptions::default().with_parallel_sizing(true),
-    )
-    .expect("valid options");
-    assert_eq!(
-        serial.timed().expect("timing"),
-        parallel.timed().expect("timing")
-    );
-    // Repeated parallel runs agree with themselves, too: a second, fresh
-    // detached flow computes its own sizing (re-timing the first flow
-    // would only be served from its store).
-    let first = parallel.timed().expect("timing").clone();
-    let mut repeat = DesyncFlow::new(
-        &netlist,
-        &library,
-        DesyncOptions::default().with_parallel_sizing(true),
-    )
-    .expect("valid options");
-    assert_eq!(&first, repeat.timed().expect("timing"));
-    assert_eq!(repeat.stage_runs(Stage::Timed), 1);
-    // An engine-attached flow sizes on the engine's persistent worker pool;
-    // the result is bit-identical to both detached paths.
-    let engine = DesyncEngine::with_workers(4);
-    let mut pooled = engine
-        .flow(
-            &netlist,
-            &library,
-            DesyncOptions::default().with_parallel_sizing(true),
-        )
-        .expect("valid options");
-    assert_eq!(&first, pooled.timed().expect("timing"));
-    // Repeated pool runs (cache cleared in between) agree as well.
-    engine.clear();
-    pooled.invalidate_from(Stage::Timed);
-    assert_eq!(&first, pooled.timed().expect("timing"));
-    assert_eq!(pooled.cache_hits(Stage::Timed), 0);
-    assert_eq!(pooled.stage_runs(Stage::Timed), 2);
 }
 
 #[test]
