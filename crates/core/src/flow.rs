@@ -59,8 +59,9 @@ impl<'a> Desynchronizer<'a> {
     ///   [`DesyncError::AlreadyLatchBased`] when the input netlist is not a
     ///   valid single-clock flip-flop design.
     /// * [`DesyncError::ModelCheck`] when the composed control model fails
-    ///   the liveness or safeness check (this indicates an internal error —
-    ///   the construction is correct by design for valid inputs).
+    ///   its lint (this indicates an internal error — the construction is
+    ///   correct by design for valid inputs); it carries the lint report,
+    ///   whose witness names the offending cycle.
     pub fn run(&self) -> Result<DesyncDesign, DesyncError> {
         DesyncFlow::new(self.netlist, self.library, self.options)?.design()
     }

@@ -413,14 +413,14 @@ impl ControlModel {
         sub
     }
 
-    /// Whether every component of the control model is live.
+    /// Whether the control model is live. A token-free cycle lies within one
+    /// weak component, so the whole graph is checked at once.
     pub fn is_live(&self) -> bool {
-        self.components()
-            .iter()
-            .all(|c| self.component_graph(c).is_live())
+        self.graph.is_live()
     }
 
-    /// Whether every component of the control model is safe.
+    /// Whether every component of the control model is safe. A component
+    /// that is not live is explored on its own.
     pub fn is_safe(&self) -> bool {
         self.components()
             .iter()
@@ -431,10 +431,12 @@ impl ControlModel {
     /// the `desync-lint` marked-graph suite on every weakly connected
     /// component and merges the diagnostics.
     ///
-    /// A clean report is the static certificate behind
+    /// A component is clean iff it is live, safe and strongly connected, so
+    /// a clean report is the static certificate behind
     /// [`ControlModel::is_live`] / [`ControlModel::is_safe`]; a dirty one
     /// names the exact token-free or overloaded cycle (as transition
-    /// labels), which the bare booleans cannot.
+    /// labels), which the bare booleans cannot. The Controlled stage checks
+    /// every model it builds with this report.
     pub fn lint(&self) -> desync_lint::LintReport {
         let mut report = desync_lint::LintReport::new();
         for component in self.components() {
@@ -562,10 +564,9 @@ mod tests {
         assert!(model.cycle_time_ps() >= 600.0);
     }
 
-    #[test]
-    fn disconnected_clusters_are_separate_components() {
-        // Two clusters with no edge between them.
-        let clusters = ClusterGraph {
+    /// Two clusters with no edge between them.
+    fn disconnected_clusters() -> ClusterGraph {
+        ClusterGraph {
             clusters: vec![
                 Cluster {
                     name: "a".into(),
@@ -579,7 +580,12 @@ mod tests {
             edges: vec![],
             input_fed: vec![true, true],
             output_feeding: vec![true, true],
-        };
+        }
+    }
+
+    #[test]
+    fn disconnected_clusters_are_separate_components() {
+        let clusters = disconnected_clusters();
         let model = ControlModel::build(
             &clusters,
             Protocol::FullyDecoupled,
@@ -589,6 +595,29 @@ mod tests {
         assert_eq!(model.components().len(), 2);
         assert!(model.is_live());
         assert!(model.is_safe());
+    }
+
+    #[test]
+    fn lint_is_clean_on_live_and_safe_models() {
+        let environment = EnvironmentSpec::default();
+        for clusters in [chain_clusters(3), disconnected_clusters()] {
+            let delays = uniform_delays(&clusters, 500.0);
+            for &protocol in Protocol::all() {
+                for env in [None, Some(&environment)] {
+                    let model = ControlModel::build_with_environment(
+                        &clusters,
+                        protocol,
+                        &delays,
+                        env,
+                        ModelDelays::default(),
+                    );
+                    let context = format!("{protocol}, environment {}", env.is_some());
+                    assert!(model.is_live() && model.is_safe(), "{context}");
+                    let report = model.lint();
+                    assert!(report.is_clean(), "{context}: {report}");
+                }
+            }
+        }
     }
 
     #[test]

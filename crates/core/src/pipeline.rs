@@ -740,8 +740,9 @@ impl<'a> DesyncFlow<'a> {
     /// # Errors
     ///
     /// Earlier-stage errors, plus [`DesyncError::ModelCheck`] when the
-    /// composed model fails the liveness or safeness check (an internal
-    /// error — the construction is correct by design for valid inputs).
+    /// composed model fails [`ControlModel::lint`] (an internal error — the
+    /// construction is correct by design for valid inputs); the error
+    /// carries the lint report, whose witness names the offending cycle.
     pub fn controlled(&mut self) -> Result<&ControlNetwork, DesyncError> {
         if self.controlled.is_none() {
             self.timed()?;
@@ -1348,15 +1349,9 @@ fn build_control_network(
         environment,
         model_delays,
     );
-    if !model.is_live() {
-        return Err(DesyncError::ModelCheck(
-            "composed control model is not live".into(),
-        ));
-    }
-    if !model.is_safe() {
-        return Err(DesyncError::ModelCheck(
-            "composed control model is not safe".into(),
-        ));
+    let report = model.lint();
+    if !report.is_clean() {
+        return Err(DesyncError::ModelCheck(report.to_string()));
     }
     Ok(ControlNetwork {
         overhead,

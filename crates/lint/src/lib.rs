@@ -37,9 +37,9 @@
 //! **Control-network suite** ([`lint_marked_graph`]): MG001 (error,
 //! token-free cycle ⇒ not live), MG002 (error, cycle carrying more than one
 //! token ⇒ not safe), MG003 (error, strong-connectivity component report).
-//! These wrap the witness-producing proofs in
-//! [`desync_mg::analysis`] — the same theorems `is_live`/`is_safe`
-//! evaluate, upgraded from booleans to checkable cycles.
+//! These wrap the witness searches of [`desync_mg::analysis`]; `is_live`
+//! and, on live graphs, `is_safe` are their boolean projections, so the
+//! passes report the same verdicts as checkable cycles.
 //!
 //! # Example
 //!

@@ -48,7 +48,7 @@ pub fn lint_marked_graph(graph: &MarkedGraph) -> LintReport {
     }
 
     // MG002: a cycle carrying more than one token proves the network is not
-    // safe (for live, strongly connected graphs).
+    // safe (for live graphs).
     if let Some(witness) = multi_token_cycle(graph) {
         let labels = cycle_labels(graph, &witness.places);
         report.push(

@@ -8,9 +8,17 @@
 //!   at least one token, i.e. the subgraph of token-free places is acyclic.
 //! * **Safeness** — a live marked graph is safe (1-bounded) iff every place
 //!   belongs to a directed cycle whose total token count is exactly one.
+//!
+//! Each property is one analysis: a witness search names the offending
+//! cycle or component ([`token_free_cycle`], [`multi_token_cycle`],
+//! [`strongly_connected_components`]), and each boolean verdict is its
+//! projection ([`is_live`], [`is_strongly_connected`], and the structural
+//! regime of [`is_safe`]). [`is_safe`] has two regimes: structural for live
+//! graphs, explicit exploration for the rest.
 
 use crate::graph::{MarkedGraph, Marking, PlaceId, TransitionId};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 /// A directed cycle of a marked graph, reported as the places traversed in
 /// order (place `i` ends at the transition place `i + 1` leaves, wrapping at
@@ -63,6 +71,16 @@ fn canonicalize_cycle(places: &mut [PlaceId]) {
     }
 }
 
+/// Each transition's out-going places in place-id order, as
+/// `(to, tokens, place)`: the one adjacency every graph search walks.
+fn out_places(graph: &MarkedGraph) -> Vec<Vec<(usize, u32, PlaceId)>> {
+    let mut adj = vec![Vec::new(); graph.num_transitions()];
+    for (id, p) in graph.places() {
+        adj[p.from.index()].push((p.to.index(), p.initial_tokens, id));
+    }
+    adj
+}
+
 /// Finds a **token-free directed cycle** — the witness that the marked
 /// graph is not live (the transitions on it can never fire) — or `None`
 /// when every cycle carries a token and the graph is therefore live.
@@ -70,19 +88,12 @@ fn canonicalize_cycle(places: &mut [PlaceId]) {
 /// [`is_live`] is this function's boolean projection; callers that need to
 /// report *why* a control network deadlocks get the named cycle here.
 pub fn token_free_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
-    // Adjacency over token-free places only, edges tagged with the place
-    // that contributes them, in place-id order.
-    let n = graph.num_transitions();
-    let mut adj: Vec<Vec<(usize, PlaceId)>> = vec![Vec::new(); n];
-    for (id, p) in graph.places() {
-        if p.initial_tokens == 0 {
-            adj[p.from.index()].push((p.to.index(), id));
-        }
-    }
-    // Iterative DFS in transition-id order; `path` carries the place used
-    // to enter each stacked transition (the root has none).
-    let mut color = vec![0u8; n];
-    for start in 0..n {
+    let adj = out_places(graph);
+    // Iterative DFS over token-free places, in transition-id order; `path`
+    // carries the place used to enter each stacked transition (the root has
+    // none).
+    let mut color = vec![0u8; adj.len()];
+    for start in 0..adj.len() {
         if color[start] != 0 {
             continue;
         }
@@ -91,8 +102,11 @@ pub fn token_free_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
         color[start] = 1;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
             if *next < adj[node].len() {
-                let (succ, place) = adj[node][*next];
+                let (succ, tokens, place) = adj[node][*next];
                 *next += 1;
+                if tokens > 0 {
+                    continue;
+                }
                 match color[succ] {
                     0 => {
                         color[succ] = 1;
@@ -129,64 +143,17 @@ pub fn token_free_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
 /// transition can always eventually fire again.
 ///
 /// By the marked-graph liveness theorem this holds iff no directed cycle is
-/// token-free (the boolean projection of [`token_free_cycle`], which names
-/// the offending cycle).
+/// token-free: the boolean projection of [`token_free_cycle`], which names
+/// the offending cycle.
 pub fn is_live(graph: &MarkedGraph) -> bool {
-    // Build adjacency over token-free places only.
-    let n = graph.num_transitions();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (_, p) in graph.places() {
-        if p.initial_tokens == 0 {
-            adj[p.from.index()].push(p.to.index());
-        }
-    }
-    !has_cycle(&adj)
-}
-
-fn has_cycle(adj: &[Vec<usize>]) -> bool {
-    let n = adj.len();
-    let mut color = vec![0u8; n]; // 0 white, 1 grey, 2 black
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start] = 1;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < adj[node].len() {
-                let succ = adj[node][*next];
-                *next += 1;
-                match color[succ] {
-                    0 => {
-                        color[succ] = 1;
-                        stack.push((succ, 0));
-                    }
-                    1 => return true,
-                    _ => {}
-                }
-            } else {
-                color[node] = 2;
-                stack.pop();
-            }
-        }
-    }
-    false
+    token_free_cycle(graph).is_none()
 }
 
 /// Whether the underlying directed graph (transitions as nodes, places as
-/// edges) is strongly connected.
+/// edges) is strongly connected: the boolean projection of
+/// [`strongly_connected_components`].
 pub fn is_strongly_connected(graph: &MarkedGraph) -> bool {
-    let n = graph.num_transitions();
-    if n == 0 {
-        return true;
-    }
-    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut bwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (_, p) in graph.places() {
-        fwd[p.from.index()].push(p.to.index());
-        bwd[p.to.index()].push(p.from.index());
-    }
-    reachable_count(&fwd, 0) == n && reachable_count(&bwd, 0) == n
+    strongly_connected_components(graph).len() <= 1
 }
 
 /// The strongly connected components of the underlying directed graph
@@ -197,12 +164,13 @@ pub fn is_strongly_connected(graph: &MarkedGraph) -> bool {
 pub fn strongly_connected_components(graph: &MarkedGraph) -> Vec<Vec<TransitionId>> {
     // Kosaraju: forward DFS finish order (transitions visited in id order),
     // then backward DFS over the reversed edges in that order.
-    let n = graph.num_transitions();
-    let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let fwd = out_places(graph);
+    let n = fwd.len();
     let mut bwd: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (_, p) in graph.places() {
-        fwd[p.from.index()].push(p.to.index());
-        bwd[p.to.index()].push(p.from.index());
+    for (from, outs) in fwd.iter().enumerate() {
+        for &(to, _, _) in outs {
+            bwd[to].push(from);
+        }
     }
     let mut finish = Vec::with_capacity(n);
     let mut seen = vec![false; n];
@@ -214,7 +182,7 @@ pub fn strongly_connected_components(graph: &MarkedGraph) -> Vec<Vec<TransitionI
         let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
             if *next < fwd[node].len() {
-                let succ = fwd[node][*next];
+                let succ = fwd[node][*next].0;
                 *next += 1;
                 if !seen[succ] {
                     seen[succ] = true;
@@ -258,34 +226,64 @@ pub fn strongly_connected_components(graph: &MarkedGraph) -> Vec<Vec<TransitionI
 
 /// Finds a directed cycle carrying **more than one token** such that no
 /// cycle through one of its places carries fewer — the structural witness
-/// that a live, strongly connected marked graph is unsafe (the place can
-/// actually accumulate that many tokens) — or `None` when every place lies
-/// on a one-token cycle.
+/// that a live marked graph is unsafe (the place can actually accumulate
+/// that many tokens) — or `None` when every place on a cycle lies on a
+/// one-token cycle. Places on no cycle are skipped.
 ///
-/// Places are examined in id order and the first offending place produces
-/// the witness, so the result is a pure function of the graph. Places on no
-/// cycle are skipped (they belong to the non-strongly-connected regime,
-/// reported by [`strongly_connected_components`], where safety falls back
-/// to explicit exploration).
+/// The lowest offending place id produces the witness, so the result is a
+/// pure function of the graph. Places are grouped by the transition they
+/// enter, and one Dijkstra per distinct target (token counts as lengths,
+/// heap ordered by distance then transition id, places relaxed in id
+/// order, parents replaced only on strict improvement) finds the fewest
+/// tokens back from each place's target to its source, in buffers reused
+/// across targets.
 pub fn multi_token_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
-    // One shortest-path tree (with parent edges) per distinct target
-    // transition, shared by every place entering it — mirrors `is_safe`.
-    let mut trees: HashMap<usize, TokenPathTree> = HashMap::new();
+    let adj = out_places(graph);
+    let n = adj.len();
+    let mut entering: Vec<Vec<PlaceId>> = vec![Vec::new(); n];
     for (id, p) in graph.places() {
-        let (dist, parent) = trees
-            .entry(p.to.index())
-            .or_insert_with(|| token_shortest_paths_with_parents(graph, p.to));
-        let Some(back) = dist[p.from.index()] else {
-            continue; // `p` lies on no cycle.
-        };
-        if back + p.initial_tokens <= 1 {
+        entering[p.to.index()].push(id);
+    }
+    let mut dist: Vec<Option<u32>> = vec![None; n];
+    let mut parent: Vec<Option<(usize, PlaceId)>> = vec![None; n];
+    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+    let mut found: Option<(PlaceId, CycleWitness)> = None;
+    for (target, group) in entering.iter().enumerate() {
+        let below_found = |id: PlaceId| found.as_ref().is_none_or(|(best, _)| id < *best);
+        if !group.first().is_some_and(|&first| below_found(first)) {
             continue;
         }
-        // Reconstruct the shortest token path p.to -> ... -> p.from, then
-        // close the cycle with `p` itself.
+        dist.fill(None);
+        parent.fill(None);
+        heap.clear();
+        dist[target] = Some(0);
+        heap.push(Reverse((0, target)));
+        while let Some(Reverse((d, node))) = heap.pop() {
+            if dist[node] != Some(d) {
+                continue;
+            }
+            for &(succ, w, place) in &adj[node] {
+                let nd = d + w;
+                if dist[succ].is_none_or(|old| nd < old) {
+                    dist[succ] = Some(nd);
+                    parent[succ] = Some((node, place));
+                    heap.push(Reverse((nd, succ)));
+                }
+            }
+        }
+        let offending = group.iter().find_map(|&id| {
+            let p = graph.place(id);
+            let tokens = dist[p.from.index()]? + p.initial_tokens;
+            (tokens > 1).then_some((id, tokens))
+        });
+        let Some((id, tokens)) = offending.filter(|&(id, _)| below_found(id)) else {
+            continue;
+        };
+        // The shortest token path target -> ... -> p.from, closed by the
+        // place itself.
         let mut places = Vec::new();
-        let mut node = p.from.index();
-        while node != p.to.index() {
+        let mut node = graph.place(id).from.index();
+        while node != target {
             let (pred, via) = parent[node].expect("reached nodes have parents");
             places.push(via);
             node = pred;
@@ -293,204 +291,54 @@ pub fn multi_token_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
         places.reverse();
         places.push(id);
         canonicalize_cycle(&mut places);
-        return Some(CycleWitness {
-            places,
-            tokens: back + p.initial_tokens,
-        });
+        found = Some((id, CycleWitness { places, tokens }));
     }
-    None
-}
-
-/// Shortest-path tree of [`token_shortest_paths_with_parents`]: per
-/// transition, the token distance from the start (if reached) and the
-/// parent edge (predecessor transition and the place traversed).
-type TokenPathTree = (Vec<Option<u32>>, Vec<Option<(usize, PlaceId)>>);
-
-/// [`token_shortest_paths`] plus the parent edge (predecessor transition
-/// and the place traversed) of every reached transition, for witness
-/// reconstruction. Ties break deterministically: the heap orders by
-/// (distance, transition id) and parents update only on strict improvement,
-/// with places relaxed in id order.
-fn token_shortest_paths_with_parents(graph: &MarkedGraph, start: TransitionId) -> TokenPathTree {
-    let n = graph.num_transitions();
-    let mut adj: Vec<Vec<(usize, u32, PlaceId)>> = vec![Vec::new(); n];
-    for (id, p) in graph.places() {
-        adj[p.from.index()].push((p.to.index(), p.initial_tokens, id));
-    }
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut parent: Vec<Option<(usize, PlaceId)>> = vec![None; n];
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = BinaryHeap::new();
-    dist[start.index()] = Some(0);
-    heap.push(std::cmp::Reverse((0, start.index())));
-    while let Some(std::cmp::Reverse((d, node))) = heap.pop() {
-        if dist[node] != Some(d) {
-            continue;
-        }
-        for &(succ, w, place) in &adj[node] {
-            let nd = d + w;
-            if dist[succ].is_none_or(|old| nd < old) {
-                dist[succ] = Some(nd);
-                parent[succ] = Some((node, place));
-                heap.push(std::cmp::Reverse((nd, succ)));
-            }
-        }
-    }
-    (dist, parent)
-}
-
-fn reachable_count(adj: &[Vec<usize>], start: usize) -> usize {
-    let mut seen = vec![false; adj.len()];
-    let mut queue = VecDeque::new();
-    seen[start] = true;
-    queue.push_back(start);
-    let mut count = 1;
-    while let Some(node) = queue.pop_front() {
-        for &succ in &adj[node] {
-            if !seen[succ] {
-                seen[succ] = true;
-                count += 1;
-                queue.push_back(succ);
-            }
-        }
-    }
-    count
-}
-
-/// The minimum number of tokens on any directed cycle through place `p`,
-/// or `None` if `p` lies on no cycle.
-///
-/// Computed as a shortest path (token count as length) from `p.to` back to
-/// `p.from`, plus the tokens of `p` itself.
-pub fn min_tokens_on_cycle_through(graph: &MarkedGraph, p: PlaceId) -> Option<u32> {
-    let place = graph.place(p);
-    let dist = token_shortest_paths(graph, place.to);
-    dist[place.from.index()].map(|d| d + place.initial_tokens)
-}
-
-/// Shortest token-count distance from `start` to every transition
-/// (Dijkstra over places weighted by their initial token count).
-fn token_shortest_paths(graph: &MarkedGraph, start: TransitionId) -> Vec<Option<u32>> {
-    let n = graph.num_transitions();
-    let mut adj: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-    for (_, p) in graph.places() {
-        adj[p.from.index()].push((p.to.index(), p.initial_tokens));
-    }
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = BinaryHeap::new();
-    dist[start.index()] = Some(0);
-    heap.push(std::cmp::Reverse((0, start.index())));
-    while let Some(std::cmp::Reverse((d, node))) = heap.pop() {
-        if dist[node] != Some(d) {
-            continue;
-        }
-        for &(succ, w) in &adj[node] {
-            let nd = d + w;
-            if dist[succ].is_none_or(|old| nd < old) {
-                dist[succ] = Some(nd);
-                heap.push(std::cmp::Reverse((nd, succ)));
-            }
-        }
-    }
-    dist
+    found.map(|(_, witness)| witness)
 }
 
 /// Whether the marked graph is safe (no reachable marking puts more than one
 /// token in any place).
 ///
-/// For live, strongly connected graphs this uses the structural
-/// characterization (every place lies on a cycle with exactly one token).
-/// For other graphs it falls back to an explicit reachability exploration
-/// bounded by [`DEFAULT_EXPLORATION_LIMIT`] markings; graphs that exceed the
-/// bound are conservatively reported unsafe.
+/// A live graph is decided by structure: it is safe iff every place lies on
+/// a cycle (its two transitions share a strongly connected component — a
+/// place on no cycle is unbounded, since its producer fires without its
+/// consumer) and [`multi_token_cycle`] finds nothing. A graph that is not
+/// live falls back to an explicit reachability exploration bounded by
+/// [`DEFAULT_EXPLORATION_LIMIT`] markings; graphs that exceed the bound are
+/// conservatively reported unsafe.
 pub fn is_safe(graph: &MarkedGraph) -> bool {
-    if graph.num_places() == 0 {
-        return true;
-    }
-    if is_live(graph) && is_strongly_connected(graph) {
-        // One token-shortest-path tree per distinct place target, shared by
-        // every place entering the same transition (instead of one Dijkstra
-        // per place — places outnumber transitions several times over in
-        // composed controller networks).
-        let mut trees: HashMap<usize, Vec<Option<u32>>> = HashMap::new();
-        graph.places().all(|(_, p)| {
-            if p.initial_tokens > 1 {
-                return false;
-            }
-            let dist = trees
-                .entry(p.to.index())
-                .or_insert_with(|| token_shortest_paths(graph, p.to));
-            match dist[p.from.index()] {
-                Some(d) => d + p.initial_tokens == 1,
-                None => false,
-            }
-        })
-    } else {
-        matches!(
+    if !is_live(graph) {
+        return matches!(
             max_bound_exhaustive(graph, DEFAULT_EXPLORATION_LIMIT),
             Some(b) if b <= 1
-        )
+        );
     }
+    let mut component = vec![0; graph.num_transitions()];
+    for (c, members) in strongly_connected_components(graph).iter().enumerate() {
+        for t in members {
+            component[t.index()] = c;
+        }
+    }
+    graph
+        .places()
+        .all(|(_, p)| component[p.from.index()] == component[p.to.index()])
+        && multi_token_cycle(graph).is_none()
 }
 
 /// Default cap on the number of distinct markings explored by the
 /// exhaustive analyses.
 pub const DEFAULT_EXPLORATION_LIMIT: usize = 200_000;
 
-/// Explores the reachability graph and returns the maximum token count
-/// observed in any single place, or `None` when more than `limit` distinct
-/// markings were reached (exploration aborted).
-pub fn max_bound_exhaustive(graph: &MarkedGraph, limit: usize) -> Option<u32> {
-    let initial = graph.initial_marking();
-    let mut seen: HashSet<Marking> = HashSet::new();
-    let mut queue = VecDeque::new();
-    let mut max = initial.0.iter().copied().max().unwrap_or(0);
-    seen.insert(initial.clone());
-    queue.push_back(initial);
-    while let Some(m) = queue.pop_front() {
-        for t in graph.enabled(&m) {
-            let mut next = m.clone();
-            graph.fire(&mut next, t);
-            max = max.max(next.0.iter().copied().max().unwrap_or(0));
-            if !seen.contains(&next) {
-                if seen.len() >= limit {
-                    return None;
-                }
-                seen.insert(next.clone());
-                queue.push_back(next);
-            }
-        }
-    }
-    Some(max)
-}
-
-/// The number of distinct reachable markings, up to `limit` (returns `None`
-/// when the limit is exceeded).
-pub fn count_reachable_markings(graph: &MarkedGraph, limit: usize) -> Option<usize> {
-    let initial = graph.initial_marking();
-    let mut seen: HashSet<Marking> = HashSet::new();
-    let mut queue = VecDeque::new();
-    seen.insert(initial.clone());
-    queue.push_back(initial);
-    while let Some(m) = queue.pop_front() {
-        for t in graph.enabled(&m) {
-            let mut next = m.clone();
-            graph.fire(&mut next, t);
-            if !seen.contains(&next) {
-                if seen.len() >= limit {
-                    return None;
-                }
-                seen.insert(next.clone());
-                queue.push_back(next);
-            }
-        }
-    }
-    Some(seen.len())
-}
-
-/// Whether there exists a reachable deadlock (a marking with no enabled
-/// transition). Exploration is bounded by `limit` markings; returns `None`
-/// when the bound is hit without finding a deadlock.
-pub fn find_deadlock(graph: &MarkedGraph, limit: usize) -> Option<Option<Marking>> {
+/// Breadth-first search of the reachability graph from the initial marking:
+/// `visit` sees each distinct reachable marking once, with the transitions
+/// it enables, and stops the search by returning `Some`. Returns that value,
+/// `Some(None)` once every reachable marking was visited, or `None` as soon
+/// as more than `limit` distinct markings are reached.
+fn explore<B>(
+    graph: &MarkedGraph,
+    limit: usize,
+    mut visit: impl FnMut(&Marking, &[TransitionId]) -> Option<B>,
+) -> Option<Option<B>> {
     let initial = graph.initial_marking();
     let mut seen: HashSet<Marking> = HashSet::new();
     let mut queue = VecDeque::new();
@@ -498,8 +346,8 @@ pub fn find_deadlock(graph: &MarkedGraph, limit: usize) -> Option<Option<Marking
     queue.push_back(initial);
     while let Some(m) = queue.pop_front() {
         let enabled = graph.enabled(&m);
-        if enabled.is_empty() {
-            return Some(Some(m));
+        if let Some(stop) = visit(&m, &enabled) {
+            return Some(Some(stop));
         }
         for t in enabled {
             let mut next = m.clone();
@@ -516,18 +364,36 @@ pub fn find_deadlock(graph: &MarkedGraph, limit: usize) -> Option<Option<Marking
     Some(None)
 }
 
-/// Token count per transition-label pair, summed over all places between the
-/// two labels. Useful for asserting the shape of composed models in tests.
-pub fn token_matrix(graph: &MarkedGraph) -> HashMap<(String, String), u32> {
-    let mut map = HashMap::new();
-    for (_, p) in graph.places() {
-        let key = (
-            graph.transition(p.from).label.clone(),
-            graph.transition(p.to).label.clone(),
-        );
-        *map.entry(key).or_insert(0) += p.initial_tokens;
-    }
-    map
+/// Explores the reachability graph and returns the maximum token count
+/// observed in any single place, or `None` when more than `limit` distinct
+/// markings were reached (exploration aborted).
+pub fn max_bound_exhaustive(graph: &MarkedGraph, limit: usize) -> Option<u32> {
+    let mut max = 0;
+    explore(graph, limit, |m, _| {
+        max = max.max(m.0.iter().copied().max().unwrap_or(0));
+        None::<()>
+    })?;
+    Some(max)
+}
+
+/// The number of distinct reachable markings, up to `limit` (returns `None`
+/// when the limit is exceeded).
+pub fn count_reachable_markings(graph: &MarkedGraph, limit: usize) -> Option<usize> {
+    let mut count = 0;
+    explore(graph, limit, |_, _| {
+        count += 1;
+        None::<()>
+    })?;
+    Some(count)
+}
+
+/// Whether there exists a reachable deadlock (a marking with no enabled
+/// transition). Exploration is bounded by `limit` markings; returns `None`
+/// when the bound is hit without finding a deadlock.
+pub fn find_deadlock(graph: &MarkedGraph, limit: usize) -> Option<Option<Marking>> {
+    explore(graph, limit, |m, enabled| {
+        enabled.is_empty().then(|| m.clone())
+    })
 }
 
 #[cfg(test)]
@@ -600,20 +466,11 @@ mod tests {
     }
 
     #[test]
-    fn min_tokens_on_cycle() {
-        let g = ring(&["a", "b", "c"], 1);
-        for (id, _) in g.places() {
-            assert_eq!(min_tokens_on_cycle_through(&g, id), Some(1));
-        }
-    }
-
-    #[test]
     fn place_not_on_cycle() {
         let mut g = MarkedGraph::new();
         let a = g.add_transition("a");
         let b = g.add_transition("b");
-        let p = g.add_place(a, b, 0, 1.0);
-        assert_eq!(min_tokens_on_cycle_through(&g, p), None);
+        g.add_place(a, b, 0, 1.0);
         assert!(!is_strongly_connected(&g));
         // Source transition `a` can fire unboundedly: exploration hits limit.
         assert_eq!(max_bound_exhaustive(&g, 10), None);
@@ -627,11 +484,21 @@ mod tests {
     }
 
     #[test]
-    fn token_matrix_sums() {
-        let g = ring(&["a", "b"], 1);
-        let m = token_matrix(&g);
-        assert_eq!(m[&("b".to_string(), "a".to_string())], 1);
-        assert_eq!(m[&("a".to_string(), "b".to_string())], 0);
+    fn disjoint_one_token_rings_are_safe_by_structure() {
+        // Twelve one-token 3-rings: live and safe, but not strongly connected,
+        // with 3^12 = 531,441 reachable markings, past the exploration limit.
+        let mut g = MarkedGraph::new();
+        for r in 0..12 {
+            let ids: Vec<_> = (0..3)
+                .map(|i| g.add_transition(format!("r{r}t{i}")))
+                .collect();
+            for i in 0..3 {
+                g.add_place(ids[i], ids[(i + 1) % 3], u32::from(i == 2), 1.0);
+            }
+        }
+        assert!(is_live(&g));
+        assert!(!is_strongly_connected(&g));
+        assert!(is_safe(&g));
     }
 
     #[test]

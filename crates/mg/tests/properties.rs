@@ -7,8 +7,9 @@ use desync_mg::analysis::{
 };
 use desync_mg::compose::{compose, from_edges, same_structure};
 use desync_mg::timing::{cycle_time, simulate_timed};
-use desync_mg::{FlowEquivalence, FlowTrace, MarkedGraph};
+use desync_mg::{FlowEquivalence, FlowTrace, MarkedGraph, TransitionId};
 use proptest::prelude::*;
+use std::collections::{HashSet, VecDeque};
 
 /// A random strongly connected marked graph: a ring of `n` transitions with
 /// extra chords, tokens placed from the seed.
@@ -42,35 +43,108 @@ fn random_strongly_connected(seed: u64, n: usize, chords: usize) -> MarkedGraph 
     g
 }
 
+/// A random marked graph of one of three shapes: `0` is one
+/// [`random_strongly_connected`] graph, `1` is two of them side by side and
+/// `2` joins those two by a one-way place. Shapes 1 and 2 are not strongly
+/// connected, and they are live exactly when both halves are.
+fn random_shape(seed: u64, n: usize, chords: usize, shape: u8) -> MarkedGraph {
+    let mut g = random_strongly_connected(seed, n, chords);
+    if shape == 0 {
+        return g;
+    }
+    let other = random_strongly_connected(seed.wrapping_add(0x9e37_79b9), n, chords);
+    let offset = g.num_transitions() as u32;
+    for (_, t) in other.transitions() {
+        g.add_transition(format!("u{}", t.label));
+    }
+    for (_, p) in other.places() {
+        let (from, to) = (
+            TransitionId(p.from.0 + offset),
+            TransitionId(p.to.0 + offset),
+        );
+        g.add_place(from, to, p.initial_tokens, p.delay);
+    }
+    if shape == 2 {
+        g.add_place(TransitionId(0), TransitionId(offset), 0, 1.0);
+    }
+    g
+}
+
+/// Distinct markings the liveness and safeness oracles explore. The graphs
+/// of [`random_shape`] that are safe stay far below it (see
+/// `safeness_matches_exhaustive_bound`); the unbounded ones of shape 2 run
+/// into it.
+const ORACLE_LIMIT: usize = 5_000;
+
+/// Whether every transition is enabled in some reachable marking, by a
+/// breadth-first search over at most `limit` markings: `None` when the
+/// search stops at the limit before it has seen every transition enabled.
+fn every_transition_enabled(g: &MarkedGraph, limit: usize) -> Option<bool> {
+    let mut never_enabled: HashSet<TransitionId> = g.transitions().map(|(t, _)| t).collect();
+    let mut seen = HashSet::from([g.initial_marking()]);
+    let mut queue = VecDeque::from([g.initial_marking()]);
+    while let Some(m) = queue.pop_front() {
+        for t in g.enabled(&m) {
+            never_enabled.remove(&t);
+            let mut next = m.clone();
+            g.fire(&mut next, t);
+            if !seen.contains(&next) {
+                if seen.len() >= limit {
+                    return never_enabled.is_empty().then_some(true);
+                }
+                seen.insert(next.clone());
+                queue.push_back(next);
+            }
+        }
+    }
+    Some(never_enabled.is_empty())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The structural liveness check agrees with explicit deadlock search on
-    /// small graphs.
+    /// The structural liveness check agrees with an independent oracle: a
+    /// marked graph is live iff every transition is enabled in some
+    /// reachable marking, because a token-free cycle's transitions never
+    /// fire. A live marked graph also never deadlocks.
     #[test]
-    fn liveness_matches_deadlock_freedom(seed in 0u64..10_000, n in 2usize..6, chords in 0usize..4) {
-        let g = random_strongly_connected(seed, n, chords);
-        if let Some(deadlock) = find_deadlock(&g, 50_000) {
+    fn liveness_matches_deadlock_freedom(
+        seed in 0u64..10_000,
+        n in 2usize..6,
+        chords in 0usize..4,
+        shape in 0u8..3,
+    ) {
+        let g = random_shape(seed, n, chords, shape);
+        if let Some(every) = every_transition_enabled(&g, ORACLE_LIMIT) {
+            prop_assert_eq!(is_live(&g), every);
+        }
+        if let Some(deadlock) = find_deadlock(&g, ORACLE_LIMIT) {
             if is_live(&g) {
-                // A live marked graph can never deadlock.
                 prop_assert!(deadlock.is_none());
             }
-            // (A deadlock-free marked graph may still be non-live in general
-            // Petri nets, but for marked graphs deadlock-freedom of the full
-            // reachability graph implies every transition stays fireable;
-            // we only assert the safe direction above.)
         }
     }
 
-    /// The structural safeness check agrees with the exhaustive bound.
+    /// The structural safeness check agrees with the exhaustive bound, on
+    /// strongly connected graphs and on live graphs that are not.
     #[test]
-    fn safeness_matches_exhaustive_bound(seed in 0u64..10_000, n in 2usize..6, chords in 0usize..4) {
-        let g = random_strongly_connected(seed, n, chords);
+    fn safeness_matches_exhaustive_bound(
+        seed in 0u64..10_000,
+        n in 2usize..6,
+        chords in 0usize..4,
+        shape in 0u8..3,
+    ) {
+        let g = random_shape(seed, n, chords, shape);
         if !is_live(&g) {
             return Ok(()); // safeness check is only structural for live graphs
         }
-        if let Some(bound) = max_bound_exhaustive(&g, 50_000) {
-            prop_assert_eq!(is_safe(&g), bound <= 1, "bound was {}", bound);
+        match max_bound_exhaustive(&g, ORACLE_LIMIT) {
+            Some(bound) => prop_assert_eq!(is_safe(&g), bound <= 1, "bound was {}", bound),
+            // A safe graph's marking is fixed by the firing-count difference
+            // across each place, so a weak component of k transitions has at
+            // most 2^(k-1) markings: here far below the limit. Exploration
+            // past it (the one-way place of shape 2) means unsafe.
+            None => prop_assert!(!is_safe(&g), "exploration past the limit"),
         }
     }
 

@@ -10,6 +10,14 @@
 //! * [`strongly_connected_components`] agrees with the boolean
 //!   [`is_strongly_connected`] and partitions the transitions.
 //!
+//! The three ⟺ hold by definition: each boolean is a projection of its
+//! witness search. So this suite checks what the witnesses claim (a real
+//! cycle with the stated tokens, a partition with the expected number of
+//! components) and pins their content across versions with a digest. The
+//! verdicts get independent oracles in `properties.rs`: liveness against a
+//! reachability search that sees every transition enabled, safeness
+//! against the exhaustive token bound.
+//!
 //! Graphs are generated from a seed: a base ring over every transition
 //! (strong connectivity by construction) plus random chord places, token
 //! counts drawn from a xorshift stream so liveness and safety both vary
@@ -19,7 +27,7 @@ use desync_mg::analysis::{
     is_live, is_safe, is_strongly_connected, multi_token_cycle, strongly_connected_components,
     token_free_cycle,
 };
-use desync_mg::MarkedGraph;
+use desync_mg::{MarkedGraph, TransitionId};
 use proptest::prelude::*;
 
 /// Small deterministic generator (xorshift64*) so cases are reproducible
@@ -60,6 +68,57 @@ fn random_graph(seed: u64, transitions: usize, chords: usize, max_tokens: u64) -
         g.add_place(ids[from], ids[to], tokens, 1.0);
     }
     g
+}
+
+/// Appends a chain of `extra` transitions hanging off transition 0 through
+/// token-free places: each one is a strongly connected component of its own.
+fn with_dangling_chain(mut g: MarkedGraph, extra: usize) -> MarkedGraph {
+    let mut prev = TransitionId(0);
+    for i in 0..extra {
+        let t = g.add_transition(format!("x{i}"));
+        g.add_place(prev, t, 0, 1.0);
+        prev = t;
+    }
+    g
+}
+
+/// Witness content is pinned across versions, not only across runs: the
+/// three witness searches over 2,000 seeded graphs fold into one FNV-1a
+/// digest.
+#[test]
+fn witness_digest_is_pinned() {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut fold = |word: u32| {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for seed in 0..2_000u64 {
+        let mut shape = Rng(seed ^ 0xd1b5_4a32_d192_ed03);
+        let transitions = 1 + shape.below(9) as usize;
+        let chords = shape.below(8) as usize;
+        let max_tokens = 1 + shape.below(3);
+        let extra = shape.below(3) as usize;
+        let g = with_dangling_chain(random_graph(seed, transitions, chords, max_tokens), extra);
+        for witness in [token_free_cycle(&g), multi_token_cycle(&g)] {
+            match witness {
+                None => fold(u32::MAX),
+                Some(w) => {
+                    fold(w.tokens);
+                    fold(w.places.len() as u32);
+                    w.places.iter().for_each(|p| fold(p.0));
+                }
+            }
+        }
+        let components = strongly_connected_components(&g);
+        fold(components.len() as u32);
+        for component in components {
+            fold(component.len() as u32);
+            component.iter().for_each(|t| fold(t.0));
+        }
+    }
+    assert_eq!(hash, 0xc349_0e94_22a7_8a88, "witness digest {hash:#018x}");
 }
 
 proptest! {
@@ -131,19 +190,11 @@ proptest! {
         transitions in 1usize..8,
         extra in 0usize..4,
     ) {
-        // A ring plus a dangling chain: never strongly connected when the
-        // chain is non-empty.
-        let mut g = random_graph(seed, transitions, 2, 1);
-        let mut prev = None;
-        for i in 0..extra {
-            let t = g.add_transition(format!("x{i}"));
-            let from = prev.unwrap_or_else(|| {
-                g.transitions().next().map(|(id, _)| id).unwrap()
-            });
-            g.add_place(from, t, 0, 1.0);
-            prev = Some(t);
-        }
+        // A ring plus a dangling chain: the ring is one component and each
+        // chain transition is its own.
+        let g = with_dangling_chain(random_graph(seed, transitions, 2, 1), extra);
         let components = strongly_connected_components(&g);
+        prop_assert_eq!(components.len(), 1 + extra);
         prop_assert_eq!(
             is_strongly_connected(&g),
             components.len() <= 1,
