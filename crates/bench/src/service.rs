@@ -559,16 +559,14 @@ pub fn run_service_bench() -> ServiceBenchReport {
     );
 
     // Phase 2: a store two-thirds the size of what the workload wants to
-    // keep resident, single-sharded so the budget is exact. Eviction must
-    // kick in, and every recomputed design must still be bit-identical.
+    // keep resident. Eviction must kick in, and every recomputed design
+    // must still be bit-identical.
     // One request group at a time: which entry the LRU evicts depends on
     // the order of inserts and lookups, so this keeps the eviction count
     // and resident weight the same on every run and host.
     let capacity = (report.unbounded_resident_weight * 2 / 3).max(1);
     let bounded = DesyncService::with_engine(DesyncEngine::with_store(
-        StoreConfig::default()
-            .with_capacity(capacity)
-            .with_shards(1),
+        StoreConfig::default().with_capacity(capacity),
     ))
     .with_concurrency(1);
     let bounded_results = run_phase(&bounded, &requests, &mut report);
@@ -620,9 +618,7 @@ mod tests {
 
         let capacity = (total_weight / 2).max(1);
         let bounded = DesyncService::with_engine(DesyncEngine::with_store_and_runtime(
-            StoreConfig::default()
-                .with_capacity(capacity)
-                .with_shards(1),
+            StoreConfig::default().with_capacity(capacity),
             desync_core::DesyncRuntime::with_workers(2),
         ));
         let small = bounded.run_batch(&requests);

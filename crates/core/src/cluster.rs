@@ -13,7 +13,7 @@ use crate::options::ClusteringStrategy;
 use desync_netlist::analysis::SequentialGraph;
 use desync_netlist::{CellId, Netlist};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The phase of a latch in the two-phase master/slave decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -130,13 +130,15 @@ impl ClusterGraph {
             .flat_map(|(i, c)| c.registers.iter().map(move |&r| (r, i)))
             .collect();
 
+        // First-seen order, deduplicated through a set beside the list.
         let mut edges = Vec::new();
+        let mut seen = HashSet::new();
         for e in &seq.edges {
             let edge = ClusterEdge {
                 from: index_of[&e.from],
                 to: index_of[&e.to],
             };
-            if !edges.contains(&edge) {
+            if seen.insert(edge) {
                 edges.push(edge);
             }
         }

@@ -28,7 +28,7 @@
 //!   re-bind matched delays from them instead of re-running arrival
 //!   propagation). Full verification reports depend on the per-flow
 //!   stimulus and are never cached.
-//! * **The store** is weight-accounted and sharded, with optional LRU
+//! * **The store** is weight-accounted, behind one lock, with optional LRU
 //!   eviction: [`DesyncEngine::with_store`] bounds the resident weight for
 //!   long-running services, while the default engine is unbounded and
 //!   bit-identical to the historical per-stage maps (see the
@@ -269,12 +269,12 @@ pub(crate) struct EngineHandle<'a> {
 }
 
 impl<'a> EngineHandle<'a> {
-    /// A detached flow's private store: unbounded, one shard. It only ever
-    /// holds one netlist and one library, so it keys them with fixed
-    /// identities and never hashes or clones the netlist.
+    /// A detached flow's private store: unbounded. It only ever holds one
+    /// netlist and one library, so it keys them with fixed identities and
+    /// never hashes or clones the netlist.
     pub(crate) fn private() -> Self {
         let engine = DesyncEngine::with_store_and_runtime(
-            StoreConfig::unbounded().with_shards(1),
+            StoreConfig::unbounded(),
             DesyncRuntime::with_workers(1),
         );
         Self {
@@ -410,8 +410,9 @@ impl DesyncRuntime {
 }
 
 /// The interning tables behind the engine's identity lock: artifacts
-/// themselves live in the sharded [`ArtifactStore`], so this mutex is held
-/// only for identity resolution, never across artifact traffic.
+/// themselves live in the [`ArtifactStore`] behind its own lock, so this
+/// mutex is held only for identity resolution, never across artifact
+/// traffic.
 #[derive(Debug, Default)]
 struct InternState {
     /// Structural hash → interned netlists with that hash (almost always one
@@ -428,7 +429,7 @@ struct InternState {
 /// See the [module documentation](self) for the caching model and an
 /// end-to-end example. An engine is `Sync`: many threads may drive flows
 /// against it concurrently. Artifact traffic goes through the store's
-/// sharded locks; stage computation itself happens outside any lock, and
+/// one lock; stage computation itself happens outside any lock, and
 /// racing flows that miss the same key coalesce at the store's in-flight
 /// registry — exactly one computes while the rest wait briefly and are
 /// served, so every artifact is computed **exactly once** however many
@@ -462,7 +463,7 @@ impl DesyncEngine {
     }
 
     /// Creates an engine with an explicit store configuration (capacity in
-    /// [`Weigh`] units, shard count) and its own default runtime.
+    /// [`Weigh`] units) and its own default runtime.
     pub fn with_store(store: StoreConfig) -> Self {
         Self::with_store_and_runtime(store, DesyncRuntime::new())
     }

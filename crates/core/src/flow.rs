@@ -13,12 +13,13 @@ use crate::conversion::LatchDesign;
 use crate::error::DesyncError;
 use crate::model::ControlModel;
 use crate::options::DesyncOptions;
-use crate::pipeline::DesyncFlow;
+use crate::pipeline::{ControlNetwork, DesyncFlow, TimingTable};
 use desync_netlist::{CellLibrary, Netlist, Value};
 use desync_sim::EnableSchedule;
 use desync_sta::MatchedDelay;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The desynchronization engine, bound to one netlist, library and option
 /// set.
@@ -68,17 +69,18 @@ impl<'a> Desynchronizer<'a> {
 }
 
 /// The product of the desynchronization flow.
+///
+/// A design shares the four construction artifacts with the flow that
+/// assembled it (and with the engine's store): cloning a design clones four
+/// `Arc`s, and equality compares contents.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DesyncDesign {
     original_name: String,
     options: DesyncOptions,
-    clusters: ClusterGraph,
-    latch_design: LatchDesign,
-    overhead: Netlist,
-    controllers: Vec<ControllerImpl>,
-    matched_delays: HashMap<(usize, usize), MatchedDelay>,
-    control_model: ControlModel,
-    sync_clock_period_ps: f64,
+    clusters: Arc<ClusterGraph>,
+    latch_design: Arc<LatchDesign>,
+    timing: Arc<TimingTable>,
+    network: Arc<ControlNetwork>,
 }
 
 /// The latch-enable schedule derived from the control model for gate-level
@@ -102,28 +104,21 @@ pub struct ScheduleBundle {
 impl DesyncDesign {
     /// Assembles a design from the staged pipeline's artifacts (used by
     /// [`DesyncFlow::design`](crate::DesyncFlow::design)).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         original_name: String,
         options: DesyncOptions,
-        clusters: ClusterGraph,
-        latch_design: LatchDesign,
-        overhead: Netlist,
-        controllers: Vec<ControllerImpl>,
-        matched_delays: HashMap<(usize, usize), MatchedDelay>,
-        control_model: ControlModel,
-        sync_clock_period_ps: f64,
+        clusters: Arc<ClusterGraph>,
+        latch_design: Arc<LatchDesign>,
+        timing: Arc<TimingTable>,
+        network: Arc<ControlNetwork>,
     ) -> Self {
         Self {
             original_name,
             options,
             clusters,
             latch_design,
-            overhead,
-            controllers,
-            matched_delays,
-            control_model,
-            sync_clock_period_ps,
+            timing,
+            network,
         }
     }
 
@@ -155,33 +150,33 @@ impl DesyncDesign {
     /// The overhead netlist: handshake controllers (`ctl_*`) and matched
     /// delay lines (`md_*`).
     pub fn overhead_netlist(&self) -> &Netlist {
-        &self.overhead
+        &self.network.overhead
     }
 
     /// The generated controllers.
     pub fn controllers(&self) -> &[ControllerImpl] {
-        &self.controllers
+        &self.network.controllers
     }
 
     /// The matched delay sized for each cluster edge.
     pub fn matched_delays(&self) -> &HashMap<(usize, usize), MatchedDelay> {
-        &self.matched_delays
+        &self.timing.matched_delays
     }
 
     /// The timed marked-graph model of the control network.
     pub fn control_model(&self) -> &ControlModel {
-        &self.control_model
+        &self.network.model
     }
 
     /// The clock period of the synchronous baseline (from STA), picoseconds.
     pub fn synchronous_period_ps(&self) -> f64 {
-        self.sync_clock_period_ps
+        self.timing.sync_clock_period_ps
     }
 
     /// The steady-state cycle time of the desynchronized design,
     /// picoseconds.
     pub fn cycle_time_ps(&self) -> f64 {
-        self.control_model.cycle_time_ps()
+        self.network.model.cycle_time_ps()
     }
 
     /// Analytic dynamic power of the desynchronization overhead, in
@@ -195,6 +190,7 @@ impl DesyncDesign {
             return 0.0;
         }
         let cell_energy_fj: f64 = self
+            .network
             .overhead
             .cells()
             .map(|(_, c)| 2.0 * library.template(c.kind).switch_energy_fj)
@@ -217,7 +213,7 @@ impl DesyncDesign {
     /// for `iterations` handshake iterations of the control model, shifted
     /// by `start_offset_ps` to leave room for simulator initialization.
     pub fn enable_schedule(&self, iterations: usize, start_offset_ps: f64) -> ScheduleBundle {
-        let trace = self.control_model.simulate(iterations);
+        let trace = self.network.model.simulate(iterations);
         let mut schedule = EnableSchedule::new();
         let num_clusters = self.clusters.len();
         // Controller transition -> (enable net, rising?). The environment
@@ -225,7 +221,7 @@ impl DesyncDesign {
         let mut fall_times_per_input_cluster: Vec<Vec<f64>> = Vec::new();
         let mut event_map: HashMap<u32, (desync_netlist::NetId, bool, Option<usize>)> =
             HashMap::new();
-        for ctrl in &self.control_model.controllers {
+        for ctrl in &self.network.model.controllers {
             if ctrl.cluster >= num_clusters {
                 continue; // virtual environment controller
             }
@@ -258,7 +254,8 @@ impl DesyncDesign {
         }
         // Input vector timing.
         let input_vector_times: Vec<f64> = if let Some(env_slave) = self
-            .control_model
+            .network
+            .model
             .environment_controller(crate::cluster::Parity::Odd)
         {
             // With an explicit environment, vector k is launched when the
@@ -300,8 +297,8 @@ impl DesyncDesign {
 
     /// A compact summary of the design for reports and the example binaries.
     pub fn summary(&self) -> DesyncSummary {
-        let total_delay_cells: usize = self.matched_delays.values().map(|m| m.num_cells).sum();
-        let controller_cells: usize = self.controllers.iter().map(ControllerImpl::num_cells).sum();
+        let total_delay_cells = self.timing.total_delay_cells();
+        let controller_cells = self.network.controller_cells();
         DesyncSummary {
             original_name: self.original_name.clone(),
             protocol: self.options.protocol,
@@ -309,10 +306,10 @@ impl DesyncDesign {
             cluster_edges: self.clusters.edges.len(),
             flip_flops: self.clusters.num_registers(),
             latches: self.latch_design.netlist.num_latches(),
-            controllers: self.controllers.len(),
+            controllers: self.network.controllers.len(),
             controller_cells,
             matched_delay_cells: total_delay_cells,
-            sync_period_ps: self.sync_clock_period_ps,
+            sync_period_ps: self.timing.sync_clock_period_ps,
             desync_cycle_time_ps: self.cycle_time_ps(),
         }
     }

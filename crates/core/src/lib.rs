@@ -9,7 +9,7 @@
 //! | layer | type | role |
 //! |---|---|---|
 //! | pipeline | [`DesyncFlow`] | the staged flow: five typed stages, lazy, resumable |
-//! | store | [`ArtifactStore`](store::ArtifactStore) | weight-accounted, sharded LRU cache of every artifact, with exactly-once in-flight coalescing |
+//! | store | [`ArtifactStore`](store::ArtifactStore) | weight-accounted LRU cache of every artifact behind one lock, with exactly-once in-flight coalescing |
 //! | engine | [`DesyncEngine`] | content-addressed cross-flow sharing on top of the store |
 //! | service | [`DesyncService`] | batch, sweep and campaign front-end: coalescing, bounded workers, deterministic merging |
 //!
@@ -45,11 +45,13 @@
 //! library identity, and the per-stage options prefix that also drives flow
 //! invalidation). All cached values live in one
 //! [`ArtifactStore`](store::ArtifactStore): weight-accounted through the
-//! [`Weigh`] trait, sharded so concurrent flows over
-//! different designs do not serialize on one lock, and optionally bounded —
-//! [`StoreConfig`] sets a capacity in weight units and the store evicts
-//! least-recently-used artifacts past it, with hit/miss/eviction/resident-
-//! weight counters in the [`EngineReport`]. The default engine is
+//! [`Weigh`] trait, behind one lock that is held only for map operations
+//! (stages compute outside it), and optionally bounded — [`StoreConfig`]
+//! sets a capacity in weight units and the store evicts least-recently-used
+//! artifacts past it, with hit/miss/eviction/resident-weight counters in
+//! the [`EngineReport`]. A [`DesyncDesign`] holds the same `Arc`s of the
+//! four construction artifacts as the flow and the store, so each artifact
+//! exists once however many designs point at it. The default engine is
 //! unbounded and bit-identical to the historical per-stage maps.
 //!
 //! Matched-delay sizing walks each source cluster's forward cone on the

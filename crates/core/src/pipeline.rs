@@ -967,9 +967,9 @@ impl<'a> DesyncFlow<'a> {
     /// The result is identical to what
     /// [`Desynchronizer::run`](crate::Desynchronizer::run) returns for the
     /// same netlist, library and options. The assembled design is cached
-    /// (and invalidated together with [`Stage::Controlled`]), so this method
-    /// performs one clone per call; use [`DesyncFlow::designed`] when a
-    /// reference is enough.
+    /// (and invalidated together with [`Stage::Controlled`]) and shares the
+    /// flow's stage artifacts, so each call clones four `Arc`s and the
+    /// design name; use [`DesyncFlow::designed`] when a reference is enough.
     ///
     /// # Errors
     ///
@@ -995,20 +995,13 @@ impl<'a> DesyncFlow<'a> {
             return Ok(());
         }
         self.controlled()?;
-        let clusters = self.clustered.as_deref().expect("clustered stage ran");
-        let latched = self.latched.as_deref().expect("latched stage ran");
-        let timing = self.timed.as_deref().expect("timed stage ran");
-        let network = self.controlled.as_deref().expect("controlled stage ran");
         self.assembled = Some(DesyncDesign::from_parts(
             self.netlist.name().to_string(),
             self.options,
-            clusters.clone(),
-            latched.clone(),
-            network.overhead.clone(),
-            network.controllers.clone(),
-            timing.matched_delays.clone(),
-            network.model.clone(),
-            timing.sync_clock_period_ps,
+            self.clustered.clone().expect("clustered stage ran"),
+            self.latched.clone().expect("latched stage ran"),
+            self.timed.clone().expect("timed stage ran"),
+            self.controlled.clone().expect("controlled stage ran"),
         ));
         Ok(())
     }

@@ -16,17 +16,17 @@
 //!   artifact-size units (graph nodes, table entries, trace values) rather
 //!   than entry counts.
 //! * **LRU eviction.** With a configured capacity, inserting past the
-//!   budget evicts least-recently-used entries until the store fits again.
-//!   Without one the store is unbounded and behaves exactly like the old
-//!   per-stage maps (bit-identical hit patterns).
-//! * **Sharded locking.** Keys hash onto `shards` independent mutexes, so
-//!   concurrent flows over different designs do not serialize on one
-//!   whole-cache lock. The capacity budget is split evenly across shards
-//!   (the standard sharded-LRU approximation; the shard count is clamped so
-//!   the per-shard slices never sum past the capacity, making the global
-//!   bound hard). Splitting does mean a hot shard can evict while another
-//!   has headroom — configure one shard when exact LRU order matters more
-//!   than lock concurrency.
+//!   budget evicts least-recently-used entries, in exact LRU order across
+//!   the whole store, until it fits again. Without one the store is
+//!   unbounded and behaves exactly like the old per-stage maps
+//!   (bit-identical hit patterns).
+//! * **One lock.** The resident entries, the LRU clock, the per-kind
+//!   counters and the in-flight registry sit behind one mutex, so a report
+//!   is a consistent snapshot and a lookup, its miss and its in-flight
+//!   registration are one critical section. A fetch holds the lock for one
+//!   map operation (plus the eviction scan of an over-budget insert);
+//!   computations and waits on another thread's computation happen outside
+//!   it.
 //! * **In-flight coalescing.** [`ArtifactStore::get_or_try_compute`] keys
 //!   a registry of computations in progress: when several threads miss the
 //!   same key at once (a parallel verification sweep touching one design's
@@ -40,10 +40,10 @@
 //! * **Poison recovery.** Computations always run outside every lock, and
 //!   each critical section finishes its structural mutation (map insert or
 //!   remove plus the matching weight/entry bookkeeping) before anything
-//!   that can unwind executes, so a panic that poisons a shard or registry
-//!   mutex (a panicking value `Clone`, say) can at worst lose a counter
-//!   increment or an LRU refresh — never the map/weight invariants. Every
-//!   acquisition therefore recovers with
+//!   that can unwind executes, so a panic that poisons the store or an
+//!   in-flight cell mutex (a panicking value `Clone`, say) can at worst
+//!   lose a counter increment or an LRU refresh — never the map/weight
+//!   invariants. Every acquisition therefore recovers with
 //!   `unwrap_or_else(PoisonError::into_inner)` instead of cascading the
 //!   panic: one panicked request must not brick every later store access
 //!   in a long-running service.
@@ -52,11 +52,9 @@
 //! future persisted tier) can instantiate it with toy types; the engine
 //! instantiates it with its artifact enum.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::hash::Hash;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The approximate in-memory size of a cached artifact, in abstract units
 /// (graph nodes, table entries, trace values — anything proportional to
@@ -80,26 +78,12 @@ pub trait StoreKey: Eq + Hash + Copy {
     fn kind(&self) -> usize;
 }
 
-/// Capacity and sharding of an [`ArtifactStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Capacity of an [`ArtifactStore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreConfig {
-    /// Total weight budget across all shards; `None` means unbounded (no
-    /// eviction ever happens — the PR-2/PR-3 behaviour).
+    /// Total weight budget; `None` means unbounded (no eviction ever
+    /// happens).
     pub capacity: Option<usize>,
-    /// Number of independently locked shards (clamped to at least one).
-    /// More shards mean less lock contention but a coarser approximation of
-    /// the global LRU order; use one shard when exact capacity behaviour
-    /// matters more than concurrency (small bounded caches, tests).
-    pub shards: usize,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        Self {
-            capacity: None,
-            shards: 8,
-        }
-    }
 }
 
 impl StoreConfig {
@@ -113,12 +97,6 @@ impl StoreConfig {
         self.capacity = Some(capacity);
         self
     }
-
-    /// Returns a copy with a different shard count (clamped to >= 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
 }
 
 /// One resident artifact plus its bookkeeping.
@@ -126,37 +104,77 @@ impl StoreConfig {
 struct Entry<V> {
     value: V,
     weight: usize,
-    /// Last-access tick from the store-wide logical clock; the shard's LRU
-    /// victim is the entry with the smallest tick.
+    /// Last-access tick from the store's logical clock; the LRU victim is
+    /// the entry with the smallest tick.
     tick: u64,
 }
 
-/// Everything behind one shard lock.
+/// Everything behind the store lock.
 #[derive(Debug)]
-struct Shard<K, V> {
+struct State<K, V> {
     map: HashMap<K, Entry<V>>,
-    /// Resident weight of this shard.
+    /// Logical clock ordering accesses for LRU. A plain counter (not wall
+    /// time) so eviction order is deterministic under a single thread.
+    clock: u64,
+    /// Resident weight summed over all kinds.
     resident: usize,
-    /// Per-kind resident weight / entry counts / counters. Kept under the
-    /// shard lock (not atomics) so a report is a consistent snapshot of
-    /// each shard.
-    resident_by_kind: Vec<usize>,
-    entries_by_kind: Vec<usize>,
-    hits_by_kind: Vec<usize>,
-    misses_by_kind: Vec<usize>,
-    evictions_by_kind: Vec<usize>,
+    /// Per-kind counters, indexed by [`StoreKey::kind`].
+    kinds: Vec<StoreKindStats>,
+    /// Computations in progress. Entries live only while a leader
+    /// computes; the map is normally empty.
+    inflight: HashMap<K, Arc<Inflight<V>>>,
 }
 
-impl<K, V> Shard<K, V> {
-    fn new(kinds: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            resident: 0,
-            resident_by_kind: vec![0; kinds],
-            entries_by_kind: vec![0; kinds],
-            hits_by_kind: vec![0; kinds],
-            misses_by_kind: vec![0; kinds],
-            evictions_by_kind: vec![0; kinds],
+impl<K: StoreKey, V: Clone> State<K, V> {
+    /// Counts a hit (and refreshes the LRU position) when `key` is
+    /// resident, and counts *nothing* when it is not — each caller books
+    /// its own miss.
+    fn serve(&mut self, key: &K) -> Option<V> {
+        let entry = self.map.get_mut(key)?;
+        self.clock += 1;
+        entry.tick = self.clock;
+        let value = entry.value.clone();
+        self.kinds[key.kind()].hits += 1;
+        Some(value)
+    }
+
+    /// Publishes `value` under `key`, then evicts least-recently-used
+    /// entries while the resident weight exceeds `capacity`.
+    fn insert(&mut self, key: K, value: V, weight: usize, capacity: Option<usize>) {
+        self.clock += 1;
+        let kind = key.kind();
+        let entry = Entry {
+            value,
+            weight,
+            tick: self.clock,
+        };
+        match self.map.insert(key, entry) {
+            Some(old) => {
+                self.resident -= old.weight;
+                self.kinds[kind].resident_weight -= old.weight;
+            }
+            None => self.kinds[kind].entries += 1,
+        }
+        self.resident += weight;
+        self.kinds[kind].resident_weight += weight;
+        let Some(capacity) = capacity else { return };
+        while self.resident > capacity {
+            // The victim scan is O(resident entries); entries are whole
+            // stage artifacts (at most a handful per design x option
+            // prefix), so a linked LRU list would buy nothing at this
+            // granularity.
+            let victim = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.tick)
+                .map(|(k, _)| *k)
+                .expect("resident weight implies a resident entry");
+            let evicted = self.map.remove(&victim).expect("victim resident");
+            let stats = &mut self.kinds[victim.kind()];
+            self.resident -= evicted.weight;
+            stats.resident_weight -= evicted.weight;
+            stats.entries -= 1;
+            stats.evictions += 1;
         }
     }
 }
@@ -208,11 +226,20 @@ impl StoreStats {
 
 /// One computation in progress, registered by
 /// [`ArtifactStore::get_or_try_compute`]. Followers block on `ready` until
-/// the leader resolves the state.
+/// the leader resolves the state; the cell has its own lock, so they wait
+/// without holding the store's.
 #[derive(Debug)]
 struct Inflight<V> {
     state: Mutex<InflightState<V>>,
     ready: Condvar,
+}
+
+impl<V> Inflight<V> {
+    /// Resolves the cell and wakes its followers.
+    fn resolve(&self, state: InflightState<V>) {
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = state;
+        self.ready.notify_all();
+    }
 }
 
 #[derive(Debug)]
@@ -229,27 +256,18 @@ enum InflightState<V> {
 /// Marks an in-flight computation as failed (waking its followers) and
 /// unregisters it if the leader unwinds or errors before publishing.
 struct InflightGuard<'a, K: StoreKey, V> {
-    registry: &'a Mutex<HashMap<K, Arc<Inflight<V>>>>,
-    cell: &'a Arc<Inflight<V>>,
+    store: &'a ArtifactStore<K, V>,
+    cell: &'a Inflight<V>,
     key: K,
     armed: bool,
 }
 
 impl<K: StoreKey, V> Drop for InflightGuard<'_, K, V> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
+        if self.armed {
+            self.cell.resolve(InflightState::Failed);
+            self.store.lock().inflight.remove(&self.key);
         }
-        *self
-            .cell
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = InflightState::Failed;
-        self.cell.ready.notify_all();
-        self.registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&self.key);
     }
 }
 
@@ -273,54 +291,36 @@ impl Fetched {
     }
 }
 
-/// A sharded, weight-accounted LRU cache for desynchronization artifacts.
+/// A weight-accounted LRU cache for desynchronization artifacts.
 ///
 /// See the [module documentation](self) for the design. The store is
-/// `Sync`; `get` and `insert` take one shard lock each, and
+/// `Sync`; `get` and `insert` take its one lock once each, and
 /// [`ArtifactStore::get_or_try_compute`] additionally coordinates racing
 /// computations of one key through an in-flight registry.
 #[derive(Debug)]
 pub struct ArtifactStore<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
-    /// Store-wide logical clock ordering accesses for LRU. A plain counter
-    /// (not wall time) so eviction order is deterministic under a single
-    /// thread.
-    clock: AtomicU64,
-    /// Per-shard slice of the capacity budget.
-    shard_budget: Option<usize>,
-    config: StoreConfig,
-    kinds: usize,
-    /// Computations in progress, sharded by the same key hash as the
-    /// value shards so cold misses on unrelated designs do not serialize
-    /// on one registry lock. Entries live only while a leader computes;
-    /// the maps are normally empty.
-    inflight: Vec<Mutex<HashMap<K, Arc<Inflight<V>>>>>,
-    /// Per-kind count of calls that coalesced onto an in-flight leader.
-    coalesced: Vec<AtomicU64>,
+    state: Mutex<State<K, V>>,
+    capacity: Option<usize>,
+}
+
+impl<K, V> ArtifactStore<K, V> {
+    fn lock(&self) -> MutexGuard<'_, State<K, V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<K: StoreKey, V: Weigh + Clone> ArtifactStore<K, V> {
     /// Creates a store whose keys classify into `kinds` kinds.
     pub fn new(kinds: usize, config: StoreConfig) -> Self {
-        // Bounded stores clamp the shard count so the per-shard budgets
-        // (integer division) sum to at most the capacity — the documented
-        // global bound is hard, never an approximation.
-        let shards = match config.capacity {
-            Some(capacity) => config.shards.clamp(1, capacity.max(1)),
-            None => config.shards.max(1),
-        };
-        let shard_budget = config.capacity.map(|c| c / shards);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new(kinds))).collect(),
-            clock: AtomicU64::new(0),
-            shard_budget,
-            config: StoreConfig {
-                capacity: config.capacity,
-                shards,
-            },
-            kinds,
-            inflight: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            coalesced: (0..kinds).map(|_| AtomicU64::new(0)).collect(),
+            state: Mutex::new(State {
+                map: HashMap::new(),
+                clock: 0,
+                resident: 0,
+                kinds: vec![StoreKindStats::default(); kinds],
+                inflight: HashMap::new(),
+            }),
+            capacity: config.capacity,
         }
     }
 
@@ -350,48 +350,49 @@ impl<K: StoreKey, V: Weigh + Clone> ArtifactStore<K, V> {
     ) -> Result<(V, Fetched), E> {
         let mut compute = Some(compute);
         loop {
-            if let Some(value) = self.lookup_serving(&key) {
-                return Ok((value, Fetched::Hit));
-            }
-            // Register with the key's in-flight shard; first comer leads.
-            let registry = self.inflight_of(&key);
+            // Look up, then join or register the in-flight cell, in one
+            // critical section: nothing can publish in between, so the
+            // first comer after a miss leads and books the miss.
             let (cell, leader) = {
-                let mut registry = registry.lock().unwrap_or_else(PoisonError::into_inner);
-                match registry.get(&key) {
+                let mut state = self.lock();
+                if let Some(value) = state.serve(&key) {
+                    return Ok((value, Fetched::Hit));
+                }
+                match state.inflight.get(&key) {
                     Some(cell) => (Arc::clone(cell), false),
                     None => {
                         let cell = Arc::new(Inflight {
                             state: Mutex::new(InflightState::Pending),
                             ready: Condvar::new(),
                         });
-                        registry.insert(key, Arc::clone(&cell));
+                        state.inflight.insert(key, Arc::clone(&cell));
+                        state.kinds[key.kind()].misses += 1;
                         (cell, true)
                     }
                 }
             };
             if leader {
                 let mut guard = InflightGuard {
-                    registry,
+                    store: self,
                     cell: &cell,
                     key,
                     armed: true,
                 };
-                // Double-check the store: a previous leader may have
-                // published (and unregistered) between this call's lookup
-                // and its registration. Serving the resident value keeps
-                // the exactly-once guarantee airtight.
-                if let Some(value) = self.lookup_serving(&key) {
-                    Self::resolve(&cell, &mut guard, registry, &key, value.clone());
-                    return Ok((value, Fetched::Hit));
-                }
-                // This call computes: that is the (one) miss of this key's
-                // computation, whatever raced it.
-                self.count_miss(&key);
                 // Compute outside every lock; the guard marks the cell
-                // failed if this unwinds.
+                // failed if this errors or unwinds.
                 let value = (compute.take().expect("leader runs compute once"))()?;
-                self.insert(key, value.clone());
-                Self::resolve(&cell, &mut guard, registry, &key, value.clone());
+                // Unit failpoint at the publication boundary (before the
+                // lock, so an injected panic can never poison the store).
+                crate::failpoints::hit_unit("store::insert");
+                let weight = value.weight().max(1);
+                let (published, shared) = (value.clone(), value.clone());
+                {
+                    let mut state = self.lock();
+                    state.insert(key, published, weight, self.capacity);
+                    state.inflight.remove(&key);
+                }
+                cell.resolve(InflightState::Done(shared));
+                guard.armed = false;
                 return Ok((value, Fetched::Computed));
             }
             // Follower: wait for the leader to resolve the cell.
@@ -406,8 +407,9 @@ impl<K: StoreKey, V: Weigh + Clone> ArtifactStore<K, V> {
                 InflightState::Done(value) => {
                     let value = value.clone();
                     drop(state);
-                    self.count_hit(&key);
-                    self.coalesced[key.kind()].fetch_add(1, Ordering::Relaxed);
+                    let stats = &mut self.lock().kinds[key.kind()];
+                    stats.hits += 1;
+                    stats.coalesced += 1;
                     return Ok((value, Fetched::Coalesced));
                 }
                 // The leader failed; retry (possibly becoming the leader).
@@ -419,221 +421,69 @@ impl<K: StoreKey, V: Weigh + Clone> ArtifactStore<K, V> {
 
     /// The configured capacity (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        self.config.capacity
-    }
-
-    /// The number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.capacity
     }
 
     /// Number of computations currently registered in the in-flight
-    /// leader/follower registry, summed over all shards.
+    /// leader/follower registry.
     ///
     /// Entries live only while a leader computes, so outside an active
     /// `get_or_try_compute` this is zero — the fault-injection suite asserts
     /// exactly that after every faulted batch to prove a panicked leader
     /// never wedges a key.
     pub fn inflight_len(&self) -> usize {
-        self.inflight
-            .iter()
-            .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    /// Marks an in-flight cell `Done(value)`, wakes its followers and
-    /// unregisters it; disarms `guard` so its failure path stays idle.
-    fn resolve(
-        cell: &Arc<Inflight<V>>,
-        guard: &mut InflightGuard<'_, K, V>,
-        registry: &Mutex<HashMap<K, Arc<Inflight<V>>>>,
-        key: &K,
-        value: V,
-    ) {
-        *cell.state.lock().unwrap_or_else(PoisonError::into_inner) = InflightState::Done(value);
-        cell.ready.notify_all();
-        guard.armed = false;
-        registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(key);
-    }
-
-    /// A lookup that counts a hit (and refreshes the LRU position) when the
-    /// key is resident, and counts *nothing* when it is not — the miss of a
-    /// [`ArtifactStore::get_or_try_compute`] call is booked by whichever
-    /// caller actually computes.
-    fn lookup_serving(&self, key: &K) -> Option<V> {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self
-            .shard_of(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let kind = key.kind();
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.tick = tick;
-                let value = entry.value.clone();
-                shard.hits_by_kind[kind] += 1;
-                Some(value)
-            }
-            None => None,
-        }
-    }
-
-    /// Books a hit for `key`'s kind (a coalesced call served off an
-    /// in-flight cell — the value never touched this caller's shard map).
-    fn count_hit(&self, key: &K) {
-        let mut shard = self
-            .shard_of(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.hits_by_kind[key.kind()] += 1;
-    }
-
-    /// Books the miss of the one caller that computes `key`'s value.
-    fn count_miss(&self, key: &K) {
-        let mut shard = self
-            .shard_of(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.misses_by_kind[key.kind()] += 1;
-    }
-
-    fn shard_index(&self, key: &K) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.shards.len()
-    }
-
-    fn shard_of(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// The in-flight registry shard of `key` (same hash as the value
-    /// shard, so unrelated keys register on independent locks).
-    fn inflight_of(&self, key: &K) -> &Mutex<HashMap<K, Arc<Inflight<V>>>> {
-        &self.inflight[self.shard_index(key)]
+        self.lock().inflight.len()
     }
 
     /// Looks `key` up, counting a hit or miss for its kind and refreshing
     /// its LRU position on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self
-            .shard_of(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let kind = key.kind();
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.tick = tick;
-                let value = entry.value.clone();
-                shard.hits_by_kind[kind] += 1;
-                Some(value)
-            }
-            None => {
-                shard.misses_by_kind[kind] += 1;
-                None
-            }
+        let mut state = self.lock();
+        let value = state.serve(key);
+        if value.is_none() {
+            state.kinds[key.kind()].misses += 1;
         }
+        value
     }
 
     /// Publishes `value` under `key`, then evicts least-recently-used
-    /// entries while the shard exceeds its weight budget.
+    /// entries while the store exceeds its weight capacity.
     ///
     /// Replacing an existing key updates the weight accounting in place. A
-    /// single artifact heavier than the shard budget is evicted straight
-    /// away (it is, by definition, too big for the cache) — correctness is
+    /// single artifact heavier than the capacity is evicted straight away
+    /// (it is, by definition, too big for the cache) — correctness is
     /// unaffected because publishers always hold their own `Arc`. The
     /// resident weight therefore never exceeds the configured capacity.
     pub fn insert(&self, key: K, value: V) {
-        // Unit failpoint at the publication boundary (before any lock is
-        // held, so an injected panic can never poison a shard from here).
+        // Unit failpoint at the publication boundary (before the lock is
+        // held, so an injected panic can never poison the store from here).
         crate::failpoints::hit_unit("store::insert");
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         let weight = value.weight().max(1);
-        let kind = key.kind();
-        let mut shard = self
-            .shard_of(&key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(old) = shard.map.insert(
-            key,
-            Entry {
-                value,
-                weight,
-                tick,
-            },
-        ) {
-            shard.resident -= old.weight;
-            shard.resident_by_kind[kind] -= old.weight;
-        } else {
-            shard.entries_by_kind[kind] += 1;
-        }
-        shard.resident += weight;
-        shard.resident_by_kind[kind] += weight;
-        if let Some(budget) = self.shard_budget {
-            while shard.resident > budget && !shard.map.is_empty() {
-                // The victim scan is O(resident entries); entries are
-                // whole stage artifacts (at most a handful per design x
-                // option prefix), so a linked LRU list would buy nothing
-                // at this granularity.
-                let victim = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.tick)
-                    .map(|(k, _)| *k)
-                    .expect("non-empty checked");
-                let evicted = shard.map.remove(&victim).expect("victim resident");
-                let victim_kind = victim.kind();
-                shard.resident -= evicted.weight;
-                shard.resident_by_kind[victim_kind] -= evicted.weight;
-                shard.entries_by_kind[victim_kind] -= 1;
-                shard.evictions_by_kind[victim_kind] += 1;
-            }
-        }
+        self.lock().insert(key, value, weight, self.capacity);
     }
 
     /// Drops every resident entry. Counters keep accumulating (a clear is
     /// not an eviction).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            shard.map.clear();
-            shard.resident = 0;
-            shard.resident_by_kind.iter_mut().for_each(|w| *w = 0);
-            shard.entries_by_kind.iter_mut().for_each(|n| *n = 0);
+        let mut state = self.lock();
+        state.map.clear();
+        state.resident = 0;
+        for stats in &mut state.kinds {
+            stats.entries = 0;
+            stats.resident_weight = 0;
         }
     }
 
-    /// Resident weight summed over all shards.
+    /// Resident weight summed over all kinds.
     pub fn resident_weight(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).resident)
-            .sum()
+        self.lock().resident
     }
 
     /// A snapshot of the per-kind counters.
     pub fn stats(&self) -> StoreStats {
-        let mut kinds = vec![StoreKindStats::default(); self.kinds];
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for (i, slot) in kinds.iter_mut().enumerate() {
-                slot.entries += shard.entries_by_kind[i];
-                slot.hits += shard.hits_by_kind[i];
-                slot.misses += shard.misses_by_kind[i];
-                slot.evictions += shard.evictions_by_kind[i];
-                slot.resident_weight += shard.resident_by_kind[i];
-            }
-        }
-        for (slot, counter) in kinds.iter_mut().zip(&self.coalesced) {
-            slot.coalesced = counter.load(Ordering::Relaxed) as usize;
-        }
         StoreStats {
-            kinds,
-            capacity: self.config.capacity,
+            kinds: self.lock().kinds.clone(),
+            capacity: self.capacity,
         }
     }
 }
@@ -641,6 +491,7 @@ impl<K: StoreKey, V: Weigh + Clone> ArtifactStore<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     /// A toy key: `(kind, id)`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -663,9 +514,7 @@ mod tests {
     }
 
     fn store(capacity: Option<usize>) -> ArtifactStore<Key, Blob> {
-        let mut config = StoreConfig::default().with_shards(1);
-        config.capacity = capacity;
-        ArtifactStore::new(2, config)
+        ArtifactStore::new(2, StoreConfig { capacity })
     }
 
     #[test]
@@ -709,7 +558,7 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_shard_locks_recover_instead_of_cascading() {
+    fn poisoned_locks_recover_instead_of_cascading() {
         use std::sync::atomic::AtomicBool;
 
         /// A value whose `Clone` panics exactly once, poisoning whatever
@@ -733,10 +582,9 @@ mod tests {
         }
 
         let armed = Arc::new(AtomicBool::new(false));
-        let s: ArtifactStore<Key, Volatile> =
-            ArtifactStore::new(2, StoreConfig::default().with_shards(1));
+        let s: ArtifactStore<Key, Volatile> = ArtifactStore::new(2, StoreConfig::default());
         s.insert(Key(0, 1), Volatile(Arc::clone(&armed), 7));
-        // Arm the bomb and poison the (single) shard lock from a scratch
+        // Arm the bomb and poison the store lock from a scratch
         // thread: `get` clones the resident value while holding the lock.
         armed.store(true, Ordering::SeqCst);
         std::thread::scope(|scope| {
@@ -790,16 +638,34 @@ mod tests {
     }
 
     #[test]
-    fn tiny_capacities_clamp_the_shard_count() {
-        // 8 requested shards but a capacity of 4: unclamped, each shard
-        // would hold its own minimum slice and the global bound would leak.
-        let config = StoreConfig::default().with_capacity(4).with_shards(8);
-        let s: ArtifactStore<Key, Blob> = ArtifactStore::new(1, config);
-        assert!(s.shards() <= 4);
-        for id in 0..32 {
-            s.insert(Key(0, id), Blob(1));
+    fn default_store_keeps_an_artifact_within_capacity() {
+        let s: ArtifactStore<Key, Blob> =
+            ArtifactStore::new(1, StoreConfig::default().with_capacity(1_000));
+        s.insert(Key(0, 1), Blob(500));
+        assert_eq!(s.resident_weight(), 500);
+        assert_eq!(s.stats().total_evictions(), 0);
+        assert_eq!(s.get(&Key(0, 1)), Some(Blob(500)));
+    }
+
+    #[test]
+    fn eviction_is_exact_lru_over_the_whole_capacity() {
+        let s: ArtifactStore<Key, Blob> =
+            ArtifactStore::new(1, StoreConfig::default().with_capacity(80));
+        for id in 0..8 {
+            s.insert(Key(0, id), Blob(10));
         }
-        assert!(s.resident_weight() <= 4, "{}", s.resident_weight());
+        assert_eq!(s.resident_weight(), 80);
+        assert_eq!(s.stats().total_evictions(), 0);
+        // Touch every key but 3, so 3 is the least recently used.
+        for id in (0..8).filter(|&id| id != 3) {
+            assert!(s.get(&Key(0, id)).is_some());
+        }
+        s.insert(Key(0, 8), Blob(10));
+        assert_eq!(s.stats().total_evictions(), 1);
+        assert_eq!(s.get(&Key(0, 3)), None, "the untouched key is the victim");
+        for id in (0..9).filter(|&id| id != 3) {
+            assert!(s.get(&Key(0, id)).is_some(), "key {id} must stay");
+        }
     }
 
     #[test]
@@ -832,20 +698,6 @@ mod tests {
         let s = store(None);
         s.insert(Key(0, 1), Blob(0));
         assert_eq!(s.resident_weight(), 1);
-    }
-
-    #[test]
-    fn sharded_store_still_bounds_total_weight() {
-        let config = StoreConfig::default().with_capacity(40).with_shards(4);
-        let s: ArtifactStore<Key, Blob> = ArtifactStore::new(1, config);
-        assert_eq!(s.shards(), 4);
-        for id in 0..64 {
-            s.insert(Key(0, id), Blob(5));
-        }
-        // Each shard holds its slice of the budget, so the global bound
-        // holds too.
-        assert!(s.resident_weight() <= 40, "{}", s.resident_weight());
-        assert!(s.stats().total_evictions() > 0);
     }
 
     #[test]

@@ -685,9 +685,10 @@ impl SubmitOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
     /// Shed the new request: its ticket resolves
-    /// [`DesyncError::QueueFull`] immediately and
-    /// [`QueueCounters::shed`] increments (globally and on the shedding
-    /// tenant). The service stays responsive; callers retry with backoff.
+    /// [`DesyncError::QueueFull`] immediately and the shedding tenant's
+    /// [`TenantCounters::shed`] (and so [`QueueCounters::shed`])
+    /// increments. The service stays responsive; callers retry with
+    /// backoff.
     #[default]
     RejectNew,
     /// Park the submitting thread until a slot frees — backpressure
@@ -1226,12 +1227,6 @@ struct QueueShared {
     depth: Option<usize>,
     admission: AdmissionPolicy,
     tenant_quota: Option<usize>,
-    submitted: AtomicUsize,
-    completed: AtomicUsize,
-    shed: AtomicUsize,
-    cancelled: AtomicUsize,
-    deadline_exceeded: AtomicUsize,
-    panics_contained: AtomicUsize,
     /// Word-level simulation events committed per worker (sweep and
     /// campaign points; design requests simulate nothing).
     worker_events: Vec<AtomicUsize>,
@@ -1298,12 +1293,6 @@ impl ServiceQueue {
             depth: config.depth,
             admission: config.admission,
             tenant_quota: config.tenant_quota,
-            submitted: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
-            cancelled: AtomicUsize::new(0),
-            deadline_exceeded: AtomicUsize::new(0),
-            panics_contained: AtomicUsize::new(0),
             worker_events: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
         });
         let workers = (0..workers)
@@ -1395,7 +1384,6 @@ impl ServiceQueue {
                 // keep a submitter parked.
                 state.sched.tenants[ti].cancelled += 1;
                 drop(state);
-                self.shared.cancelled.fetch_add(1, Ordering::SeqCst);
                 cell.resolve(Err(DesyncError::Cancelled));
                 return handle;
             }
@@ -1421,7 +1409,6 @@ impl ServiceQueue {
                     };
                     state.sched.tenants[ti].shed += 1;
                     drop(state);
-                    self.shared.shed.fetch_add(1, Ordering::SeqCst);
                     cell.resolve(Err(error));
                     return handle;
                 }
@@ -1451,15 +1438,12 @@ impl ServiceQueue {
                 match &result {
                     Err(DesyncError::Cancelled) => {
                         shared.bump_tenant(tenant, |t| t.cancelled += 1);
-                        shared.cancelled.fetch_add(1, Ordering::SeqCst);
                     }
                     Err(DesyncError::DeadlineExceeded) => {
                         shared.bump_tenant(tenant, |t| t.deadline_exceeded += 1);
-                        shared.deadline_exceeded.fetch_add(1, Ordering::SeqCst);
                     }
                     _ => {
                         shared.bump_tenant(tenant, |t| t.completed += 1);
-                        shared.completed.fetch_add(1, Ordering::SeqCst);
                         if simulated > 0 {
                             shared.worker_events[worker].fetch_add(simulated, Ordering::SeqCst);
                         }
@@ -1473,7 +1457,6 @@ impl ServiceQueue {
             priority: meta.priority,
         });
         state.high_water = state.high_water.max(state.sched.pending());
-        self.shared.submitted.fetch_add(1, Ordering::SeqCst);
         drop(state);
         self.shared.jobs_ready.notify_one();
         handle
@@ -1497,7 +1480,8 @@ impl ServiceQueue {
     }
 
     /// A snapshot of the queue's traffic counters, including the
-    /// per-tenant and per-lane blocks.
+    /// per-tenant and per-lane blocks. The queue-wide totals are the sums
+    /// of the tenant rows, all read under one lock.
     pub fn counters(&self) -> QueueCounters {
         let (depth, high_water, tenants, lanes) = {
             let state = self.shared.lock_state();
@@ -1508,13 +1492,14 @@ impl ServiceQueue {
                 state.sched.lane_counters(),
             )
         };
+        let total = |count: fn(&TenantCounters) -> usize| tenants.iter().map(count).sum();
         QueueCounters {
-            submitted: self.shared.submitted.load(Ordering::SeqCst),
-            completed: self.shared.completed.load(Ordering::SeqCst),
-            shed: self.shared.shed.load(Ordering::SeqCst),
-            cancelled: self.shared.cancelled.load(Ordering::SeqCst),
-            deadline_exceeded: self.shared.deadline_exceeded.load(Ordering::SeqCst),
-            panics_contained: self.shared.panics_contained.load(Ordering::SeqCst),
+            submitted: total(|t| t.submitted),
+            completed: total(|t| t.completed),
+            shed: total(|t| t.shed),
+            cancelled: total(|t| t.cancelled),
+            deadline_exceeded: total(|t| t.deadline_exceeded),
+            panics_contained: total(|t| t.panics_contained),
             depth,
             high_water,
             tenants,
@@ -1570,7 +1555,6 @@ impl ServiceQueue {
         // submitters (a submitter's admission loop observes shutdown and
         // resolves its ticket Cancelled too).
         for job in drained {
-            self.shared.cancelled.fetch_add(1, Ordering::SeqCst);
             (job.fail)(DesyncError::Cancelled);
         }
         self.shared.jobs_ready.notify_all();
@@ -1636,15 +1620,9 @@ fn worker_loop(shared: &QueueShared, index: usize) {
         let tenant = job.tenant;
         if let Err(error) = job.interrupt.check() {
             match &error {
-                DesyncError::Cancelled => {
-                    shared.bump_tenant(tenant, |t| t.cancelled += 1);
-                    shared.cancelled.fetch_add(1, Ordering::SeqCst)
-                }
-                _ => {
-                    shared.bump_tenant(tenant, |t| t.deadline_exceeded += 1);
-                    shared.deadline_exceeded.fetch_add(1, Ordering::SeqCst)
-                }
-            };
+                DesyncError::Cancelled => shared.bump_tenant(tenant, |t| t.cancelled += 1),
+                _ => shared.bump_tenant(tenant, |t| t.deadline_exceeded += 1),
+            }
             (job.fail)(error);
             continue;
         }
@@ -1659,7 +1637,6 @@ fn worker_loop(shared: &QueueShared, index: usize) {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || run(shared, index)))
         {
             shared.bump_tenant(tenant, |t| t.panics_contained += 1);
-            shared.panics_contained.fetch_add(1, Ordering::SeqCst);
             let stage = stage_trace::take().unwrap_or("request");
             (job.fail)(DesyncError::StagePanicked {
                 stage,

@@ -146,3 +146,31 @@ fn engine_is_shared_safely_across_threads() {
     // stages lookups must have hit.
     assert!(engine.report().total_hits() >= 32, "{}", engine.report());
 }
+
+#[test]
+fn designs_share_one_copy_of_the_stage_artifacts() {
+    let netlist = testbed();
+    let library = CellLibrary::generic_90nm();
+    let engine = DesyncEngine::with_workers(1);
+    let mut flow = engine
+        .flow(&netlist, &library, DesyncOptions::default())
+        .expect("valid options");
+    let a = flow.design().expect("design");
+    let b = flow.design().expect("design");
+    assert!(std::ptr::eq(a.latch_netlist(), b.latch_netlist()));
+    // A second flow on the same engine is served the stored artifacts
+    // themselves, not copies of them.
+    let served = engine
+        .flow(&netlist, &library, DesyncOptions::default())
+        .expect("valid options")
+        .design()
+        .expect("served design");
+    assert!(std::ptr::eq(a.latch_netlist(), served.latch_netlist()));
+    assert!(std::ptr::eq(a.clusters(), served.clusters()));
+    assert!(std::ptr::eq(a.matched_delays(), served.matched_delays()));
+    assert!(std::ptr::eq(
+        a.overhead_netlist(),
+        served.overhead_netlist()
+    ));
+    assert_eq!(a, served);
+}

@@ -39,14 +39,12 @@ fn bounded_engine_keeps_weight_inside_capacity_and_stays_correct() {
     let full_weight = unbounded_weight(&netlists, &library);
     assert!(full_weight > 0);
 
-    // Half the workload's footprint: eviction must kick in. One shard so
-    // the budget is exact; per-stage artifacts of these pipelines are all
-    // far below it, so the resident bound is hard.
+    // Half the workload's footprint: eviction must kick in. Per-stage
+    // artifacts of these pipelines are all far below it, so the resident
+    // bound is hard.
     let capacity = full_weight / 2;
     let engine = DesyncEngine::with_store_and_runtime(
-        StoreConfig::default()
-            .with_capacity(capacity)
-            .with_shards(1),
+        StoreConfig::default().with_capacity(capacity),
         DesyncRuntime::with_workers(1),
     );
     assert_eq!(engine.store_capacity(), Some(capacity));
@@ -144,9 +142,7 @@ fn evicted_sync_runs_reverify_bit_identically() {
     // construction artifacts): sync runs must be evicted...
     let capacity = reference_engine.report().resident_weight - sync_weight / 2;
     let engine = DesyncEngine::with_store_and_runtime(
-        StoreConfig::default()
-            .with_capacity(capacity)
-            .with_shards(1),
+        StoreConfig::default().with_capacity(capacity),
         DesyncRuntime::with_workers(1),
     );
     for round in 0..2 {

@@ -1,5 +1,5 @@
 //! Structural analyses over a [`Netlist`]: topological ordering of the
-//! combinational core, cycle detection, fan-in cones and the
+//! combinational core, cycle detection, combinational depth and the
 //! register-to-register *sequential graph* used by the desynchronization
 //! flow and the timing analyzer.
 
@@ -170,49 +170,11 @@ pub fn combinational_depth(netlist: &Netlist) -> usize {
     max
 }
 
-/// The combinational cells in the fan-in cone of `net`, stopping at
-/// sequential cell outputs and primary inputs.
-pub fn fanin_cone(netlist: &Netlist, net: NetId) -> Vec<CellId> {
-    let driver = netlist.driver_map();
-    let mut seen: HashSet<CellId> = HashSet::new();
-    let mut cone = Vec::new();
-    let mut queue = VecDeque::new();
-    if let Some(d) = driver[net.index()] {
-        queue.push_back(d);
-    }
-    while let Some(id) = queue.pop_front() {
-        if !seen.insert(id) {
-            continue;
-        }
-        let cell = netlist.cell(id);
-        if !cell.kind.is_combinational() {
-            continue;
-        }
-        cone.push(id);
-        for &input in &cell.inputs {
-            if let Some(pred) = driver[input.index()] {
-                if !seen.contains(&pred) && netlist.cell(pred).kind.is_combinational() {
-                    queue.push_back(pred);
-                }
-            }
-        }
-    }
-    cone
-}
-
 /// The sequential cells (flip-flops or latches) whose outputs reach `net`
 /// through combinational logic only, plus whether any primary input reaches
-/// it.
-pub fn sequential_fanin(netlist: &Netlist, net: NetId) -> (Vec<CellId>, bool) {
-    let driver = netlist.driver_map();
-    let input_set: HashSet<NetId> = netlist.inputs().iter().copied().collect();
-    sequential_fanin_with(netlist, net, &driver, &input_set)
-}
-
-/// [`sequential_fanin`] against precomputed driver/input maps, so bulk
-/// callers ([`SequentialGraph::build`]) pay the O(cells) map construction
-/// once instead of once per queried net.
-fn sequential_fanin_with(
+/// it. Takes the netlist's driver map and input set so
+/// [`SequentialGraph::build`] builds them once, not once per queried net.
+fn sequential_fanin(
     netlist: &Netlist,
     net: NetId,
     driver: &[Option<CellId>],
@@ -298,7 +260,7 @@ impl SequentialGraph {
             }
             registers.push(id);
             if let Some(data) = cell.data_net() {
-                let (preds, from_input) = sequential_fanin_with(netlist, data, &driver, &input_set);
+                let (preds, from_input) = sequential_fanin(netlist, data, &driver, &input_set);
                 for p in preds {
                     let e = SeqEdge { from: p, to: id };
                     if edge_set.insert(e) {
@@ -313,7 +275,7 @@ impl SequentialGraph {
         let mut feeding_outputs = Vec::new();
         let mut feeding_set: HashSet<CellId> = HashSet::new();
         for &out in netlist.outputs() {
-            let (preds, _) = sequential_fanin_with(netlist, out, &driver, &input_set);
+            let (preds, _) = sequential_fanin(netlist, out, &driver, &input_set);
             for p in preds {
                 if feeding_set.insert(p) {
                     feeding_outputs.push(p);
@@ -499,19 +461,12 @@ mod tests {
     }
 
     #[test]
-    fn fanin_cone_stops_at_registers() {
-        let n = chain();
-        let andn = n.find_net("andn").unwrap();
-        let cone = fanin_cone(&n, andn);
-        assert_eq!(cone.len(), 1);
-        assert_eq!(n.cell(cone[0]).name, "g_and");
-    }
-
-    #[test]
     fn sequential_fanin_finds_registers_and_inputs() {
         let n = chain();
         let andn = n.find_net("andn").unwrap();
-        let (regs, from_input) = sequential_fanin(&n, andn);
+        let driver = n.driver_map();
+        let inputs = n.inputs().iter().copied().collect();
+        let (regs, from_input) = sequential_fanin(&n, andn, &driver, &inputs);
         assert_eq!(regs.len(), 1);
         assert_eq!(n.cell(regs[0]).name, "r2");
         assert!(from_input, "net b is a primary input feeding the AND");

@@ -43,7 +43,7 @@
 //! that advances a fresh flow end to end, and a
 //! [`DesyncEngine`](core::DesyncEngine) shares stage artifacts *across*
 //! flows — a content-addressed cache whose artifacts live in one
-//! weight-accounted, sharded [`ArtifactStore`](core::store::ArtifactStore)
+//! weight-accounted [`ArtifactStore`](core::store::ArtifactStore)
 //! with optional LRU eviction ([`StoreConfig`](core::StoreConfig)). On top,
 //! a [`DesyncService`](core::DesyncService) batches whole request sets:
 //! identical in-flight requests coalesce onto one computation and distinct
