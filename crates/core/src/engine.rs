@@ -419,6 +419,10 @@ struct InternState {
     /// entry; equality is re-checked on attach, so a hash collision costs a
     /// comparison, never a wrong artifact).
     netlists: HashMap<u64, Vec<(Arc<Netlist>, NetlistId)>>,
+    /// Address of each interned netlist → its entry. Interned netlists are
+    /// never dropped while the engine lives, so an address found here is
+    /// the interned netlist itself, identified without hashing.
+    by_address: HashMap<usize, (Arc<Netlist>, NetlistId)>,
     num_netlists: u32,
     libraries: Vec<Arc<CellLibrary>>,
 }
@@ -540,6 +544,12 @@ impl DesyncEngine {
         // cache-hit path. Snapshot the candidates under the lock, compare
         // outside it, and re-lock only to intern — re-scanning whatever a
         // racing thread interned in between so identities stay canonical.
+        // The engine's own interned netlist (every queue request carries
+        // it) is recognised by address before any of that.
+        let address = netlist as *const Netlist as usize;
+        if let Some(entry) = self.with_intern(|s| s.by_address.get(&address).cloned()) {
+            return entry;
+        }
         let hash = netlist.structural_hash();
         let candidates: Vec<(Arc<Netlist>, NetlistId)> =
             self.with_intern(|s| s.netlists.get(&hash).cloned().unwrap_or_default());
@@ -560,6 +570,8 @@ impl DesyncEngine {
                         Some((stored, id)) => (Arc::clone(stored), *id),
                         None => {
                             bucket.push((Arc::clone(&interned), fresh));
+                            let address = Arc::as_ptr(&interned) as usize;
+                            s.by_address.insert(address, (Arc::clone(&interned), fresh));
                             s.num_netlists += 1;
                             (interned, fresh)
                         }

@@ -91,10 +91,8 @@ pub struct ControlModel {
     delays: ModelDelays,
     has_environment: bool,
     /// Steady-state cycle time (maximum cycle ratio over all components),
-    /// computed once at build time. The maximum-cycle-ratio search runs a
-    /// bisection of Bellman-Ford passes, so recomputing it on every
-    /// `cycle_time_ps()` call (reports, schedule horizons, sweep rows) was a
-    /// measurable share of the verification hot path.
+    /// computed once at build time for the reports, schedule horizons and
+    /// sweep rows that read it.
     steady_cycle_time_ps: f64,
     /// Reference transition of the slowest component, cached for
     /// [`ControlModel::simulate`].

@@ -1371,7 +1371,12 @@ impl ServiceQueue {
             cell: Arc::clone(&cell),
             cancel,
         };
+        // The failpoint tag is read only by fault plans; other builds skip
+        // hashing the netlist.
+        #[cfg(feature = "failpoints")]
         let tag = request.design_point().0.structural_hash();
+        #[cfg(not(feature = "failpoints"))]
+        let tag = 0;
 
         let mut state = self.shared.lock_state();
         // Register the tenant first so shed/cancel paths have a counter

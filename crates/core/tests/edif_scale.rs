@@ -3,10 +3,12 @@
 //! the regression gate for the interned-symbol hot paths (`net_index` /
 //! `cell_index` keyed by `Symbol`, per-base duplicate-name counters) — with
 //! string-keyed maps or quadratic name probing this test times out instead
-//! of finishing in seconds. On the same fabric, a work-counter gate pins the
-//! matched-delay sizing walk to each source cluster's forward cone.
+//! of finishing in seconds. On the same fabric, work-counter gates pin the
+//! matched-delay sizing walk to each source cluster's forward cone and the
+//! control model's cycle time to a near-linear number of relaxation passes.
 
-use desync_core::{ClusterGraph, ClusteringStrategy};
+use desync_core::{ClusterGraph, ClusteringStrategy, DesyncFlow, DesyncOptions};
+use desync_mg::timing::cycle_time_with_work;
 use desync_netlist::edif::{from_edif, to_edif};
 use desync_netlist::{CellKind, CellLibrary, Netlist};
 use desync_sta::{ConeArrivals, Sta, TimingConfig};
@@ -91,4 +93,28 @@ fn hundred_thousand_cell_fabric_roundtrips_and_clusters() {
         "scale smoke took {total:?} (write {t_write:?}, parse+flatten {t_parse:?}, \
          cluster {t_cluster:?}) — a hot path regressed"
     );
+}
+
+/// The Controlled stage on the fabric (one controller pair per chain plus
+/// the environment pair): its cycle time costs at most two Bellman-Ford
+/// checks' worth of relaxation passes, where a bisection running every
+/// check makes dozens.
+#[test]
+fn fabric_cycle_time_takes_near_linear_relaxation_work() {
+    let netlist = fabric();
+    let library = CellLibrary::generic_90nm();
+    let options = DesyncOptions::default().with_clustering(ClusteringStrategy::ByNamePrefix);
+    let mut flow = DesyncFlow::new(&netlist, &library, options).expect("valid options");
+    let model = &flow.controlled().expect("controlled stage").model;
+    let graph = model.graph();
+    assert_eq!(
+        (graph.num_transitions(), graph.num_places()),
+        (4 * CHAINS + 4, 12 * CHAINS + 7)
+    );
+    let (cycle_time, work) = cycle_time_with_work(graph);
+    assert!(
+        work.relaxation_passes <= 2 * (graph.num_transitions() + 1),
+        "{work:?}"
+    );
+    assert_eq!(cycle_time.to_bits(), model.cycle_time_ps().to_bits());
 }

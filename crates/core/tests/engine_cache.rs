@@ -174,3 +174,37 @@ fn designs_share_one_copy_of_the_stage_artifacts() {
     ));
     assert_eq!(a, served);
 }
+
+#[test]
+fn interning_the_engines_own_netlist_keeps_its_identity() {
+    let netlist = testbed();
+    let library = CellLibrary::generic_90nm();
+    let engine = DesyncEngine::with_workers(1);
+    let interned = engine.intern_netlist(&netlist);
+    // Handing the engine its own interned netlist returns that same `Arc`
+    // and interns nothing new.
+    let again = engine.intern_netlist(&interned);
+    assert!(std::sync::Arc::ptr_eq(&interned, &again));
+    assert_eq!(engine.report().netlists, 1);
+    // An equal netlist at another address gets the same identity, and
+    // flows over either are served one set of artifacts.
+    let copy = netlist.clone();
+    assert!(std::sync::Arc::ptr_eq(
+        &interned,
+        &engine.intern_netlist(&copy)
+    ));
+    assert_eq!(engine.report().netlists, 1);
+    let design = |n: &Netlist| {
+        engine
+            .flow(n, &library, DesyncOptions::default())
+            .expect("valid options")
+            .design()
+            .expect("design")
+    };
+    let (from_interned, from_copy) = (design(&interned), design(&copy));
+    assert!(std::ptr::eq(
+        from_interned.latch_netlist(),
+        from_copy.latch_netlist()
+    ));
+    assert_eq!(engine.report().netlists, 1);
+}

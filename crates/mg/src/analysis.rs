@@ -224,6 +224,18 @@ pub fn strongly_connected_components(graph: &MarkedGraph) -> Vec<Vec<TransitionI
     components
 }
 
+/// Each transition's index in [`strongly_connected_components`]: a place
+/// lies on a cycle iff its two transitions share an index.
+pub(crate) fn component_of(graph: &MarkedGraph) -> Vec<usize> {
+    let mut component = vec![0; graph.num_transitions()];
+    for (c, members) in strongly_connected_components(graph).iter().enumerate() {
+        for t in members {
+            component[t.index()] = c;
+        }
+    }
+    component
+}
+
 /// Finds a directed cycle carrying **more than one token** such that no
 /// cycle through one of its places carries fewer — the structural witness
 /// that a live marked graph is unsafe (the place can actually accumulate
@@ -231,28 +243,168 @@ pub fn strongly_connected_components(graph: &MarkedGraph) -> Vec<Vec<TransitionI
 /// one-token cycle. Places on no cycle are skipped.
 ///
 /// The lowest offending place id produces the witness, so the result is a
-/// pure function of the graph. Places are grouped by the transition they
-/// enter, and one Dijkstra per distinct target (token counts as lengths,
-/// heap ordered by distance then transition id, places relaxed in id
-/// order, parents replaced only on strict improvement) finds the fewest
-/// tokens back from each place's target to its source, in buffers reused
-/// across targets.
+/// pure function of the graph. The witness is the fewest-token path back
+/// from the place's target to its source, found by Dijkstra (token counts
+/// as lengths, heap ordered by distance then transition id, places relaxed
+/// in id order, parents replaced only on strict improvement), closed by the
+/// place itself.
+///
+/// On a live graph the token-free places form a DAG, and a bit-parallel
+/// closure over it finds the offending place in O((T + P)·⌈T/64⌉) time
+/// and O(T + P) memory, for T transitions and P places: for each block of 64
+/// transitions, two reverse-topological sweeps give every transition the
+/// block members it reaches with no token (R0) and with at most one (R≤1).
+/// A place `u → v` with `k` tokens, `u` and `v` in one strongly connected
+/// component, offends iff `k ≥ 2`, or `k = 1` and `u ∉ R0(v)`, or `k = 0`
+/// and `u ∉ R≤1(v)`; one Dijkstra then builds its witness. A graph that is
+/// not live runs one Dijkstra per target transition instead.
 pub fn multi_token_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
     let adj = out_places(graph);
+    let Some(order) = token_free_order(&adj) else {
+        return multi_token_cycle_per_target(graph, &adj).map(|(_, witness)| witness);
+    };
+    let id = lowest_overloaded_place(graph, &adj, &order)?;
+    let mut paths = TokenPaths::new(adj.len());
+    paths.run(&adj, graph.place(id).to.index());
+    Some(paths.cycle_through(graph, id))
+}
+
+/// A topological order of the transitions over the token-free places
+/// (Kahn's algorithm), or `None` when token-free places close a cycle and
+/// the graph is not live.
+fn token_free_order(adj: &[Vec<(usize, u32, PlaceId)>]) -> Option<Vec<usize>> {
+    let mut indegree = vec![0usize; adj.len()];
+    for &(to, _, _) in adj.iter().flatten().filter(|&&(_, tokens, _)| tokens == 0) {
+        indegree[to] += 1;
+    }
+    let mut order: Vec<usize> = (0..adj.len()).filter(|&t| indegree[t] == 0).collect();
+    let mut next = 0;
+    while let Some(&t) = order.get(next) {
+        next += 1;
+        for &(to, tokens, _) in &adj[t] {
+            if tokens == 0 {
+                indegree[to] -= 1;
+                if indegree[to] == 0 {
+                    order.push(to);
+                }
+            }
+        }
+    }
+    (order.len() == adj.len()).then_some(order)
+}
+
+/// The lowest place on a cycle all of whose cycles carry two or more
+/// tokens, on a live graph whose token-free places are ordered by `order`:
+/// the bit-parallel closure of [`multi_token_cycle`].
+fn lowest_overloaded_place(
+    graph: &MarkedGraph,
+    adj: &[Vec<(usize, u32, PlaceId)>],
+    order: &[usize],
+) -> Option<PlaceId> {
     let n = adj.len();
-    let mut entering: Vec<Vec<PlaceId>> = vec![Vec::new(); n];
+    let component = component_of(graph);
+    // Bit `i` of `r0[t]` / `r1[t]`: transition `base + i` is reachable from
+    // `t` over places carrying no token / at most one token in total.
+    let mut r0 = vec![0u64; n];
+    let mut r1 = vec![0u64; n];
+    let mut lowest: Option<PlaceId> = None;
+    for base in (0..n).step_by(64) {
+        let end = n.min(base + 64);
+        let own = |t: usize| {
+            t.checked_sub(base)
+                .filter(|&i| i < 64)
+                .map_or(0, |i| 1 << i)
+        };
+        for &t in order.iter().rev() {
+            r0[t] = adj[t]
+                .iter()
+                .filter(|&&(_, tokens, _)| tokens == 0)
+                .fold(own(t), |mask, &(to, _, _)| mask | r0[to]);
+        }
+        for &t in order.iter().rev() {
+            r1[t] = adj[t]
+                .iter()
+                .fold(r0[t], |mask, &(to, tokens, _)| match tokens {
+                    0 => mask | r1[to],
+                    1 => mask | r0[to],
+                    _ => mask,
+                });
+        }
+        for (u, places) in adj.iter().enumerate().take(end).skip(base) {
+            for &(v, tokens, id) in places {
+                let overloaded = component[u] == component[v]
+                    && match tokens {
+                        0 => r1[v] & own(u) == 0,
+                        1 => r0[v] & own(u) == 0,
+                        _ => true,
+                    };
+                if overloaded && lowest.is_none_or(|best| id < best) {
+                    lowest = Some(id);
+                }
+            }
+        }
+    }
+    lowest
+}
+
+/// [`multi_token_cycle`] on any graph, with the lowest offending place: one
+/// Dijkstra per distinct target transition, skipping targets whose places
+/// cannot beat the lowest offending place found so far.
+fn multi_token_cycle_per_target(
+    graph: &MarkedGraph,
+    adj: &[Vec<(usize, u32, PlaceId)>],
+) -> Option<(PlaceId, CycleWitness)> {
+    let mut entering: Vec<Vec<PlaceId>> = vec![Vec::new(); adj.len()];
     for (id, p) in graph.places() {
         entering[p.to.index()].push(id);
     }
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut parent: Vec<Option<(usize, PlaceId)>> = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::new();
+    let mut paths = TokenPaths::new(adj.len());
     let mut found: Option<(PlaceId, CycleWitness)> = None;
     for (target, group) in entering.iter().enumerate() {
         let below_found = |id: PlaceId| found.as_ref().is_none_or(|(best, _)| id < *best);
         if !group.first().is_some_and(|&first| below_found(first)) {
             continue;
         }
+        paths.run(adj, target);
+        let offending = group.iter().copied().find(|&id| {
+            paths
+                .cycle_tokens(graph, id)
+                .is_some_and(|tokens| tokens > 1)
+        });
+        if let Some(id) = offending.filter(|&id| below_found(id)) {
+            found = Some((id, paths.cycle_through(graph, id)));
+        }
+    }
+    found
+}
+
+/// Fewest-token paths out of one target transition: Dijkstra with token
+/// counts as lengths, in buffers reused across targets.
+struct TokenPaths {
+    target: usize,
+    dist: Vec<Option<u32>>,
+    parent: Vec<Option<(usize, PlaceId)>>,
+    heap: BinaryHeap<Reverse<(u32, usize)>>,
+}
+
+impl TokenPaths {
+    fn new(transitions: usize) -> Self {
+        Self {
+            target: 0,
+            dist: vec![None; transitions],
+            parent: vec![None; transitions],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Runs Dijkstra from `target`: heap ordered by distance then
+    /// transition id, places relaxed in id order, parents replaced only on
+    /// strict improvement.
+    fn run(&mut self, adj: &[Vec<(usize, u32, PlaceId)>], target: usize) {
+        let Self {
+            dist, parent, heap, ..
+        } = self;
+        self.target = target;
         dist.fill(None);
         parent.fill(None);
         heap.clear();
@@ -271,29 +423,33 @@ pub fn multi_token_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
                 }
             }
         }
-        let offending = group.iter().find_map(|&id| {
-            let p = graph.place(id);
-            let tokens = dist[p.from.index()]? + p.initial_tokens;
-            (tokens > 1).then_some((id, tokens))
-        });
-        let Some((id, tokens)) = offending.filter(|&(id, _)| below_found(id)) else {
-            continue;
-        };
-        // The shortest token path target -> ... -> p.from, closed by the
-        // place itself.
+    }
+
+    /// Tokens on the fewest-token cycle through place `id`, which enters
+    /// the target: `None` when its source is not reachable from the target.
+    fn cycle_tokens(&self, graph: &MarkedGraph, id: PlaceId) -> Option<u32> {
+        let p = graph.place(id);
+        Some(self.dist[p.from.index()]? + p.initial_tokens)
+    }
+
+    /// The fewest-token cycle through place `id`: the shortest token path
+    /// target -> ... -> the place's source, closed by the place itself.
+    fn cycle_through(&self, graph: &MarkedGraph, id: PlaceId) -> CycleWitness {
+        let tokens = self
+            .cycle_tokens(graph, id)
+            .expect("the place lies on a cycle through the target");
         let mut places = Vec::new();
         let mut node = graph.place(id).from.index();
-        while node != target {
-            let (pred, via) = parent[node].expect("reached nodes have parents");
+        while node != self.target {
+            let (pred, via) = self.parent[node].expect("reached nodes have parents");
             places.push(via);
             node = pred;
         }
         places.reverse();
         places.push(id);
         canonicalize_cycle(&mut places);
-        found = Some((id, CycleWitness { places, tokens }));
+        CycleWitness { places, tokens }
     }
-    found.map(|(_, witness)| witness)
 }
 
 /// Whether the marked graph is safe (no reachable marking puts more than one
@@ -302,10 +458,11 @@ pub fn multi_token_cycle(graph: &MarkedGraph) -> Option<CycleWitness> {
 /// A live graph is decided by structure: it is safe iff every place lies on
 /// a cycle (its two transitions share a strongly connected component — a
 /// place on no cycle is unbounded, since its producer fires without its
-/// consumer) and [`multi_token_cycle`] finds nothing. A graph that is not
-/// live falls back to an explicit reachability exploration bounded by
-/// [`DEFAULT_EXPLORATION_LIMIT`] markings; graphs that exceed the bound are
-/// conservatively reported unsafe.
+/// consumer) and [`multi_token_cycle`] finds nothing, which on a live graph
+/// takes O((T + P)·⌈T/64⌉) time for T transitions and P places. A graph
+/// that is not live falls back to an explicit reachability exploration
+/// bounded by [`DEFAULT_EXPLORATION_LIMIT`] markings; graphs that exceed
+/// the bound are conservatively reported unsafe.
 pub fn is_safe(graph: &MarkedGraph) -> bool {
     if !is_live(graph) {
         return matches!(
@@ -313,12 +470,7 @@ pub fn is_safe(graph: &MarkedGraph) -> bool {
             Some(b) if b <= 1
         );
     }
-    let mut component = vec![0; graph.num_transitions()];
-    for (c, members) in strongly_connected_components(graph).iter().enumerate() {
-        for t in members {
-            component[t.index()] = c;
-        }
-    }
+    let component = component_of(graph);
     graph
         .places()
         .all(|(_, p)| component[p.from.index()] == component[p.to.index()])
@@ -499,6 +651,67 @@ mod tests {
         assert!(is_live(&g));
         assert!(!is_strongly_connected(&g));
         assert!(is_safe(&g));
+    }
+
+    /// A live graph of up to 150 transitions (so up to three 64-transition
+    /// blocks): a ring plus chords, empty places only forward in transition
+    /// order, and a dangling token-free chain off the ring.
+    fn random_live_graph(seed: u64) -> MarkedGraph {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let n = 1 + next(150) as usize;
+        let mut arcs: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        for _ in 0..next(n as u64 / 2 + 2) {
+            arcs.push((next(n as u64) as usize, next(n as u64) as usize));
+        }
+        let mut g = MarkedGraph::new();
+        let ids: Vec<_> = (0..n).map(|i| g.add_transition(format!("t{i}"))).collect();
+        for (from, to) in arcs {
+            // Places running backward carry a token, and about one place
+            // in 4n carries one more.
+            let tokens = u32::from(from >= to) + u32::from(next(4 * n as u64) == 0);
+            g.add_place(ids[from], ids[to], tokens, 1.0);
+        }
+        let mut prev = ids[next(n as u64) as usize];
+        for i in 0..next(4) {
+            let t = g.add_transition(format!("x{i}"));
+            g.add_place(prev, t, 0, 1.0);
+            prev = t;
+        }
+        g
+    }
+
+    #[test]
+    fn bitset_closure_matches_the_per_target_search() {
+        let mut unsafe_graphs = 0;
+        for seed in 0..2_000 {
+            let g = random_live_graph(seed);
+            let adj = out_places(&g);
+            let order = token_free_order(&adj).expect("the generator draws live graphs");
+            let lowest = lowest_overloaded_place(&g, &adj, &order);
+            let per_target = multi_token_cycle_per_target(&g, &adj);
+            assert_eq!(
+                lowest,
+                per_target.as_ref().map(|(id, _)| *id),
+                "seed {seed}"
+            );
+            assert_eq!(
+                multi_token_cycle(&g),
+                per_target.map(|(_, witness)| witness),
+                "seed {seed}"
+            );
+            unsafe_graphs += usize::from(lowest.is_some());
+        }
+        // Both verdicts occur often enough to compare.
+        assert!(
+            (200..1_800).contains(&unsafe_graphs),
+            "{unsafe_graphs} unsafe"
+        );
     }
 
     #[test]

@@ -5,10 +5,69 @@
 //! combinational-logic propagation times, so the cycle time computed here is
 //! the asynchronous equivalent of the clock period of the synchronous
 //! circuit (paper Table 1, "Cycle Time" row).
+//!
+//! # How the cycle time is computed
+//!
+//! The reported cycle time is defined by a bisection on the ratio λ: a
+//! Bellman-Ford check asks whether the weights `delay - λ·tokens` close a
+//! positive cycle, i.e. whether λ lies below the maximum cycle ratio λ*.
+//! Its exact bits are part of the flow's output (they set the verification
+//! horizon), so they are kept — but the checks are not all run:
+//!
+//! 1. **Howard's policy iteration** (Cochet-Terrasson et al., 1998) finds
+//!    λ_H, the ratio of a real cycle, in a few linear rounds: every
+//!    transition picks one out-place on a cycle, the cycles of that policy
+//!    are evaluated, and each round moves transitions first toward
+//!    higher-ratio cycles, then, at equal ratio, toward heavier paths into
+//!    their cycle.
+//! 2. **One certificate check** at `λ_H + band` must find no positive cycle,
+//!    where the band is `1e-10·(1 + |λ_H|)`: λ* then lies within the band
+//!    above λ_H.
+//! 3. **The bisection is replayed** with the comparison `mid < λ_H` as the
+//!    outcome of each check, except for a `mid` inside the band, where the
+//!    real check runs: its rounding and its slack decide there, exactly as
+//!    they did in the plain bisection.
+//!
+//! Outside the band the comparison and the check agree: λ* lies in the band
+//! above λ_H, so the check finds the λ_H cycle's gain below the band and no
+//! positive cycle above it. That needs a gain the check can see, so every
+//! case where it might not falls back to the same bisection with every
+//! check run: a non-finite delay or λ_H, a policy that does not settle
+//! within its round cap, a critical cycle whose gain at the band's edge
+//! its relaxations' slack and rounding could hide, and a failed
+//! certificate. The result is the plain bisection's, bit for bit, and
+//! [`cycle_time_with_work`] reports the rounds and passes spent.
 
+use crate::analysis::component_of;
 use crate::graph::{MarkedGraph, TransitionId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+/// Relative half-width of the band around λ_H inside which the bisection
+/// runs the real Bellman-Ford check instead of comparing with λ_H.
+const BAND: f64 = 1e-10;
+
+/// Improvement slack of one Bellman-Ford relaxation.
+const SLACK: f64 = 1e-12;
+
+/// Round cap of the policy iteration; past it the bisection runs every
+/// check.
+const MAX_POLICY_ROUNDS: usize = 256;
+
+/// Tolerance of the policy iteration's comparisons, relative to the
+/// largest `|delay|`: differences below it count as ties.
+const POLICY_TOLERANCE: f64 = 1e-12;
+
+/// Work done by one [`cycle_time_with_work`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CycleTimeWork {
+    /// Rounds of Howard's policy iteration (evaluation plus improvement).
+    pub policy_rounds: usize,
+    /// Passes over the place list made by Bellman-Ford positive-cycle
+    /// checks: the certificate, checks inside the band, and every check of
+    /// a fallback bisection.
+    pub relaxation_passes: usize,
+}
 
 /// The steady-state cycle time of a timed marked graph: the maximum over all
 /// directed cycles of (total delay on the cycle) / (tokens on the cycle).
@@ -16,24 +75,70 @@ use std::collections::VecDeque;
 /// Returns `0.0` for graphs without cycles (nothing constrains throughput)
 /// and `f64::INFINITY` for graphs with a token-free cycle (not live: some
 /// transition can never fire, so the period diverges).
+///
+/// The value is the upper end of a bisection bracket on λ (stop rule
+/// `1e-9·(1 + hi)`), bit for bit; Howard's policy iteration decides almost
+/// every step of that bisection, and a Bellman-Ford check runs only inside
+/// a narrow band around the ratio it finds (see the module documentation).
 pub fn cycle_time(graph: &MarkedGraph) -> f64 {
+    cycle_time_with_work(graph).0
+}
+
+/// [`cycle_time`], plus the work it took: policy-iteration rounds and
+/// Bellman-Ford relaxation passes.
+pub fn cycle_time_with_work(graph: &MarkedGraph) -> (f64, CycleTimeWork) {
+    let mut work = CycleTimeWork::default();
     if graph.num_places() == 0 || graph.num_transitions() == 0 {
-        return 0.0;
+        return (0.0, work);
     }
     if !crate::analysis::is_live(graph) {
-        return f64::INFINITY;
+        return (f64::INFINITY, work);
     }
-    // Binary search on lambda; lambda >= lambda* iff the graph with edge
-    // weights (delay - lambda * tokens) has no positive cycle.
-    if !has_positive_cycle(graph, 0.0) {
+    // Upper bound of the bisection: every cycle carries >= 1 token (the
+    // graph is live), and a cycle's delay is at most the sum of all
+    // *positive* place delays — the plain total would under-bound lambda*
+    // as soon as any place has a negative delay, silently converging to a
+    // wrong cycle time.
+    let positive_delay: f64 = graph.places().map(|(_, p)| p.delay.max(0.0)).sum();
+    // What one relaxation can hide of a gain: its slack plus one rounding
+    // of a path weight, which the positive delays bound.
+    let blur = SLACK + positive_delay * f64::EPSILON;
+    let passes = &mut work.relaxation_passes;
+    let critical = graph
+        .places()
+        .all(|(_, p)| p.delay.is_finite())
+        .then(|| critical_cycle(graph, &mut work.policy_rounds))
+        .flatten()
+        .filter(|c| {
+            // Below the band, the comparison stands in for a check that
+            // must see the critical cycle's gain of at least band·tokens
+            // through the blur of each of its relaxations; above the band,
+            // the certificate check must find no positive cycle.
+            c.ratio.is_finite()
+                && 2.0 * c.places as f64 * blur < band(c.ratio) * c.tokens as f64
+                && !has_positive_cycle(graph, c.ratio + band(c.ratio), passes)
+        });
+    let cycle_time = bisect(positive_delay, |mid| match &critical {
+        Some(c) if (mid - c.ratio).abs() > band(c.ratio) => mid < c.ratio,
+        _ => has_positive_cycle(graph, mid, passes),
+    });
+    (cycle_time, work)
+}
+
+/// The band half-width around the policy ratio `lambda`.
+fn band(lambda: f64) -> f64 {
+    BAND * (1.0 + lambda.abs())
+}
+
+/// Bisection on λ for the maximum cycle ratio of a live graph whose
+/// positive place delays sum to `positive_delay`, with
+/// `positive_cycle_at(λ)` answering whether the weights `delay - λ·tokens`
+/// close a positive cycle (λ lies below the maximum cycle ratio).
+fn bisect(positive_delay: f64, mut positive_cycle_at: impl FnMut(f64) -> bool) -> f64 {
+    if !positive_cycle_at(0.0) {
         // No cycle with positive total delay: throughput is unconstrained.
         return 0.0;
     }
-    // Upper bound: every cycle carries >= 1 token (the graph is live), and a
-    // cycle's delay is at most the sum of all *positive* place delays — the
-    // plain total would under-bound lambda* as soon as any place has a
-    // negative delay, silently converging to a wrong cycle time.
-    let positive_delay: f64 = graph.places().map(|(_, p)| p.delay.max(0.0)).sum();
     let mut lo = 0.0_f64;
     let mut hi = positive_delay.max(1e-9);
     // Defense in depth: if rounding ever left lambda* above the analytic
@@ -41,7 +146,7 @@ pub fn cycle_time(graph: &MarkedGraph) -> f64 {
     // invalid bracket. Divergence here would mean the liveness check above
     // lied, so give up loudly with infinity after a generous budget.
     let mut doublings = 0;
-    while has_positive_cycle(graph, hi) {
+    while positive_cycle_at(hi) {
         hi *= 2.0;
         doublings += 1;
         if doublings > 128 {
@@ -50,7 +155,7 @@ pub fn cycle_time(graph: &MarkedGraph) -> f64 {
     }
     for _ in 0..100 {
         let mid = 0.5 * (lo + hi);
-        if has_positive_cycle(graph, mid) {
+        if positive_cycle_at(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -64,16 +169,18 @@ pub fn cycle_time(graph: &MarkedGraph) -> f64 {
 
 /// Whether the graph with edge weights `delay - lambda * tokens` contains a
 /// positive-weight cycle (Bellman-Ford style relaxation on longest paths).
-fn has_positive_cycle(graph: &MarkedGraph, lambda: f64) -> bool {
+/// Adds the passes it makes over the place list to `passes`.
+fn has_positive_cycle(graph: &MarkedGraph, lambda: f64, passes: &mut usize) -> bool {
     let n = graph.num_transitions();
     let mut dist = vec![0.0_f64; n];
     // n iterations of relaxation; a further improvement implies a positive cycle.
     for iter in 0..=n {
+        *passes += 1;
         let mut changed = false;
         for (_, p) in graph.places() {
             let w = p.delay - lambda * p.initial_tokens as f64;
             let cand = dist[p.from.index()] + w;
-            if cand > dist[p.to.index()] + 1e-12 {
+            if cand > dist[p.to.index()] + SLACK {
                 dist[p.to.index()] = cand;
                 changed = true;
                 if iter == n {
@@ -86,6 +193,157 @@ fn has_positive_cycle(graph: &MarkedGraph, lambda: f64) -> bool {
         }
     }
     false
+}
+
+/// The highest-ratio cycle of the policy Howard's iteration settles on:
+/// its ratio (total delay over total tokens), place count and tokens.
+struct CriticalCycle {
+    ratio: f64,
+    places: usize,
+    tokens: u64,
+}
+
+/// Howard's policy iteration for the maximum cycle ratio of a live graph
+/// with finite delays, over the places whose two transitions share a
+/// strongly connected component (the only places on cycles).
+///
+/// A policy gives each transition on a cycle one such out-place, so each
+/// transition leads to exactly one policy cycle; its ratio `eta` and a
+/// potential `x` (path weight `delay - eta·tokens` down to the cycle) are
+/// evaluated, and a transition switches to an out-place leading to a higher
+/// ratio or, at equal ratio, to a higher potential. Rounds are counted in
+/// `rounds`; `None` when the policy does not settle within
+/// [`MAX_POLICY_ROUNDS`].
+fn critical_cycle(graph: &MarkedGraph, rounds: &mut usize) -> Option<CriticalCycle> {
+    let n = graph.num_transitions();
+    let component = component_of(graph);
+    // (to, delay, tokens) per place on a cycle, grouped by source.
+    let mut out: Vec<Vec<(usize, f64, u32)>> = vec![Vec::new(); n];
+    for (_, p) in graph.places() {
+        if component[p.from.index()] == component[p.to.index()] {
+            out[p.from.index()].push((p.to.index(), p.delay, p.initial_tokens));
+        }
+    }
+    let scale = graph
+        .places()
+        .map(|(_, p)| p.delay.abs())
+        .fold(0.0_f64, f64::max);
+    let eps = POLICY_TOLERANCE * scale;
+    // Initial policy: each transition's largest-delay out-place.
+    let mut policy: Vec<Option<(usize, f64, u32)>> = out
+        .iter()
+        .map(|places| {
+            places
+                .iter()
+                .copied()
+                .reduce(|best, p| if p.1 > best.1 { p } else { best })
+        })
+        .collect();
+    const UNSEEN: u8 = 0;
+    const ON_PATH: u8 = 1;
+    const DONE: u8 = 2;
+    let mut eta = vec![0.0_f64; n];
+    let mut x = vec![0.0_f64; n];
+    let mut state = vec![UNSEEN; n];
+    let mut path = Vec::new();
+    for _ in 0..MAX_POLICY_ROUNDS {
+        *rounds += 1;
+        // Value determination: walk each transition's policy path until it
+        // reaches an evaluated transition or closes a new cycle.
+        state.fill(UNSEEN);
+        let mut critical: Option<CriticalCycle> = None;
+        for start in 0..n {
+            if policy[start].is_none() || state[start] != UNSEEN {
+                continue;
+            }
+            path.clear();
+            let mut t = start;
+            while state[t] == UNSEEN {
+                state[t] = ON_PATH;
+                path.push(t);
+                t = policy[t]
+                    .expect("policy transitions lead to policy transitions")
+                    .0;
+            }
+            // A path back into itself closes a new cycle at `t`; its root
+            // `t` keeps its potential from the previous round, so the
+            // potentials of an unchanged cycle do not move.
+            let root = (state[t] == ON_PATH).then(|| {
+                let pos = path
+                    .iter()
+                    .position(|&s| s == t)
+                    .expect("cycle root is on the path");
+                let (mut delay, mut tokens) = (0.0_f64, 0_u64);
+                for &s in &path[pos..] {
+                    let (_, d, k) = policy[s].expect("cycle transitions have a policy");
+                    delay += d;
+                    tokens += u64::from(k);
+                }
+                let ratio = delay / tokens as f64;
+                if critical.as_ref().is_none_or(|c| ratio > c.ratio) {
+                    critical = Some(CriticalCycle {
+                        ratio,
+                        places: path.len() - pos,
+                        tokens,
+                    });
+                }
+                eta[t] = ratio;
+                state[t] = DONE;
+                pos
+            });
+            // Every other transition on the path, successor first.
+            for (i, &s) in path.iter().enumerate().rev() {
+                if Some(i) == root {
+                    continue;
+                }
+                let (to, d, k) = policy[s].expect("path transitions have a policy");
+                eta[s] = eta[to];
+                x[s] = d - eta[to] * f64::from(k) + x[to];
+                state[s] = DONE;
+            }
+        }
+        // Policy improvement: first toward higher-ratio cycles ...
+        let mut changed = false;
+        for s in 0..n {
+            let mut best = None;
+            let mut best_eta = eta[s] + eps;
+            for &p in &out[s] {
+                if eta[p.0] > best_eta {
+                    (best, best_eta) = (Some(p), eta[p.0]);
+                }
+            }
+            if best.is_some() {
+                policy[s] = best;
+                changed = true;
+            }
+        }
+        // ... then, once no ratio improves, toward higher potentials at
+        // equal ratio.
+        if !changed {
+            for s in 0..n {
+                let mut best = None;
+                let mut best_x = x[s] + eps;
+                for &p in &out[s] {
+                    let (to, d, k) = p;
+                    if (eta[to] - eta[s]).abs() > eps {
+                        continue;
+                    }
+                    let value = d - eta[s] * f64::from(k) + x[to];
+                    if value > best_x {
+                        (best, best_x) = (Some(p), value);
+                    }
+                }
+                if best.is_some() {
+                    policy[s] = best;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return critical;
+        }
+    }
+    None
 }
 
 /// One firing of a transition in a timed simulation.
@@ -227,7 +485,9 @@ pub fn simulate_timed(
 
     let mut firings = Vec::new();
     let mut ref_times = Vec::new();
-    let max_firings = iterations.saturating_mul(graph.num_transitions().max(1)) + 16;
+    let max_firings = iterations
+        .saturating_mul(graph.num_transitions().max(1))
+        .saturating_add(16);
 
     while firings.len() < max_firings {
         let Some(std::cmp::Reverse(candidate)) = heap.pop() else {
@@ -429,6 +689,15 @@ mod tests {
         let trace = simulate_timed(&g, 10, None);
         assert!(trace.firings.is_empty());
         assert_eq!(trace.period, 0.0);
+    }
+
+    #[test]
+    fn dead_graph_simulation_halts_at_any_iteration_count() {
+        // The firing budget saturates instead of overflowing.
+        let g = two_ring(1.0, 1.0, 0);
+        let trace = simulate_timed(&g, usize::MAX, None);
+        assert!(trace.firings.is_empty());
+        assert_eq!(trace.iterations, 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests of the marked-graph engine: liveness and safeness
-//! against exhaustive exploration, cycle time against timed simulation, and
-//! the invariants of composition.
+//! against exhaustive exploration, cycle time against timed simulation and,
+//! bit for bit, against the Bellman-Ford bisection it replays, and the
+//! invariants of composition.
 
 use desync_mg::analysis::{
     count_reachable_markings, find_deadlock, is_live, is_safe, max_bound_exhaustive,
@@ -262,4 +263,324 @@ proptest! {
             prop_assert_eq!(cmp.mismatches[0].position, corrupt_at);
         }
     }
+}
+
+/// The cycle-time bisection as it stood before the policy iteration took
+/// over its checks, copied verbatim: the oracle [`cycle_time`] must
+/// reproduce bit for bit.
+fn bisection_oracle(graph: &MarkedGraph) -> f64 {
+    if graph.num_places() == 0 || graph.num_transitions() == 0 {
+        return 0.0;
+    }
+    if !is_live(graph) {
+        return f64::INFINITY;
+    }
+    // Binary search on lambda; lambda >= lambda* iff the graph with edge
+    // weights (delay - lambda * tokens) has no positive cycle.
+    if !oracle_has_positive_cycle(graph, 0.0) {
+        // No cycle with positive total delay: throughput is unconstrained.
+        return 0.0;
+    }
+    // Upper bound: every cycle carries >= 1 token (the graph is live), and a
+    // cycle's delay is at most the sum of all *positive* place delays — the
+    // plain total would under-bound lambda* as soon as any place has a
+    // negative delay, silently converging to a wrong cycle time.
+    let positive_delay: f64 = graph.places().map(|(_, p)| p.delay.max(0.0)).sum();
+    let mut lo = 0.0_f64;
+    let mut hi = positive_delay.max(1e-9);
+    // Defense in depth: if rounding ever left lambda* above the analytic
+    // bound, double until the bound holds instead of bisecting against an
+    // invalid bracket. Divergence here would mean the liveness check above
+    // lied, so give up loudly with infinity after a generous budget.
+    let mut doublings = 0;
+    while oracle_has_positive_cycle(graph, hi) {
+        hi *= 2.0;
+        doublings += 1;
+        if doublings > 128 {
+            return f64::INFINITY;
+        }
+    }
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if oracle_has_positive_cycle(graph, mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if hi - lo < 1e-9 * (1.0 + hi.abs()) {
+            break;
+        }
+    }
+    hi
+}
+
+/// Whether the graph with edge weights `delay - lambda * tokens` contains a
+/// positive-weight cycle (Bellman-Ford style relaxation on longest paths).
+fn oracle_has_positive_cycle(graph: &MarkedGraph, lambda: f64) -> bool {
+    let n = graph.num_transitions();
+    let mut dist = vec![0.0_f64; n];
+    // n iterations of relaxation; a further improvement implies a positive cycle.
+    for iter in 0..=n {
+        let mut changed = false;
+        for (_, p) in graph.places() {
+            let w = p.delay - lambda * p.initial_tokens as f64;
+            let cand = dist[p.from.index()] + w;
+            if cand > dist[p.to.index()] + 1e-12 {
+                dist[p.to.index()] = cand;
+                changed = true;
+                if iter == n {
+                    return true;
+                }
+            }
+        }
+        if !changed {
+            return false;
+        }
+    }
+    false
+}
+
+/// SplitMix64: the oracle sweep's deterministic stream.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A timed marked graph for the cycle-time oracle, drawn from `seed`:
+/// 2–41 transitions on a ring plus chords, up to 3 tokens per place, one
+/// of four delay kinds (small integers, uniform reals, reals of both signs,
+/// integers with near-tie offsets of 1e-9 to 1e-13) and one of four shapes
+/// (a ring, a ring broken at one place, a ring with self-loops, two rings
+/// joined one way).
+///
+/// Places that run forward in transition order may be token-free; the
+/// others carry a token, so the graph is live — except in one draw of ten,
+/// where any place may be empty.
+fn oracle_graph(seed: u64) -> MarkedGraph {
+    let mut rng = SplitMix(seed);
+    let n = 2 + rng.below(40) as usize;
+    let chords = rng.below(2 * n as u64) as usize;
+    let delay_kind = rng.below(4);
+    let shape = rng.below(4);
+    let any_empty = rng.below(10) == 0;
+    let delay = |rng: &mut SplitMix| match delay_kind {
+        0 => rng.below(20) as f64,
+        1 => 100.0 * rng.unit(),
+        2 => 100.0 * rng.unit() - 50.0,
+        _ => {
+            let offset = (rng.below(5) as f64 - 2.0) * 10f64.powi(-9 - rng.below(5) as i32);
+            rng.below(8) as f64 + offset
+        }
+    };
+    let tokens = |rng: &mut SplitMix, from: usize, to: usize| {
+        if from < to || any_empty {
+            if rng.below(3) == 0 {
+                rng.below(4) as u32
+            } else {
+                0
+            }
+        } else {
+            1 + rng.below(3) as u32
+        }
+    };
+    let mut g = MarkedGraph::new();
+    let ids: Vec<_> = (0..n).map(|i| g.add_transition(format!("t{i}"))).collect();
+    // Shape 3 splits the transitions into two rings, the second fed by the
+    // first through one token-free place.
+    let split = if shape == 3 { n / 2 } else { 0 };
+    let halves = [(0, split), (split, n)];
+    for &(lo, hi) in &halves {
+        for i in lo..hi {
+            let next = if i + 1 == hi { lo } else { i + 1 };
+            if shape == 1 && next == lo {
+                continue; // the broken ring
+            }
+            let k = tokens(&mut rng, i, next);
+            g.add_place(ids[i], ids[next], k, delay(&mut rng));
+        }
+    }
+    if shape == 3 && split > 0 {
+        g.add_place(ids[0], ids[split], 0, delay(&mut rng));
+    }
+    for _ in 0..chords {
+        let (lo, hi) = halves[rng.below(2) as usize];
+        if hi == lo {
+            continue;
+        }
+        let from = lo + rng.below((hi - lo) as u64) as usize;
+        let to = lo + rng.below((hi - lo) as u64) as usize;
+        if shape == 2 && rng.below(4) == 0 {
+            let k = tokens(&mut rng, from, from);
+            g.add_place(ids[from], ids[from], k, delay(&mut rng));
+        } else {
+            let k = tokens(&mut rng, from, to);
+            g.add_place(ids[from], ids[to], k, delay(&mut rng));
+        }
+    }
+    g
+}
+
+/// Runs the oracle against [`cycle_time`] on the graphs of `seeds`.
+fn assert_cycle_time_replays_bisection(seeds: std::ops::Range<u64>) {
+    for seed in seeds {
+        let g = oracle_graph(seed);
+        let (got, want) = (cycle_time(&g), bisection_oracle(&g));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "seed {seed}: cycle time {got:e}, bisection {want:e}"
+        );
+    }
+}
+
+/// The cycle time is the bisection's result bit for bit, over a
+/// deterministic sweep of random graphs.
+#[test]
+fn cycle_time_replays_the_bisection_bit_for_bit() {
+    assert_cycle_time_replays_bisection(0..5_000);
+}
+
+/// The sweep at 200,000 graphs (release: `cargo test --release -p
+/// desync-mg --test properties -- --ignored`).
+#[test]
+#[ignore = "200,000 graphs: run in release with --ignored"]
+fn cycle_time_replays_the_bisection_on_a_large_sweep() {
+    assert_cycle_time_replays_bisection(0..200_000);
+}
+
+/// Delays the policy iteration cannot use (NaN, ±∞), signed zeros, huge
+/// magnitudes and negative-ratio cycles: the cycle time still equals the
+/// bisection bit for bit.
+#[test]
+fn cycle_time_replays_the_bisection_on_edge_case_delays() {
+    const DELAYS: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1e300,
+        -1e300,
+        5.0,
+        -7.0,
+        1e-300,
+    ];
+    let check = |g: &MarkedGraph, what: &str| {
+        let (got, want) = (cycle_time(g), bisection_oracle(g));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{what}: cycle time {got:e}, bisection {want:e}"
+        );
+    };
+    // One special delay in each graph of the sweep's first 2,000.
+    for seed in 0..2_000u64 {
+        let mut g = oracle_graph(seed);
+        let place = desync_mg::PlaceId((seed % g.num_places() as u64) as u32);
+        let special = DELAYS[(seed / 7 % DELAYS.len() as u64) as usize];
+        g.place_mut(place).delay = special;
+        check(&g, &format!("seed {seed} with {place} = {special:e}"));
+    }
+    for d1 in DELAYS {
+        for d2 in DELAYS {
+            for tokens in 1..=2 {
+                // A two-transition ring.
+                let mut ring = MarkedGraph::new();
+                let a = ring.add_transition("a");
+                let b = ring.add_transition("b");
+                ring.add_place(a, b, 0, d1);
+                ring.add_place(b, a, tokens, d2);
+                check(&ring, &format!("ring ({d1:e}, {d2:e}) x{tokens}"));
+                // Two cycles through `a`, one of them a self-loop, and a
+                // one-token ring of ordinary delays beside them.
+                let mut pair = ring.clone();
+                pair.add_place(a, a, tokens, d1 + d2);
+                let c = pair.add_transition("c");
+                pair.add_place(a, c, 0, 3.0);
+                pair.add_place(c, a, 1, d2);
+                check(&pair, &format!("pair ({d1:e}, {d2:e}) x{tokens}"));
+            }
+        }
+    }
+}
+
+/// A policy that stops short of the critical cycle: at `a`, the ring
+/// through `e` beats the ring through `b` by 1e-7 per token, below the
+/// policy iteration's tolerance (1e-12 of the 1e6 delay on a slow ring
+/// beside them), so it settles on ratio 10 while the maximum is 10 + 1e-7.
+/// The certificate check at the top of the band finds the faster ring,
+/// and the bisection runs every check.
+#[test]
+fn a_stalled_policy_fails_its_certificate() {
+    let mut g = MarkedGraph::new();
+    let [a, b, e, c, d] = ["a", "b", "e", "c", "d"].map(|l| g.add_transition(l));
+    g.add_place(a, b, 0, 10.0);
+    g.add_place(b, a, 1, 0.0);
+    g.add_place(a, e, 0, 5.0);
+    g.add_place(e, a, 1, 5.0 + 1e-7);
+    g.add_place(c, d, 0, 1e6);
+    g.add_place(d, c, 1_000_000, 0.0);
+    let (got, want) = (cycle_time(&g), bisection_oracle(&g));
+    assert!((want - (10.0 + 1e-7)).abs() < 1e-8, "bisection {want:e}");
+    assert_eq!(got.to_bits(), want.to_bits(), "{got:e} vs {want:e}");
+}
+
+/// A one-token self-loop of delay 1.0000000000002 (seed 127,638 of the
+/// sweep, beside one place on no cycle). The check's 1e-12 relaxation
+/// slack hides the loop's gain at midpoints just below that ratio, so the
+/// bisection ends below it. Comparing every midpoint with the ratio — a
+/// zero-width band — would move `hi` only to midpoints at or above the
+/// ratio and end elsewhere; the band leaves these midpoints to the real
+/// check.
+#[test]
+fn band_leaves_the_check_slack_to_the_real_check() {
+    let g = oracle_graph(127_638);
+    let self_loop = g
+        .places()
+        .find(|(_, p)| p.from == p.to)
+        .map(|(_, p)| p.clone())
+        .expect("seed 127,638 draws a self-loop");
+    assert_eq!(g.num_places(), 2);
+    assert_eq!(self_loop.initial_tokens, 1);
+    let ratio = self_loop.delay;
+    let oracle = bisection_oracle(&g);
+    assert!(oracle < ratio, "bisection {oracle:e} vs ratio {ratio:e}");
+    assert_eq!(cycle_time(&g).to_bits(), oracle.to_bits());
+}
+
+/// A ring too long for the check's per-place slack to stay inside the
+/// band: 400 places of 1e-12 and one token, ratio 4e-10. No single place
+/// gains more than the 1e-12 slack, so even the check at 0 finds no
+/// positive cycle and the bisection answers 0; the policy iteration's
+/// ratio, well outside the band at 0, cannot stand in for that check, and
+/// the bisection runs every check.
+#[test]
+fn ring_of_slack_sized_delays_replays_the_bisection() {
+    let len = 400;
+    let mut g = MarkedGraph::new();
+    let ids: Vec<_> = (0..len)
+        .map(|i| g.add_transition(format!("t{i}")))
+        .collect();
+    for i in 0..len {
+        g.add_place(ids[i], ids[(i + 1) % len], u32::from(i + 1 == len), 1e-12);
+    }
+    let (got, want) = (cycle_time(&g), bisection_oracle(&g));
+    assert_eq!(want, 0.0);
+    assert_eq!(got.to_bits(), want.to_bits(), "{got:e} vs {want:e}");
 }
