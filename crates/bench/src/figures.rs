@@ -8,7 +8,7 @@
 
 use desync_core::cluster::Parity;
 use desync_core::controller::{initial_tokens, PairEvent, Protocol};
-use desync_core::{verify_flow_equivalence, ClusteringStrategy, DesyncFlow, DesyncOptions};
+use desync_core::{ClusteringStrategy, DesyncFlow, DesyncOptions};
 use desync_mg::compose::{compose, same_structure};
 use desync_mg::{MarkedGraph, Stg};
 use desync_netlist::{CellKind, CellLibrary, Netlist, Value};
@@ -272,14 +272,13 @@ pub fn figure3_netlist() -> Netlist {
 pub fn figure3() -> Figure3 {
     let netlist = figure3_netlist();
     let library = CellLibrary::generic_90nm();
-    let design = DesyncFlow::new(
+    let mut flow = DesyncFlow::new(
         &netlist,
         &library,
         DesyncOptions::default().with_clustering(ClusteringStrategy::PerRegister),
     )
-    .expect("valid options")
-    .design()
-    .expect("desynchronization");
+    .expect("valid options");
+    let design = flow.design().expect("desynchronization");
 
     // Enable waveforms from the gate-level co-simulation.
     let start_offset = design.synchronous_period_ps() + 1_000.0;
@@ -327,14 +326,13 @@ pub fn figure3() -> Figure3 {
 
     // "Data overwriting can never occur" == flow equivalence.
     let din = netlist.find_net("din").expect("din exists");
-    let stimulus = VectorSource::pseudo_random(vec![din], 5);
-    let report =
-        verify_flow_equivalence(&netlist, &design, &library, &stimulus, 24).expect("co-simulation");
+    flow.set_verification(VectorSource::pseudo_random(vec![din], 5), 24);
+    let no_overwriting = flow.verified().expect("co-simulation").is_equivalent();
 
     Figure3 {
         waveforms,
         pulses_overlap,
-        no_overwriting: report.is_equivalent(),
+        no_overwriting,
         cycle_time_ps: design.cycle_time_ps(),
         sync_period_ps: design.synchronous_period_ps(),
     }

@@ -1,72 +1,22 @@
-//! The one-call desynchronization flow and its product.
+//! The product of the desynchronization flow.
 //!
-//! [`Desynchronizer::run`] is a thin convenience wrapper over the staged
-//! pipeline ([`DesyncFlow`]): it advances a fresh flow
-//! through clustering, latch conversion, matched-delay sizing and controller
-//! synthesis, and bundles the artifacts into a [`DesyncDesign`]. Use the
-//! staged API directly when you need intermediate artifacts, want to resume
-//! after changing a knob, or need per-stage timing.
+//! [`DesyncFlow::design`](crate::DesyncFlow::design) bundles the artifacts
+//! of the staged pipeline into a [`DesyncDesign`]: the cluster graph, the
+//! latch datapath, the matched delays and the control network, plus the
+//! enable schedule and summary derived from them.
 
 use crate::cluster::{ClusterGraph, Parity};
 use crate::controller::ControllerImpl;
 use crate::conversion::LatchDesign;
-use crate::error::DesyncError;
 use crate::model::ControlModel;
 use crate::options::DesyncOptions;
-use crate::pipeline::{ControlNetwork, DesyncFlow, TimingTable};
+use crate::pipeline::{ControlNetwork, TimingTable};
 use desync_netlist::{CellLibrary, Netlist, Value};
 use desync_sim::EnableSchedule;
 use desync_sta::MatchedDelay;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The desynchronization engine, bound to one netlist, library and option
-/// set.
-///
-/// This is the one-call entry point; it delegates to the staged
-/// [`DesyncFlow`] and produces the identical
-/// [`DesyncDesign`].
-#[derive(Debug, Clone)]
-pub struct Desynchronizer<'a> {
-    netlist: &'a Netlist,
-    library: &'a CellLibrary,
-    options: DesyncOptions,
-}
-
-impl<'a> Desynchronizer<'a> {
-    /// Creates a new flow instance.
-    pub fn new(netlist: &'a Netlist, library: &'a CellLibrary, options: DesyncOptions) -> Self {
-        Self {
-            netlist,
-            library,
-            options,
-        }
-    }
-
-    /// The options the flow will use.
-    pub fn options(&self) -> &DesyncOptions {
-        &self.options
-    }
-
-    /// Runs the complete flow by advancing a fresh
-    /// [`DesyncFlow`] through every construction stage.
-    ///
-    /// # Errors
-    ///
-    /// * [`DesyncError::InvalidOptions`] when the options fail
-    ///   [`DesyncOptions::validate`].
-    /// * [`DesyncError::Netlist`] / [`DesyncError::NoRegisters`] /
-    ///   [`DesyncError::AlreadyLatchBased`] when the input netlist is not a
-    ///   valid single-clock flip-flop design.
-    /// * [`DesyncError::ModelCheck`] when the composed control model fails
-    ///   its lint (this indicates an internal error — the construction is
-    ///   correct by design for valid inputs); it carries the lint report,
-    ///   whose witness names the offending cycle.
-    pub fn run(&self) -> Result<DesyncDesign, DesyncError> {
-        DesyncFlow::new(self.netlist, self.library, self.options)?.design()
-    }
-}
 
 /// The product of the desynchronization flow.
 ///
@@ -372,7 +322,9 @@ impl std::fmt::Display for DesyncSummary {
 mod tests {
     use super::*;
     use crate::controller::Protocol;
+    use crate::error::DesyncError;
     use crate::options::ClusteringStrategy;
+    use crate::pipeline::DesyncFlow;
     use desync_netlist::CellKind;
 
     fn pipeline3() -> Netlist {
@@ -400,8 +352,9 @@ mod tests {
     fn flow_runs_end_to_end_on_pipeline() {
         let n = pipeline3();
         let library = lib();
-        let design = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
+        let design = DesyncFlow::new(&n, &library, DesyncOptions::default())
+            .unwrap()
+            .design()
             .unwrap();
         assert!(design.control_model().is_live());
         assert!(design.control_model().is_safe());
@@ -426,8 +379,9 @@ mod tests {
     fn desync_cycle_time_is_close_to_sync_period() {
         let n = pipeline3();
         let library = lib();
-        let design = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
+        let design = DesyncFlow::new(&n, &library, DesyncOptions::default())
+            .unwrap()
+            .design()
             .unwrap();
         let sync = design.synchronous_period_ps();
         let desync = design.cycle_time_ps();
@@ -447,8 +401,9 @@ mod tests {
     fn schedule_covers_all_enables_and_inputs() {
         let n = pipeline3();
         let library = lib();
-        let design = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
+        let design = DesyncFlow::new(&n, &library, DesyncOptions::default())
+            .unwrap()
+            .design()
             .unwrap();
         let bundle = design.enable_schedule(10, 500.0);
         assert_eq!(bundle.iterations, 10);
@@ -470,15 +425,17 @@ mod tests {
     fn per_register_clustering_gives_more_controllers() {
         let n = pipeline3();
         let library = lib();
-        let prefix = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
+        let prefix = DesyncFlow::new(&n, &library, DesyncOptions::default())
+            .unwrap()
+            .design()
             .unwrap();
-        let per_reg = Desynchronizer::new(
+        let per_reg = DesyncFlow::new(
             &n,
             &library,
             DesyncOptions::default().with_clustering(ClusteringStrategy::PerRegister),
         )
-        .run()
+        .unwrap()
+        .design()
         .unwrap();
         // Same number here because each register already has a unique prefix,
         // but the per-register run must not be coarser.
@@ -492,8 +449,9 @@ mod tests {
         let y = n.add_output("y");
         n.add_gate("g", CellKind::Not, &[a], y).unwrap();
         let library = lib();
-        let err = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
+        let err = DesyncFlow::new(&n, &library, DesyncOptions::default())
+            .unwrap()
+            .design()
             .unwrap_err();
         assert_eq!(err, DesyncError::NoRegisters);
     }
@@ -503,8 +461,9 @@ mod tests {
         let n = pipeline3();
         let library = lib();
         let cycle = |p: Protocol| {
-            Desynchronizer::new(&n, &library, DesyncOptions::default().with_protocol(p))
-                .run()
+            DesyncFlow::new(&n, &library, DesyncOptions::default().with_protocol(p))
+                .unwrap()
+                .design()
                 .unwrap()
                 .cycle_time_ps()
         };

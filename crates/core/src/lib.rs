@@ -31,9 +31,8 @@
 //! ([`DesyncFlow::set_protocol`] re-runs only controller synthesis;
 //! [`DesyncFlow::set_margin`] re-runs delay sizing and controller synthesis;
 //! [`DesyncFlow::set_clustering`] restarts the pipeline). Per-stage run
-//! counts and wall times are collected in a [`FlowReport`].
-//! [`Desynchronizer`] is the one-call convenience wrapper producing a
-//! [`DesyncDesign`].
+//! counts and wall times are collected in a [`FlowReport`], and
+//! [`DesyncFlow::design`] bundles the artifacts into a [`DesyncDesign`].
 //!
 //! # The store and the engine
 //!
@@ -147,7 +146,7 @@ pub use controller::{ControllerImpl, Protocol};
 pub use conversion::{LatchDesign, LatchPair};
 pub use engine::{DesyncEngine, DesyncRuntime, EngineReport, EngineStageStats};
 pub use error::{DesyncError, OptionsError};
-pub use flow::{DesyncDesign, DesyncSummary, Desynchronizer};
+pub use flow::{DesyncDesign, DesyncSummary};
 pub use model::ControlModel;
 pub use options::{ClusteringStrategy, DesyncOptions};
 pub use pipeline::{
@@ -168,8 +167,7 @@ pub use submit::{
     TicketHandle,
 };
 pub use verify::{
-    packed_sync_reference_run, packed_sync_reference_run_with_model, sync_reference_run,
-    sync_reference_run_with_model, verify_flow_equivalence, verify_flow_equivalence_packed,
+    packed_sync_reference_run_with_model, sync_reference_run_with_model,
     verify_flow_equivalence_packed_with_parts, verify_flow_equivalence_with_parts,
-    verify_flow_equivalence_with_reference, DivergenceWindow, EquivalenceReport, MultiSeedReport,
+    DivergenceWindow, EquivalenceReport, MultiSeedReport,
 };

@@ -142,14 +142,12 @@ impl DesyncOptions {
                 setup_ps,
                 clk_to_q_ps,
                 latch_d_to_q_ps,
-                matched_delay_margin: timing_margin,
             } = timing;
             prefix.timing = Some([
                 wire_delay_per_fanout_ps.to_bits(),
                 setup_ps.to_bits(),
                 clk_to_q_ps.to_bits(),
                 latch_d_to_q_ps.to_bits(),
-                timing_margin.to_bits(),
             ]);
             prefix.matched_delay_margin = Some(matched_delay_margin.to_bits());
         }
@@ -176,8 +174,8 @@ impl DesyncOptions {
 
     /// Rejects nonsensical knob values.
     ///
-    /// Called by [`DesyncFlow::new`](crate::DesyncFlow::new) (and therefore
-    /// by [`Desynchronizer::run`](crate::Desynchronizer::run)) before any
+    /// Called by [`DesyncFlow::new`](crate::DesyncFlow::new) and
+    /// [`DesyncFlow::set_options`](crate::DesyncFlow::set_options) before any
     /// stage executes, so a bad knob fails fast instead of being silently
     /// clamped deep inside delay sizing.
     ///
@@ -220,10 +218,6 @@ impl DesyncOptions {
         non_negative("timing.setup_ps", self.timing.setup_ps)?;
         non_negative("timing.clk_to_q_ps", self.timing.clk_to_q_ps)?;
         non_negative("timing.latch_d_to_q_ps", self.timing.latch_d_to_q_ps)?;
-        non_negative(
-            "timing.matched_delay_margin",
-            self.timing.matched_delay_margin,
-        )?;
         Ok(())
     }
 }
@@ -233,7 +227,7 @@ impl DesyncOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub(crate) struct StagePrefix {
     clustering: ClusteringStrategy,
-    timing: Option<[u64; 5]>,
+    timing: Option<[u64; 4]>,
     matched_delay_margin: Option<u64>,
     protocol: Option<Protocol>,
     controller_delay_ps: Option<u64>,

@@ -227,15 +227,6 @@ pub struct FlowReport {
     pub cycle_time_ps: Option<f64>,
     /// Flow-equivalence verdict, once [`Stage::Verified`] has run.
     pub flow_equivalent: Option<bool>,
-    /// How many verifications reused a cached synchronous reference run
-    /// (see [`DesyncFlow::sync_run_cache_hits`]).
-    pub sync_run_cache_hits: usize,
-    /// How many simulations reused an already compiled simulation model
-    /// (see [`DesyncFlow::compiled_model_cache_hits`]).
-    pub compiled_model_cache_hits: usize,
-    /// How many Timed executions only re-bound matched delays from a cached
-    /// sizing analysis (see [`DesyncFlow::sizing_rebinds`]).
-    pub sizing_rebinds: usize,
 }
 
 impl FlowReport {
@@ -299,10 +290,9 @@ impl fmt::Display for FlowReport {
 
 /// The staged desynchronization pipeline, bound to one netlist and library.
 ///
-/// See the [module documentation](self) for the stage/artifact table. The
-/// one-call convenience wrapper is
-/// [`Desynchronizer`](crate::Desynchronizer), which is equivalent to
-/// creating a flow and immediately asking for [`DesyncFlow::design`].
+/// See the [module documentation](self) for the stage/artifact table.
+/// [`DesyncFlow::design`] runs every construction stage still missing and
+/// bundles the artifacts into a [`DesyncDesign`].
 ///
 /// # Example
 ///
@@ -347,11 +337,8 @@ pub struct DesyncFlow<'a> {
     stimulus: Option<VectorSource>,
     verify_cycles: usize,
     sync_run_hits: usize,
-    compiled_model_hits: usize,
-    sizing_rebinds: usize,
     /// The pre-flight lint report (fetched once per flow).
     lint: Option<Arc<LintReport>>,
-    lint_hits: usize,
     clustered: Option<Arc<ClusterGraph>>,
     latched: Option<Arc<LatchDesign>>,
     timed: Option<Arc<TimingTable>>,
@@ -427,10 +414,7 @@ impl<'a> DesyncFlow<'a> {
             stimulus: None,
             verify_cycles: Self::DEFAULT_VERIFY_CYCLES,
             sync_run_hits: 0,
-            compiled_model_hits: 0,
-            sizing_rebinds: 0,
             lint: None,
-            lint_hits: 0,
             clustered: None,
             latched: None,
             timed: None,
@@ -644,20 +628,12 @@ impl<'a> DesyncFlow<'a> {
         if self.lint.is_none() {
             self.interrupt.check()?;
             let netlist = self.netlist;
-            let (report, how) = self.engine.fetch(self.engine.lint_key(), || {
+            let (report, _) = self.engine.fetch(self.engine.lint_key(), || {
                 Ok(Arc::new(lint_design(netlist)))
             })?;
-            self.lint_hits += usize::from(how.served());
             self.lint = Some(report);
         }
         Ok(Arc::clone(self.lint.as_ref().expect("just computed")))
-    }
-
-    /// How many times the flow's store served its lint report instead of
-    /// the pass suites running (an engine-attached flow is served whatever
-    /// another flow over the same netlist already linted).
-    pub fn lint_cache_hits(&self) -> usize {
-        self.lint_hits
     }
 
     /// The cluster graph, running [`Stage::Clustered`] if needed.
@@ -704,9 +680,8 @@ impl<'a> DesyncFlow<'a> {
     /// The stage is internally split: the expensive arrival-time
     /// propagation lives in a margin-independent [`SizingAnalysis`] (its own
     /// artifact in the flow's store), and the margin knob only *re-binds*
-    /// matched delays from it — so a margin sweep runs
-    /// STA once per netlist structure ([`DesyncFlow::sizing_rebinds`]
-    /// counts the cheap bindings).
+    /// matched delays from it — so a margin sweep runs STA once per netlist
+    /// structure.
     ///
     /// # Errors
     ///
@@ -717,18 +692,15 @@ impl<'a> DesyncFlow<'a> {
             let (netlist, library, options) = (self.netlist, self.library, self.options);
             let clusters = Arc::clone(self.clustered.as_ref().expect("clustered stage ran"));
             let engine = self.engine.clone();
-            let mut rebound = false;
             let table = self.fetch_stage(Stage::Timed, "stage::timed", || {
                 let key = engine.sizing_key(options.sizing_analysis_prefix());
-                let (analysis, how) = engine.fetch(key, || {
+                let (analysis, _) = engine.fetch(key, || {
                     Ok(Arc::new(compute_sizing_analysis(
                         netlist, library, &clusters, &options,
                     )))
                 })?;
-                rebound = how.served();
                 Ok(bind_timing(&analysis, &options, library))
             })?;
-            self.sizing_rebinds += usize::from(rebound);
             self.timed = Some(table);
         }
         Ok(self.timed.as_deref().expect("just computed"))
@@ -906,17 +878,14 @@ impl<'a> DesyncFlow<'a> {
         let (netlist, library) = (self.netlist, self.library);
         let engine = &self.engine;
         let key = engine.sync_run_key(config, period_ps, cycles, digest, lanes);
-        let mut model_served = false;
         let (run, how) = engine.fetch(key, || {
-            let (model, how) = engine.fetch(engine.compiled_key(None, config), || {
+            let (model, _) = engine.fetch(engine.compiled_key(None, config), || {
                 Ok(Arc::new(CompiledModel::compile(netlist, library, config)))
             })?;
-            model_served = how.served();
             Ok(Arc::new(
                 simulate(&model, period_ps).map_err(DesyncError::Netlist)?,
             ))
         })?;
-        self.compiled_model_hits += usize::from(model_served);
         self.sync_run_hits += usize::from(how.served());
         Ok(run)
     }
@@ -931,42 +900,29 @@ impl<'a> DesyncFlow<'a> {
         let key = self.engine.compiled_key(Some(prefix), config);
         let library = self.library;
         let design = self.assembled.as_ref().expect("assembled before verify");
-        let (model, how) = self.engine.fetch(key, || {
+        let (model, _) = self.engine.fetch(key, || {
             Ok(Arc::new(CompiledModel::compile(
                 design.latch_netlist(),
                 library,
                 config,
             )))
         })?;
-        self.compiled_model_hits += usize::from(how.served());
         Ok(model)
     }
 
-    /// How many times [`DesyncFlow::verified`] reused a stored synchronous
-    /// reference run instead of re-simulating the sync side.
+    /// How many times [`DesyncFlow::verified`] or
+    /// [`DesyncFlow::verify_packed`] reused a stored synchronous reference
+    /// run instead of re-simulating the sync side.
     pub fn sync_run_cache_hits(&self) -> usize {
         self.sync_run_hits
-    }
-
-    /// How many times a simulation needed by [`DesyncFlow::verified`]
-    /// reused an already compiled [`CompiledModel`] from the flow's store
-    /// instead of recompiling the topology.
-    pub fn compiled_model_cache_hits(&self) -> usize {
-        self.compiled_model_hits
-    }
-    /// How many [`Stage::Timed`] executions were served by *re-binding*
-    /// matched delays from a cached margin-independent [`SizingAnalysis`]
-    /// instead of re-running arrival propagation.
-    pub fn sizing_rebinds(&self) -> usize {
-        self.sizing_rebinds
     }
 
     /// Assembles a [`DesyncDesign`] from the cached artifacts, running
     /// stages through [`Stage::Controlled`] if needed.
     ///
-    /// The result is identical to what
-    /// [`Desynchronizer::run`](crate::Desynchronizer::run) returns for the
-    /// same netlist, library and options. The assembled design is cached
+    /// The result is a pure function of the netlist, library and options:
+    /// a flow resumed after option changes assembles the design a fresh
+    /// flow with the final options would. The assembled design is cached
     /// (and invalidated together with [`Stage::Controlled`]) and shares the
     /// flow's stage artifacts, so each call clones four `Arc`s and the
     /// design name; use [`DesyncFlow::designed`] when a reference is enough.
@@ -1035,9 +991,6 @@ impl<'a> DesyncFlow<'a> {
             sync_period_ps: self.timed.as_deref().map(|t| t.sync_clock_period_ps),
             cycle_time_ps: self.controlled.as_deref().map(|c| c.model.cycle_time_ps()),
             flow_equivalent: self.verified.as_ref().map(EquivalenceReport::is_equivalent),
-            sync_run_cache_hits: self.sync_run_hits,
-            compiled_model_cache_hits: self.compiled_model_hits,
-            sizing_rebinds: self.sizing_rebinds,
         }
     }
 
@@ -1357,7 +1310,6 @@ fn build_control_network(
 mod tests {
     use super::*;
     use crate::controller::Protocol;
-    use crate::flow::Desynchronizer;
     use crate::options::ClusteringStrategy;
     use desync_netlist::CellKind;
 
@@ -1476,23 +1428,136 @@ mod tests {
     }
 
     #[test]
-    fn flow_design_equals_desynchronizer_run() {
+    fn resumed_design_equals_a_fresh_flow() {
         let n = pipeline3();
         let library = lib();
-        let via_wrapper = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
+        let fresh_default = DesyncFlow::new(&n, &library, DesyncOptions::default())
+            .unwrap()
+            .design()
             .unwrap();
+        // A flow walked stage by stage assembles the same design...
         let mut flow = DesyncFlow::new(&n, &library, DesyncOptions::default()).unwrap();
+        flow.clustered().unwrap();
+        flow.timed().unwrap();
         let via_stages = flow.design().unwrap();
-        assert_eq!(via_wrapper, via_stages);
-        // Also after a knob change and resume, the design matches a fresh
-        // wrapper run with the final options.
+        assert_eq!(fresh_default, via_stages);
+        // ...and after a knob change and resume, the design matches a fresh
+        // flow with the final options.
         flow.set_margin(0.25).unwrap();
         let resumed = flow.design().unwrap();
-        let fresh = Desynchronizer::new(&n, &library, DesyncOptions::default().with_margin(0.25))
-            .run()
+        let fresh = DesyncFlow::new(&n, &library, DesyncOptions::default().with_margin(0.25))
+            .unwrap()
+            .design()
             .unwrap();
         assert_eq!(resumed, fresh);
+    }
+
+    /// Two register banks `r[0..1]` and `s[0..1]` with NAND/NOT/XOR logic
+    /// between them: by-prefix clustering gives two clusters, per-register
+    /// clustering four.
+    fn two_banks() -> Netlist {
+        let mut n = Netlist::new("banks");
+        let clk = n.add_input("clk");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let r0 = n.add_net("r0_q");
+        let r1 = n.add_net("r1_q");
+        let nand = n.add_net("nand_y");
+        let not = n.add_net("not_y");
+        let xor = n.add_net("xor_y");
+        let s0 = n.add_output("s0_q");
+        let s1 = n.add_output("s1_q");
+        n.add_dff("r[0]", a, clk, r0).unwrap();
+        n.add_dff("r[1]", b, clk, r1).unwrap();
+        n.add_gate("nand", CellKind::Nand, &[r0, r1], nand).unwrap();
+        n.add_gate("not", CellKind::Not, &[nand], not).unwrap();
+        n.add_gate("xor", CellKind::Xor, &[not, r1], xor).unwrap();
+        n.add_dff("s[0]", not, clk, s0).unwrap();
+        n.add_dff("s[1]", xor, clk, s1).unwrap();
+        n
+    }
+
+    /// Whether two flows' artifacts of `stage` differ.
+    fn artifacts_differ(stage: Stage, a: &mut DesyncFlow, b: &mut DesyncFlow) -> bool {
+        match stage {
+            Stage::Clustered => a.clustered().unwrap() != b.clustered().unwrap(),
+            Stage::Latched => a.latched().unwrap() != b.latched().unwrap(),
+            Stage::Timed => a.timed().unwrap() != b.timed().unwrap(),
+            Stage::Controlled => a.controlled().unwrap() != b.controlled().unwrap(),
+            Stage::Verified => unreachable!("no knob is keyed by verification alone"),
+        }
+    }
+
+    #[test]
+    fn every_keyed_knob_changes_its_stage_artifact() {
+        let base = DesyncOptions::default();
+        // Exhaustive destructuring: a new knob fails to compile here until
+        // it gets a variant below.
+        let DesyncOptions {
+            protocol: _,
+            clustering: _,
+            matched_delay_margin: _,
+            controller_delay_ps: _,
+            environment: _,
+            timing:
+                TimingConfig {
+                    wire_delay_per_fanout_ps: _,
+                    setup_ps: _,
+                    clk_to_q_ps: _,
+                    latch_d_to_q_ps: _,
+                },
+        } = base;
+        let timing = base.timing;
+        let variants = [
+            (
+                "clustering",
+                base.with_clustering(ClusteringStrategy::PerRegister),
+            ),
+            (
+                "timing.wire_delay_per_fanout_ps",
+                base.with_timing(TimingConfig {
+                    wire_delay_per_fanout_ps: 9.0,
+                    ..timing
+                }),
+            ),
+            (
+                "timing.setup_ps",
+                base.with_timing(TimingConfig {
+                    setup_ps: 90.0,
+                    ..timing
+                }),
+            ),
+            (
+                "timing.clk_to_q_ps",
+                base.with_timing(TimingConfig {
+                    clk_to_q_ps: 150.0,
+                    ..timing
+                }),
+            ),
+            (
+                "timing.latch_d_to_q_ps",
+                base.with_timing(TimingConfig {
+                    latch_d_to_q_ps: 95.0,
+                    ..timing
+                }),
+            ),
+            ("matched_delay_margin", base.with_margin(1.0)),
+            ("protocol", base.with_protocol(Protocol::NonOverlapping)),
+            ("controller_delay_ps", base.with_controller_delay_ps(200.0)),
+            ("environment", base.with_environment(false)),
+        ];
+        let n = two_banks();
+        let library = lib();
+        let mut default_flow = DesyncFlow::new(&n, &library, base).unwrap();
+        for (knob, options) in variants {
+            let stage = earliest_invalidated(&base, &options)
+                .unwrap_or_else(|| panic!("{knob} is in no stage prefix"));
+            let mut changed = DesyncFlow::new(&n, &library, options).unwrap();
+            assert!(
+                artifacts_differ(stage, &mut default_flow, &mut changed),
+                "{knob} is keyed from {stage} but leaves its artifact unchanged"
+            );
+        }
     }
 
     #[test]

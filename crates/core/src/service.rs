@@ -813,10 +813,10 @@ mod tests {
         assert_eq!(outcome.report.coalesced, 0);
         assert_eq!(outcome.report.unique, 3);
         for (request, result) in requests.iter().zip(&outcome.results) {
-            let fresh =
-                crate::Desynchronizer::new(request.netlist, request.library, request.options)
-                    .run()
-                    .unwrap();
+            let fresh = crate::DesyncFlow::new(request.netlist, request.library, request.options)
+                .unwrap()
+                .design()
+                .unwrap();
             assert_eq!(result.as_ref().unwrap(), &fresh);
         }
     }

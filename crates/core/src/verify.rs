@@ -12,7 +12,7 @@
 use crate::flow::DesyncDesign;
 use desync_mg::flow::FlowMismatch;
 use desync_mg::{FlowEquivalence, FlowTrace};
-use desync_netlist::{CellLibrary, Netlist, Value};
+use desync_netlist::{Netlist, Value};
 use desync_sim::{
     value_to_word, AsyncBench, CompiledModel, Lanes, PackedSimRun, PackedStream, PackedValue,
     PackedVectorSource, SimConfig, SimRun, SyncBench, VectorSource,
@@ -114,42 +114,17 @@ pub fn sim_config_from(timing: &TimingConfig) -> SimConfig {
     }
 }
 
-/// Builds the [`SimConfig`] matching the timing configuration a design was
-/// desynchronized with ([`sim_config_from`] over the design's options).
-pub fn sim_config_for(design: &DesyncDesign) -> SimConfig {
-    sim_config_from(&design.options().timing)
-}
-
-/// Runs just the synchronous reference side of a flow-equivalence check:
-/// `cycles` clock cycles of `original` at `period_ps` under `stimulus`.
+/// Runs the synchronous reference side of a flow-equivalence check over a
+/// compiled simulation model of `original`: `cycles` clock cycles at
+/// `period_ps` under `stimulus`.
 ///
-/// The result is a pure function of `(original, library, config, period_ps,
-/// cycles, stimulus)` — the simulator is deterministic — which is what makes
-/// it cacheable across knob sweeps: protocol and margin changes alter only
-/// the desynchronized side, so [`DesyncEngine`](crate::DesyncEngine) and
-/// [`DesyncFlow`](crate::DesyncFlow) key a reference-run cache on exactly
-/// those inputs and feed [`verify_flow_equivalence_with_reference`].
-///
-/// # Errors
-///
-/// [`NetlistError::ClockError`](desync_netlist::NetlistError::ClockError)
-/// if `original` does not have exactly one clock net.
-pub fn sync_reference_run(
-    original: &Netlist,
-    library: &CellLibrary,
-    config: SimConfig,
-    period_ps: f64,
-    cycles: usize,
-    stimulus: &VectorSource,
-) -> Result<SimRun, desync_netlist::NetlistError> {
-    let model = Arc::new(CompiledModel::compile(original, library, config));
-    sync_reference_run_with_model(original, &model, period_ps, cycles, stimulus)
-}
-
-/// [`sync_reference_run`] over a pre-compiled simulation model of
-/// `original`, so repeated reference runs (distinct stimuli or cycle
-/// counts over one design) share a single topology compilation. The run is
-/// bit-identical to [`sync_reference_run`] with the model's compile inputs.
+/// The result is a pure function of the model's compile inputs
+/// (`original`, library, [`SimConfig`]), `period_ps`, `cycles` and
+/// `stimulus` — the simulator is deterministic — which is what makes it
+/// cacheable across knob sweeps: protocol and margin changes alter only
+/// the desynchronized side, so [`DesyncFlow`](crate::DesyncFlow) keys its
+/// stored reference runs on exactly those inputs. Repeated runs over one
+/// design (distinct stimuli or cycle counts) share the model.
 ///
 /// # Errors
 ///
@@ -179,79 +154,30 @@ fn sync_run<L: Lanes>(
     Ok(sync_tb.run(cycles, period_ps, stimulus))
 }
 
-/// Runs the synchronous netlist and its desynchronized design on the same
-/// input stream and checks flow equivalence over `cycles` captures.
+/// Checks flow equivalence of the synchronous netlist and its
+/// desynchronized design on the same input stream over `cycles` captures,
+/// given the synchronous reference run and a compiled model of the
+/// desynchronized datapath. This is the scalar check behind
+/// [`DesyncFlow::verified`](crate::DesyncFlow::verified), which sources
+/// both parts from its store.
 ///
-/// The synchronous run uses the STA clock period of the design; the
-/// desynchronized run uses the latch-enable schedule derived from the timed
-/// control model, with the environment applying input vector *k* right
-/// after the *k*-th capture of the input-fed master latches.
-pub fn verify_flow_equivalence(
-    original: &Netlist,
-    design: &DesyncDesign,
-    library: &CellLibrary,
-    stimulus: &VectorSource,
-    cycles: usize,
-) -> Result<EquivalenceReport, desync_netlist::NetlistError> {
-    let config = sim_config_for(design);
-    let sync_run = sync_reference_run(
-        original,
-        library,
-        config,
-        design.synchronous_period_ps(),
-        cycles,
-        stimulus,
-    )?;
-    verify_flow_equivalence_with_reference(original, design, library, stimulus, cycles, sync_run)
-}
-
-/// [`verify_flow_equivalence`] with a pre-computed synchronous reference
-/// run, so knob sweeps (protocol, margin) simulate the unchanged sync side
-/// once instead of once per sweep point.
+/// The desynchronized run uses the latch-enable schedule derived from the
+/// timed control model, with the environment applying input vector *k*
+/// right after the *k*-th capture of the input-fed master latches. Every
+/// point of a protocol × margin sweep binds its enable schedule onto one
+/// shared [`CompiledModel`] instead of recompiling the latch netlist.
 ///
-/// `sync_run` must come from [`sync_reference_run`] over the same
-/// `(original, library, config, period, cycles, stimulus)` — the caches in
-/// [`DesyncEngine`](crate::DesyncEngine) enforce this by construction. The
-/// returned report is identical to a from-scratch
-/// [`verify_flow_equivalence`] call.
+/// `sync_run` must come from [`sync_reference_run_with_model`] at the
+/// design's STA clock period, and `async_model` must be compiled from
+/// `design.latch_netlist()`; both models under [`sim_config_from`] of the
+/// design's timing options.
 ///
 /// # Panics
 ///
 /// Panics if `sync_run` covers a different number of cycles than `cycles`
-/// — the one key component a [`SimRun`] carries. (A mismatched reference
+/// — the one key component a [`SimRun`] carries (a mismatched reference
 /// would otherwise silently shrink the compared prefix and could report
-/// equivalence over fewer captures than requested.)
-pub fn verify_flow_equivalence_with_reference(
-    original: &Netlist,
-    design: &DesyncDesign,
-    library: &CellLibrary,
-    stimulus: &VectorSource,
-    cycles: usize,
-    sync_run: SimRun,
-) -> Result<EquivalenceReport, desync_netlist::NetlistError> {
-    let model = Arc::new(CompiledModel::compile(
-        design.latch_netlist(),
-        library,
-        sim_config_for(design),
-    ));
-    verify_flow_equivalence_with_parts(original, design, stimulus, cycles, sync_run, &model)
-}
-
-/// [`verify_flow_equivalence_with_reference`] over a pre-compiled model of
-/// the desynchronized datapath, so every point of a protocol × margin sweep
-/// binds its enable schedule onto one shared [`CompiledModel`] instead of
-/// recompiling the latch netlist's topology per point.
-///
-/// `async_model` must be compiled from `design.latch_netlist()` under
-/// [`sim_config_for`]`(design)` — the caches in
-/// [`DesyncEngine`](crate::DesyncEngine) enforce this by construction. The
-/// returned report is identical to a from-scratch
-/// [`verify_flow_equivalence`] call.
-///
-/// # Panics
-///
-/// Panics if `sync_run` covers a different number of cycles than `cycles`
-/// (see [`verify_flow_equivalence_with_reference`]), or if `async_model`
+/// equivalence over fewer captures than requested) — or if `async_model`
 /// was compiled from a different netlist structure.
 pub fn verify_flow_equivalence_with_parts(
     original: &Netlist,
@@ -264,7 +190,7 @@ pub fn verify_flow_equivalence_with_parts(
     assert_eq!(
         sync_run.cycles, cycles,
         "sync reference run covers {} cycles but the equivalence check asked for {cycles}; \
-         compute the reference with the same cycle count (see sync_reference_run)",
+         compute the reference with the same cycle count (see sync_reference_run_with_model)",
         sync_run.cycles,
     );
 
@@ -344,7 +270,8 @@ fn compare_renamed(
 ///
 /// The verdicts are computed in packed space, straight from the packed
 /// capture streams, and each equals the verdict of a scalar
-/// [`verify_flow_equivalence`] with that lane's stimulus: same mismatches
+/// [`DesyncFlow::verified`](crate::DesyncFlow::verified) with that lane's
+/// stimulus: same mismatches
 /// (registers in name order, positions, values), missing registers and
 /// compared values. Unlike [`EquivalenceReport`] the report does not retain
 /// the simulation runs; a lane's scalar [`SimRun`] exists only if a caller
@@ -419,7 +346,8 @@ impl crate::store::Weigh for PackedSimRun {
 /// The packed counterpart of [`sync_reference_run_with_model`]: one packed
 /// synchronous run carrying every stimulus lane, over the *same* compiled
 /// models the scalar path caches. Each lane ([`PackedSimRun::lane`]) is
-/// bit-identical to [`sync_reference_run`] with that lane's stimulus.
+/// bit-identical to [`sync_reference_run_with_model`] with that lane's
+/// stimulus.
 ///
 /// # Errors
 ///
@@ -435,72 +363,18 @@ pub fn packed_sync_reference_run_with_model(
     sync_run::<PackedValue>(original, model, period_ps, cycles, stimulus)
 }
 
-/// [`packed_sync_reference_run_with_model`] with a private compile.
+/// The multi-seed packed counterpart of
+/// [`verify_flow_equivalence_with_parts`]: verifies all stimulus lanes of
+/// `stimulus` in one packed co-simulation pass — two packed runs instead of
+/// `2 × lanes` scalar runs — and reports one per-lane verdict each. This is
+/// the check behind [`DesyncFlow::verify_packed`](crate::DesyncFlow::verify_packed),
+/// which sources the reference run and the model from its store.
 ///
-/// # Errors
-///
-/// [`NetlistError::ClockError`](desync_netlist::NetlistError::ClockError)
-/// if `original` does not have exactly one clock net.
-pub fn packed_sync_reference_run(
-    original: &Netlist,
-    library: &CellLibrary,
-    config: SimConfig,
-    period_ps: f64,
-    cycles: usize,
-    stimulus: &PackedVectorSource,
-) -> Result<PackedSimRun, desync_netlist::NetlistError> {
-    let model = Arc::new(CompiledModel::compile(original, library, config));
-    packed_sync_reference_run_with_model(original, &model, period_ps, cycles, stimulus)
-}
-
-/// The multi-seed packed path of [`verify_flow_equivalence`]: verifies all
-/// stimulus lanes of `stimulus` in one packed co-simulation pass — two
-/// packed runs instead of `2 × lanes` scalar runs — and reports one
-/// per-lane verdict each.
-///
-/// Each lane's verdict is bit-identical to the `equivalence` of a scalar
-/// [`verify_flow_equivalence`] call with that lane's stimulus (the suite
-/// `packed_compare.rs` pins this).
-pub fn verify_flow_equivalence_packed(
-    original: &Netlist,
-    design: &DesyncDesign,
-    library: &CellLibrary,
-    stimulus: &PackedVectorSource,
-    cycles: usize,
-) -> Result<MultiSeedReport, desync_netlist::NetlistError> {
-    let config = sim_config_for(design);
-    let sync_run = packed_sync_reference_run(
-        original,
-        library,
-        config,
-        design.synchronous_period_ps(),
-        cycles,
-        stimulus,
-    )?;
-    let async_model = Arc::new(CompiledModel::compile(
-        design.latch_netlist(),
-        library,
-        config,
-    ));
-    verify_flow_equivalence_packed_with_parts(
-        original,
-        design,
-        stimulus,
-        cycles,
-        &sync_run,
-        &async_model,
-    )
-}
-
-/// [`verify_flow_equivalence_packed`] over a pre-computed packed reference
-/// run and a pre-compiled model of the desynchronized datapath — the
-/// campaign fast path, mirroring [`verify_flow_equivalence_with_parts`].
-///
-/// `sync_run` must come from [`packed_sync_reference_run`] over the same
-/// `(original, library, config, period, cycles, stimulus)`, and
-/// `async_model` from `design.latch_netlist()` under
-/// [`sim_config_for`]`(design)` — the caches in
-/// [`DesyncEngine`](crate::DesyncEngine) enforce this by construction.
+/// Each lane's verdict is bit-identical to the scalar check with that
+/// lane's stimulus. `sync_run` must come from
+/// [`packed_sync_reference_run_with_model`] at the design's STA clock
+/// period, and `async_model` must be compiled from `design.latch_netlist()`;
+/// both models under [`sim_config_from`] of the design's timing options.
 ///
 /// The lanes are compared in packed space: each sync-register /
 /// master-latch stream pair is visited once, and one
@@ -534,7 +408,7 @@ pub fn verify_flow_equivalence_packed_with_parts(
     assert_eq!(
         sync_run.cycles, cycles,
         "sync reference run covers {} cycles but the equivalence check asked for {cycles}; \
-         compute the reference with the same cycle count (see packed_sync_reference_run)",
+         compute the reference with the same cycle count (see packed_sync_reference_run_with_model)",
         sync_run.cycles,
     );
 
@@ -661,10 +535,10 @@ fn compare_packed_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::Desynchronizer;
     use crate::options::DesyncOptions;
+    use crate::pipeline::DesyncFlow;
     use crate::Protocol;
-    use desync_netlist::{CellKind, Value};
+    use desync_netlist::{CellKind, CellLibrary};
 
     fn lib() -> CellLibrary {
         CellLibrary::generic_90nm()
@@ -718,12 +592,9 @@ mod tests {
     fn counter_is_flow_equivalent_without_stimulus() {
         let n = counter();
         let library = lib();
-        let design = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
-            .unwrap();
-        let report =
-            verify_flow_equivalence(&n, &design, &library, &VectorSource::constant(vec![]), 20)
-                .unwrap();
+        let mut flow = DesyncFlow::new(&n, &library, DesyncOptions::default()).unwrap();
+        flow.set_verification(VectorSource::constant(vec![]), 20);
+        let report = flow.verified().unwrap();
         assert!(report.is_equivalent(), "{}", report.equivalence);
         assert!(report.compared_cycles >= 15);
         assert!(report.sync_run.activity.total_transitions() > 0);
@@ -734,13 +605,11 @@ mod tests {
     fn pipeline_is_flow_equivalent_under_random_stimulus() {
         let n = pipeline();
         let library = lib();
-        let design = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
-            .unwrap();
+        let mut flow = DesyncFlow::new(&n, &library, DesyncOptions::default()).unwrap();
         let a = n.find_net("a").unwrap();
         let b = n.find_net("b").unwrap();
-        let stim = VectorSource::pseudo_random(vec![a, b], 7);
-        let report = verify_flow_equivalence(&n, &design, &library, &stim, 24).unwrap();
+        flow.set_verification(VectorSource::pseudo_random(vec![a, b], 7), 24);
+        let report = flow.verified().unwrap();
         assert!(report.is_equivalent(), "{}", report.equivalence);
         assert!(report.compared_cycles >= 20);
     }
@@ -751,20 +620,18 @@ mod tests {
         let library = lib();
         let a = n.find_net("a").unwrap();
         let b = n.find_net("b").unwrap();
-        for &protocol in Protocol::all() {
-            let design = Desynchronizer::new(
-                &n,
-                &library,
-                DesyncOptions::default().with_protocol(protocol),
-            )
-            .run()
-            .unwrap();
-            let stim = VectorSource::sequence(vec![
+        let mut flow = DesyncFlow::new(&n, &library, DesyncOptions::default()).unwrap();
+        flow.set_verification(
+            VectorSource::sequence(vec![
                 vec![(a, Value::One), (b, Value::Zero)],
                 vec![(a, Value::Zero), (b, Value::One)],
                 vec![(a, Value::One), (b, Value::One)],
-            ]);
-            let report = verify_flow_equivalence(&n, &design, &library, &stim, 18).unwrap();
+            ]),
+            18,
+        );
+        for &protocol in Protocol::all() {
+            flow.set_protocol(protocol).unwrap();
+            let report = flow.verified().unwrap();
             assert!(
                 report.is_equivalent(),
                 "protocol {protocol}: {}",
@@ -774,48 +641,15 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_reference_yields_identical_report() {
-        let n = pipeline();
-        let library = lib();
-        let design = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
-            .unwrap();
-        let a = n.find_net("a").unwrap();
-        let b = n.find_net("b").unwrap();
-        let stim = VectorSource::pseudo_random(vec![a, b], 99);
-        let fresh = verify_flow_equivalence(&n, &design, &library, &stim, 16).unwrap();
-        // The same check fed a pre-computed sync reference run (what the
-        // engine cache serves during sweeps) must reproduce the report
-        // bit for bit — including the embedded sync run itself.
-        let config = sim_config_for(&design);
-        let reference = sync_reference_run(
-            &n,
-            &library,
-            config,
-            design.synchronous_period_ps(),
-            16,
-            &stim,
-        )
-        .unwrap();
-        assert_eq!(reference, fresh.sync_run);
-        let cached =
-            verify_flow_equivalence_with_reference(&n, &design, &library, &stim, 16, reference)
-                .unwrap();
-        assert_eq!(fresh, cached);
-    }
-
-    #[test]
     fn packed_multi_seed_matches_scalar_verdicts_per_lane() {
         let n = pipeline();
         let library = lib();
-        let design = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
-            .unwrap();
+        let mut flow = DesyncFlow::new(&n, &library, DesyncOptions::default()).unwrap();
         let a = n.find_net("a").unwrap();
         let b = n.find_net("b").unwrap();
         let seeds = [3u64, 5, 8, 13];
         let packed = PackedVectorSource::pseudo_random(vec![a, b], &seeds);
-        let report = verify_flow_equivalence_packed(&n, &design, &library, &packed, 20).unwrap();
+        let report = flow.verify_packed(&packed, 20).unwrap();
         assert_eq!(report.lanes, seeds.len());
         assert!(report.is_equivalent());
         assert!(report.word_events() > 0);
@@ -823,8 +657,8 @@ mod tests {
         let mut sync_lane_events = 0;
         let mut async_lane_events = 0;
         for (lane, &seed) in seeds.iter().enumerate() {
-            let stim = VectorSource::pseudo_random(vec![a, b], seed);
-            let scalar = verify_flow_equivalence(&n, &design, &library, &stim, 20).unwrap();
+            flow.set_verification(VectorSource::pseudo_random(vec![a, b], seed), 20);
+            let scalar = flow.verified().unwrap();
             assert_eq!(
                 report.lane_equivalence[lane], scalar.equivalence,
                 "lane {lane}"
@@ -847,12 +681,11 @@ mod tests {
         // `dlx_verdict.rs`), and every lane's mismatches must equal its
         // scalar verdict.
         let dlx = desync_circuits::DlxConfig::default().generate().unwrap();
-        let design = Desynchronizer::new(
+        let mut flow = DesyncFlow::new(
             &dlx,
             &library,
             DesyncOptions::default().with_protocol(Protocol::NonOverlapping),
         )
-        .run()
         .unwrap();
         let inputs: Vec<_> = dlx
             .inputs()
@@ -862,12 +695,12 @@ mod tests {
             .collect();
         let seeds: Vec<u64> = (0..8).map(|lane| 0xd1a0 + 17 * lane).collect();
         let packed = PackedVectorSource::pseudo_random(inputs.clone(), &seeds);
-        let report = verify_flow_equivalence_packed(&dlx, &design, &library, &packed, 48).unwrap();
+        let report = flow.verify_packed(&packed, 48).unwrap();
         assert_eq!(report.lanes, seeds.len());
         assert_eq!(report.equivalent_lanes(), 0);
         for (lane, &seed) in seeds.iter().enumerate() {
-            let stim = VectorSource::pseudo_random(inputs.clone(), seed);
-            let scalar = verify_flow_equivalence(&dlx, &design, &library, &stim, 48).unwrap();
+            flow.set_verification(VectorSource::pseudo_random(inputs.clone(), seed), 48);
+            let scalar = flow.verified().unwrap();
             assert_eq!(
                 report.lane_equivalence[lane], scalar.equivalence,
                 "dlx lane {lane}"
@@ -881,10 +714,11 @@ mod tests {
     fn sim_config_matches_timing_options() {
         let n = counter();
         let library = lib();
-        let design = Desynchronizer::new(&n, &library, DesyncOptions::default())
-            .run()
+        let design = DesyncFlow::new(&n, &library, DesyncOptions::default())
+            .unwrap()
+            .design()
             .unwrap();
-        let cfg = sim_config_for(&design);
+        let cfg = sim_config_from(&design.options().timing);
         assert_eq!(cfg.latch_d_to_q_ps, design.options().timing.latch_d_to_q_ps);
         assert_eq!(cfg.clk_to_q_ps, design.options().timing.clk_to_q_ps);
     }

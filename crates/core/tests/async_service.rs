@@ -70,8 +70,9 @@ fn tickets_poll_try_wait_and_wait() {
 
     // The design equals a fresh detached flow: the queue adds scheduling,
     // never content.
-    let fresh = desync_core::Desynchronizer::new(&netlist, &library, DesyncOptions::default())
-        .run()
+    let fresh = DesyncFlow::new(&netlist, &library, DesyncOptions::default())
+        .unwrap()
+        .design()
         .unwrap();
     assert_eq!(moved, fresh);
 

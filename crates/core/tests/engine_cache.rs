@@ -4,9 +4,7 @@
 //! netlists and concurrent use.
 
 use desync_circuits::LinearPipelineConfig;
-use desync_core::{
-    ClusteringStrategy, DesyncEngine, DesyncFlow, DesyncOptions, Desynchronizer, Protocol, Stage,
-};
+use desync_core::{ClusteringStrategy, DesyncEngine, DesyncFlow, DesyncOptions, Protocol, Stage};
 use desync_netlist::{CellLibrary, Netlist};
 use proptest::prelude::*;
 
@@ -56,8 +54,8 @@ proptest! {
             let options = mutate(*flow.options(), code);
             flow.set_options(options).expect("valid options");
             let cached = flow.design().expect("resumed design");
-            let fresh = Desynchronizer::new(&netlist, &library, options)
-                .run()
+            let fresh = DesyncFlow::new(&netlist, &library, options).expect("valid options")
+                .design()
                 .expect("fresh design");
             prop_assert_eq!(cached, fresh);
         }

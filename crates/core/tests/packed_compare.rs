@@ -22,10 +22,10 @@
 //! its lanes' scalar runs, with and without watched nets.
 
 use desync_circuits::random::RandomCircuitConfig;
-use desync_core::verify::sim_config_for;
+use desync_core::verify::sim_config_from;
 use desync_core::{
-    packed_sync_reference_run, verify_flow_equivalence_packed_with_parts, DesyncDesign,
-    DesyncOptions, Desynchronizer, MultiSeedReport, Protocol, Weigh,
+    packed_sync_reference_run_with_model, verify_flow_equivalence_packed_with_parts, DesyncDesign,
+    DesyncFlow, DesyncOptions, MultiSeedReport, Protocol, Weigh,
 };
 use desync_mg::{FlowEquivalence, FlowTrace};
 use desync_netlist::{CellLibrary, NetId, Netlist, Value};
@@ -68,13 +68,38 @@ fn lane_seeds(base: u64, lanes: usize) -> Vec<u64> {
 }
 
 fn desynchronize(netlist: &Netlist, library: &CellLibrary, protocol: Protocol) -> DesyncDesign {
-    Desynchronizer::new(
+    DesyncFlow::new(
         netlist,
         library,
         DesyncOptions::default().with_protocol(protocol),
     )
-    .run()
+    .expect("valid options")
+    .design()
     .expect("desynchronization")
+}
+
+/// The packed synchronous reference run of `netlist` at `design`'s clock
+/// period, over a private compile of its simulation model.
+fn packed_reference(
+    netlist: &Netlist,
+    design: &DesyncDesign,
+    library: &CellLibrary,
+    cycles: usize,
+    stimulus: &PackedVectorSource,
+) -> PackedSimRun {
+    let model = Arc::new(CompiledModel::compile(
+        netlist,
+        library,
+        sim_config_from(&design.options().timing),
+    ));
+    packed_sync_reference_run_with_model(
+        netlist,
+        &model,
+        design.synchronous_period_ps(),
+        cycles,
+        stimulus,
+    )
+    .expect("single clock")
 }
 
 /// The desynchronized side of a packed co-simulation, driven the way the
@@ -102,7 +127,7 @@ fn async_packed_run(
     AsyncBench::<PackedValue>::new(
         latch_netlist,
         library,
-        sim_config_for(design),
+        sim_config_from(&design.options().timing),
         stimulus.lanes(),
     )
     .run(duration, cycles, &bundle.schedule, &inputs)
@@ -148,7 +173,7 @@ fn assert_lanes_match_oracle(
     let model = Arc::new(CompiledModel::compile(
         design.latch_netlist(),
         library,
-        sim_config_for(design),
+        sim_config_from(&design.options().timing),
     ));
     let report = verify_flow_equivalence_packed_with_parts(
         original, design, stimulus, cycles, sync_run, &model,
@@ -249,15 +274,7 @@ proptest! {
         let stimulus = PackedVectorSource::pseudo_random(nets.clone(), &lane_seeds(seed, lanes));
         let other = PackedVectorSource::pseudo_random(nets, &lane_seeds(seed ^ 0xbad5eed, lanes));
         for reference_stimulus in [&stimulus, &other] {
-            let sync_run = packed_sync_reference_run(
-                &netlist,
-                &library,
-                sim_config_for(&design),
-                design.synchronous_period_ps(),
-                cycles,
-                reference_stimulus,
-            )
-            .expect("single clock");
+            let sync_run = packed_reference(&netlist, &design, &library, cycles, reference_stimulus);
             assert!(sync_run.streams().iter().all(|s| s.is_uniform(sync_run.lane_mask())));
             assert_weight_is_lane_sum(&sync_run);
             assert_lanes_match_oracle(&netlist, &design, &library, &stimulus, cycles, &sync_run);
@@ -285,7 +302,7 @@ proptest! {
         let sync_run = gated_clock_sync_run(
             &netlist,
             &library,
-            sim_config_for(&design),
+            sim_config_from(&design.options().timing),
             design.synchronous_period_ps(),
             cycles,
             &stimulus,
@@ -310,15 +327,7 @@ fn mismatched_references_differ_from_lane_to_lane() {
     let nets = data_inputs(&netlist);
     let stimulus = PackedVectorSource::pseudo_random(nets.clone(), &lane_seeds(7, MAX_LANES));
     let other = PackedVectorSource::pseudo_random(nets, &lane_seeds(0xbad5eed, MAX_LANES));
-    let sync_run = packed_sync_reference_run(
-        &netlist,
-        &library,
-        sim_config_for(&design),
-        design.synchronous_period_ps(),
-        cycles,
-        &other,
-    )
-    .expect("single clock");
+    let sync_run = packed_reference(&netlist, &design, &library, cycles, &other);
     let report =
         assert_lanes_match_oracle(&netlist, &design, &library, &stimulus, cycles, &sync_run);
     assert!(report.equivalent_lanes() < MAX_LANES);
@@ -353,15 +362,7 @@ fn empty_reference_reports_every_register_missing() {
     let design = desynchronize(&netlist, &library, Protocol::default());
     let stimulus =
         PackedVectorSource::pseudo_random(data_inputs(&netlist), &lane_seeds(5, MAX_LANES));
-    let sync_run = packed_sync_reference_run(
-        &netlist,
-        &library,
-        sim_config_for(&design),
-        design.synchronous_period_ps(),
-        0,
-        &stimulus,
-    )
-    .expect("single clock");
+    let sync_run = packed_reference(&netlist, &design, &library, 0, &stimulus);
     assert!(sync_run.streams().is_empty());
     let report = assert_lanes_match_oracle(&netlist, &design, &library, &stimulus, 0, &sync_run);
     for equivalence in &report.lane_equivalence {

@@ -13,7 +13,7 @@
 //! equality.
 
 use desync_circuits::random::RandomCircuitConfig;
-use desync_core::{DesyncOptions, Desynchronizer, Protocol};
+use desync_core::{DesyncFlow, DesyncOptions, Protocol};
 use desync_netlist::value::{evaluate, evaluate_c_element, evaluate_latch};
 use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist, Value};
 use desync_sim::{EnableSchedule, SimConfig, Simulator, VectorSource, WaveformSet};
@@ -490,12 +490,12 @@ proptest! {
         let netlist = random_netlist(seed, flip_flops, gates);
         let library = CellLibrary::generic_90nm();
         let protocol = Protocol::all()[protocol_idx];
-        let design = Desynchronizer::new(
+        let design = DesyncFlow::new(
             &netlist,
             &library,
             DesyncOptions::default().with_protocol(protocol),
-        )
-        .run()
+        ).expect("valid options")
+        .design()
         .expect("desynchronization");
         let config = SimConfig {
             wire_delay_per_fanout_ps: design.options().timing.wire_delay_per_fanout_ps,

@@ -101,7 +101,6 @@ fn detached_flow_memoizes_the_reference_across_knob_changes() {
     flow.set_verification(stim.clone(), 10);
     let second = flow.verified().unwrap().clone();
     assert_eq!(flow.sync_run_cache_hits(), 1);
-    assert_eq!(flow.report().sync_run_cache_hits, 1);
     assert_eq!(first.sync_run, second.sync_run);
     assert_eq!(flow.stage_runs(Stage::Verified), 2);
 

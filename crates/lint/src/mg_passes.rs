@@ -142,6 +142,20 @@ mod tests {
     }
 
     #[test]
+    fn overloaded_ring_past_u32_tokens_reports_a_nonzero_count() {
+        // u32::MAX + 1 tokens on the cycle: the count saturates instead of
+        // wrapping to 0.
+        let mut g = MarkedGraph::new();
+        let a = g.add_transition("a+");
+        let b = g.add_transition("b+");
+        g.add_place(a, b, u32::MAX, 1.0);
+        g.add_place(b, a, 1, 1.0);
+        let report = lint_marked_graph(&g);
+        let d = report.find(LintCode::MultiTokenCycle).expect("MG002 fires");
+        assert!(!d.detail.contains("carries 0 tokens"), "{}", d.detail);
+    }
+
+    #[test]
     fn disconnected_graph_reports_the_smallest_component() {
         let mut g = ring([1, 0, 0]);
         let d = g.add_transition("d+");

@@ -33,7 +33,8 @@ pub struct CycleWitness {
     /// The places on the cycle, in traversal order, starting at the
     /// minimum place id.
     pub places: Vec<PlaceId>,
-    /// Initial tokens summed over the cycle's places.
+    /// Initial tokens summed over the cycle's places, saturating at
+    /// `u32::MAX`.
     pub tokens: u32,
 }
 
@@ -46,14 +47,14 @@ impl CycleWitness {
         if self.places.is_empty() {
             return false;
         }
-        let mut tokens = 0;
+        let mut tokens = 0u32;
         for (i, &id) in self.places.iter().enumerate() {
             let place = graph.place(id);
             let next = graph.place(self.places[(i + 1) % self.places.len()]);
             if place.to != next.from {
                 return false;
             }
-            tokens += place.initial_tokens;
+            tokens = tokens.saturating_add(place.initial_tokens);
         }
         tokens == self.tokens
     }
@@ -399,7 +400,7 @@ impl TokenPaths {
 
     /// Runs Dijkstra from `target`: heap ordered by distance then
     /// transition id, places relaxed in id order, parents replaced only on
-    /// strict improvement.
+    /// strict improvement. Distances saturate at `u32::MAX`.
     fn run(&mut self, adj: &[Vec<(usize, u32, PlaceId)>], target: usize) {
         let Self {
             dist, parent, heap, ..
@@ -415,7 +416,7 @@ impl TokenPaths {
                 continue;
             }
             for &(succ, w, place) in &adj[node] {
-                let nd = d + w;
+                let nd = d.saturating_add(w);
                 if dist[succ].is_none_or(|old| nd < old) {
                     dist[succ] = Some(nd);
                     parent[succ] = Some((node, place));
@@ -429,7 +430,7 @@ impl TokenPaths {
     /// the target: `None` when its source is not reachable from the target.
     fn cycle_tokens(&self, graph: &MarkedGraph, id: PlaceId) -> Option<u32> {
         let p = graph.place(id);
-        Some(self.dist[p.from.index()]? + p.initial_tokens)
+        Some(self.dist[p.from.index()]?.saturating_add(p.initial_tokens))
     }
 
     /// The fewest-token cycle through place `id`: the shortest token path
@@ -712,6 +713,23 @@ mod tests {
             (200..1_800).contains(&unsafe_graphs),
             "{unsafe_graphs} unsafe"
         );
+    }
+
+    #[test]
+    fn token_sums_saturate_instead_of_wrapping() {
+        // A live, unsafe two-transition ring whose cycle carries
+        // u32::MAX + 1 tokens: the sum saturates, so the witness verifies
+        // and still reports the cycle as overloaded.
+        let mut g = MarkedGraph::new();
+        let a = g.add_transition("a");
+        let b = g.add_transition("b");
+        g.add_place(a, b, u32::MAX, 1.0);
+        g.add_place(b, a, 1, 1.0);
+        assert!(is_live(&g));
+        let witness = multi_token_cycle(&g).expect("the ring is unsafe");
+        assert!(witness.verify(&g));
+        assert!(witness.tokens >= 2, "{witness:?}");
+        assert!(!is_safe(&g));
     }
 
     #[test]

@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-/// Global timing parameters: wire-load model, sequential cell overheads and
-/// the default matched-delay margin.
+/// Global timing parameters: the wire-load model and the sequential cell
+/// overheads.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TimingConfig {
     /// Extra wire delay per fan-out sink, in picoseconds.
@@ -19,9 +19,6 @@ pub struct TimingConfig {
     pub clk_to_q_ps: f64,
     /// Latch D-to-Q propagation delay when transparent, in picoseconds.
     pub latch_d_to_q_ps: f64,
-    /// Default safety margin applied when sizing matched delays
-    /// (0.10 = 10 %).
-    pub matched_delay_margin: f64,
 }
 
 impl Default for TimingConfig {
@@ -31,7 +28,6 @@ impl Default for TimingConfig {
             setup_ps: 40.0,
             clk_to_q_ps: 110.0,
             latch_d_to_q_ps: 70.0,
-            matched_delay_margin: 0.10,
         }
     }
 }
@@ -345,13 +341,6 @@ impl<'a> Sta<'a> {
             .fold(0.0, f64::max)
             .max(self.output_delay());
         self.config.clk_to_q_ps + worst_stage + self.config.setup_ps
-    }
-
-    /// Sizes a matched delay for a combinational delay of `delay_ps`
-    /// picoseconds using the configured margin; see
-    /// [`MatchedDelay`](crate::MatchedDelay).
-    pub fn matched_delay(&self, delay_ps: f64) -> crate::MatchedDelay {
-        crate::MatchedDelay::for_delay(delay_ps, self.config.matched_delay_margin, self.library)
     }
 }
 

@@ -108,7 +108,7 @@ proptest! {
 
         // Every matched delay sized from a stage covers that stage.
         for stage in &stages {
-            let matched = sta.matched_delay(stage.delay_ps);
+            let matched = MatchedDelay::for_delay(stage.delay_ps, 0.10, &library);
             prop_assert!(matched.achieved_ps + 1e-9 >= stage.delay_ps);
         }
     }

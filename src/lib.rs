@@ -38,9 +38,7 @@
 //! only the invalidated suffix of the pipeline (a protocol sweep, for
 //! example, re-runs controller synthesis per protocol while clustering and
 //! delay sizing are computed once). Matched-delay sizing walks only each
-//! source cluster's forward cone.
-//! [`Desynchronizer`](core::Desynchronizer) remains as a one-call wrapper
-//! that advances a fresh flow end to end, and a
+//! source cluster's forward cone. A
 //! [`DesyncEngine`](core::DesyncEngine) shares stage artifacts *across*
 //! flows — a content-addressed cache whose artifacts live in one
 //! weight-accounted [`ArtifactStore`](core::store::ArtifactStore)
@@ -92,8 +90,7 @@
 //! flow.set_verification(VectorSource::constant(vec![]), 16);
 //! assert!(flow.verified()?.is_equivalent());
 //!
-//! // 5. Bundle everything into a design (identical to what the one-call
-//! //    `Desynchronizer::run` wrapper returns).
+//! // 5. Bundle the stage artifacts into a design.
 //! let design = flow.design()?;
 //! assert!(design.cycle_time_ps() > 0.0);
 //! # Ok(())
@@ -116,15 +113,14 @@ pub use desync_sta as sta;
 pub mod prelude {
     pub use desync_circuits::{DlxConfig, FirConfig, LinearPipelineConfig};
     pub use desync_core::{
-        run_soak, sync_reference_run, verify_flow_equivalence, verify_flow_equivalence_packed,
-        verify_flow_equivalence_with_reference, AdmissionPolicy, BatchReport, CampaignOutcome,
-        CampaignRequest, CancelToken, ClusteringStrategy, ControlNetwork, DesyncDesign,
-        DesyncEngine, DesyncError, DesyncFlow, DesyncOptions, DesyncRuntime, DesyncService,
-        Desynchronizer, DispatchRecord, DivergenceWindow, EngineReport, EquivalenceReport,
-        FlowReport, LaneCounters, MultiSeedReport, Priority, Protocol, QueueCampaignRequest,
-        QueueConfig, QueueCounters, QueueRequest, QueueSweepRequest, ServiceQueue, ServiceRequest,
-        SizingAnalysis, SoakConfig, SoakReport, Stage, StoreConfig, SubmitMeta, SubmitOptions,
-        SweepRequest, TenantCounters, TenantId, TicketHandle, TimingTable, TrafficRecording,
+        run_soak, AdmissionPolicy, BatchReport, CampaignOutcome, CampaignRequest, CancelToken,
+        ClusteringStrategy, ControlNetwork, DesyncDesign, DesyncEngine, DesyncError, DesyncFlow,
+        DesyncOptions, DesyncRuntime, DesyncService, DispatchRecord, DivergenceWindow,
+        EngineReport, EquivalenceReport, FlowReport, LaneCounters, MultiSeedReport, Priority,
+        Protocol, QueueCampaignRequest, QueueConfig, QueueCounters, QueueRequest,
+        QueueSweepRequest, ServiceQueue, ServiceRequest, SizingAnalysis, SoakConfig, SoakReport,
+        Stage, StoreConfig, SubmitMeta, SubmitOptions, SweepRequest, TenantCounters, TenantId,
+        TicketHandle, TimingTable, TrafficRecording,
     };
     pub use desync_lint::{lint_design, Diagnostic, LintCode, LintReport, Severity};
     pub use desync_mg::{FlowEquivalence, FlowTrace, MarkedGraph, Stg};

@@ -1,6 +1,6 @@
 //! Integration tests of the staged pipeline API (`DesyncFlow`): resume
-//! semantics across option changes and equality with the one-call
-//! `Desynchronizer` wrapper — all exercised on generated benchmark circuits
+//! semantics across option changes and equality of a resumed flow's design
+//! with a fresh flow's — all exercised on generated benchmark circuits
 //! rather than hand-built netlists.
 
 use desync::prelude::*;
@@ -64,16 +64,19 @@ fn a_detached_flow_serves_a_revisited_stage_from_its_store() {
     flow.timed().expect("timing");
     assert_eq!(flow.stage_runs(Stage::Timed), 2);
     assert_eq!(flow.cache_hits(Stage::Timed), 1);
-    let fresh = Desynchronizer::new(&netlist, &library, DesyncOptions::default())
-        .run()
-        .expect("wrapper flow");
+    let fresh = DesyncFlow::new(&netlist, &library, DesyncOptions::default())
+        .expect("valid options")
+        .design()
+        .expect("fresh flow");
     assert_eq!(flow.design().expect("flow"), fresh);
 }
 
 #[test]
-fn staged_flow_matches_the_one_call_wrapper() {
+fn resumed_flow_matches_a_fresh_flow() {
     let netlist = fir();
     let library = CellLibrary::generic_90nm();
+    let mut resumed =
+        DesyncFlow::new(&netlist, &library, DesyncOptions::default()).expect("valid options");
     for options in [
         DesyncOptions::default(),
         DesyncOptions::default()
@@ -81,14 +84,13 @@ fn staged_flow_matches_the_one_call_wrapper() {
             .with_margin(0.2),
         DesyncOptions::default().with_clustering(ClusteringStrategy::PerRegister),
     ] {
-        let via_wrapper = Desynchronizer::new(&netlist, &library, options)
-            .run()
-            .expect("wrapper flow");
-        let via_stages = DesyncFlow::new(&netlist, &library, options)
+        resumed.set_options(options).expect("valid options");
+        let via_resume = resumed.design().expect("resumed flow");
+        let fresh = DesyncFlow::new(&netlist, &library, options)
             .expect("valid options")
             .design()
-            .expect("staged flow");
-        assert_eq!(via_wrapper, via_stages);
+            .expect("fresh flow");
+        assert_eq!(via_resume, fresh);
     }
 }
 
@@ -103,12 +105,11 @@ fn invalid_knobs_fail_fast_at_construction() {
     )
     .unwrap_err();
     assert!(matches!(err, DesyncError::InvalidOptions(_)), "{err}");
-    let err = Desynchronizer::new(
+    let err = DesyncFlow::new(
         &netlist,
         &library,
         DesyncOptions::default().with_controller_delay_ps(0.0),
     )
-    .run()
     .unwrap_err();
     assert!(matches!(err, DesyncError::InvalidOptions(_)), "{err}");
 }
