@@ -2,8 +2,8 @@
 //! "From synchronous to asynchronous: an automatic approach" (DATE 2004).
 //!
 //! Each experiment is a plain function returning a printable report, so the
-//! same code backs the `cargo run --bin ...` reproduction binaries, the
-//! Criterion benches and the integration tests:
+//! same code backs the `cargo run --bin ...` reproduction binaries and the
+//! tests:
 //!
 //! | paper artifact | function | binary |
 //! |---|---|---|

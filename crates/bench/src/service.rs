@@ -27,8 +27,8 @@
 use crate::batch::{mixed_designs, mixed_options};
 use desync_core::{
     AdmissionPolicy, CancelToken, DesyncDesign, DesyncEngine, DesyncError, DesyncService,
-    QueueConfig, QueueRequest, ServiceQueue, ServiceRequest, StoreConfig, SubmitOptions,
-    TenantCounters, TenantId,
+    QueueConfig, QueueRequest, ServiceQueue, ServiceRequest, StoreConfig, SubmitMeta,
+    SubmitOptions, TenantCounters, TenantId,
 };
 use desync_netlist::{CellKind, CellLibrary, Netlist};
 use std::fmt;
@@ -386,34 +386,34 @@ fn run_faulty_phase(report: &mut ServiceBenchReport) {
         let cancelled_ticket = queue.submit(
             request(&bystander),
             SubmitOptions::new()
-                .with_tenant(interactive)
+                .with_meta(SubmitMeta::new().with_tenant(interactive))
                 .with_cancel(doomed.clone()),
         );
         doomed.cancel();
         let late_ticket = queue.submit(
             request(&bystander),
             SubmitOptions::new()
-                .with_tenant(interactive)
+                .with_meta(SubmitMeta::new().with_tenant(interactive))
                 .with_deadline(Duration::ZERO),
         );
         let victim_ticket = queue.submit(
             request(&victim),
-            SubmitOptions::new().with_tenant(interactive),
+            SubmitOptions::new().with_meta(SubmitMeta::new().with_tenant(interactive)),
         );
         let bystander_ticket = queue.submit(
             request(&bystander),
-            SubmitOptions::new().with_tenant(interactive),
+            SubmitOptions::new().with_meta(SubmitMeta::new().with_tenant(interactive)),
         );
         let poisoned = poisoned_design();
         let poisoned_ticket = queue.submit(
             request(&poisoned),
-            SubmitOptions::new().with_tenant(poisoner),
+            SubmitOptions::new().with_meta(SubmitMeta::new().with_tenant(poisoner)),
         );
         let overload: Vec<_> = (0..4)
             .map(|_| {
                 queue.submit(
                     request(&bystander),
-                    SubmitOptions::new().with_tenant(burster),
+                    SubmitOptions::new().with_meta(SubmitMeta::new().with_tenant(burster)),
                 )
             })
             .collect();

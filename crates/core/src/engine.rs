@@ -15,23 +15,21 @@
 //!   mapping that drives stage invalidation, so cache validity and
 //!   invalidation can never drift apart) or, for synchronous reference
 //!   runs, the simulation inputs the run is a pure function of.
-//! * **Cached artifacts** are the four construction stages —
-//!   [`ClusterGraph`], [`LatchDesign`],
-//!   [`TimingTable`],
-//!   [`ControlNetwork`] — plus three simulation-side
-//!   artifact kinds: the synchronous reference runs of incremental
-//!   co-simulation, the **compiled simulation models**
+//! * **Cached artifacts** fall into eight store kinds: the four
+//!   construction stages — [`ClusterGraph`], [`LatchDesign`],
+//!   [`TimingTable`], [`ControlNetwork`] — plus the synchronous reference
+//!   runs of co-simulation (scalar [`SimRun`]s and packed
+//!   [`PackedSimRun`]s share one kind), the **compiled simulation models**
 //!   ([`CompiledModel`] — one per netlist structure × `SimConfig`, shared
-//!   by every sweep point that simulates that structure) and the
-//!   **margin-independent sizing analyses**
-//!   ([`SizingAnalysis`] — margin sweep points
-//!   re-bind matched delays from them instead of re-running arrival
-//!   propagation). Full verification reports depend on the per-flow
+//!   by every sweep point that simulates that structure), the
+//!   **margin-independent sizing analyses** ([`SizingAnalysis`] — margin
+//!   sweep points re-bind matched delays from them instead of re-running
+//!   arrival propagation) and the pre-flight **lint reports**
+//!   ([`LintReport`]). Full verification reports depend on the per-flow
 //!   stimulus and are never cached.
 //! * **The store** is weight-accounted, behind one lock, with optional LRU
 //!   eviction: [`DesyncEngine::with_store`] bounds the resident weight for
-//!   long-running services, while the default engine is unbounded and
-//!   bit-identical to the historical per-stage maps (see the
+//!   long-running services, while the default engine is unbounded (see the
 //!   [`store`](crate::store) module).
 //! * **The runtime** ([`DesyncRuntime`]) carries the default request
 //!   concurrency of a [`DesyncService`](crate::DesyncService) built on the
@@ -741,7 +739,7 @@ pub struct EngineReport {
     /// Configured store capacity in [`Weigh`] units (`None` = unbounded).
     pub capacity: Option<usize>,
     /// Resident weight across every cached artifact (stages, sync runs,
-    /// compiled models, sizing analyses).
+    /// compiled models, sizing analyses, lint reports).
     pub resident_weight: usize,
     /// Lookups (of any kind) that coalesced onto another thread's in-flight
     /// computation instead of recomputing — the store's exactly-once
@@ -845,58 +843,56 @@ impl fmt::Display for EngineReport {
             "  {:<12} {:>7} {:>7} {:>7} {:>7} {:>8}",
             "stage", "entries", "hits", "misses", "evicted", "weight"
         )?;
-        for s in &self.stages {
-            writeln!(
-                f,
-                "  {:<12} {:>7} {:>7} {:>7} {:>7} {:>8}",
+        let stages = self.stages.iter().map(|s| {
+            (
                 s.stage.name(),
                 s.entries,
                 s.hits,
                 s.misses,
                 s.evictions,
                 s.resident_weight,
+            )
+        });
+        let kinds = [
+            (
+                "sync-run",
+                self.sync_runs,
+                self.sync_run_hits,
+                self.sync_run_misses,
+                self.sync_run_evictions,
+                self.sync_run_resident_weight,
+            ),
+            (
+                "compiled",
+                self.compiled_models,
+                self.compiled_model_hits,
+                self.compiled_model_misses,
+                self.compiled_model_evictions,
+                self.compiled_model_resident_weight,
+            ),
+            (
+                "sizing",
+                self.sizing_analyses,
+                self.sizing_hits,
+                self.sizing_misses,
+                self.sizing_evictions,
+                self.sizing_resident_weight,
+            ),
+            (
+                "lint",
+                self.lint_reports,
+                self.lint_hits,
+                self.lint_misses,
+                self.lint_evictions,
+                self.lint_resident_weight,
+            ),
+        ];
+        for (name, entries, hits, misses, evicted, weight) in stages.chain(kinds) {
+            writeln!(
+                f,
+                "  {name:<12} {entries:>7} {hits:>7} {misses:>7} {evicted:>7} {weight:>8}"
             )?;
         }
-        writeln!(
-            f,
-            "  {:<12} {:>7} {:>7} {:>7} {:>7} {:>8}",
-            "sync-run",
-            self.sync_runs,
-            self.sync_run_hits,
-            self.sync_run_misses,
-            self.sync_run_evictions,
-            self.sync_run_resident_weight,
-        )?;
-        writeln!(
-            f,
-            "  {:<12} {:>7} {:>7} {:>7} {:>7} {:>8}",
-            "compiled",
-            self.compiled_models,
-            self.compiled_model_hits,
-            self.compiled_model_misses,
-            self.compiled_model_evictions,
-            self.compiled_model_resident_weight,
-        )?;
-        writeln!(
-            f,
-            "  {:<12} {:>7} {:>7} {:>7} {:>7} {:>8}",
-            "sizing",
-            self.sizing_analyses,
-            self.sizing_hits,
-            self.sizing_misses,
-            self.sizing_evictions,
-            self.sizing_resident_weight,
-        )?;
-        writeln!(
-            f,
-            "  {:<12} {:>7} {:>7} {:>7} {:>7} {:>8}",
-            "lint",
-            self.lint_reports,
-            self.lint_hits,
-            self.lint_misses,
-            self.lint_evictions,
-            self.lint_resident_weight,
-        )?;
         write!(
             f,
             "  stage total: {} hit(s) / {} miss(es) ({:.1} % hit rate), {} eviction(s) overall, \

@@ -29,6 +29,13 @@ pub enum DesyncError {
     /// [`DesyncFlow::set_verification`](crate::DesyncFlow::set_verification).
     /// Without input vectors the equivalence check would pass vacuously.
     MissingStimulus,
+    /// Flow-equivalence verification was asked of a flow whose options
+    /// disable the environment model
+    /// ([`DesyncOptions::environment`](crate::DesyncOptions::environment)).
+    /// Only the environment controller pair times the input vectors
+    /// against the latch captures, so without it the desynchronized run
+    /// cannot be compared with the clocked reference.
+    EnvironmentRequired,
     /// The design was rejected by the static pre-flight lint: the attached
     /// report carries every diagnostic with its witness. Produced by
     /// [`DesyncService`](crate::DesyncService) admission control before any
@@ -155,6 +162,11 @@ impl fmt::Display for DesyncError {
                 f,
                 "netlist has data inputs but no verification stimulus was set; \
                  call DesyncFlow::set_verification first"
+            ),
+            DesyncError::EnvironmentRequired => write!(
+                f,
+                "flow-equivalence verification needs the environment model; \
+                 enable DesyncOptions::environment"
             ),
             DesyncError::LintRejected(report) => {
                 write!(

@@ -37,7 +37,7 @@
 //! | `stage::timed` | Timed-stage compute (before STA/sizing) | panic, error, delay |
 //! | `stage::controlled` | Controlled-stage compute | panic, error, delay |
 //! | `sim::commit` | After equivalence simulation, before the verified report is committed | panic, error, delay |
-//! | `store::insert` | [`ArtifactStore::insert`](crate::store::ArtifactStore::insert) publication | panic (error escalates to panic), delay |
+//! | `store::insert` | Artifact publication in [`ArtifactStore::get_or_try_compute`](crate::store::ArtifactStore::get_or_try_compute) | panic (error escalates to panic), delay |
 //!
 //! `store::insert` is a *unit* site — it sits on a path with no `Result`
 //! channel, so an `Error` action escalates to a panic there (which the

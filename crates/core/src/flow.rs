@@ -44,8 +44,9 @@ pub struct ScheduleBundle {
     pub horizon_ps: f64,
     /// `input_vector_times[k]` is the time at which input vector `k` should
     /// be applied so that the captured streams line up with the synchronous
-    /// execution (right after the `k`-th capture of the input-fed master
-    /// latches).
+    /// execution (when the environment's slave opens for the `k`-th time,
+    /// after every input-fed master latch captured item `k`). Empty for a
+    /// design without the environment model.
     pub input_vector_times: Vec<f64>,
     /// Number of handshake iterations the schedule covers.
     pub iterations: usize,
@@ -162,15 +163,15 @@ impl DesyncDesign {
     /// Derives the latch-enable schedule (and the input application times)
     /// for `iterations` handshake iterations of the control model, shifted
     /// by `start_offset_ps` to leave room for simulator initialization.
+    /// The environment controller times the inputs, so `input_vector_times`
+    /// is empty for a design built without the environment model.
     pub fn enable_schedule(&self, iterations: usize, start_offset_ps: f64) -> ScheduleBundle {
         let trace = self.network.model.simulate(iterations);
         let mut schedule = EnableSchedule::new();
         let num_clusters = self.clusters.len();
         // Controller transition -> (enable net, rising?). The environment
         // controllers have no physical enable net and are skipped here.
-        let mut fall_times_per_input_cluster: Vec<Vec<f64>> = Vec::new();
-        let mut event_map: HashMap<u32, (desync_netlist::NetId, bool, Option<usize>)> =
-            HashMap::new();
+        let mut event_map: HashMap<u32, (desync_netlist::NetId, bool)> = HashMap::new();
         for ctrl in &self.network.model.controllers {
             if ctrl.cluster >= num_clusters {
                 continue; // virtual environment controller
@@ -180,63 +181,25 @@ impl DesyncDesign {
                 Parity::Even => master_en,
                 Parity::Odd => slave_en,
             };
-            // Track master-fall times of input-fed clusters; they time the
-            // environment's input vectors when no explicit environment
-            // controller is present.
-            let input_slot = if ctrl.parity == Parity::Even && self.clusters.input_fed[ctrl.cluster]
-            {
-                fall_times_per_input_cluster.push(Vec::new());
-                Some(fall_times_per_input_cluster.len() - 1)
-            } else {
-                None
-            };
-            event_map.insert(ctrl.rise.0, (net, true, None));
-            event_map.insert(ctrl.fall.0, (net, false, input_slot));
+            event_map.insert(ctrl.rise.0, (net, true));
+            event_map.insert(ctrl.fall.0, (net, false));
         }
         for firing in &trace.firings {
-            if let Some(&(net, rising, input_slot)) = event_map.get(&firing.transition.0) {
+            if let Some(&(net, rising)) = event_map.get(&firing.transition.0) {
                 let time = firing.time + start_offset_ps;
                 schedule.push(time, net, if rising { Value::One } else { Value::Zero });
-                if let Some(slot) = input_slot {
-                    fall_times_per_input_cluster[slot].push(time);
-                }
             }
         }
-        // Input vector timing.
-        let input_vector_times: Vec<f64> = if let Some(env_slave) = self
-            .network
-            .model
-            .environment_controller(crate::cluster::Parity::Odd)
-        {
-            // With an explicit environment, vector k is launched when the
-            // environment's slave opens for the k-th time: by construction
-            // that is after every input-fed master captured item k and
-            // before any of them captures item k + 1.
-            trace
-                .firings
-                .iter()
-                .filter(|f| f.transition == env_slave.rise)
-                .map(|f| f.time + start_offset_ps + 1.0)
-                .collect()
-        } else {
-            // Fallback (no environment): vector k goes out right after the
-            // k-th capture of the input-fed master latches (the latest such
-            // capture across clusters).
-            let max_falls = fall_times_per_input_cluster
-                .iter()
-                .map(Vec::len)
-                .min()
-                .unwrap_or(0);
-            (0..max_falls)
-                .map(|k| {
-                    fall_times_per_input_cluster
-                        .iter()
-                        .map(|falls| falls[k])
-                        .fold(0.0, f64::max)
-                        + 1.0
-                })
-                .collect()
-        };
+        // Vector k is launched when the environment's slave opens for the
+        // k-th time: by construction that is after every input-fed master
+        // captured item k and before any of them captures item k + 1.
+        let env_slave = self.network.model.environment_controller(Parity::Odd);
+        let input_vector_times = trace
+            .firings
+            .iter()
+            .filter(|f| env_slave.is_some_and(|env| f.transition == env.rise))
+            .map(|f| f.time + start_offset_ps + 1.0)
+            .collect();
         ScheduleBundle {
             horizon_ps: schedule.horizon_ps(),
             schedule,

@@ -51,7 +51,7 @@
 //! the [`EngineReport`]. A [`DesyncDesign`] holds the same `Arc`s of the
 //! four construction artifacts as the flow and the store, so each artifact
 //! exists once however many designs point at it. The default engine is
-//! unbounded and bit-identical to the historical per-stage maps.
+//! unbounded.
 //!
 //! Matched-delay sizing walks each source cluster's forward cone on the
 //! calling thread. A detached flow ([`DesyncFlow::new`]) owns a private

@@ -47,8 +47,9 @@ pub struct DesyncOptions {
     pub controller_delay_ps: f64,
     /// Whether the control model includes an explicit environment controller
     /// pair (the paper's auxiliary arcs for the abstracted surroundings).
-    /// Required for meaningful flow-equivalence checks against a clocked
-    /// reference; disable it only to inspect the bare circuit model.
+    /// Required for flow-equivalence checks against a clocked reference:
+    /// verification returns [`DesyncError::EnvironmentRequired`] without
+    /// it. Disable it only to inspect the bare circuit model.
     pub environment: bool,
     /// Timing parameters shared with the static timing analyzer.
     pub timing: TimingConfig,

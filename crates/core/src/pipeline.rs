@@ -345,10 +345,9 @@ pub struct DesyncFlow<'a> {
     controlled: Option<Arc<ControlNetwork>>,
     assembled: Option<DesyncDesign>,
     verified: Option<EquivalenceReport>,
-    runs: [usize; 5],
-    cache_hits: [usize; 5],
-    last_wall: [Duration; 5],
-    total_wall: [Duration; 5],
+    /// Runs, store hits and wall times per stage, in pipeline order
+    /// (`cached` is filled in by [`DesyncFlow::report`]).
+    stages: [StageReport; 5],
 }
 
 impl<'a> DesyncFlow<'a> {
@@ -421,10 +420,14 @@ impl<'a> DesyncFlow<'a> {
             controlled: None,
             assembled: None,
             verified: None,
-            runs: [0; 5],
-            cache_hits: [0; 5],
-            last_wall: [Duration::ZERO; 5],
-            total_wall: [Duration::ZERO; 5],
+            stages: Stage::ALL.map(|stage| StageReport {
+                stage,
+                runs: 0,
+                cache_hits: 0,
+                last_wall: Duration::ZERO,
+                total_wall: Duration::ZERO,
+                cached: false,
+            }),
         })
     }
 
@@ -590,7 +593,7 @@ impl<'a> DesyncFlow<'a> {
     /// A stage served from the flow's store does **not** count as a run —
     /// see [`DesyncFlow::cache_hits`].
     pub fn stage_runs(&self, stage: Stage) -> usize {
-        self.runs[stage.index()]
+        self.stages[stage.index()].runs
     }
 
     /// How many times `stage` was served from the flow's store (an attached
@@ -599,7 +602,7 @@ impl<'a> DesyncFlow<'a> {
     ///
     /// Always zero for [`Stage::Verified`], which is never cached.
     pub fn cache_hits(&self, stage: Stage) -> usize {
-        self.cache_hits[stage.index()]
+        self.stages[stage.index()].cache_hits
     }
 
     // ---- stage accessors ------------------------------------------------
@@ -742,6 +745,8 @@ impl<'a> DesyncFlow<'a> {
     ///
     /// Earlier-stage errors, plus:
     ///
+    /// * [`DesyncError::EnvironmentRequired`] when the options disable the
+    ///   environment model, before any stage runs.
     /// * [`DesyncError::MissingStimulus`] when the netlist has data inputs
     ///   but no stimulus was configured — without input vectors the
     ///   equivalence check would pass vacuously.
@@ -749,6 +754,9 @@ impl<'a> DesyncFlow<'a> {
     ///   the netlist.
     pub fn verified(&mut self) -> Result<&EquivalenceReport, DesyncError> {
         if self.verified.is_none() {
+            if !self.options.environment {
+                return Err(DesyncError::EnvironmentRequired);
+            }
             self.ensure_assembled()?;
             self.interrupt.check()?;
             stage_trace::enter("verified");
@@ -807,13 +815,18 @@ impl<'a> DesyncFlow<'a> {
     ///
     /// # Errors
     ///
-    /// Earlier-stage errors, plus [`DesyncError::Netlist`] when a
-    /// co-simulation testbench rejects the netlist.
+    /// Earlier-stage errors, plus [`DesyncError::EnvironmentRequired`] when
+    /// the options disable the environment model (before any stage runs)
+    /// and [`DesyncError::Netlist`] when a co-simulation testbench rejects
+    /// the netlist.
     pub fn verify_packed(
         &mut self,
         stimulus: &PackedVectorSource,
         cycles: usize,
     ) -> Result<MultiSeedReport, DesyncError> {
+        if !self.options.environment {
+            return Err(DesyncError::EnvironmentRequired);
+        }
         self.ensure_assembled()?;
         self.interrupt.check()?;
         stage_trace::enter("verified");
@@ -964,21 +977,18 @@ impl<'a> DesyncFlow<'a> {
 
     /// Per-stage execution statistics and headline artifact numbers.
     pub fn report(&self) -> FlowReport {
-        let stages = Stage::ALL
+        let stages = self
+            .stages
             .iter()
-            .map(|&stage| StageReport {
-                stage,
-                runs: self.runs[stage.index()],
-                cache_hits: self.cache_hits[stage.index()],
-                last_wall: self.last_wall[stage.index()],
-                total_wall: self.total_wall[stage.index()],
-                cached: match stage {
+            .map(|s| StageReport {
+                cached: match s.stage {
                     Stage::Clustered => self.clustered.is_some(),
                     Stage::Latched => self.latched.is_some(),
                     Stage::Timed => self.timed.is_some(),
                     Stage::Controlled => self.controlled.is_some(),
                     Stage::Verified => self.verified.is_some(),
                 },
+                ..s.clone()
             })
             .collect();
         FlowReport {
@@ -999,10 +1009,10 @@ impl<'a> DesyncFlow<'a> {
     }
 
     fn record_elapsed(&mut self, stage: Stage, elapsed: Duration) {
-        let i = stage.index();
-        self.runs[i] += 1;
-        self.last_wall[i] = elapsed;
-        self.total_wall[i] += elapsed;
+        let s = &mut self.stages[stage.index()];
+        s.runs += 1;
+        s.last_wall = elapsed;
+        s.total_wall += elapsed;
     }
 
     /// Fetches a construction stage's artifact from the flow's store after
@@ -1028,7 +1038,7 @@ impl<'a> DesyncFlow<'a> {
             Ok(Arc::new(artifact))
         })?;
         if how.served() {
-            self.cache_hits[stage.index()] += 1;
+            self.stages[stage.index()].cache_hits += 1;
         } else {
             self.record_elapsed(
                 stage,
@@ -1095,9 +1105,9 @@ impl crate::store::Weigh for SizingAnalysis {
 }
 
 /// Runs every arrival-time propagation of [`Stage::Timed`] on the calling
-/// thread: STA for the clock period, one forward-cone walk per source
-/// cluster (serving both its outgoing edges and its output environment
-/// arc) and one full walk from the primary inputs. The result is
+/// thread: one STA walk for the clock period, one forward-cone walk per
+/// source cluster (serving both its outgoing edges and its output
+/// environment arc) and one from the primary inputs. The result is
 /// margin-free; see [`bind_timing`].
 fn compute_sizing_analysis(
     netlist: &Netlist,
@@ -1169,17 +1179,15 @@ fn compute_sizing_analysis(
     // Computed unconditionally so toggling `options.environment` (consumed
     // at the Controlled transition) never invalidates this stage.
     let mut env_input_base = HashMap::new();
-    let input_arrival = sta.arrival_from(netlist.inputs());
+    sta.cone_arrival_from(netlist.inputs(), &mut cone);
     for (idx, cluster) in clusters.clusters.iter().enumerate() {
         if !clusters.input_fed[idx] {
             continue;
         }
         let mut worst = 0.0_f64;
         for &reg in &cluster.registers {
-            if let Some(d) = netlist.cell(reg).data_net() {
-                if let Some(a) = input_arrival[d.index()] {
-                    worst = worst.max(a);
-                }
+            if let Some(a) = netlist.cell(reg).data_net().and_then(|d| cone.get(d)) {
+                worst = worst.max(a);
             }
         }
         env_input_base.insert(idx, MatchedDelay::for_delay(worst, 0.0, library));

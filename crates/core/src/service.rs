@@ -32,7 +32,9 @@
 //!   [`BatchReport::lint_cache_hits`] account for the traffic,
 //! * **coalesced scheduling** — identical in-flight requests are grouped
 //!   onto *one* computation; duplicates receive clones of the shared
-//!   result. Below the request level, the engine's
+//!   result. Each request's netlist and library are interned in the engine
+//!   first, so two requests name the same design exactly when they carry
+//!   the same interned `Arc`. Below the request level, the engine's
 //!   [`ArtifactStore`](crate::store::ArtifactStore) additionally coalesces
 //!   racing computations of one *artifact*: when two distinct sweep points
 //!   both need a design's shared stage (or its sync reference run, or its
@@ -45,7 +47,7 @@
 //! * **deterministic merging** — results come back **in request order**,
 //!   regardless of scheduling, and
 //! * **per-batch reports** — the engine's cache-hit, eviction, reuse and
-//!   resident-weight deltas plus the simulated events per worker.
+//!   resident-weight deltas plus the simulation events committed.
 //!
 //! The service owns its engine, so the cache (and its capacity policy, see
 //! [`StoreConfig`](crate::StoreConfig)) persists across batches: a second
@@ -148,23 +150,10 @@ use crate::submit::{
 use crate::verify::{EquivalenceReport, MultiSeedReport};
 use desync_netlist::{CellLibrary, Netlist};
 use desync_sim::{PackedVectorSource, VectorSource};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Whether two `(netlist, library)` pairs denote the identical computation
-/// inputs. Short-circuits on pointer identity, then a structural hash,
-/// before any deep equality.
-fn same_inputs(
-    a_netlist: &Netlist,
-    a_library: &CellLibrary,
-    b_netlist: &Netlist,
-    b_library: &CellLibrary,
-) -> bool {
-    let same_netlist = std::ptr::eq(a_netlist, b_netlist)
-        || (a_netlist.structural_hash() == b_netlist.structural_hash() && a_netlist == b_netlist);
-    same_netlist && (std::ptr::eq(a_library, b_library) || a_library == b_library)
-}
 
 /// One unit of work for [`DesyncService::run_batch`].
 #[derive(Debug, Clone, Copy)]
@@ -259,43 +248,33 @@ pub type SweepRequest<'a> = VerifyRequest<'a, VectorSource>;
 /// [`DesyncService::run_campaign`].
 pub type CampaignRequest<'a> = VerifyRequest<'a, PackedVectorSource>;
 
-/// A co-simulation stimulus, identified by its content digest (which, for
-/// a packed source, covers lane count, lane order and per-lane content).
-trait Stimulus: Clone + PartialEq {
-    fn digest(&self) -> u64;
-}
-
-impl Stimulus for VectorSource {
-    fn digest(&self) -> u64 {
-        self.content_digest()
-    }
-}
-
-impl Stimulus for PackedVectorSource {
-    fn digest(&self) -> u64 {
-        self.content_digest()
-    }
-}
-
 /// The batch side of a request kind: how its duplicates coalesce, and the
 /// queue request its group submits.
-trait Batched: Copy {
+trait Batched {
     /// The owned queue request of the kind.
     type Queued: Work;
 
     /// The kind of batch the requests form.
     const KIND: BatchKind;
 
-    /// Whether two requests describe the identical computation and can
-    /// therefore share one result. Requests with different scheduling
-    /// tags never coalesce — each tenant's traffic is dispatched and
-    /// accounted under its own tag, even for identical inputs (the store
-    /// still computes the artifacts only once).
+    /// The netlist and library the request desynchronizes.
+    fn inputs(&self) -> (&Netlist, &CellLibrary);
+
+    /// Whether two requests over the same interned netlist and library
+    /// describe the identical computation and can therefore share one
+    /// result. Requests with different scheduling tags never coalesce —
+    /// each tenant's traffic is dispatched and accounted under its own tag,
+    /// even for identical inputs (the store still computes the artifacts
+    /// only once).
     fn coalesces_with(&self, other: &Self) -> bool;
 
-    /// The queue request of this request, its inputs interned in
-    /// `engine`, plus its scheduling tag.
-    fn queued(&self, engine: &DesyncEngine) -> (Self::Queued, SubmitMeta);
+    /// The queue request of this request over its interned inputs, plus its
+    /// scheduling tag.
+    fn queued(
+        &self,
+        netlist: Arc<Netlist>,
+        library: Arc<CellLibrary>,
+    ) -> (Self::Queued, SubmitMeta);
 }
 
 impl Batched for ServiceRequest<'_> {
@@ -303,23 +282,24 @@ impl Batched for ServiceRequest<'_> {
 
     const KIND: BatchKind = BatchKind::Design;
 
-    fn coalesces_with(&self, other: &Self) -> bool {
-        self.meta == other.meta
-            && self.options == other.options
-            && same_inputs(self.netlist, self.library, other.netlist, other.library)
+    fn inputs(&self) -> (&Netlist, &CellLibrary) {
+        (self.netlist, self.library)
     }
 
-    fn queued(&self, engine: &DesyncEngine) -> (QueueRequest, SubmitMeta) {
-        let request = QueueRequest::new(
-            engine.intern_netlist(self.netlist),
-            engine.intern_library(self.library),
-            self.options,
-        );
-        (request, self.meta)
+    fn coalesces_with(&self, other: &Self) -> bool {
+        self.meta == other.meta && self.options == other.options
+    }
+
+    fn queued(
+        &self,
+        netlist: Arc<Netlist>,
+        library: Arc<CellLibrary>,
+    ) -> (QueueRequest, SubmitMeta) {
+        (QueueRequest::new(netlist, library, self.options), self.meta)
     }
 }
 
-impl<S: Stimulus> Batched for VerifyRequest<'_, S>
+impl<S: Clone + PartialEq> Batched for VerifyRequest<'_, S>
 where
     QueueVerifyRequest<S>: Work,
 {
@@ -327,25 +307,27 @@ where
 
     const KIND: BatchKind = BatchKind::Verification;
 
-    /// Same design computation and the same co-simulation inputs. The
-    /// stimulus short-circuits on pointer identity, then the content
-    /// digest, and — like the netlist's structural-hash check beside it —
-    /// confirms a digest match with full equality so a 64-bit collision can
-    /// never hand one point another point's report.
+    fn inputs(&self) -> (&Netlist, &CellLibrary) {
+        (self.netlist, self.library)
+    }
+
+    /// Same design computation and the same co-simulation inputs; the
+    /// stimulus short-circuits on pointer identity before full equality.
     fn coalesces_with(&self, other: &Self) -> bool {
         self.meta == other.meta
             && self.options == other.options
             && self.cycles == other.cycles
-            && (std::ptr::eq(self.stimulus, other.stimulus)
-                || (self.stimulus.digest() == other.stimulus.digest()
-                    && self.stimulus == other.stimulus))
-            && same_inputs(self.netlist, self.library, other.netlist, other.library)
+            && (std::ptr::eq(self.stimulus, other.stimulus) || self.stimulus == other.stimulus)
     }
 
-    fn queued(&self, engine: &DesyncEngine) -> (QueueVerifyRequest<S>, SubmitMeta) {
+    fn queued(
+        &self,
+        netlist: Arc<Netlist>,
+        library: Arc<CellLibrary>,
+    ) -> (QueueVerifyRequest<S>, SubmitMeta) {
         let request = QueueVerifyRequest::new(
-            engine.intern_netlist(self.netlist),
-            engine.intern_library(self.library),
+            netlist,
+            library,
             self.options,
             self.stimulus.clone(),
             self.cycles,
@@ -451,8 +433,8 @@ impl DesyncService {
     /// Each point is verified by a single bit-parallel co-simulation
     /// carrying all its stimulus lanes, so a 64-seed campaign point costs
     /// roughly one scalar [`DesyncService::run_sweep`] point. Scheduling is
-    /// identical to `run_sweep`; the [`BatchReport`]'s `per_worker_events`
-    /// count word-level committed events (one per packed net change),
+    /// identical to `run_sweep`; [`BatchReport::events_simulated`] counts
+    /// word-level committed events (one per packed net change),
     /// while [`CampaignOutcome::lane_events_simulated`] counts the
     /// scalar-equivalent work those words carried.
     pub fn run_campaign(&self, requests: &[CampaignRequest<'_>]) -> CampaignOutcome {
@@ -483,18 +465,39 @@ impl DesyncService {
         let before = self.engine.report();
         let started = Instant::now();
 
-        // One group per distinct computation, remembering which request
-        // slots it serves. The scan is quadratic in *groups* but each
-        // comparison short-circuits on a pointer check, then a structural
-        // hash, before any deep equality.
-        let mut groups: Vec<(R, Vec<usize>)> = Vec::new();
-        for (index, request) in requests.iter().enumerate() {
+        // One group per distinct computation: the indices of the request
+        // slots it serves, its leader first. The engine's interner decides
+        // input identity, asked once per borrowed (netlist, library) pair —
+        // requests borrowing the same objects name the same inputs, and
+        // interning a netlist hashes and compares it whole. The scan
+        // (quadratic in *groups*) then compares the interned `Arc`s by
+        // address before the requests' own fields.
+        let mut asked = HashMap::new();
+        let interned: Vec<_> = requests
+            .iter()
+            .map(|request| {
+                let (netlist, library) = request.inputs();
+                let key = (netlist as *const Netlist, library as *const CellLibrary);
+                let entry = asked.entry(key).or_insert_with(|| {
+                    let netlist = self.engine.intern_netlist(netlist);
+                    (netlist, self.engine.intern_library(library))
+                });
+                entry.clone()
+            })
+            .collect();
+        let coalesce = |a: usize, b: usize| {
+            Arc::ptr_eq(&interned[a].0, &interned[b].0)
+                && Arc::ptr_eq(&interned[a].1, &interned[b].1)
+                && requests[a].coalesces_with(&requests[b])
+        };
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for index in 0..requests.len() {
             match groups
                 .iter_mut()
-                .find(|(leader, _)| leader.coalesces_with(request))
+                .find(|members| coalesce(members[0], index))
             {
-                Some((_, members)) => members.push(index),
-                None => groups.push((*request, vec![index])),
+                Some(members) => members.push(index),
+                None => groups.push(vec![index]),
             }
         }
 
@@ -505,16 +508,17 @@ impl DesyncService {
         // historical all-at-once batch semantics and pinning the queue's
         // high-water mark at the group count, independent of scheduling.
         let workers = self.concurrency.clamp(1, groups.len().max(1));
-        let (group_results, counters, per_worker_events) = if groups.is_empty() {
-            (Vec::new(), QueueCounters::default(), vec![0; workers])
+        let (group_results, counters, events_simulated) = if groups.is_empty() {
+            (Vec::new(), QueueCounters::default(), 0)
         } else {
             let queue =
                 ServiceQueue::new(Arc::clone(&self.engine), QueueConfig::with_workers(workers));
             queue.pause();
             let tickets: Vec<_> = groups
                 .iter()
-                .map(|(leader, _)| {
-                    let (request, meta) = leader.queued(&self.engine);
+                .map(|members| {
+                    let (netlist, library) = interned[members[0]].clone();
+                    let (request, meta) = requests[members[0]].queued(netlist, library);
                     queue.submit_work(request, SubmitOptions::default().with_meta(meta))
                 })
                 .collect();
@@ -523,7 +527,7 @@ impl DesyncService {
                 .into_iter()
                 .map(|ticket| ticket.wait().map(&mut finish))
                 .collect();
-            (results, queue.counters(), queue.worker_events())
+            (results, queue.counters(), queue.events_simulated())
         };
 
         // Fan the shared results back out to every coalesced request slot:
@@ -531,7 +535,7 @@ impl DesyncService {
         // is moved.
         let mut slots: Vec<Option<Result<T, DesyncError>>> =
             (0..requests.len()).map(|_| None).collect();
-        for (result, (_, members)) in group_results.into_iter().zip(&groups) {
+        for (result, members) in group_results.into_iter().zip(&groups) {
             for &index in &members[1..] {
                 slots[index] = Some(result.clone());
             }
@@ -560,7 +564,7 @@ impl DesyncService {
             sync_run_hits: after.sync_run_hits - before.sync_run_hits,
             sync_run_misses: after.sync_run_misses - before.sync_run_misses,
             store_coalesced: after.store_coalesced - before.store_coalesced,
-            per_worker_events,
+            events_simulated,
             lint_rejections: results
                 .iter()
                 .filter(|r| matches!(r, Err(DesyncError::LintRejected(_))))
@@ -595,7 +599,7 @@ pub struct CampaignOutcome {
     /// One result per submitted campaign point, in request order.
     /// Coalesced points hold clones of their group's shared report.
     pub results: Vec<Result<MultiSeedReport, DesyncError>>,
-    /// The campaign statistics ([`BatchReport::per_worker_events`] counts
+    /// The campaign statistics ([`BatchReport::events_simulated`] counts
     /// word-level committed events — one per packed net change).
     pub report: BatchReport,
     /// Scalar-equivalent lane events the campaign's simulations committed:
@@ -654,10 +658,9 @@ pub struct BatchReport {
     /// in-flight computation at the store (the exactly-once guarantee
     /// under parallel scheduling).
     pub store_coalesced: usize,
-    /// Word-level events actually committed by each worker's simulations,
-    /// indexed by worker (all zero for a design batch). The total is
-    /// scheduling-independent; the split shows the load balance.
-    pub per_worker_events: Vec<usize>,
+    /// Word-level events the batch's simulations committed (zero for a
+    /// design batch); the same on any worker count.
+    pub events_simulated: usize,
     /// Requests rejected at admission by the static pre-flight lint
     /// (their result slot holds [`DesyncError::LintRejected`] with the
     /// witness-bearing report; counted inside `failures` too).
@@ -690,9 +693,9 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Events committed across all workers.
+    /// Word-level events the batch's simulations committed.
     pub fn events_simulated(&self) -> usize {
-        self.per_worker_events.iter().sum()
+        self.events_simulated
     }
 }
 
@@ -728,10 +731,8 @@ impl fmt::Display for BatchReport {
         )?;
         writeln!(
             f,
-            "  events per worker: {:?} ({} total); {} failure(s)",
-            self.per_worker_events,
-            self.events_simulated(),
-            self.failures
+            "  {} event(s) simulated; {} failure(s)",
+            self.events_simulated, self.failures
         )?;
         writeln!(
             f,
@@ -1032,10 +1033,6 @@ mod tests {
         assert_eq!(outcome.report.compile_reuses, 5);
         assert_eq!(outcome.report.rebinds, 1);
         assert!(outcome.report.events_simulated() > 0);
-        assert_eq!(
-            outcome.report.per_worker_events.len(),
-            outcome.report.workers
-        );
         let text = outcome.report.to_string();
         assert!(text.contains("verification sweep"), "{text}");
         assert!(text.contains("rebind"), "{text}");
@@ -1124,6 +1121,41 @@ mod tests {
             Err(DesyncError::InvalidOptions(_))
         ));
         assert_eq!(outcome.report.failures, 1);
+    }
+
+    #[test]
+    fn verification_without_the_environment_model_is_an_error() {
+        use crate::pipeline::DesyncFlow;
+
+        let n = pipeline3();
+        let library = CellLibrary::generic_90nm();
+        let a = n.find_net("a").unwrap();
+        let stim = VectorSource::pseudo_random(vec![a], 3);
+        let packed = PackedVectorSource::pseudo_random(vec![a], &[3, 5]);
+        let options = DesyncOptions::default().with_environment(false);
+        // The design itself builds: only verification needs the environment.
+        let mut flow = DesyncFlow::new(&n, &library, options).unwrap();
+        assert!(!flow.design().unwrap().control_model().has_environment());
+        flow.set_verification(stim.clone(), 8);
+        assert_eq!(flow.verified(), Err(DesyncError::EnvironmentRequired));
+        assert_eq!(
+            flow.verify_packed(&packed, 8).unwrap_err(),
+            DesyncError::EnvironmentRequired
+        );
+
+        // A sweep point gets the error in its slot; the point beside it,
+        // with the environment on, still gets a verdict.
+        let service = DesyncService::with_engine(DesyncEngine::with_workers(1));
+        let requests = vec![
+            SweepRequest::new(&n, &library, options, &stim, 8),
+            SweepRequest::new(&n, &library, DesyncOptions::default(), &stim, 8),
+        ];
+        let outcome = service.run_sweep(&requests);
+        assert_eq!(outcome.results[0], Err(DesyncError::EnvironmentRequired));
+        assert!(outcome.results[1].as_ref().unwrap().is_equivalent());
+        assert_eq!(outcome.report.failures, 1);
+        let text = DesyncError::EnvironmentRequired.to_string();
+        assert!(text.contains("environment"), "{text}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::flow::DesyncDesign;
 use crate::options::DesyncOptions;
 use crate::submit::{
     AdmissionPolicy, DispatchRecord, Priority, QueueConfig, QueueCounters, QueueRequest,
-    QueueSweepRequest, ServiceQueue, SubmitOptions, TenantId,
+    QueueSweepRequest, ServiceQueue, SubmitMeta, SubmitOptions, TenantId,
 };
 use crate::verify::EquivalenceReport;
 use desync_netlist::{CellKind, CellLibrary, Netlist};
@@ -512,9 +512,11 @@ pub fn run_soak(recording: &TrafficRecording, config: &SoakConfig) -> Result<Soa
     let mut tickets = Vec::with_capacity(recording.events.len());
     for event in &recording.events {
         let netlist = Arc::clone(designs[event.design].as_ref().expect("interned above"));
-        let mut options = SubmitOptions::default()
-            .with_tenant(TenantId::new(event.tenant))
-            .with_priority(event.priority);
+        let mut options = SubmitOptions::default().with_meta(
+            SubmitMeta::new()
+                .with_tenant(TenantId::new(event.tenant))
+                .with_priority(event.priority),
+        );
         if event.expired_deadline {
             options = options.with_deadline(Duration::ZERO);
         }

@@ -1,16 +1,12 @@
-//! The unified, weight-accounted artifact store behind [`DesyncEngine`](crate::DesyncEngine).
+//! The weight-accounted artifact store behind [`DesyncEngine`](crate::DesyncEngine).
 //!
-//! Until this store existed the engine kept one unbounded `HashMap` per
-//! artifact class (four construction stages plus the sync-reference runs)
-//! behind a single mutex — fine for benches, disqualifying for a
-//! long-running service. [`ArtifactStore`] replaces all of them with one
-//! subsystem:
+//! [`ArtifactStore`] is one keyed cache of every artifact an engine (or a
+//! detached flow) shares, with exactly-once computation of each key:
 //!
 //! * **One keyed store.** Every cached value lives behind a uniform key
 //!   type (the engine's [`ArtifactKey`](crate::engine) pairs the interned
-//!   netlist/library identity with a stage prefix or simulation key). A
-//!   persisted/shared tier can later sit behind the same keys because the
-//!   netlist half is a stable structural hash.
+//!   netlist/library identity with a stage prefix or simulation key), and
+//!   every access goes through [`ArtifactStore::get_or_try_compute`].
 //! * **Weight accounting.** Values implement [`Weigh`]; the store tracks
 //!   resident weight per kind and in total, so capacity is expressed in
 //!   artifact-size units (graph nodes, table entries, trace values) rather
@@ -18,8 +14,7 @@
 //! * **LRU eviction.** With a configured capacity, inserting past the
 //!   budget evicts least-recently-used entries, in exact LRU order across
 //!   the whole store, until it fits again. Without one the store is
-//!   unbounded and behaves exactly like the old per-stage maps
-//!   (bit-identical hit patterns).
+//!   unbounded and never evicts.
 //! * **One lock.** The resident entries, the LRU clock, the per-kind
 //!   counters and the in-flight registry sit behind one mutex, so a report
 //!   is a consistent snapshot and a lookup, its miss and its in-flight
@@ -31,9 +26,8 @@
 //!   a registry of computations in progress: when several threads miss the
 //!   same key at once (a parallel verification sweep touching one design's
 //!   shared stages, say), exactly one computes and publishes while the
-//!   rest block on the in-flight cell and receive the shared value —
-//!   every artifact is computed *exactly once*, not merely "computed
-//!   redundantly but harmlessly" as with bare `get`/`insert`.
+//!   rest block on the in-flight cell and receive the shared value, so
+//!   every artifact is computed *exactly once*.
 //! * **Counters.** Hits, misses, evictions, coalesced waits and resident
 //!   weight are tracked per kind and surfaced through
 //!   [`EngineReport`](crate::EngineReport).
@@ -48,9 +42,8 @@
 //!   panic: one panicked request must not brick every later store access
 //!   in a long-running service.
 //!
-//! The store is deliberately generic over key and value so tests (and a
-//! future persisted tier) can instantiate it with toy types; the engine
-//! instantiates it with its artifact enum.
+//! The store is generic over key and value: the engine instantiates it
+//! with its artifact enum, the unit tests with toy types.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -138,8 +131,12 @@ impl<K: StoreKey, V: Clone> State<K, V> {
         Some(value)
     }
 
-    /// Publishes `value` under `key`, then evicts least-recently-used
-    /// entries while the resident weight exceeds `capacity`.
+    /// Publishes `value` under the absent `key` (only its in-flight leader
+    /// publishes a key, right after missing it), then evicts
+    /// least-recently-used entries while the resident weight exceeds
+    /// `capacity`. An artifact heavier than the whole capacity is evicted
+    /// straight away, so the resident weight never exceeds the capacity;
+    /// its publisher still holds the value.
     fn insert(&mut self, key: K, value: V, weight: usize, capacity: Option<usize>) {
         self.clock += 1;
         let kind = key.kind();
@@ -148,13 +145,9 @@ impl<K: StoreKey, V: Clone> State<K, V> {
             weight,
             tick: self.clock,
         };
-        match self.map.insert(key, entry) {
-            Some(old) => {
-                self.resident -= old.weight;
-                self.kinds[kind].resident_weight -= old.weight;
-            }
-            None => self.kinds[kind].entries += 1,
-        }
+        let previous = self.map.insert(key, entry);
+        debug_assert!(previous.is_none(), "published a resident key");
+        self.kinds[kind].entries += 1;
         self.resident += weight;
         self.kinds[kind].resident_weight += weight;
         let Some(capacity) = capacity else { return };
@@ -294,9 +287,9 @@ impl Fetched {
 /// A weight-accounted LRU cache for desynchronization artifacts.
 ///
 /// See the [module documentation](self) for the design. The store is
-/// `Sync`; `get` and `insert` take its one lock once each, and
-/// [`ArtifactStore::get_or_try_compute`] additionally coordinates racing
-/// computations of one key through an in-flight registry.
+/// `Sync`: [`ArtifactStore::get_or_try_compute`] serves every access under
+/// its one lock and coordinates racing computations of one key through an
+/// in-flight registry.
 #[derive(Debug)]
 pub struct ArtifactStore<K, V> {
     state: Mutex<State<K, V>>,
@@ -340,9 +333,9 @@ impl<K: StoreKey, V: Weigh + Clone> ArtifactStore<K, V> {
     /// exactly when this call runs `compute` (so "misses" equals actual
     /// computations no matter how many threads raced); every served call
     /// counts a hit, and a call served by waiting on an in-flight leader
-    /// additionally increments the kind's `coalesced` counter. Under a
-    /// single thread this reproduces [`ArtifactStore::get`]'s hit/miss
-    /// accounting exactly.
+    /// additionally increments the kind's `coalesced` counter. A resident
+    /// hit refreshes the key's LRU position; a failed computation publishes
+    /// nothing but keeps its miss.
     pub fn get_or_try_compute<E>(
         &self,
         key: K,
@@ -435,33 +428,6 @@ impl<K: StoreKey, V: Weigh + Clone> ArtifactStore<K, V> {
         self.lock().inflight.len()
     }
 
-    /// Looks `key` up, counting a hit or miss for its kind and refreshing
-    /// its LRU position on a hit.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let mut state = self.lock();
-        let value = state.serve(key);
-        if value.is_none() {
-            state.kinds[key.kind()].misses += 1;
-        }
-        value
-    }
-
-    /// Publishes `value` under `key`, then evicts least-recently-used
-    /// entries while the store exceeds its weight capacity.
-    ///
-    /// Replacing an existing key updates the weight accounting in place. A
-    /// single artifact heavier than the capacity is evicted straight away
-    /// (it is, by definition, too big for the cache) — correctness is
-    /// unaffected because publishers always hold their own `Arc`. The
-    /// resident weight therefore never exceeds the configured capacity.
-    pub fn insert(&self, key: K, value: V) {
-        // Unit failpoint at the publication boundary (before the lock is
-        // held, so an injected panic can never poison the store from here).
-        crate::failpoints::hit_unit("store::insert");
-        let weight = value.weight().max(1);
-        self.lock().insert(key, value, weight, self.capacity);
-    }
-
     /// Drops every resident entry. Counters keep accumulating (a clear is
     /// not an eviction).
     pub fn clear(&self) {
@@ -517,14 +483,27 @@ mod tests {
         ArtifactStore::new(2, StoreConfig { capacity })
     }
 
+    /// Looks `key` up without publishing anything: on a miss the
+    /// computation fails, so the miss is booked and nothing is inserted.
+    fn get<V: Weigh + Clone>(s: &ArtifactStore<Key, V>, key: Key) -> Option<V> {
+        s.get_or_try_compute(key, || Err(()))
+            .ok()
+            .map(|(value, _)| value)
+    }
+
+    /// Publishes `value` under the absent `key`, booking its miss.
+    fn insert<V: Weigh + Clone>(s: &ArtifactStore<Key, V>, key: Key, value: V) {
+        let (_, how) = s.get_or_try_compute(key, || Ok::<_, ()>(value)).unwrap();
+        assert_eq!(how, Fetched::Computed, "{key:?} was resident");
+    }
+
     #[test]
     fn unbounded_store_never_evicts_and_counts_hits() {
         let s = store(None);
-        assert_eq!(s.get(&Key(0, 1)), None);
-        s.insert(Key(0, 1), Blob(10));
-        s.insert(Key(1, 2), Blob(20));
-        assert_eq!(s.get(&Key(0, 1)), Some(Blob(10)));
-        assert_eq!(s.get(&Key(1, 2)), Some(Blob(20)));
+        insert(&s, Key(0, 1), Blob(10));
+        insert(&s, Key(1, 2), Blob(20));
+        assert_eq!(get(&s, Key(0, 1)), Some(Blob(10)));
+        assert_eq!(get(&s, Key(1, 2)), Some(Blob(20)));
         assert_eq!(s.resident_weight(), 30);
         let stats = s.stats();
         assert_eq!(stats.capacity, None);
@@ -540,18 +519,18 @@ mod tests {
     #[test]
     fn lru_eviction_respects_recency_and_weight() {
         let s = store(Some(30));
-        s.insert(Key(0, 1), Blob(10));
-        s.insert(Key(0, 2), Blob(10));
-        s.insert(Key(0, 3), Blob(10));
+        insert(&s, Key(0, 1), Blob(10));
+        insert(&s, Key(0, 2), Blob(10));
+        insert(&s, Key(0, 3), Blob(10));
         assert_eq!(s.resident_weight(), 30);
         // Touch key 1 so key 2 becomes the LRU victim.
-        assert!(s.get(&Key(0, 1)).is_some());
-        s.insert(Key(1, 4), Blob(10));
+        assert!(get(&s, Key(0, 1)).is_some());
+        insert(&s, Key(1, 4), Blob(10));
         assert_eq!(s.resident_weight(), 30);
-        assert_eq!(s.get(&Key(0, 2)), None, "LRU entry must be evicted");
-        assert!(s.get(&Key(0, 1)).is_some());
-        assert!(s.get(&Key(0, 3)).is_some());
-        assert!(s.get(&Key(1, 4)).is_some());
+        assert_eq!(get(&s, Key(0, 2)), None, "LRU entry must be evicted");
+        assert!(get(&s, Key(0, 1)).is_some());
+        assert!(get(&s, Key(0, 3)).is_some());
+        assert!(get(&s, Key(1, 4)).is_some());
         let stats = s.stats();
         assert_eq!(stats.kinds[0].evictions, 1);
         assert_eq!(stats.kinds[1].evictions, 0);
@@ -583,20 +562,20 @@ mod tests {
 
         let armed = Arc::new(AtomicBool::new(false));
         let s: ArtifactStore<Key, Volatile> = ArtifactStore::new(2, StoreConfig::default());
-        s.insert(Key(0, 1), Volatile(Arc::clone(&armed), 7));
-        // Arm the bomb and poison the store lock from a scratch
-        // thread: `get` clones the resident value while holding the lock.
+        insert(&s, Key(0, 1), Volatile(Arc::clone(&armed), 7));
+        // Arm the bomb and poison the store lock from a scratch thread: a
+        // hit clones the resident value while holding the lock.
         armed.store(true, Ordering::SeqCst);
         std::thread::scope(|scope| {
             let poisoner = scope.spawn(|| {
-                let _ = s.get(&Key(0, 1));
+                let _ = get(&s, Key(0, 1));
             });
             assert!(poisoner.join().is_err(), "the clone bomb must have fired");
         });
         // Every later access recovers the poisoned lock and keeps serving.
-        assert_eq!(s.get(&Key(0, 1)).map(|v| v.1), Some(7));
-        s.insert(Key(1, 2), Volatile(Arc::clone(&armed), 9));
-        assert_eq!(s.get(&Key(1, 2)).map(|v| v.1), Some(9));
+        assert_eq!(get(&s, Key(0, 1)).map(|v| v.1), Some(7));
+        insert(&s, Key(1, 2), Volatile(Arc::clone(&armed), 9));
+        assert_eq!(get(&s, Key(1, 2)).map(|v| v.1), Some(9));
         assert_eq!(s.resident_weight(), 2);
         let (value, fetched) = s
             .get_or_try_compute::<()>(Key(0, 3), || Ok(Volatile(Arc::clone(&armed), 11)))
@@ -612,28 +591,28 @@ mod tests {
     #[test]
     fn eviction_is_by_weight_not_entry_count() {
         let s = store(Some(25));
-        s.insert(Key(0, 1), Blob(10));
-        s.insert(Key(0, 2), Blob(10));
+        insert(&s, Key(0, 1), Blob(10));
+        insert(&s, Key(0, 2), Blob(10));
         // A heavy insert evicts as many light entries as needed.
-        s.insert(Key(0, 3), Blob(20));
+        insert(&s, Key(0, 3), Blob(20));
         assert!(s.resident_weight() <= 25, "{}", s.resident_weight());
-        assert!(s.get(&Key(0, 3)).is_some(), "newest entry survives");
+        assert!(get(&s, Key(0, 3)).is_some(), "newest entry survives");
         assert!(s.stats().kinds[0].evictions >= 1);
     }
 
     #[test]
     fn oversized_artifact_is_not_retained() {
         let s = store(Some(10));
-        s.insert(Key(0, 1), Blob(100));
+        insert(&s, Key(0, 1), Blob(100));
         // Too big for the cache: evicted straight away, so the capacity
-        // bound is hard. The publisher keeps its own Arc, so nothing is
+        // bound is hard. The publisher keeps its own value, so nothing is
         // lost except reuse.
-        assert_eq!(s.get(&Key(0, 1)), None);
+        assert_eq!(get(&s, Key(0, 1)), None);
         assert_eq!(s.resident_weight(), 0);
         assert_eq!(s.stats().kinds[0].evictions, 1);
         // Smaller values cache normally afterwards.
-        s.insert(Key(0, 2), Blob(5));
-        assert_eq!(s.get(&Key(0, 2)), Some(Blob(5)));
+        insert(&s, Key(0, 2), Blob(5));
+        assert_eq!(get(&s, Key(0, 2)), Some(Blob(5)));
         assert_eq!(s.resident_weight(), 5);
     }
 
@@ -641,10 +620,10 @@ mod tests {
     fn default_store_keeps_an_artifact_within_capacity() {
         let s: ArtifactStore<Key, Blob> =
             ArtifactStore::new(1, StoreConfig::default().with_capacity(1_000));
-        s.insert(Key(0, 1), Blob(500));
+        insert(&s, Key(0, 1), Blob(500));
         assert_eq!(s.resident_weight(), 500);
         assert_eq!(s.stats().total_evictions(), 0);
-        assert_eq!(s.get(&Key(0, 1)), Some(Blob(500)));
+        assert_eq!(get(&s, Key(0, 1)), Some(Blob(500)));
     }
 
     #[test]
@@ -652,51 +631,40 @@ mod tests {
         let s: ArtifactStore<Key, Blob> =
             ArtifactStore::new(1, StoreConfig::default().with_capacity(80));
         for id in 0..8 {
-            s.insert(Key(0, id), Blob(10));
+            insert(&s, Key(0, id), Blob(10));
         }
         assert_eq!(s.resident_weight(), 80);
         assert_eq!(s.stats().total_evictions(), 0);
         // Touch every key but 3, so 3 is the least recently used.
         for id in (0..8).filter(|&id| id != 3) {
-            assert!(s.get(&Key(0, id)).is_some());
+            assert!(get(&s, Key(0, id)).is_some());
         }
-        s.insert(Key(0, 8), Blob(10));
+        insert(&s, Key(0, 8), Blob(10));
         assert_eq!(s.stats().total_evictions(), 1);
-        assert_eq!(s.get(&Key(0, 3)), None, "the untouched key is the victim");
+        assert_eq!(get(&s, Key(0, 3)), None, "the untouched key is the victim");
         for id in (0..9).filter(|&id| id != 3) {
-            assert!(s.get(&Key(0, id)).is_some(), "key {id} must stay");
+            assert!(get(&s, Key(0, id)).is_some(), "key {id} must stay");
         }
-    }
-
-    #[test]
-    fn replacing_a_key_updates_weight_in_place() {
-        let s = store(None);
-        s.insert(Key(0, 1), Blob(10));
-        s.insert(Key(0, 1), Blob(30));
-        assert_eq!(s.resident_weight(), 30);
-        let stats = s.stats();
-        assert_eq!(stats.kinds[0].entries, 1);
-        assert_eq!(stats.kinds[0].evictions, 0);
     }
 
     #[test]
     fn clear_drops_entries_but_keeps_counters() {
         let s = store(None);
-        s.insert(Key(0, 1), Blob(10));
-        assert!(s.get(&Key(0, 1)).is_some());
+        insert(&s, Key(0, 1), Blob(10));
+        assert!(get(&s, Key(0, 1)).is_some());
         s.clear();
         assert_eq!(s.resident_weight(), 0);
-        assert_eq!(s.get(&Key(0, 1)), None);
         let stats = s.stats();
         assert_eq!(stats.kinds[0].entries, 0);
         assert_eq!(stats.kinds[0].hits, 1);
         assert_eq!(stats.kinds[0].misses, 1);
+        assert_eq!(get(&s, Key(0, 1)), None);
     }
 
     #[test]
     fn zero_weight_values_cost_at_least_one_unit() {
         let s = store(None);
-        s.insert(Key(0, 1), Blob(0));
+        insert(&s, Key(0, 1), Blob(0));
         assert_eq!(s.resident_weight(), 1);
     }
 

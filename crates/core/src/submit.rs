@@ -616,8 +616,8 @@ impl Work for QueueCampaignRequest {
 
 /// The resolution of one campaign point: the per-lane verdicts plus the
 /// scalar-equivalent lane events its simulations committed (the word-level
-/// committed events are booked into [`ServiceQueue::worker_events`], same
-/// as scalar sweep points — one word commit carries all lanes).
+/// committed events are booked into [`ServiceQueue::events_simulated`],
+/// same as scalar sweep points — one word commit carries all lanes).
 #[derive(Debug, Clone)]
 pub struct CampaignPointOutcome {
     /// The merged per-lane equivalence report.
@@ -664,18 +664,6 @@ impl SubmitOptions {
     /// Returns the options with a full scheduling tag.
     pub fn with_meta(mut self, meta: SubmitMeta) -> Self {
         self.meta = meta;
-        self
-    }
-
-    /// Returns the options tagged with a tenant.
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.meta.tenant = tenant;
-        self
-    }
-
-    /// Returns the options tagged with a priority lane.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.meta.priority = priority;
         self
     }
 }
@@ -898,8 +886,7 @@ pub struct QueueCounters {
 /// wrappers' reports depend on this.
 struct Job {
     /// Executes the request, updates the counters, resolves its ticket.
-    /// Receives the shared queue state and the worker index.
-    run: JobRun,
+    run: Box<dyn FnOnce(&QueueShared) + Send>,
     /// Resolves the ticket with an error without executing (pre-pickup
     /// interrupt, drain-cancel, panic containment). Does not touch
     /// counters — callers bump the appropriate one first.
@@ -912,9 +899,6 @@ struct Job {
     priority: Priority,
 }
 
-/// A [`Job`]'s executable body: `(shared, worker_index)`.
-type JobRun = Box<dyn FnOnce(&QueueShared, usize) + Send>;
-
 /// A job waiting in one (tenant, lane) FIFO, stamped with its admission
 /// sequence number and the logical enqueue tick.
 struct PendingJob {
@@ -923,85 +907,20 @@ struct PendingJob {
     enqueue_tick: u64,
 }
 
-/// Per-tenant scheduler state: one FIFO and one DRR deficit per lane,
-/// plus the tenant's counters.
+/// Per-tenant scheduler state: one FIFO per lane plus the tenant's counter
+/// row, which also holds the scheduling state it reports (pending depth and
+/// the per-lane DRR deficit).
 struct TenantSched {
-    id: TenantId,
     queues: [VecDeque<PendingJob>; Priority::LANES],
-    deficit: [u64; Priority::LANES],
-    pending: usize,
-    high_water: usize,
-    submitted: usize,
-    dispatched: usize,
-    completed: usize,
-    shed: usize,
-    cancelled: usize,
-    deadline_exceeded: usize,
-    panics_contained: usize,
-    wait_ticks: u64,
-    max_wait_ticks: u64,
-}
-
-impl TenantSched {
-    fn new(id: TenantId) -> Self {
-        Self {
-            id,
-            queues: std::array::from_fn(|_| VecDeque::new()),
-            deficit: [0; Priority::LANES],
-            pending: 0,
-            high_water: 0,
-            submitted: 0,
-            dispatched: 0,
-            completed: 0,
-            shed: 0,
-            cancelled: 0,
-            deadline_exceeded: 0,
-            panics_contained: 0,
-            wait_ticks: 0,
-            max_wait_ticks: 0,
-        }
-    }
-
-    fn counters(&self) -> TenantCounters {
-        TenantCounters {
-            tenant: self.id,
-            submitted: self.submitted,
-            dispatched: self.dispatched,
-            completed: self.completed,
-            shed: self.shed,
-            cancelled: self.cancelled,
-            deadline_exceeded: self.deadline_exceeded,
-            panics_contained: self.panics_contained,
-            pending: self.pending,
-            high_water: self.high_water,
-            wait_ticks: self.wait_ticks,
-            max_wait_ticks: self.max_wait_ticks,
-            deficit: self.deficit,
-        }
-    }
+    counters: TenantCounters,
 }
 
 /// Per-lane scheduler state: the DRR ring of tenants with pending work in
 /// this lane (invariant: a tenant index is in `active` iff its queue for
-/// this lane is non-empty), plus the lane's counters.
+/// this lane is non-empty), plus the lane's counter row.
 struct LaneSched {
     active: VecDeque<usize>,
-    submitted: usize,
-    dispatched: usize,
-    aged_promotions: usize,
-    max_wait_ticks: u64,
-}
-
-impl LaneSched {
-    fn new() -> Self {
-        Self {
-            active: VecDeque::new(),
-            submitted: 0,
-            dispatched: 0,
-            aged_promotions: 0,
-            max_wait_ticks: 0,
-        }
-    }
+    counters: LaneCounters,
 }
 
 /// The deterministic dispatcher: strict priority lanes over per-tenant
@@ -1027,7 +946,16 @@ impl Scheduler {
             aging_bound: aging_bound.map(|b| b as u64),
             tenants: Vec::new(),
             index: HashMap::new(),
-            lanes: std::array::from_fn(|_| LaneSched::new()),
+            lanes: std::array::from_fn(|lane| LaneSched {
+                active: VecDeque::new(),
+                counters: LaneCounters {
+                    priority: Priority::from_lane(lane),
+                    submitted: 0,
+                    dispatched: 0,
+                    aged_promotions: 0,
+                    max_wait_ticks: 0,
+                },
+            }),
             pending_total: 0,
             next_seq: 0,
             tick: 0,
@@ -1041,13 +969,15 @@ impl Scheduler {
         if let Some(&i) = self.index.get(&id.id()) {
             return i;
         }
-        self.tenants.push(TenantSched::new(id));
+        self.tenants.push(TenantSched {
+            queues: std::array::from_fn(|_| VecDeque::new()),
+            counters: TenantCounters {
+                tenant: id,
+                ..TenantCounters::default()
+            },
+        });
         self.index.insert(id.id(), self.tenants.len() - 1);
         self.tenants.len() - 1
-    }
-
-    fn pending(&self) -> usize {
-        self.pending_total
     }
 
     /// Admits `job` into its (tenant, lane) FIFO.
@@ -1066,10 +996,11 @@ impl Scheduler {
             seq,
             enqueue_tick,
         });
-        tenant.pending += 1;
-        tenant.high_water = tenant.high_water.max(tenant.pending);
-        tenant.submitted += 1;
-        self.lanes[lane].submitted += 1;
+        let counters = &mut tenant.counters;
+        counters.pending += 1;
+        counters.high_water = counters.high_water.max(counters.pending);
+        counters.submitted += 1;
+        self.lanes[lane].counters.submitted += 1;
         self.pending_total += 1;
     }
 
@@ -1129,26 +1060,27 @@ impl Scheduler {
                 .pop_front()
                 .expect("aged candidate has a queue front");
             if tenant.queues[lane].is_empty() {
-                tenant.deficit[lane] = 0;
+                tenant.counters.deficit[lane] = 0;
                 if let Some(pos) = self.lanes[lane].active.iter().position(|&x| x == ti) {
                     self.lanes[lane].active.remove(pos);
                 }
             }
-            self.lanes[lane].aged_promotions += 1;
+            self.lanes[lane].counters.aged_promotions += 1;
             pending
         } else {
             let tenant = &mut self.tenants[ti];
-            if tenant.deficit[lane] == 0 {
-                tenant.deficit[lane] = self.quantum;
+            let deficit = &mut tenant.counters.deficit[lane];
+            if *deficit == 0 {
+                *deficit = self.quantum;
             }
             let pending = tenant.queues[lane]
                 .pop_front()
                 .expect("active ring invariant: non-empty lane queue");
-            tenant.deficit[lane] -= 1;
+            *deficit -= 1;
             if tenant.queues[lane].is_empty() {
-                tenant.deficit[lane] = 0;
+                *deficit = 0;
                 self.lanes[lane].active.pop_front();
-            } else if tenant.deficit[lane] == 0 {
+            } else if *deficit == 0 {
                 // Quantum exhausted: rotate the tenant to the ring's back.
                 let front = self.lanes[lane]
                     .active
@@ -1160,18 +1092,19 @@ impl Scheduler {
         };
 
         let wait = self.tick - pending.enqueue_tick;
-        let tenant = &mut self.tenants[ti];
+        let tenant = &mut self.tenants[ti].counters;
         tenant.pending -= 1;
         tenant.dispatched += 1;
         tenant.wait_ticks += wait;
         tenant.max_wait_ticks = tenant.max_wait_ticks.max(wait);
-        self.lanes[lane].dispatched += 1;
-        self.lanes[lane].max_wait_ticks = self.lanes[lane].max_wait_ticks.max(wait);
+        let lane_counters = &mut self.lanes[lane].counters;
+        lane_counters.dispatched += 1;
+        lane_counters.max_wait_ticks = lane_counters.max_wait_ticks.max(wait);
         self.pending_total -= 1;
         self.tick += 1;
         let record = DispatchRecord {
             seq: pending.seq,
-            tenant: tenant.id,
+            tenant: tenant.tenant,
             priority: pending.job.priority,
             wait_ticks: wait,
             aged,
@@ -1187,8 +1120,8 @@ impl Scheduler {
             for lane in 0..Priority::LANES {
                 all.extend(tenant.queues[lane].drain(..));
             }
-            tenant.deficit = [0; Priority::LANES];
-            tenant.pending = 0;
+            tenant.counters.deficit = [0; Priority::LANES];
+            tenant.counters.pending = 0;
         }
         for lane in &mut self.lanes {
             lane.active.clear();
@@ -1196,23 +1129,6 @@ impl Scheduler {
         self.pending_total = 0;
         all.sort_by_key(|p| p.seq);
         all.into_iter().map(|p| p.job).collect()
-    }
-
-    fn tenant_counters(&self) -> Vec<TenantCounters> {
-        self.tenants.iter().map(TenantSched::counters).collect()
-    }
-
-    fn lane_counters(&self) -> Vec<LaneCounters> {
-        (0..Priority::LANES)
-            .rev()
-            .map(|lane| LaneCounters {
-                priority: Priority::from_lane(lane),
-                submitted: self.lanes[lane].submitted,
-                dispatched: self.lanes[lane].dispatched,
-                aged_promotions: self.lanes[lane].aged_promotions,
-                max_wait_ticks: self.lanes[lane].max_wait_ticks,
-            })
-            .collect()
     }
 }
 
@@ -1227,9 +1143,9 @@ struct QueueShared {
     depth: Option<usize>,
     admission: AdmissionPolicy,
     tenant_quota: Option<usize>,
-    /// Word-level simulation events committed per worker (sweep and
-    /// campaign points; design requests simulate nothing).
-    worker_events: Vec<AtomicUsize>,
+    /// Word-level simulation events committed by sweep and campaign points
+    /// (design requests simulate nothing).
+    events_simulated: AtomicUsize,
 }
 
 struct QueueState {
@@ -1248,11 +1164,22 @@ impl QueueShared {
     /// Bumps one of `tenant`'s counters under the state lock. The tenant
     /// is always registered (it was registered at admission), but a
     /// missing entry is tolerated rather than panicking in a worker.
-    fn bump_tenant(&self, tenant: TenantId, bump: impl FnOnce(&mut TenantSched)) {
+    fn bump_tenant(&self, tenant: TenantId, bump: impl FnOnce(&mut TenantCounters)) {
         let mut state = self.lock_state();
         if let Some(&i) = state.sched.index.get(&tenant.id()) {
-            bump(&mut state.sched.tenants[i]);
+            bump(&mut state.sched.tenants[i].counters);
         }
+    }
+
+    /// Books a resolution on `tenant`'s counter row: a cancellation or an
+    /// expired deadline by its kind, any other outcome (a result or a typed
+    /// per-request error) as completed.
+    fn book(&self, tenant: TenantId, error: Option<&DesyncError>) {
+        self.bump_tenant(tenant, |t| match error {
+            Some(DesyncError::Cancelled) => t.cancelled += 1,
+            Some(DesyncError::DeadlineExceeded) => t.deadline_exceeded += 1,
+            _ => t.completed += 1,
+        });
     }
 }
 
@@ -1293,14 +1220,14 @@ impl ServiceQueue {
             depth: config.depth,
             admission: config.admission,
             tenant_quota: config.tenant_quota,
-            worker_events: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
+            events_simulated: AtomicUsize::new(0),
         });
         let workers = (0..workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("desync-request-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning queue worker")
             })
             .collect();
@@ -1387,7 +1314,7 @@ impl ServiceQueue {
                 // The queue is shutting down: nothing will ever drain this
                 // request, so it must resolve now — never enqueue, never
                 // keep a submitter parked.
-                state.sched.tenants[ti].cancelled += 1;
+                state.sched.tenants[ti].counters.cancelled += 1;
                 drop(state);
                 cell.resolve(Err(DesyncError::Cancelled));
                 return handle;
@@ -1395,24 +1322,24 @@ impl ServiceQueue {
             let global_full = self
                 .shared
                 .depth
-                .is_some_and(|bound| state.sched.pending() >= bound);
+                .is_some_and(|bound| state.sched.pending_total >= bound);
             let tenant_full = self
                 .shared
                 .tenant_quota
-                .is_some_and(|quota| state.sched.tenants[ti].pending >= quota);
+                .is_some_and(|quota| state.sched.tenants[ti].counters.pending >= quota);
             if !global_full && !tenant_full {
                 break;
             }
             match self.shared.admission {
                 AdmissionPolicy::RejectNew => {
                     let error = DesyncError::QueueFull {
-                        depth: state.sched.pending(),
+                        depth: state.sched.pending_total,
                         capacity: self.shared.depth,
                         tenant: meta.tenant,
-                        tenant_depth: state.sched.tenants[ti].pending,
+                        tenant_depth: state.sched.tenants[ti].counters.pending,
                         tenant_quota: self.shared.tenant_quota,
                     };
-                    state.sched.tenants[ti].shed += 1;
+                    state.sched.tenants[ti].counters.shed += 1;
                     drop(state);
                     cell.resolve(Err(error));
                     return handle;
@@ -1432,28 +1359,17 @@ impl ServiceQueue {
         let fail_cell = Arc::clone(&cell);
         let tenant = meta.tenant;
         state.sched.enqueue(Job {
-            run: Box::new(move |shared: &QueueShared, worker: usize| {
+            run: Box::new(move |shared: &QueueShared| {
                 let executed =
                     failpoints::with_tag(tag, || execute(&shared.engine, &request, &run_interrupt));
-                let (result, simulated) = match executed {
-                    Ok((output, simulated)) => (Ok(output), simulated),
-                    Err(error) => (Err(error), 0),
-                };
                 // Counters strictly before resolution (see `Job` docs).
-                match &result {
-                    Err(DesyncError::Cancelled) => {
-                        shared.bump_tenant(tenant, |t| t.cancelled += 1);
-                    }
-                    Err(DesyncError::DeadlineExceeded) => {
-                        shared.bump_tenant(tenant, |t| t.deadline_exceeded += 1);
-                    }
-                    _ => {
-                        shared.bump_tenant(tenant, |t| t.completed += 1);
-                        if simulated > 0 {
-                            shared.worker_events[worker].fetch_add(simulated, Ordering::SeqCst);
-                        }
-                    }
-                }
+                shared.book(tenant, executed.as_ref().err());
+                let result = executed.map(|(output, simulated)| {
+                    shared
+                        .events_simulated
+                        .fetch_add(simulated, Ordering::SeqCst);
+                    output
+                });
                 run_cell.resolve(result);
             }),
             fail: Box::new(move |error| fail_cell.resolve(Err(error))),
@@ -1461,7 +1377,7 @@ impl ServiceQueue {
             tenant: meta.tenant,
             priority: meta.priority,
         });
-        state.high_water = state.high_water.max(state.sched.pending());
+        state.high_water = state.high_water.max(state.sched.pending_total);
         drop(state);
         self.shared.jobs_ready.notify_one();
         handle
@@ -1491,10 +1407,21 @@ impl ServiceQueue {
         let (depth, high_water, tenants, lanes) = {
             let state = self.shared.lock_state();
             (
-                state.sched.pending(),
+                state.sched.pending_total,
                 state.high_water,
-                state.sched.tenant_counters(),
-                state.sched.lane_counters(),
+                state
+                    .sched
+                    .tenants
+                    .iter()
+                    .map(|t| t.counters.clone())
+                    .collect::<Vec<_>>(),
+                state
+                    .sched
+                    .lanes
+                    .iter()
+                    .rev()
+                    .map(|l| l.counters.clone())
+                    .collect(),
             )
         };
         let total = |count: fn(&TenantCounters) -> usize| tenants.iter().map(count).sum();
@@ -1521,16 +1448,11 @@ impl ServiceQueue {
         self.shared.lock_state().dispatch_log.clone()
     }
 
-    /// Word-level simulation events committed per worker by sweep and
-    /// campaign points (one packed word event carries every lane), indexed
-    /// by worker. The total is scheduling-independent; the split shows the
-    /// load balance.
-    pub fn worker_events(&self) -> Vec<usize> {
-        self.shared
-            .worker_events
-            .iter()
-            .map(|e| e.load(Ordering::SeqCst))
-            .collect()
+    /// Word-level simulation events committed by sweep and campaign points
+    /// (one packed word event carries every lane). Scheduling-independent:
+    /// the same requests commit the same events on any worker count.
+    pub fn events_simulated(&self) -> usize {
+        self.shared.events_simulated.load(Ordering::SeqCst)
     }
 
     /// Shuts the queue down immediately: every queued-but-unstarted
@@ -1550,7 +1472,7 @@ impl ServiceQueue {
             let drained = state.sched.drain();
             for job in &drained {
                 if let Some(&i) = state.sched.index.get(&job.tenant.id()) {
-                    state.sched.tenants[i].cancelled += 1;
+                    state.sched.tenants[i].counters.cancelled += 1;
                 }
             }
             drained
@@ -1595,7 +1517,7 @@ fn execute<W: Work>(
     request.step(&mut flow)
 }
 
-fn worker_loop(shared: &QueueShared, index: usize) {
+fn worker_loop(shared: &QueueShared) {
     loop {
         let job = {
             let mut state = shared.lock_state();
@@ -1624,10 +1546,7 @@ fn worker_loop(shared: &QueueShared, index: usize) {
         // queued never touches the engine. Counters before resolution.
         let tenant = job.tenant;
         if let Err(error) = job.interrupt.check() {
-            match &error {
-                DesyncError::Cancelled => shared.bump_tenant(tenant, |t| t.cancelled += 1),
-                _ => shared.bump_tenant(tenant, |t| t.deadline_exceeded += 1),
-            }
+            shared.book(tenant, Some(&error));
             (job.fail)(error);
             continue;
         }
@@ -1639,7 +1558,7 @@ fn worker_loop(shared: &QueueShared, index: usize) {
         stage_trace::clear();
         let run = job.run;
         if let Err(payload) =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || run(shared, index)))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || run(shared)))
         {
             shared.bump_tenant(tenant, |t| t.panics_contained += 1);
             let stage = stage_trace::take().unwrap_or("request");

@@ -163,7 +163,8 @@ fn sync_run<L: Lanes>(
 ///
 /// The desynchronized run uses the latch-enable schedule derived from the
 /// timed control model, with the environment applying input vector *k*
-/// right after the *k*-th capture of the input-fed master latches. Every
+/// when its slave opens for the *k*-th time, after every input-fed master
+/// latch captured item *k*. Every
 /// point of a protocol × margin sweep binds its enable schedule onto one
 /// shared [`CompiledModel`] instead of recompiling the latch netlist.
 ///
@@ -206,7 +207,7 @@ pub fn verify_flow_equivalence_with_parts(
 }
 
 /// The desynchronized run at lane width `L`: enables from the control
-/// model, inputs retimed to the captures of the input-fed master latches.
+/// model, inputs applied at the environment controller's slave openings.
 ///
 /// The schedule starts only after the simulator has had one full
 /// synchronous period to settle the combinational logic from the reset

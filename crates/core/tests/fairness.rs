@@ -45,9 +45,11 @@ fn request(engine: &DesyncEngine, netlist: &Netlist, library: &CellLibrary) -> Q
 }
 
 fn tagged(tenant: u32, priority: Priority) -> SubmitOptions {
-    SubmitOptions::new()
-        .with_tenant(TenantId::new(tenant))
-        .with_priority(priority)
+    SubmitOptions::new().with_meta(
+        SubmitMeta::new()
+            .with_tenant(TenantId::new(tenant))
+            .with_priority(priority),
+    )
 }
 
 const WAIT: Duration = Duration::from_secs(120);

@@ -298,7 +298,10 @@ impl<'a> Sta<'a> {
     /// (flip-flop or latch), measured from all register outputs and primary
     /// inputs.
     pub fn stage_delays(&self) -> Vec<StageDelay> {
-        let arrival = self.arrival_all();
+        self.stage_delays_in(&self.arrival_all())
+    }
+
+    fn stage_delays_in(&self, arrival: &[Option<f64>]) -> Vec<StageDelay> {
         self.netlist
             .cells()
             .filter(|(_, c)| c.kind == CellKind::Dff || c.kind.is_latch())
@@ -323,7 +326,10 @@ impl<'a> Sta<'a> {
 
     /// The worst combinational delay to any primary output.
     pub fn output_delay(&self) -> f64 {
-        let arrival = self.arrival_all();
+        self.output_delay_in(&self.arrival_all())
+    }
+
+    fn output_delay_in(&self, arrival: &[Option<f64>]) -> f64 {
         self.netlist
             .outputs()
             .iter()
@@ -332,14 +338,16 @@ impl<'a> Sta<'a> {
     }
 
     /// The minimum clock period of the synchronous (flip-flop based)
-    /// netlist: worst stage delay plus clock-to-Q and setup.
+    /// netlist: worst stage delay plus clock-to-Q and setup. Both maxima
+    /// come from one arrival walk.
     pub fn clock_period(&self) -> f64 {
+        let arrival = self.arrival_all();
         let worst_stage = self
-            .stage_delays()
+            .stage_delays_in(&arrival)
             .iter()
             .map(|s| s.delay_ps)
             .fold(0.0, f64::max)
-            .max(self.output_delay());
+            .max(self.output_delay_in(&arrival));
         self.config.clk_to_q_ps + worst_stage + self.config.setup_ps
     }
 }
