@@ -11,9 +11,8 @@
 
 use crate::options::ClusteringStrategy;
 use desync_netlist::analysis::SequentialGraph;
-use desync_netlist::{CellId, Netlist};
+use desync_netlist::{CellId, FxHashSet, Netlist};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The phase of a latch in the two-phase master/slave decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -90,10 +89,10 @@ pub struct ClusterGraph {
 
 /// Derives the cluster name of a register instance name: everything before
 /// the final `[index]` suffix, or the whole name when there is none.
-pub fn cluster_name_of(instance: &str) -> String {
+pub fn cluster_name_of(instance: &str) -> &str {
     match instance.rfind('[') {
-        Some(pos) if instance.ends_with(']') => instance[..pos].to_string(),
-        _ => instance.to_string(),
+        Some(pos) if instance.ends_with(']') => &instance[..pos],
+        _ => instance,
     }
 }
 
@@ -102,53 +101,62 @@ impl ClusterGraph {
     ///
     /// Only D flip-flops are clustered (the input netlist of the flow is a
     /// pure flip-flop design); the per-register connectivity comes from
-    /// [`SequentialGraph::build`].
+    /// [`SequentialGraph::build`]. Clusters are ordered by name, and each
+    /// cluster's registers by cell id.
     pub fn build(netlist: &Netlist, strategy: ClusteringStrategy) -> Self {
         let seq = SequentialGraph::build(netlist);
-        // Assign each register to a cluster key.
-        let mut key_of: HashMap<CellId, String> = HashMap::new();
-        for &reg in &seq.registers {
-            let name = &netlist.cell(reg).name;
-            let key = match strategy {
-                ClusteringStrategy::PerRegister => name.to_string(),
-                ClusteringStrategy::ByNamePrefix => cluster_name_of(name.as_str()),
-            };
-            key_of.insert(reg, key);
-        }
-        // Deterministic cluster ordering by key.
-        let mut grouped: BTreeMap<String, Vec<CellId>> = BTreeMap::new();
-        for &reg in &seq.registers {
-            grouped.entry(key_of[&reg].clone()).or_default().push(reg);
-        }
-        let clusters: Vec<Cluster> = grouped
-            .into_iter()
-            .map(|(name, registers)| Cluster { name, registers })
-            .collect();
-        let index_of: HashMap<CellId, usize> = clusters
+        // Each register's cluster key, a slice of its interned name, beside
+        // its id: sorting the pairs orders the clusters by key and keeps
+        // each cluster's registers in id order.
+        let mut keyed: Vec<(&'static str, CellId)> = seq
+            .registers
             .iter()
-            .enumerate()
-            .flat_map(|(i, c)| c.registers.iter().map(move |&r| (r, i)))
+            .map(|&reg| {
+                let name = netlist.cell(reg).name.as_str();
+                let key = match strategy {
+                    ClusteringStrategy::PerRegister => name,
+                    ClusteringStrategy::ByNamePrefix => cluster_name_of(name),
+                };
+                (key, reg)
+            })
             .collect();
+        keyed.sort_unstable();
+        let mut clusters = Vec::new();
+        // Cluster index per cell id.
+        let mut index_of = vec![None; netlist.num_cells()];
+        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, reg) in group {
+                index_of[reg.index()] = Some(clusters.len());
+            }
+            clusters.push(Cluster {
+                name: group[0].0.to_string(),
+                registers: group.iter().map(|&(_, reg)| reg).collect(),
+            });
+        }
+
+        let cluster_of = |reg: CellId| -> usize {
+            index_of[reg.index()].expect("sequential cell is a clustered register")
+        };
 
         // First-seen order, deduplicated through a set beside the list.
         let mut edges = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         for e in &seq.edges {
             let edge = ClusterEdge {
-                from: index_of[&e.from],
-                to: index_of[&e.to],
+                from: cluster_of(e.from),
+                to: cluster_of(e.to),
             };
             if seen.insert(edge) {
                 edges.push(edge);
             }
         }
         let mut input_fed = vec![false; clusters.len()];
-        for reg in &seq.fed_by_inputs {
-            input_fed[index_of[reg]] = true;
+        for &reg in &seq.fed_by_inputs {
+            input_fed[cluster_of(reg)] = true;
         }
         let mut output_feeding = vec![false; clusters.len()];
-        for reg in &seq.feeding_outputs {
-            output_feeding[index_of[reg]] = true;
+        for &reg in &seq.feeding_outputs {
+            output_feeding[cluster_of(reg)] = true;
         }
         Self {
             clusters,

@@ -17,21 +17,23 @@
 
 use crate::cluster::ClusterGraph;
 use crate::error::DesyncError;
-use desync_netlist::{CellId, NetId, Netlist};
+use desync_netlist::{CellId, NetId, Netlist, Symbol};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The master/slave latch pair created from one flip-flop.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatchPair {
     /// The original flip-flop (cell id in the *original* netlist).
     pub register: CellId,
-    /// Instance name of the original flip-flop.
-    pub register_name: String,
-    /// Instance name of the master (even) latch in the converted netlist.
-    pub master: String,
-    /// Instance name of the slave (odd) latch in the converted netlist.
-    pub slave: String,
+    /// Instance name of the original flip-flop, as the interned symbol the
+    /// source netlist holds ([`Symbol::as_str`] gives the string).
+    pub register_name: Symbol,
+    /// Instance name of the master (even) latch in the converted netlist:
+    /// `<register_name>__m`, interned.
+    pub master: Symbol,
+    /// Instance name of the slave (odd) latch in the converted netlist:
+    /// `<register_name>__s`, interned.
+    pub slave: Symbol,
     /// Index of the cluster the pair belongs to.
     pub cluster: usize,
 }
@@ -94,10 +96,7 @@ impl crate::store::Weigh for LatchDesign {
 /// clock) and outputs, plus all combinational cells of `source` into a new
 /// netlist.
 fn copy_combinational_skeleton(source: &Netlist, name: &str, skip_input: Option<NetId>) -> Netlist {
-    let mut out = Netlist::new(name.to_string());
-    for (_, net) in source.nets() {
-        out.add_net(net.name);
-    }
+    let mut out = source.with_nets_of(name);
     for &input in source.inputs() {
         if Some(input) != skip_input {
             out.mark_input(input);
@@ -115,6 +114,26 @@ fn copy_combinational_skeleton(source: &Netlist, name: &str, skip_input: Option<
     out
 }
 
+/// Interns the concatenation of `parts`, written into the reused buffer
+/// `buf` instead of a fresh `String`.
+fn intern_joined(buf: &mut String, parts: &[&str]) -> Symbol {
+    buf.clear();
+    parts.iter().for_each(|part| buf.push_str(part));
+    Symbol::intern(buf)
+}
+
+/// The interned names of the latch pair replacing flip-flop `register`:
+/// its middle net `<register>__mq`, master `<register>__m` and slave
+/// `<register>__s`.
+fn pair_names(register: Symbol, buf: &mut String) -> (Symbol, Symbol, Symbol) {
+    let base = register.as_str();
+    (
+        intern_joined(buf, &[base, "__mq"]),
+        intern_joined(buf, &[base, "__m"]),
+        intern_joined(buf, &[base, "__s"]),
+    )
+}
+
 /// Converts a flip-flop netlist into the latch-based **synchronous** circuit
 /// of paper Figure 1(b): master latches transparent when the clock is low,
 /// slave latches transparent when it is high, both driven by the original
@@ -129,12 +148,12 @@ pub fn to_latch_synchronous(source: &Netlist) -> Result<Netlist, DesyncError> {
     check_input(source)?;
     let clk = source.single_clock().map_err(DesyncError::Netlist)?;
     let mut out = copy_combinational_skeleton(source, &format!("{}_latched", source.name()), None);
+    let mut buf = String::new();
     for (_, cell) in source.flip_flops() {
-        let d = cell.inputs[0];
-        let q = cell.output;
-        let mid = out.add_net(format!("{}__mq", cell.name));
-        out.add_latch(format!("{}__m", cell.name), d, clk, mid, false)?;
-        out.add_latch(format!("{}__s", cell.name), mid, clk, q, true)?;
+        let (mid, master, slave) = pair_names(cell.name, &mut buf);
+        let mid = out.add_net(mid);
+        out.add_latch(master, cell.inputs[0], clk, mid, false)?;
+        out.add_latch(slave, mid, clk, cell.output, true)?;
     }
     Ok(out)
 }
@@ -159,11 +178,12 @@ pub fn to_desynchronized_datapath(
         copy_combinational_skeleton(source, &format!("{}_desync", source.name()), Some(clk));
 
     // One enable-net pair per cluster, exported as primary inputs.
+    let mut buf = String::new();
     let mut cluster_enables = Vec::with_capacity(clusters.len());
     let mut enables: Vec<(NetId, NetId)> = Vec::with_capacity(clusters.len());
     for cluster in &clusters.clusters {
-        let m = netlist.add_input(format!("en_{}_m", cluster.name));
-        let s = netlist.add_input(format!("en_{}_s", cluster.name));
+        let m = netlist.add_input(intern_joined(&mut buf, &["en_", &cluster.name, "_m"]));
+        let s = netlist.add_input(intern_joined(&mut buf, &["en_", &cluster.name, "_s"]));
         cluster_enables.push((
             cluster.name.clone(),
             netlist.net(m).name.to_string(),
@@ -171,32 +191,33 @@ pub fn to_desynchronized_datapath(
         ));
         enables.push((m, s));
     }
-    let cluster_of: HashMap<CellId, usize> = clusters
-        .clusters
-        .iter()
-        .enumerate()
-        .flat_map(|(i, c)| c.registers.iter().map(move |&r| (r, i)))
-        .collect();
+    // Cluster index per cell id of the source (a graph of another netlist
+    // may name ids past its end; those cover none of its flip-flops).
+    let mut cluster_of = vec![None; source.num_cells()];
+    for (i, cluster) in clusters.clusters.iter().enumerate() {
+        for &r in &cluster.registers {
+            if let Some(slot) = cluster_of.get_mut(r.index()) {
+                *slot = Some(i);
+            }
+        }
+    }
 
-    let mut pairs = Vec::new();
+    let mut pairs = Vec::with_capacity(source.num_flip_flops());
     for (id, cell) in source.flip_flops() {
-        let Some(&cluster) = cluster_of.get(&id) else {
+        let Some(cluster) = cluster_of[id.index()] else {
             return Err(DesyncError::ModelCheck(format!(
                 "flip-flop `{}` is not covered by any cluster",
                 cell.name
             )));
         };
         let (en_m, en_s) = enables[cluster];
-        let d = cell.inputs[0];
-        let q = cell.output;
-        let mid = netlist.add_net(format!("{}__mq", cell.name));
-        let master = format!("{}__m", cell.name);
-        let slave = format!("{}__s", cell.name);
-        netlist.add_latch(&master, d, en_m, mid, true)?;
-        netlist.add_latch(&slave, mid, en_s, q, true)?;
+        let (mid, master, slave) = pair_names(cell.name, &mut buf);
+        let mid = netlist.add_net(mid);
+        netlist.add_latch(master, cell.inputs[0], en_m, mid, true)?;
+        netlist.add_latch(slave, mid, en_s, cell.output, true)?;
         pairs.push(LatchPair {
             register: id,
-            register_name: cell.name.to_string(),
+            register_name: cell.name,
             master,
             slave,
             cluster,
@@ -321,6 +342,30 @@ mod tests {
         assert!(matches!(
             to_latch_synchronous(&bad).unwrap_err(),
             DesyncError::Netlist(_)
+        ));
+    }
+
+    /// A cluster graph built from another netlist may name cell ids past
+    /// the end of this one: they cover nothing, so the uncovered
+    /// flip-flops are an error rather than an out-of-range panic.
+    #[test]
+    fn clusters_of_a_larger_netlist_cover_nothing() {
+        let mut big = Netlist::new("big");
+        let clk = big.add_input("clk");
+        let mut net = big.add_input("a");
+        for i in 0..4 {
+            let y = big.add_net(format!("y{i}"));
+            big.add_gate(format!("g{i}"), CellKind::Not, &[net], y)
+                .unwrap();
+            net = y;
+        }
+        let q = big.add_output("q");
+        big.add_dff("late", net, clk, q).unwrap();
+        let clusters = ClusterGraph::build(&big, ClusteringStrategy::PerRegister);
+        assert_eq!(clusters.clusters[0].registers, vec![CellId(4)]);
+        assert!(matches!(
+            to_desynchronized_datapath(&pipeline2(), &clusters),
+            Err(DesyncError::ModelCheck(_))
         ));
     }
 

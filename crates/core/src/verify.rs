@@ -252,8 +252,8 @@ fn compare_renamed(
 ) -> (FlowEquivalence, usize) {
     let mut mapped = FlowTrace::new();
     for pair in &design.latch_design().pairs {
-        if let Some(stream) = async_trace.stream(&pair.master) {
-            mapped.extend_stream(pair.register_name.clone(), stream.to_vec());
+        if let Some(stream) = async_trace.stream(pair.master.as_str()) {
+            mapped.extend_stream(pair.register_name.as_str(), stream.to_vec());
         }
     }
     let limit = cycles
@@ -443,7 +443,7 @@ fn compare_packed_lanes(
         .pairs
         .iter()
         .filter_map(|pair| {
-            let stream = async_run.stream(&pair.master)?;
+            let stream = async_run.stream(pair.master.as_str())?;
             Some((pair.register_name.as_str(), stream))
         })
         .collect();

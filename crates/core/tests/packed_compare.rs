@@ -147,8 +147,8 @@ fn oracle(
     let async_trace = async_run.lane(lane).flow_trace;
     let mut mapped = FlowTrace::new();
     for pair in &design.latch_design().pairs {
-        if let Some(stream) = async_trace.stream(&pair.master) {
-            mapped.extend_stream(pair.register_name.clone(), stream.to_vec());
+        if let Some(stream) = async_trace.stream(pair.master.as_str()) {
+            mapped.extend_stream(pair.register_name.as_str(), stream.to_vec());
         }
     }
     let limit = cycles

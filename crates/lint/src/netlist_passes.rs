@@ -7,8 +7,8 @@
 //! across runs, processes and thread counts.
 
 use crate::diagnostic::{Diagnostic, LintCode, LintReport};
-use desync_netlist::analysis::find_combinational_cycle;
-use desync_netlist::{CellId, Netlist, PinRole};
+use desync_netlist::analysis::{find_combinational_cycle, CellTable};
+use desync_netlist::{Netlist, PinRole};
 use std::collections::VecDeque;
 
 /// Runs the full netlist pass suite.
@@ -19,11 +19,11 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
     let mut report = LintReport::new();
     let num_nets = netlist.num_nets();
 
-    // Shared maps, built once: drivers per net, reader role per net.
-    let mut drivers: Vec<Vec<CellId>> = vec![Vec::new(); num_nets];
-    for (id, cell) in netlist.cells() {
-        drivers[cell.output.index()].push(id);
-    }
+    // Shared tables, built once and indexed by net id: drivers and data
+    // readers per net, each in cell-id order.
+    let drivers = CellTable::build(num_nets, || {
+        netlist.cells().map(|(id, cell)| (cell.output.index(), id))
+    });
     let mut is_input = vec![false; num_nets];
     for &n in netlist.inputs() {
         is_input[n.index()] = true;
@@ -35,20 +35,25 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
     // Data readers exclude clock/enable pins; those are checked by the
     // register-clocking pass (NL006) so a floating clock is reported once,
     // from the register's perspective.
-    let mut data_readers: Vec<Vec<CellId>> = vec![Vec::new(); num_nets];
+    let data_readers = CellTable::build(num_nets, || {
+        netlist.cells().flat_map(|(id, cell)| {
+            cell.inputs
+                .iter()
+                .enumerate()
+                .filter(move |&(pin, _)| cell.pin_role(pin) == PinRole::Data)
+                .map(move |(_, net)| (net.index(), id))
+        })
+    });
     let mut any_reader = vec![false; num_nets];
-    for (id, cell) in netlist.cells() {
-        for (pin, &net) in cell.inputs.iter().enumerate() {
+    for (_, cell) in netlist.cells() {
+        for &net in &cell.inputs {
             any_reader[net.index()] = true;
-            if cell.pin_role(pin) == PinRole::Data {
-                data_readers[net.index()].push(id);
-            }
         }
     }
 
     // NL001: multi-driven nets. A primary input counts as a driver.
     for (id, net) in netlist.nets() {
-        let cells = &drivers[id.index()];
+        let cells = drivers.get(id.index());
         let total = cells.len() + usize::from(is_input[id.index()]);
         if total > 1 {
             let also_input = if is_input[id.index()] {
@@ -71,8 +76,9 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
     // primary output, with no cell driver and no primary-input backing.
     for (id, net) in netlist.nets() {
         let i = id.index();
-        if drivers[i].is_empty() && !is_input[i] && (!data_readers[i].is_empty() || is_output[i]) {
-            let what = match (data_readers[i].len(), is_output[i]) {
+        let readers = data_readers.get(i);
+        if drivers.get(i).is_empty() && !is_input[i] && (!readers.is_empty() || is_output[i]) {
+            let what = match (readers.len(), is_output[i]) {
                 (0, _) => "exposed as a primary output but never driven".to_string(),
                 (n, false) => format!("read by {n} cell input(s) but never driven"),
                 (n, true) => {
@@ -80,12 +86,8 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
                 }
             };
             report.push(
-                Diagnostic::new(LintCode::FloatingInput, net.name, what).with_witness(
-                    data_readers[i]
-                        .iter()
-                        .map(|&c| netlist.cell(c).name)
-                        .collect(),
-                ),
+                Diagnostic::new(LintCode::FloatingInput, net.name, what)
+                    .with_witness(readers.iter().map(|&c| netlist.cell(c).name).collect()),
             );
         }
     }
@@ -100,7 +102,8 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
                 net.name,
                 "never read by any cell or primary output".to_string(),
             );
-            report.push(d.with_witness(drivers[i].iter().map(|&c| netlist.cell(c).name).collect()));
+            let witness = drivers.get(i).iter().map(|&c| netlist.cell(c).name);
+            report.push(d.with_witness(witness.collect()));
         }
     }
 
@@ -116,7 +119,7 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
         }
     }
     while let Some(net) = queue.pop_front() {
-        for &d in &drivers[net] {
+        for &d in drivers.get(net) {
             if !cell_seen[d.index()] {
                 cell_seen[d.index()] = true;
                 for &input in &netlist.cell(d).inputs {
@@ -158,7 +161,7 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
             continue;
         };
         let i = ctl.index();
-        if drivers[i].is_empty() && !is_input[i] {
+        if drivers.get(i).is_empty() && !is_input[i] {
             report.push(
                 Diagnostic::new(
                     LintCode::UnclockedRegister,

@@ -6,7 +6,71 @@
 use crate::cell::{CellId, CellKind};
 use crate::netlist::{NetId, Netlist};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
+
+// Every per-call table below is a `Vec` indexed by the dense `CellId` /
+// `NetId` the netlist already assigns, built once per call: no id is hashed.
+
+/// Cells grouped per slot (a net or cell index) in one flat array, as
+/// compressed sparse rows: slot `i` holds `cells[start[i]..start[i + 1]]`.
+/// Two allocations in all, where a `Vec` per slot takes one per slot.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellTable {
+    start: Vec<usize>,
+    cells: Vec<CellId>,
+}
+
+impl CellTable {
+    /// Groups the `(slot, cell)` pairs `pairs` yields over `slots` slots,
+    /// keeping each slot's cells in yield order. `pairs` is called twice:
+    /// once to count, once to fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair's slot is `slots` or more.
+    pub fn build<I>(slots: usize, pairs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (usize, CellId)>,
+    {
+        let mut start = vec![0usize; slots + 1];
+        for (slot, _) in pairs() {
+            start[slot + 1] += 1;
+        }
+        for i in 1..=slots {
+            start[i] += start[i - 1];
+        }
+        // Fill with `start[slot]` as the slot's cursor; each cursor ends at
+        // the next slot's start, so shifting by one restores the offsets.
+        let mut cells = vec![CellId(0); start[slots]];
+        for (slot, cell) in pairs() {
+            cells[start[slot]] = cell;
+            start[slot] += 1;
+        }
+        start.copy_within(0..slots, 1);
+        start[0] = 0;
+        Self { start, cells }
+    }
+
+    /// The cells of slot `slot`, in the order they were grouped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn get(&self, slot: usize) -> &[CellId] {
+        &self.cells[self.start[slot]..self.start[slot + 1]]
+    }
+}
+
+/// Per net, its driver if that is a combinational cell: the edges of the
+/// combinational core. A net with several drivers keeps its last one, as
+/// [`Netlist::driver_map`] does.
+fn combinational_drivers(netlist: &Netlist) -> Vec<Option<CellId>> {
+    let mut map = vec![None; netlist.num_nets()];
+    for (id, cell) in netlist.cells() {
+        map[cell.output.index()] = cell.kind.is_combinational().then_some(id);
+    }
+    map
+}
 
 /// Returns the combinational cells of `netlist` in topological order
 /// (every cell appears after all combinational cells driving its inputs).
@@ -14,53 +78,48 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// Sequential cell outputs and primary inputs are treated as sources.
 /// Returns `None` if the combinational core contains a cycle; use
 /// [`find_combinational_cycle`] to obtain the offending cells.
+///
+/// Kahn's algorithm, seeded in cell-id order, with each cell's successors
+/// in cell-id order (a cell reading one predecessor twice counts twice).
 pub fn topological_order(netlist: &Netlist) -> Option<Vec<CellId>> {
-    let driver = netlist.driver_map();
-    // In-degree counted over *combinational* predecessors only.
-    let mut indegree: HashMap<CellId, usize> = HashMap::new();
-    let mut successors: HashMap<CellId, Vec<CellId>> = HashMap::new();
-    let mut comb_cells = Vec::new();
-
-    for (id, cell) in netlist.cells() {
-        if !cell.kind.is_combinational() {
-            continue;
-        }
-        comb_cells.push(id);
-        let mut deg = 0usize;
-        for &input in &cell.inputs {
-            if let Some(pred) = driver[input.index()] {
-                if netlist.cell(pred).kind.is_combinational() {
-                    deg += 1;
-                    successors.entry(pred).or_default().push(id);
-                }
-            }
-        }
-        indegree.insert(id, deg);
+    let driver = combinational_drivers(netlist);
+    // Every (predecessor, reader) edge of the combinational core.
+    let edges = || {
+        netlist
+            .cells()
+            .filter(|(_, cell)| cell.kind.is_combinational())
+            .flat_map(|(id, cell)| {
+                cell.inputs
+                    .iter()
+                    .filter_map(|&input| driver[input.index()])
+                    .map(move |pred| (pred.index(), id))
+            })
+    };
+    let successors = CellTable::build(netlist.num_cells(), edges);
+    let mut indegree = vec![0u32; netlist.num_cells()];
+    for (_, reader) in edges() {
+        indegree[reader.index()] += 1;
     }
 
-    let mut queue: VecDeque<CellId> = comb_cells
-        .iter()
-        .copied()
-        .filter(|id| indegree[id] == 0)
+    // `order` doubles as the FIFO queue: cells are appended when their
+    // in-degree drops to zero and consumed from `head`.
+    let mut order: Vec<CellId> = netlist
+        .cells()
+        .filter(|(id, cell)| cell.kind.is_combinational() && indegree[id.index()] == 0)
+        .map(|(id, _)| id)
         .collect();
-    let mut order = Vec::with_capacity(comb_cells.len());
-    while let Some(id) = queue.pop_front() {
-        order.push(id);
-        if let Some(succ) = successors.get(&id) {
-            for &s in succ {
-                let d = indegree.get_mut(&s).expect("successor must be registered");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(s);
-                }
+    let mut head = 0;
+    while let Some(&id) = order.get(head) {
+        head += 1;
+        for &s in successors.get(id.index()) {
+            let d = &mut indegree[s.index()];
+            *d -= 1;
+            if *d == 0 {
+                order.push(s);
             }
         }
     }
-    if order.len() == comb_cells.len() {
-        Some(order)
-    } else {
-        None
-    }
+    (order.len() == netlist.num_combinational()).then_some(order)
 }
 
 /// Finds a cycle in the combinational core, if one exists, returned as the
@@ -72,60 +131,45 @@ pub fn topological_order(netlist: &Netlist) -> Option<Vec<CellId>> {
 /// across runs, processes and refactors of the traversal — and diagnostics
 /// built on it stay byte-stable.
 pub fn find_combinational_cycle(netlist: &Netlist) -> Option<Vec<CellId>> {
-    let driver = netlist.driver_map();
-    // Iterative DFS with colors: 0 = white, 1 = grey (on stack), 2 = black.
-    // Roots are taken in cell-id order so the first cycle found is a pure
-    // function of the netlist, not of hash-map iteration order.
-    let mut color: HashMap<CellId, u8> = HashMap::new();
-    let mut ids: Vec<CellId> = Vec::new();
-    for (id, cell) in netlist.cells() {
-        if cell.kind.is_combinational() {
-            color.insert(id, 0);
-            ids.push(id);
-        }
-    }
-    let comb_preds = |id: CellId| -> Vec<CellId> {
-        netlist
-            .cell(id)
-            .inputs
-            .iter()
-            .filter_map(|&n| driver[n.index()])
-            .filter(|&p| netlist.cell(p).kind.is_combinational())
-            .collect()
-    };
-
-    for start in ids {
-        if color[&start] != 0 {
+    const WHITE: u8 = 0;
+    const GREY: u8 = 1; // on the DFS stack
+    const BLACK: u8 = 2;
+    let driver = combinational_drivers(netlist);
+    let mut color = vec![WHITE; netlist.num_cells()];
+    // The grey path from the root: (cell, next input pin to scan).
+    let mut stack: Vec<(CellId, usize)> = Vec::new();
+    for (start, cell) in netlist.cells() {
+        if !cell.kind.is_combinational() || color[start.index()] != WHITE {
             continue;
         }
-        // stack of (cell, next predecessor index)
-        let mut stack: Vec<(CellId, usize)> = vec![(start, 0)];
-        let mut path: Vec<CellId> = vec![start];
-        color.insert(start, 1);
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let preds = comb_preds(node);
-            if *next < preds.len() {
-                let p = preds[*next];
+        color[start.index()] = GREY;
+        stack.push((start, 0));
+        while let Some((node, next)) = stack.last_mut() {
+            // The next combinational predecessor, in pin order.
+            let inputs = &netlist.cell(*node).inputs;
+            let mut pred = None;
+            while pred.is_none() && *next < inputs.len() {
+                pred = driver[inputs[*next].index()];
                 *next += 1;
-                match color[&p] {
-                    0 => {
-                        color.insert(p, 1);
-                        stack.push((p, 0));
-                        path.push(p);
-                    }
-                    1 => {
-                        // Found a cycle: slice the current path from p onwards.
-                        let pos = path.iter().position(|&c| c == p).unwrap_or(0);
-                        let mut cycle = path[pos..].to_vec();
-                        canonicalize_cycle(&mut cycle);
-                        return Some(cycle);
-                    }
-                    _ => {}
-                }
-            } else {
-                color.insert(node, 2);
+            }
+            let Some(p) = pred else {
+                color[node.index()] = BLACK;
                 stack.pop();
-                path.pop();
+                continue;
+            };
+            match color[p.index()] {
+                WHITE => {
+                    color[p.index()] = GREY;
+                    stack.push((p, 0));
+                }
+                GREY => {
+                    // Found a cycle: the stack from p onwards.
+                    let pos = stack.iter().position(|&(c, _)| c == p).unwrap_or(0);
+                    let mut cycle: Vec<CellId> = stack[pos..].iter().map(|&(c, _)| c).collect();
+                    canonicalize_cycle(&mut cycle);
+                    return Some(cycle);
+                }
+                _ => {}
             }
         }
     }
@@ -151,65 +195,89 @@ pub fn combinational_depth(netlist: &Netlist) -> usize {
     let Some(order) = topological_order(netlist) else {
         return 0;
     };
-    let driver = netlist.driver_map();
-    let mut level: HashMap<CellId, usize> = HashMap::new();
+    let driver = combinational_drivers(netlist);
+    let mut level = vec![0usize; netlist.num_cells()];
     let mut max = 0usize;
     for id in order {
-        let cell = netlist.cell(id);
-        let mut lvl = 1usize;
-        for &input in &cell.inputs {
-            if let Some(pred) = driver[input.index()] {
-                if netlist.cell(pred).kind.is_combinational() {
-                    lvl = lvl.max(level.get(&pred).copied().unwrap_or(0) + 1);
-                }
-            }
-        }
+        let lvl = netlist
+            .cell(id)
+            .inputs
+            .iter()
+            .filter_map(|&input| driver[input.index()])
+            .map(|pred| level[pred.index()] + 1)
+            .fold(1, usize::max);
         max = max.max(lvl);
-        level.insert(id, lvl);
+        level[id.index()] = lvl;
     }
     max
 }
 
-/// The sequential cells (flip-flops or latches) whose outputs reach `net`
-/// through combinational logic only, plus whether any primary input reaches
-/// it. Takes the netlist's driver map and input set so
-/// [`SequentialGraph::build`] builds them once, not once per queried net.
-fn sequential_fanin(
-    netlist: &Netlist,
-    net: NetId,
-    driver: &[Option<CellId>],
-    input_set: &HashSet<NetId>,
-) -> (Vec<CellId>, bool) {
-    let mut seen_nets: HashSet<NetId> = HashSet::new();
-    let mut result = Vec::new();
-    let mut reaches_input = false;
-    let mut queue = VecDeque::new();
-    queue.push_back(net);
-    while let Some(n) = queue.pop_front() {
-        if !seen_nets.insert(n) {
-            continue;
-        }
-        match driver[n.index()] {
-            Some(d) => {
-                let cell = netlist.cell(d);
-                if cell.kind.is_sequential() {
-                    if !result.contains(&d) {
-                        result.push(d);
-                    }
-                } else {
-                    for &input in &cell.inputs {
-                        queue.push_back(input);
-                    }
-                }
-            }
-            None => {
-                if input_set.contains(&n) {
-                    reaches_input = true;
-                }
-            }
+/// Breadth-first walks backwards from a net through combinational logic
+/// to the sequential cells (flip-flops or latches) whose outputs reach it.
+/// One walker serves every walk of a [`SequentialGraph::build`]: its
+/// visited marks are stamped per walk, so starting a walk clears nothing.
+struct FaninWalker {
+    /// `seen[net] == stamp` marks a net queued in the current walk.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// The current walk's nets, in visiting order.
+    queue: Vec<NetId>,
+    /// The current walk's sequential cells, in the order found.
+    sources: Vec<CellId>,
+}
+
+impl FaninWalker {
+    fn new(num_nets: usize) -> Self {
+        Self {
+            seen: vec![0; num_nets],
+            stamp: 0,
+            queue: Vec::new(),
+            sources: Vec::new(),
         }
     }
-    (result, reaches_input)
+
+    /// Walks back from `net`, leaving the sequential cells found in
+    /// `self.sources` (each once: a cell drives one net, and each net is
+    /// visited once). Returns whether a primary input reaches `net`.
+    fn walk(
+        &mut self,
+        netlist: &Netlist,
+        net: NetId,
+        driver: &[Option<CellId>],
+        is_input: &[bool],
+    ) -> bool {
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.queue.clear();
+        self.sources.clear();
+        self.seen[net.index()] = self.stamp;
+        self.queue.push(net);
+        let mut reaches_input = false;
+        let mut head = 0;
+        while let Some(&n) = self.queue.get(head) {
+            head += 1;
+            match driver[n.index()] {
+                Some(d) => {
+                    let cell = netlist.cell(d);
+                    if cell.kind.is_sequential() {
+                        self.sources.push(d);
+                    } else {
+                        for &input in &cell.inputs {
+                            if self.seen[input.index()] != self.stamp {
+                                self.seen[input.index()] = self.stamp;
+                                self.queue.push(input);
+                            }
+                        }
+                    }
+                }
+                None => reaches_input |= is_input[n.index()],
+            }
+        }
+        reaches_input
+    }
 }
 
 /// A directed edge of the [`SequentialGraph`]: data flows from the output of
@@ -244,15 +312,15 @@ pub struct SequentialGraph {
 impl SequentialGraph {
     /// Builds the sequential graph of `netlist`.
     pub fn build(netlist: &Netlist) -> Self {
-        // One driver map and input set for the whole build, and hash-set
-        // dedup next to the order-preserving vectors: per-register map
-        // rebuilds and linear `contains` scans made this quadratic in the
-        // register count before.
+        // One driver map, input mask and walker for the whole build.
         let driver = netlist.driver_map();
-        let input_set: HashSet<NetId> = netlist.inputs().iter().copied().collect();
+        let mut is_input = vec![false; netlist.num_nets()];
+        for &n in netlist.inputs() {
+            is_input[n.index()] = true;
+        }
+        let mut walker = FaninWalker::new(netlist.num_nets());
         let mut registers = Vec::new();
         let mut edges = Vec::new();
-        let mut edge_set: HashSet<SeqEdge> = HashSet::new();
         let mut fed_by_inputs = Vec::new();
         for (id, cell) in netlist.cells() {
             if !(cell.kind == CellKind::Dff || cell.kind.is_latch()) {
@@ -260,24 +328,21 @@ impl SequentialGraph {
             }
             registers.push(id);
             if let Some(data) = cell.data_net() {
-                let (preds, from_input) = sequential_fanin(netlist, data, &driver, &input_set);
-                for p in preds {
-                    let e = SeqEdge { from: p, to: id };
-                    if edge_set.insert(e) {
-                        edges.push(e);
-                    }
-                }
+                let from_input = walker.walk(netlist, data, &driver, &is_input);
+                // No edge repeats: each register is a target once, and one
+                // walk finds each source once.
+                edges.extend(walker.sources.iter().map(|&from| SeqEdge { from, to: id }));
                 if from_input {
                     fed_by_inputs.push(id);
                 }
             }
         }
         let mut feeding_outputs = Vec::new();
-        let mut feeding_set: HashSet<CellId> = HashSet::new();
+        let mut feeds = vec![false; netlist.num_cells()];
         for &out in netlist.outputs() {
-            let (preds, _) = sequential_fanin(netlist, out, &driver, &input_set);
-            for p in preds {
-                if feeding_set.insert(p) {
+            walker.walk(netlist, out, &driver, &is_input);
+            for &p in &walker.sources {
+                if !std::mem::replace(&mut feeds[p.index()], true) {
                     feeding_outputs.push(p);
                 }
             }
@@ -465,11 +530,37 @@ mod tests {
         let n = chain();
         let andn = n.find_net("andn").unwrap();
         let driver = n.driver_map();
-        let inputs = n.inputs().iter().copied().collect();
-        let (regs, from_input) = sequential_fanin(&n, andn, &driver, &inputs);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(n.cell(regs[0]).name, "r2");
-        assert!(from_input, "net b is a primary input feeding the AND");
+        let mut is_input = vec![false; n.num_nets()];
+        for &i in n.inputs() {
+            is_input[i.index()] = true;
+        }
+        let mut walker = FaninWalker::new(n.num_nets());
+        for _ in 0..2 {
+            let from_input = walker.walk(&n, andn, &driver, &is_input);
+            assert_eq!(walker.sources.len(), 1);
+            assert_eq!(n.cell(walker.sources[0]).name, "r2");
+            assert!(from_input, "net b is a primary input feeding the AND");
+        }
+        // The stamp wraps without leaking marks from an earlier walk.
+        walker.stamp = u32::MAX;
+        walker.seen.fill(u32::MAX);
+        assert!(walker.walk(&n, andn, &driver, &is_input));
+        assert_eq!(walker.sources.len(), 1);
+    }
+
+    #[test]
+    fn cell_table_groups_in_yield_order() {
+        let pairs = [
+            (2, CellId(7)),
+            (0, CellId(1)),
+            (2, CellId(3)),
+            (0, CellId(9)),
+        ];
+        let table = CellTable::build(4, || pairs.iter().copied());
+        assert_eq!(table.get(0), &[CellId(1), CellId(9)]);
+        assert_eq!(table.get(1), &[]);
+        assert_eq!(table.get(2), &[CellId(7), CellId(3)]);
+        assert_eq!(table.get(3), &[]);
     }
 
     #[test]

@@ -54,9 +54,9 @@
 
 use crate::cell::{Cell, CellKind};
 use crate::error::NetlistError;
+use crate::fxhash::FxHashMap;
 use crate::intern::Symbol;
 use crate::netlist::{NetId, Netlist};
-use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -798,11 +798,16 @@ struct FlatInstance {
     conns: Vec<(Symbol, usize)>,
 }
 
+// The flattener's maps are keyed by interned symbols, ids the program
+// assigns, so they use the fixed-seed `FxHasher`.
 struct Flattener<'a> {
     /// (library, cell) and bare cell name → definition. Bare names map to
     /// the *last* definition, matching the definition-before-use convention.
-    by_qualified: HashMap<(Symbol, Symbol), &'a EdifCell>,
-    by_name: HashMap<Symbol, &'a EdifCell>,
+    by_qualified: FxHashMap<(Symbol, Symbol), &'a EdifCell>,
+    by_name: FxHashMap<Symbol, &'a EdifCell>,
+    /// Leaf cell name → primitive kind (`None`: not a primitive), resolved
+    /// once per distinct name rather than once per instance.
+    kinds: FxHashMap<Symbol, Option<CellKind>>,
     nets: NetForest,
     instances: Vec<FlatInstance>,
 }
@@ -814,7 +819,7 @@ struct Frame<'a> {
     prefix: String,
     /// Connections of child instances, grouped per instance so a leaf can
     /// collect its pins in O(pins) instead of scanning the whole frame.
-    inst_conns: HashMap<Symbol, Vec<(Symbol, usize)>>,
+    inst_conns: FxHashMap<Symbol, Vec<(Symbol, usize)>>,
     next_instance: usize,
 }
 
@@ -832,8 +837,8 @@ impl Frame<'_> {
 
 impl<'a> Flattener<'a> {
     fn new(ast: &'a EdifAst) -> Self {
-        let mut by_qualified = HashMap::new();
-        let mut by_name = HashMap::new();
+        let mut by_qualified = FxHashMap::default();
+        let mut by_name = FxHashMap::default();
         for lib in &ast.libraries {
             for cell in &lib.cells {
                 by_qualified.insert((lib.name, cell.name), cell);
@@ -843,6 +848,7 @@ impl<'a> Flattener<'a> {
         Self {
             by_qualified,
             by_name,
+            kinds: FxHashMap::default(),
             nets: NetForest::new(),
             instances: Vec::new(),
         }
@@ -860,7 +866,7 @@ impl<'a> Flattener<'a> {
     fn wire_frame(
         &mut self,
         frame: &mut Frame<'a>,
-        bindings: &HashMap<Symbol, usize>,
+        bindings: &FxHashMap<Symbol, usize>,
     ) -> Result<(), EdifError> {
         for net in &frame.cell.nets {
             // An own-interface portref aliases this net onto the parent's
@@ -900,13 +906,13 @@ impl<'a> Flattener<'a> {
         let mut top_frame = Frame {
             cell: top,
             prefix: String::new(),
-            inst_conns: HashMap::new(),
+            inst_conns: FxHashMap::default(),
             next_instance: 0,
         };
         // Top interface ports bind lazily: the net declaration joining a
         // port names (and orders) the node, which is what lets a
         // write→parse round-trip reproduce net ids exactly.
-        let top_bindings = HashMap::new();
+        let top_bindings = FxHashMap::default();
         self.wire_frame(&mut top_frame, &top_bindings)?;
         let mut stack: Vec<Frame<'a>> = vec![top_frame];
 
@@ -931,7 +937,7 @@ impl<'a> Flattener<'a> {
                         });
                     }
                     let frame = stack.last().expect("frame still on stack");
-                    let mut bindings = HashMap::new();
+                    let mut bindings = FxHashMap::default();
                     if let Some(conns) = frame.inst_conns.get(&inst.name) {
                         for port in &child.ports {
                             if let Some(&(_, slot)) = conns.iter().find(|(p, _)| *p == port.name) {
@@ -943,7 +949,7 @@ impl<'a> Flattener<'a> {
                     let mut child_frame = Frame {
                         cell: child,
                         prefix,
-                        inst_conns: HashMap::new(),
+                        inst_conns: FxHashMap::default(),
                         next_instance: 0,
                     };
                     self.wire_frame(&mut child_frame, &bindings)?;
@@ -953,13 +959,14 @@ impl<'a> Flattener<'a> {
                     // Leaf: defined-but-empty cells and references into
                     // undimmed external libraries both map onto the canonical
                     // primitive set by name.
-                    let kind =
-                        CellKind::from_canonical_name(inst.cell_ref.as_str()).ok_or_else(|| {
-                            EdifError::UnknownPrimitive {
-                                cell: inst.cell_ref.to_string(),
-                                instance: format!("{}{}", frame.prefix, inst.name),
-                            }
-                        })?;
+                    let kind = *self
+                        .kinds
+                        .entry(inst.cell_ref)
+                        .or_insert_with(|| CellKind::from_canonical_name(inst.cell_ref.as_str()));
+                    let kind = kind.ok_or_else(|| EdifError::UnknownPrimitive {
+                        cell: inst.cell_ref.to_string(),
+                        instance: format!("{}{}", frame.prefix, inst.name),
+                    })?;
                     let _ = resolved; // the declaration (if any) is interface-only
                     self.instances.push(FlatInstance {
                         name: frame.qualify(inst.name),
@@ -1037,11 +1044,11 @@ pub fn flatten(ast: &EdifAst) -> Result<Netlist, EdifError> {
     // Interface ports, in declaration order. A port that no net joined is a
     // dangling port: it still becomes a (trailing) net so the direction
     // lists stay faithful to the interface.
-    let mut slot_of_name: HashMap<Symbol, usize> = HashMap::new();
+    let mut slot_of_name: FxHashMap<Symbol, usize> = FxHashMap::default();
     for (slot, &name) in nets.names.iter().enumerate() {
         slot_of_name.entry(name).or_insert(slot);
     }
-    let mut port_nets: HashMap<Symbol, usize> = HashMap::new();
+    let mut port_nets: FxHashMap<Symbol, usize> = FxHashMap::default();
     for net in &top.nets {
         for pr in &net.portrefs {
             if pr.instance.is_none() {
@@ -1072,15 +1079,16 @@ pub fn flatten(ast: &EdifAst) -> Result<Netlist, EdifError> {
         }
     }
 
-    // Leaf instances, in depth-first order; one pin buffer serves them all.
+    // Leaf instances, in depth-first order; one pin buffer serves them all,
+    // and each distinct pin name is resolved to its string once.
     let mut pins: Vec<(&str, NetId)> = Vec::new();
+    let mut pin_names: FxHashMap<Symbol, &'static str> = FxHashMap::default();
     for inst in instances {
         pins.clear();
-        pins.extend(
-            inst.conns
-                .iter()
-                .map(|&(port, slot)| (port.as_str(), net_of(&mut nets, &slot_to_id, slot))),
-        );
+        for &(port, slot) in &inst.conns {
+            let pin = *pin_names.entry(port).or_insert_with(|| port.as_str());
+            pins.push((pin, net_of(&mut nets, &slot_to_id, slot)));
+        }
         let (inputs, output) =
             inst.kind
                 .order_connections(&mut pins)

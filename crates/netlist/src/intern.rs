@@ -21,6 +21,13 @@
 //! * **Ordering is by string, not by id.** [`Ord`] compares the resolved
 //!   strings, so sorting symbols is deterministic regardless of interning
 //!   order; sorting by id would be scheduling-dependent in parallel flows.
+//!
+//! The string → id map keeps std's randomized SipHash hasher, while maps
+//! keyed by symbols and ids use the faster fixed-seed
+//! [`FxHasher`](crate::fxhash::FxHasher): the map's keys are names from
+//! tenant-supplied designs, and one table serves every tenant of a
+//! process, so with a fixed hash one tenant could craft names that collide
+//! and slow every other tenant's interning.
 
 use crate::netlist::Fnv1a;
 use serde::{Deserialize, Serialize};
@@ -39,6 +46,8 @@ pub struct Symbol(u32);
 /// The global table: append-only string storage plus the dedup map and the
 /// per-symbol content digests (computed once at interning time).
 struct Table {
+    /// Randomized std hasher on purpose: the keys are outside input (see
+    /// the module docs).
     map: HashMap<&'static str, u32>,
     strings: Vec<&'static str>,
     content_hashes: Vec<u64>,

@@ -13,6 +13,14 @@
 //! [`Netlist::structural_hash`] — hashes each symbol's stable per-string
 //! digest ([`Symbol::content_hash`]) instead of its id.
 //!
+//! **Tables.** A table an analysis or pass builds for one call is a `Vec`
+//! indexed by the dense [`CellId`] / [`NetId`] the netlist assigns (lists
+//! per net or cell as one flat [`analysis::CellTable`]), so no id is
+//! hashed. Maps whose keys the program assigns — symbols, ids and pairs of
+//! them, like the name indexes above — use the fixed-seed [`FxHasher`]
+//! ([`fxhash`]). The interner's own string map keeps std's randomized
+//! hasher: its keys are names from outside input.
+//!
 //! **Structure.**
 //!
 //! * [`Netlist`] — a flat, gate-level netlist with primary ports, nets and
@@ -72,6 +80,7 @@ pub mod analysis;
 pub mod cell;
 pub mod edif;
 pub mod error;
+pub mod fxhash;
 pub mod intern;
 pub mod library;
 pub mod netlist;
@@ -81,6 +90,7 @@ pub mod verilog;
 pub use cell::{Cell, CellId, CellKind, PinRole};
 pub use edif::{from_edif, to_edif, EdifError};
 pub use error::NetlistError;
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::Symbol;
 pub use library::{CellLibrary, CellTemplate, DelaySpec};
 pub use netlist::{Fnv1a, Net, NetId, Netlist, PortDirection};

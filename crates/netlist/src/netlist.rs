@@ -2,9 +2,9 @@
 
 use crate::cell::{Cell, CellId, CellKind};
 use crate::error::NetlistError;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::intern::Symbol;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a net (a single-driver wire) inside a [`Netlist`].
@@ -47,31 +47,50 @@ pub struct Net {
 /// API ([`Netlist::add_gate`], [`Netlist::add_dff`], ...) plus structural
 /// queries. Deeper analyses (topological order, stage extraction) live in
 /// [`crate::analysis`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality compares the module name, the nets, the cells and the two port
+/// lists, in id order — everything [`Netlist::structural_hash`] covers. It
+/// ignores the lookup indexes derived from those lists and the
+/// [`Netlist::add_net`] suffix cache, so a netlist equals its EDIF
+/// round-trip and the same netlist built with its suffixed names spelled
+/// out.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Netlist {
     name: Symbol,
     nets: Vec<Net>,
     cells: Vec<Cell>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
+    // The indexes below are keyed by interned symbols and ids the program
+    // assigns, so they use the fixed-seed `FxHasher`.
     #[serde(skip)]
-    net_index: HashMap<Symbol, NetId>,
+    net_index: FxHashMap<Symbol, NetId>,
     #[serde(skip)]
-    cell_index: HashMap<Symbol, CellId>,
+    cell_index: FxHashMap<Symbol, CellId>,
     /// Next numeric suffix to try per duplicated base name, so
     /// [`Netlist::add_net`] stays O(1) amortized when a flattener emits many
     /// copies of the same base (rebuilt lazily, see
-    /// [`Netlist::rebuild_index`]).
+    /// [`Netlist::rebuild_index`]). A cache: it only skips candidates that
+    /// are already taken, so it never changes a later name.
     #[serde(skip)]
-    net_suffix: HashMap<Symbol, u32>,
+    net_suffix: FxHashMap<Symbol, u32>,
     /// Members of `inputs` and `outputs`, so marking a port is O(1). Each
     /// set holds exactly its list's elements (the lists never repeat a
-    /// net), which keeps the derived equality what it would be without
-    /// them.
+    /// net).
     #[serde(skip)]
-    input_set: HashSet<NetId>,
+    input_set: FxHashSet<NetId>,
     #[serde(skip)]
-    output_set: HashSet<NetId>,
+    output_set: FxHashSet<NetId>,
+}
+
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.nets == other.nets
+            && self.cells == other.cells
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+    }
 }
 
 impl Netlist {
@@ -83,12 +102,29 @@ impl Netlist {
             cells: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            net_index: HashMap::new(),
-            cell_index: HashMap::new(),
-            net_suffix: HashMap::new(),
-            input_set: HashSet::new(),
-            output_set: HashSet::new(),
+            net_index: FxHashMap::default(),
+            cell_index: FxHashMap::default(),
+            net_suffix: FxHashMap::default(),
+            input_set: FxHashSet::default(),
+            output_set: FxHashSet::default(),
         }
+    }
+
+    /// A netlist named `name` with the nets of `self` — the same ids and
+    /// names — and no ports or cells yet.
+    ///
+    /// Copies the net list and its name index as they are, instead of
+    /// re-adding (and re-hashing) every net.
+    pub fn with_nets_of(&self, name: impl Into<Symbol>) -> Self {
+        let mut out = Self::new(name);
+        out.nets = self.nets.clone();
+        out.net_index = if self.net_index.len() == self.nets.len() {
+            self.net_index.clone()
+        } else {
+            // Deserialized without `rebuild_index`: index the copy afresh.
+            net_index_of(&self.nets)
+        };
+        out
     }
 
     /// The module name.
@@ -638,12 +674,7 @@ impl Netlist {
     /// The duplicate-suffix counters are also reset; they re-warm lazily on
     /// the next colliding [`Netlist::add_net`].
     pub fn rebuild_index(&mut self) {
-        self.net_index = self
-            .nets
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.name, NetId(i as u32)))
-            .collect();
+        self.net_index = net_index_of(&self.nets);
         self.cell_index = self
             .cells
             .iter()
@@ -670,9 +701,17 @@ impl Netlist {
     }
 }
 
+/// The name → id index of a net list.
+fn net_index_of(nets: &[Net]) -> FxHashMap<Symbol, NetId> {
+    nets.iter()
+        .enumerate()
+        .map(|(i, n)| (n.name, NetId(i as u32)))
+        .collect()
+}
+
 /// Appends `net` to a port list unless `set`, the list's members, has it.
 /// A set left empty by deserialization is refilled first.
-fn mark_port(list: &mut Vec<NetId>, set: &mut HashSet<NetId>, net: NetId) {
+fn mark_port(list: &mut Vec<NetId>, set: &mut FxHashSet<NetId>, net: NetId) {
     if set.len() != list.len() {
         *set = list.iter().copied().collect();
     }
@@ -1020,6 +1059,34 @@ mod tests {
         assert_eq!(marked.outputs(), &[y]);
         assert_eq!(marked, added);
         assert_eq!(marked.structural_hash(), added.structural_hash());
+    }
+
+    /// A netlist whose output net is named by `add_net`'s suffixing when
+    /// `output` is `"x"` (a taken name, so the net becomes `x_1`).
+    fn suffixed(output: &str) -> Netlist {
+        let mut n = Netlist::new("t");
+        let a = n.add_input("x");
+        let y = n.add_output(output);
+        n.add_gate("g", CellKind::Not, &[a], y).unwrap();
+        n
+    }
+
+    /// Equality covers what the netlist is, not how its names were found:
+    /// `add_net`'s suffix cache and the lookup indexes stay out of it.
+    #[test]
+    fn equality_ignores_the_suffix_cache() {
+        let (found, spelled) = (suffixed("x"), suffixed("x_1"));
+        assert_eq!(found.net(NetId(1)).name, "x_1");
+        assert_eq!(found.structural_hash(), spelled.structural_hash());
+        assert_eq!(found, spelled);
+    }
+
+    #[test]
+    fn edif_roundtrip_of_a_suffixed_name_is_equal() {
+        let found = suffixed("x");
+        let back = crate::edif::from_edif(&crate::edif::to_edif(&found)).unwrap();
+        assert_eq!(back.structural_hash(), found.structural_hash());
+        assert_eq!(back, found);
     }
 
     #[test]
