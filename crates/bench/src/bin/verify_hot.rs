@@ -13,6 +13,7 @@
 //! ```
 
 use desync_bench::verify_hot::{run_verify_hot, CAMPAIGN_LANE_EVENTS, CAMPAIGN_WORD_EVENTS};
+use desync_core::ArtifactKind;
 
 fn main() {
     let report = run_verify_hot();
@@ -27,18 +28,20 @@ fn main() {
         report.bit_identical_to_fresh,
         "serial, parallel and fresh detached verification must agree bit for bit"
     );
+    let engine = &report.engine_report;
     assert_eq!(
-        report.sync_run_misses(),
+        engine.kind(ArtifactKind::SyncRun).misses,
         2,
         "each design must simulate its sync reference exactly once"
     );
     assert_eq!(
-        report.sync_run_hits(),
+        engine.kind(ArtifactKind::SyncRun).hits,
         report.points.len() - 2,
         "every other sweep point must reuse the cached sync reference"
     );
     assert_eq!(
-        report.engine_report.compiled_model_misses, 4,
+        engine.kind(ArtifactKind::Compiled).misses,
+        4,
         "exactly one sync + one datapath model compile per design"
     );
     assert!(
@@ -46,7 +49,8 @@ fn main() {
         "sweep points must bind onto shared compiled models"
     );
     assert_eq!(
-        report.engine_report.sizing_misses, 2,
+        engine.kind(ArtifactKind::Sizing).misses,
+        2,
         "exactly one arrival analysis per design"
     );
     // Packed campaign gates: probe lanes must match detached scalar flows

@@ -26,9 +26,9 @@
 
 use crate::batch::{mixed_designs, mixed_options};
 use desync_core::{
-    AdmissionPolicy, CancelToken, DesyncDesign, DesyncEngine, DesyncError, DesyncService,
-    QueueConfig, QueueRequest, ServiceQueue, ServiceRequest, StoreConfig, SubmitMeta,
-    SubmitOptions, TenantCounters, TenantId,
+    AdmissionPolicy, ArtifactKind, CancelToken, DesyncDesign, DesyncEngine, DesyncError,
+    DesyncService, QueueConfig, QueueRequest, ServiceQueue, ServiceRequest, StoreConfig,
+    SubmitMeta, SubmitOptions, TenantCounters, TenantId,
 };
 use desync_netlist::{CellKind, CellLibrary, Netlist};
 use std::fmt;
@@ -246,11 +246,12 @@ fn run_phase(
         let outcome = service.run_batch(requests);
         totals.requests += outcome.report.requests;
         totals.coalesced += outcome.report.coalesced;
-        totals.cache_hits += outcome.report.cache_hits;
-        totals.cache_misses += outcome.report.cache_misses;
-        totals.evictions += outcome.report.evictions;
+        let store = &outcome.report.store;
+        totals.cache_hits += store.total_hits();
+        totals.cache_misses += store.total_misses();
+        totals.evictions += store.total_evictions();
         totals.lint_rejections += outcome.report.lint_rejections;
-        totals.lint_cache_hits += outcome.report.lint_cache_hits;
+        totals.lint_cache_hits += store.kind(ArtifactKind::Lint).hits;
         last = outcome.results;
     }
     last
@@ -612,7 +613,7 @@ mod tests {
         let unbounded = DesyncService::with_engine(DesyncEngine::with_workers(2));
         let full = unbounded.run_batch(&requests);
         assert_eq!(full.report.coalesced, requests.len() / 2);
-        assert_eq!(full.report.evictions, 0);
+        assert_eq!(full.report.store.total_evictions(), 0);
         let total_weight = unbounded.engine().report().resident_weight;
         assert!(total_weight > 0);
 
@@ -624,11 +625,11 @@ mod tests {
         let small = bounded.run_batch(&requests);
         // Eviction kicked in, the resident weight is bounded, and every
         // design still came out bit-identical (recomputed where evicted).
-        assert!(small.report.evictions > 0, "{}", small.report);
+        assert!(small.report.store.total_evictions() > 0, "{}", small.report);
         assert!(
-            small.report.resident_weight <= capacity,
+            small.report.store.resident_weight <= capacity,
             "{} > {capacity}",
-            small.report.resident_weight
+            small.report.store.resident_weight
         );
         for (a, b) in full.results.iter().zip(&small.results) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());

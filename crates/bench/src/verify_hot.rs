@@ -23,8 +23,8 @@
 use crate::workloads::{bus_stimulus, dlx_program, dlx_stimulus};
 use desync_circuits::{DlxConfig, LinearPipelineConfig};
 use desync_core::{
-    CampaignRequest, DesyncEngine, DesyncFlow, DesyncOptions, DesyncRuntime, EngineReport,
-    Protocol, StoreConfig, SweepRequest,
+    ArtifactKind, CampaignRequest, DesyncEngine, DesyncFlow, DesyncOptions, DesyncRuntime,
+    EngineReport, Protocol, StoreConfig, SweepRequest,
 };
 use desync_netlist::{CellLibrary, NetId, Netlist};
 use desync_sim::{PackedVectorSource, VectorSource, MAX_LANES};
@@ -124,18 +124,6 @@ pub struct VerifyHotReport {
 }
 
 impl VerifyHotReport {
-    /// Reference-run cache hits across the parallel sweep (from the engine
-    /// report).
-    pub fn sync_run_hits(&self) -> usize {
-        self.engine_report.sync_run_hits
-    }
-
-    /// Reference runs that had to simulate, one per distinct sync side
-    /// (from the engine report).
-    pub fn sync_run_misses(&self) -> usize {
-        self.engine_report.sync_run_misses
-    }
-
     /// Wall-time speedup of the parallel sweep over the serial baseline.
     pub fn speedup(&self) -> f64 {
         let parallel = self.wall.as_secs_f64();
@@ -193,6 +181,7 @@ impl VerifyHotReport {
     /// workspace vendors a stub `serde`, so this is written by hand — the
     /// schema is part of the bench contract and documented in ROADMAP.md).
     pub fn to_json(&self) -> String {
+        let sync = self.engine_report.kind(ArtifactKind::SyncRun);
         format!(
             concat!(
                 "{{\n",
@@ -232,8 +221,8 @@ impl VerifyHotReport {
             self.events_per_sec(),
             self.compile_reuses,
             self.rebinds,
-            self.sync_run_hits(),
-            self.sync_run_misses(),
+            sync.hits,
+            sync.misses,
             self.bit_identical_to_fresh,
             self.campaign_lanes,
             self.campaign_wall.as_secs_f64() * 1e3,
@@ -562,8 +551,8 @@ pub fn run_verify_hot() -> VerifyHotReport {
         wall_serial,
         threads: SWEEP_THREADS,
         events_simulated,
-        compile_reuses: parallel.report.compile_reuses,
-        rebinds: parallel.report.rebinds,
+        compile_reuses: parallel.report.store.kind(ArtifactKind::Compiled).hits,
+        rebinds: parallel.report.store.kind(ArtifactKind::Sizing).hits,
         bit_identical_to_fresh: bit_identical,
         engine_report,
         campaign_lanes: CAMPAIGN_LANES,
@@ -586,16 +575,20 @@ mod tests {
         // One sync simulation per design on the parallel engine; every
         // other point reused it (store hit or in-flight coalesce — the
         // counters are scheduling-independent).
-        assert_eq!(report.sync_run_misses(), 2);
-        assert_eq!(report.sync_run_hits(), report.points.len() - 2);
+        let engine = &report.engine_report;
+        assert_eq!(engine.kind(ArtifactKind::SyncRun).misses, 2);
+        assert_eq!(
+            engine.kind(ArtifactKind::SyncRun).hits,
+            report.points.len() - 2
+        );
         assert!(report.bit_identical_to_fresh);
         // Compiled models: one async datapath + one sync model per design
         // compiled; every other simulation bound onto a shared model.
-        assert_eq!(report.engine_report.compiled_model_misses, 4);
+        assert_eq!(engine.kind(ArtifactKind::Compiled).misses, 4);
         assert!(report.compile_reuses >= report.points.len() - 2);
         // Sizing: one arrival analysis per design; the other margin points
         // re-bound matched delays from it.
-        assert_eq!(report.engine_report.sizing_misses, 2);
+        assert_eq!(engine.kind(ArtifactKind::Sizing).misses, 2);
         assert_eq!(report.rebinds, 2 * (MARGINS.len() - 1));
         // The pipeline points all verify; the DLX is equivalent under the
         // paper's decoupled protocols (the non-overlapping DLX

@@ -15,8 +15,8 @@
 //!   mapping that drives stage invalidation, so cache validity and
 //!   invalidation can never drift apart) or, for synchronous reference
 //!   runs, the simulation inputs the run is a pure function of.
-//! * **Cached artifacts** fall into eight store kinds: the four
-//!   construction stages — [`ClusterGraph`], [`LatchDesign`],
+//! * **Cached artifacts** fall into eight store kinds ([`ArtifactKind`]):
+//!   the four construction stages — [`ClusterGraph`], [`LatchDesign`],
 //!   [`TimingTable`], [`ControlNetwork`] — plus the synchronous reference
 //!   runs of co-simulation (scalar [`SimRun`]s and packed
 //!   [`PackedSimRun`]s share one kind), the **compiled simulation models**
@@ -39,6 +39,11 @@
 //!   private unbounded store, so every flow sources its artifacts through
 //!   the same store path; a detached flow simply shares them with nobody
 //!   but itself.
+//! * **The report** ([`DesyncEngine::report`]) holds the store's counter
+//!   row of each kind as the store keeps it ([`EngineReport::kind`]) plus
+//!   the store-wide totals, and [`EngineReport::since`] turns two reports
+//!   into the traffic between them (each service batch reports its store
+//!   traffic that way).
 //!
 //! ```
 //! use desync_core::{DesyncEngine, DesyncOptions, Stage};
@@ -75,7 +80,9 @@ use crate::conversion::LatchDesign;
 use crate::error::DesyncError;
 use crate::options::{DesyncOptions, StagePrefix};
 use crate::pipeline::{ControlNetwork, DesyncFlow, SizingAnalysis, Stage, TimingTable};
-use crate::store::{ArtifactStore, Fetched, StoreConfig, StoreKey, Weigh};
+use crate::store::{
+    ArtifactStore, Fetched, StoreConfig, StoreKey, StoreKindStats, StoreStats, Weigh,
+};
 use desync_lint::LintReport;
 use desync_netlist::{CellLibrary, Netlist};
 use desync_sim::{CompiledModel, PackedSimRun, SimConfig, SimRun};
@@ -86,24 +93,71 @@ use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-/// Number of stages the engine caches (`Clustered` through `Controlled`).
-const CACHED_STAGES: usize = 4;
+/// The kinds of artifact the engine's store caches, in store order: a
+/// kind's index is its row in [`EngineReport`] and its store counter slot.
+/// The four construction stages come first, in pipeline order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ArtifactKind {
+    /// [`Stage::Clustered`] artifacts ([`ClusterGraph`]).
+    Clustered,
+    /// [`Stage::Latched`] artifacts ([`LatchDesign`]).
+    Latched,
+    /// [`Stage::Timed`] artifacts ([`TimingTable`]).
+    Timed,
+    /// [`Stage::Controlled`] artifacts ([`ControlNetwork`]).
+    Controlled,
+    /// Synchronous reference runs (scalar [`SimRun`]s and packed
+    /// [`PackedSimRun`]s).
+    SyncRun,
+    /// Compiled simulation models ([`CompiledModel`]).
+    Compiled,
+    /// Margin-independent sizing analyses ([`SizingAnalysis`]).
+    Sizing,
+    /// Pre-flight lint reports ([`LintReport`]).
+    Lint,
+}
 
-/// Store kind index of the synchronous reference runs (after the four
-/// construction stages).
-const SYNC_RUN_KIND: usize = CACHED_STAGES;
+impl ArtifactKind {
+    /// Every kind, in store order.
+    pub const ALL: [ArtifactKind; 8] = [
+        ArtifactKind::Clustered,
+        ArtifactKind::Latched,
+        ArtifactKind::Timed,
+        ArtifactKind::Controlled,
+        ArtifactKind::SyncRun,
+        ArtifactKind::Compiled,
+        ArtifactKind::Sizing,
+        ArtifactKind::Lint,
+    ];
 
-/// Store kind index of the compiled simulation models.
-const COMPILED_KIND: usize = CACHED_STAGES + 1;
+    /// The four construction-stage kinds, indexed by [`Stage::index`]
+    /// ([`Stage::Verified`] is never cached).
+    pub const STAGES: [ArtifactKind; 4] = [
+        ArtifactKind::Clustered,
+        ArtifactKind::Latched,
+        ArtifactKind::Timed,
+        ArtifactKind::Controlled,
+    ];
 
-/// Store kind index of the margin-independent sizing analyses.
-const SIZING_KIND: usize = CACHED_STAGES + 2;
+    /// The kind's position in store order (its row in [`EngineReport`]).
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
-/// Store kind index of the pre-flight lint reports.
-const LINT_KIND: usize = CACHED_STAGES + 3;
-
-/// Total artifact kinds in the engine's store.
-const STORE_KINDS: usize = CACHED_STAGES + 4;
+    /// Short lower-case kind name, as [`EngineReport`] prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ArtifactKind::Clustered => "clustered",
+            ArtifactKind::Latched => "latched",
+            ArtifactKind::Timed => "timed",
+            ArtifactKind::Controlled => "controlled",
+            ArtifactKind::SyncRun => "sync-run",
+            ArtifactKind::Compiled => "compiled",
+            ArtifactKind::Sizing => "sizing",
+            ArtifactKind::Lint => "lint",
+        }
+    }
+}
 
 /// Interned identity of a netlist inside one engine (collision-free: the
 /// engine confirms every structural-hash match with a full equality check).
@@ -181,13 +235,14 @@ enum Facet {
 
 impl StoreKey for ArtifactKey {
     fn kind(&self) -> usize {
-        match self.facet {
-            Facet::Stage { stage, .. } => stage.index(),
-            Facet::SyncRun { .. } => SYNC_RUN_KIND,
-            Facet::Compiled { .. } => COMPILED_KIND,
-            Facet::Sizing { .. } => SIZING_KIND,
-            Facet::Lint => LINT_KIND,
-        }
+        let kind = match self.facet {
+            Facet::Stage { stage, .. } => ArtifactKind::STAGES[stage.index()],
+            Facet::SyncRun { .. } => ArtifactKind::SyncRun,
+            Facet::Compiled { .. } => ArtifactKind::Compiled,
+            Facet::Sizing { .. } => ArtifactKind::Sizing,
+            Facet::Lint => ArtifactKind::Lint,
+        };
+        kind.index()
     }
 }
 
@@ -479,7 +534,7 @@ impl DesyncEngine {
     pub fn with_store_and_runtime(store: StoreConfig, runtime: DesyncRuntime) -> Self {
         Self {
             intern: Mutex::new(InternState::default()),
-            store: ArtifactStore::new(STORE_KINDS, store),
+            store: ArtifactStore::new(ArtifactKind::ALL.len(), store),
             runtime,
         }
     }
@@ -656,80 +711,13 @@ impl DesyncEngine {
     pub fn report(&self) -> EngineReport {
         let (netlists, libraries) =
             self.with_intern(|s| (s.num_netlists as usize, s.libraries.len()));
-        let stats = self.store.stats();
-        let sync = stats.kinds[SYNC_RUN_KIND];
-        let compiled = stats.kinds[COMPILED_KIND];
-        let sizing = stats.kinds[SIZING_KIND];
-        let lint = stats.kinds[LINT_KIND];
-        EngineReport {
-            netlists,
-            libraries,
-            capacity: stats.capacity,
-            resident_weight: stats.resident_weight(),
-            store_coalesced: stats.total_coalesced(),
-            sync_runs: sync.entries,
-            sync_run_hits: sync.hits,
-            sync_run_misses: sync.misses,
-            sync_run_evictions: sync.evictions,
-            sync_run_resident_weight: sync.resident_weight,
-            compiled_models: compiled.entries,
-            compiled_model_hits: compiled.hits,
-            compiled_model_misses: compiled.misses,
-            compiled_model_evictions: compiled.evictions,
-            compiled_model_resident_weight: compiled.resident_weight,
-            sizing_analyses: sizing.entries,
-            sizing_hits: sizing.hits,
-            sizing_misses: sizing.misses,
-            sizing_evictions: sizing.evictions,
-            sizing_resident_weight: sizing.resident_weight,
-            lint_reports: lint.entries,
-            lint_hits: lint.hits,
-            lint_misses: lint.misses,
-            lint_evictions: lint.evictions,
-            lint_resident_weight: lint.resident_weight,
-            stages: [
-                Stage::Clustered,
-                Stage::Latched,
-                Stage::Timed,
-                Stage::Controlled,
-            ]
-            .into_iter()
-            .map(|stage| {
-                let k = stats.kinds[stage.index()];
-                EngineStageStats {
-                    stage,
-                    entries: k.entries,
-                    hits: k.hits,
-                    misses: k.misses,
-                    evictions: k.evictions,
-                    resident_weight: k.resident_weight,
-                }
-            })
-            .collect(),
-        }
+        EngineReport::new(netlists, libraries, self.store.stats())
     }
 }
 
-/// Cache statistics of one stage of a [`DesyncEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineStageStats {
-    /// The stage (one of the four construction stages; verification is
-    /// never cached).
-    pub stage: Stage,
-    /// Distinct artifacts currently cached for the stage.
-    pub entries: usize,
-    /// Lookups served from the store since the engine was created.
-    pub hits: usize,
-    /// Lookups that had to compute (and then publish) the artifact.
-    pub misses: usize,
-    /// Artifacts of this stage evicted by the capacity budget.
-    pub evictions: usize,
-    /// Summed [`Weigh`] weight of the stage's resident artifacts.
-    pub resident_weight: usize,
-}
-
 /// A snapshot of a [`DesyncEngine`]'s cache population and counters, see
-/// [`DesyncEngine::report`].
+/// [`DesyncEngine::report`]: the store's row of each [`ArtifactKind`]
+/// ([`EngineReport::kind`]) plus the store-wide totals.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineReport {
     /// Distinct netlists interned so far.
@@ -738,81 +726,76 @@ pub struct EngineReport {
     pub libraries: usize,
     /// Configured store capacity in [`Weigh`] units (`None` = unbounded).
     pub capacity: Option<usize>,
-    /// Resident weight across every cached artifact (stages, sync runs,
-    /// compiled models, sizing analyses, lint reports).
+    /// Resident weight summed over every kind.
     pub resident_weight: usize,
     /// Lookups (of any kind) that coalesced onto another thread's in-flight
     /// computation instead of recomputing — the store's exactly-once
     /// guarantee at work under parallel sweeps.
     pub store_coalesced: usize,
-    /// Synchronous reference runs currently cached for incremental
-    /// co-simulation.
-    pub sync_runs: usize,
-    /// Reference-run lookups served from the store.
-    pub sync_run_hits: usize,
-    /// Reference-run lookups that had to simulate (and then publish).
+    /// The [`ArtifactKind::SyncRun`] row's misses, kept as a field for the
+    /// repository benchmark (`perfbench`), which reads it by name.
     pub sync_run_misses: usize,
-    /// Reference runs evicted by the capacity budget.
-    pub sync_run_evictions: usize,
-    /// Summed weight of the resident reference runs.
-    pub sync_run_resident_weight: usize,
-    /// Compiled simulation models currently cached.
-    pub compiled_models: usize,
-    /// Compiled-model lookups served from the store (sweep points binding
-    /// onto an already-compiled datapath).
-    pub compiled_model_hits: usize,
-    /// Compiled-model lookups that had to compile (and then publish).
+    /// The [`ArtifactKind::Compiled`] row's misses, kept for `perfbench`.
     pub compiled_model_misses: usize,
-    /// Compiled models evicted by the capacity budget.
-    pub compiled_model_evictions: usize,
-    /// Summed weight of the resident compiled models.
-    pub compiled_model_resident_weight: usize,
-    /// Margin-independent sizing analyses currently cached.
-    pub sizing_analyses: usize,
-    /// Sizing-analysis lookups served from the store — each one is a Timed
-    /// stage that only re-bound matched delays instead of re-running
-    /// arrival propagation.
-    pub sizing_hits: usize,
-    /// Sizing-analysis lookups that had to run arrival propagation.
+    /// The [`ArtifactKind::Sizing`] row's misses, kept for `perfbench`.
     pub sizing_misses: usize,
-    /// Sizing analyses evicted by the capacity budget.
-    pub sizing_evictions: usize,
-    /// Summed weight of the resident sizing analyses.
-    pub sizing_resident_weight: usize,
-    /// Pre-flight lint reports currently cached.
-    pub lint_reports: usize,
-    /// Lint lookups served from the store — admissions decided without
-    /// re-running a single pass.
-    pub lint_hits: usize,
-    /// Lint lookups that had to run the pass suites (and then publish).
-    pub lint_misses: usize,
-    /// Lint reports evicted by the capacity budget.
-    pub lint_evictions: usize,
-    /// Summed weight of the resident lint reports.
-    pub lint_resident_weight: usize,
-    /// Per-stage statistics, in pipeline order.
-    pub stages: Vec<EngineStageStats>,
+    /// The store's snapshot: one row per [`ArtifactKind`], in store order,
+    /// from which the store-wide fields above are derived.
+    stats: StoreStats,
 }
 
 impl EngineReport {
-    /// Cache hits summed over all stages.
+    fn new(netlists: usize, libraries: usize, stats: StoreStats) -> Self {
+        let misses = |kind: ArtifactKind| stats.kinds[kind.index()].misses;
+        Self {
+            netlists,
+            libraries,
+            capacity: stats.capacity,
+            resident_weight: stats.resident_weight(),
+            store_coalesced: stats.total_coalesced(),
+            sync_run_misses: misses(ArtifactKind::SyncRun),
+            compiled_model_misses: misses(ArtifactKind::Compiled),
+            sizing_misses: misses(ArtifactKind::Sizing),
+            stats,
+        }
+    }
+
+    /// The store row of one artifact kind.
+    pub fn kind(&self, kind: ArtifactKind) -> &StoreKindStats {
+        &self.stats.kinds[kind.index()]
+    }
+
+    /// The traffic since `earlier`, an earlier report of the same engine:
+    /// every counter (hits, misses, evictions, coalesced waits) is
+    /// differenced row by row, and every level (entries, resident weight,
+    /// interned netlists and libraries, capacity) is this report's.
+    pub fn since(&self, earlier: &EngineReport) -> EngineReport {
+        Self::new(
+            self.netlists,
+            self.libraries,
+            self.stats.since(&earlier.stats),
+        )
+    }
+
+    /// Cache hits summed over the four construction stages.
     pub fn total_hits(&self) -> usize {
-        self.stages.iter().map(|s| s.hits).sum()
+        ArtifactKind::STAGES
+            .iter()
+            .map(|&k| self.kind(k).hits)
+            .sum()
     }
 
-    /// Cache misses summed over all stages.
+    /// Cache misses summed over the four construction stages.
     pub fn total_misses(&self) -> usize {
-        self.stages.iter().map(|s| s.misses).sum()
+        ArtifactKind::STAGES
+            .iter()
+            .map(|&k| self.kind(k).misses)
+            .sum()
     }
 
-    /// Evictions summed over all stages plus the sync-run, compiled-model,
-    /// sizing-analysis and lint caches.
+    /// Evictions summed over every kind.
     pub fn total_evictions(&self) -> usize {
-        self.stages.iter().map(|s| s.evictions).sum::<usize>()
-            + self.sync_run_evictions
-            + self.compiled_model_evictions
-            + self.sizing_evictions
-            + self.lint_evictions
+        self.stats.total_evictions()
     }
 
     /// Fraction of stage lookups served from the store (0.0 when none
@@ -843,54 +826,17 @@ impl fmt::Display for EngineReport {
             "  {:<12} {:>7} {:>7} {:>7} {:>7} {:>8}",
             "stage", "entries", "hits", "misses", "evicted", "weight"
         )?;
-        let stages = self.stages.iter().map(|s| {
-            (
-                s.stage.name(),
-                s.entries,
-                s.hits,
-                s.misses,
-                s.evictions,
-                s.resident_weight,
-            )
-        });
-        let kinds = [
-            (
-                "sync-run",
-                self.sync_runs,
-                self.sync_run_hits,
-                self.sync_run_misses,
-                self.sync_run_evictions,
-                self.sync_run_resident_weight,
-            ),
-            (
-                "compiled",
-                self.compiled_models,
-                self.compiled_model_hits,
-                self.compiled_model_misses,
-                self.compiled_model_evictions,
-                self.compiled_model_resident_weight,
-            ),
-            (
-                "sizing",
-                self.sizing_analyses,
-                self.sizing_hits,
-                self.sizing_misses,
-                self.sizing_evictions,
-                self.sizing_resident_weight,
-            ),
-            (
-                "lint",
-                self.lint_reports,
-                self.lint_hits,
-                self.lint_misses,
-                self.lint_evictions,
-                self.lint_resident_weight,
-            ),
-        ];
-        for (name, entries, hits, misses, evicted, weight) in stages.chain(kinds) {
+        for kind in ArtifactKind::ALL {
+            let k = self.kind(kind);
             writeln!(
                 f,
-                "  {name:<12} {entries:>7} {hits:>7} {misses:>7} {evicted:>7} {weight:>8}"
+                "  {:<12} {:>7} {:>7} {:>7} {:>7} {:>8}",
+                kind.name(),
+                k.entries,
+                k.hits,
+                k.misses,
+                k.evictions,
+                k.resident_weight
             )?;
         }
         write!(

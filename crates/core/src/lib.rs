@@ -144,7 +144,7 @@ pub mod verify;
 pub use cluster::{Cluster, ClusterEdge, ClusterGraph, Parity};
 pub use controller::{ControllerImpl, Protocol};
 pub use conversion::{LatchDesign, LatchPair};
-pub use engine::{DesyncEngine, DesyncRuntime, EngineReport, EngineStageStats};
+pub use engine::{ArtifactKind, DesyncEngine, DesyncRuntime, EngineReport};
 pub use error::{DesyncError, OptionsError};
 pub use flow::{DesyncDesign, DesyncSummary};
 pub use model::ControlModel;

@@ -335,14 +335,12 @@ impl ControlModel {
     }
 
     /// The environment controller of the given parity, when the model was
-    /// built with one.
+    /// built with one. The environment pair follows the last cluster's pair,
+    /// so it is found by position: a cluster may itself be named
+    /// [`ENVIRONMENT_NAME`].
     pub fn environment_controller(&self, parity: Parity) -> Option<&ControllerRef> {
-        if !self.has_environment {
-            return None;
-        }
-        self.controllers
-            .iter()
-            .find(|c| c.cluster_name == ENVIRONMENT_NAME && c.parity == parity)
+        self.has_environment
+            .then(|| self.controller(self.controllers.len() / 2 - 1, parity))
     }
 
     /// The delay parameters the model was built with.
@@ -667,5 +665,62 @@ mod tests {
         );
         let stg = desync_mg::Stg::from_graph(model.graph().clone());
         assert_eq!(stg.is_consistent(200_000), Some(true));
+    }
+
+    /// `din -> NOT -> r0 -> NOT -> r1 -> 30 NOTs -> <last> -> q`: the long
+    /// chain before the last register makes a wrongly timed input vector
+    /// show up as a capture mismatch.
+    fn chain_ending_in(last: &str) -> desync_netlist::Netlist {
+        use desync_netlist::{CellKind, Netlist};
+        let mut n = Netlist::new("chain");
+        let clk = n.add_input("clk");
+        let din = n.add_input("din");
+        let d0 = n.add_net("d0");
+        let q0 = n.add_net("q0");
+        let d1 = n.add_net("d1");
+        let q1 = n.add_net("q1");
+        let q = n.add_output("q");
+        n.add_gate("inv_in", CellKind::Not, &[din], d0).unwrap();
+        n.add_dff("r0", d0, clk, q0).unwrap();
+        n.add_gate("inv_mid", CellKind::Not, &[q0], d1).unwrap();
+        n.add_dff("r1", d1, clk, q1).unwrap();
+        let mut w = q1;
+        for i in 0..30 {
+            let next = n.add_net(format!("w{i}"));
+            n.add_gate(format!("inv{i}"), CellKind::Not, &[w], next)
+                .unwrap();
+            w = next;
+        }
+        n.add_dff(last, w, clk, q).unwrap();
+        n
+    }
+
+    #[test]
+    fn a_register_named_like_the_environment_does_not_replace_it() {
+        use crate::{ClusteringStrategy, DesyncFlow, DesyncOptions};
+        use desync_netlist::CellLibrary;
+        use desync_sim::VectorSource;
+
+        let library = CellLibrary::generic_90nm();
+        for last in ["enq", ENVIRONMENT_NAME] {
+            let n = chain_ending_in(last);
+            let din = n.find_net("din").unwrap();
+            for &protocol in Protocol::all() {
+                let options = DesyncOptions::default()
+                    .with_clustering(ClusteringStrategy::PerRegister)
+                    .with_protocol(protocol);
+                let mut flow = DesyncFlow::new(&n, &library, options).unwrap();
+                let clusters = flow.clustered().unwrap().len();
+                let model = &flow.controlled().unwrap().model;
+                for parity in [Parity::Even, Parity::Odd] {
+                    let env = model.environment_controller(parity).unwrap();
+                    assert_eq!(env.cluster, clusters, "{last}, {protocol}");
+                    assert_eq!(env.parity, parity);
+                }
+                flow.set_verification(VectorSource::pseudo_random(vec![din], 7), 24);
+                let report = flow.verified().unwrap();
+                assert!(report.is_equivalent(), "{last}, {protocol}");
+            }
+        }
     }
 }

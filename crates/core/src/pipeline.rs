@@ -1318,6 +1318,7 @@ fn build_control_network(
 mod tests {
     use super::*;
     use crate::controller::Protocol;
+    use crate::engine::ArtifactKind;
     use crate::options::ClusteringStrategy;
     use desync_netlist::CellKind;
 
@@ -1734,7 +1735,7 @@ mod tests {
         assert_eq!(report.libraries, 1);
         assert_eq!(report.total_hits(), 4);
         assert_eq!(report.total_misses(), 4);
-        assert!(report.stages.iter().all(|s| s.entries == 1));
+        assert_eq!(ArtifactKind::STAGES.map(|k| report.kind(k).entries), [1; 4]);
         let text = report.to_string();
         assert!(text.contains("desync engine"), "{text}");
         assert!(text.contains("hit rate"), "{text}");
@@ -1821,17 +1822,19 @@ mod tests {
             .unwrap()
             .controlled()
             .unwrap();
-        assert!(engine.report().stages.iter().all(|s| s.entries == 1));
+        let report = engine.report();
+        assert_eq!(ArtifactKind::STAGES.map(|k| report.kind(k).entries), [1; 4]);
         engine.clear();
         let report = engine.report();
-        assert!(report.stages.iter().all(|s| s.entries == 0));
+        assert_eq!(ArtifactKind::STAGES.map(|k| report.kind(k).entries), [0; 4]);
         assert_eq!(report.netlists, 1);
         // Post-clear flows recompute and repopulate.
         let mut flow = engine.flow(&n, &library, DesyncOptions::default()).unwrap();
         flow.controlled().unwrap();
         assert_eq!(flow.cache_hits(Stage::Controlled), 0);
         assert_eq!(flow.stage_runs(Stage::Controlled), 1);
-        assert!(engine.report().stages.iter().all(|s| s.entries == 1));
+        let report = engine.report();
+        assert_eq!(ArtifactKind::STAGES.map(|k| report.kind(k).entries), [1; 4]);
     }
 
     #[test]

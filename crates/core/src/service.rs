@@ -28,8 +28,8 @@
 //!   the engine's store). A design with error-severity diagnostics is
 //!   rejected with [`DesyncError::LintRejected`] carrying the full
 //!   witness-bearing report — the request fails in O(V+E) with zero stage
-//!   computations, and [`BatchReport::lint_rejections`] /
-//!   [`BatchReport::lint_cache_hits`] account for the traffic,
+//!   computations, and [`BatchReport::lint_rejections`] and the lint row
+//!   of [`BatchReport::store`] account for the traffic,
 //! * **coalesced scheduling** — identical in-flight requests are grouped
 //!   onto *one* computation; duplicates receive clones of the shared
 //!   result. Each request's netlist and library are interned in the engine
@@ -46,8 +46,11 @@
 //!   worker count of the engine's [`DesyncRuntime`](crate::DesyncRuntime),
 //! * **deterministic merging** — results come back **in request order**,
 //!   regardless of scheduling, and
-//! * **per-batch reports** — the engine's cache-hit, eviction, reuse and
-//!   resident-weight deltas plus the simulation events committed.
+//! * **per-batch reports** — the batch's store traffic as one
+//!   [`EngineReport`] delta ([`EngineReport::since`] the report taken
+//!   before the batch: per-kind hits, misses, evictions and coalesced
+//!   waits, with the resident weight after it), the queue's own
+//!   [`QueueCounters`], and the simulation events committed.
 //!
 //! The service owns its engine, so the cache (and its capacity policy, see
 //! [`StoreConfig`](crate::StoreConfig)) persists across batches: a second
@@ -74,9 +77,9 @@
 //! historical all-at-once batch execution, and the queue's high-water mark
 //! is pinned at the group count regardless of worker timing. Results are
 //! bit-identical to the historical synchronous implementation; the reports
-//! additionally carry the queue's traffic counters (high water, sheds,
-//! contained panics, cancellations, deadline misses — all zero for a
-//! healthy fault-free batch).
+//! additionally carry the queue's counters ([`BatchReport::queue`]: high
+//! water, sheds, contained panics, cancellations, deadline misses — all
+//! zero for a healthy fault-free batch).
 //!
 //! # Multi-tenant scheduling
 //!
@@ -91,9 +94,11 @@
 //! different tags never coalesce — each tenant's traffic is dispatched
 //! and accounted under its own tag, while the engine's store still
 //! computes shared artifacts exactly once. The reports carry the
-//! per-tenant and per-lane counter blocks ([`BatchReport::tenants`],
-//! [`BatchReport::lanes`]); untagged batches see one default-tenant
-//! entry and behave exactly as before.
+//! per-tenant and per-lane counter blocks
+//! ([`QueueCounters::tenants`](crate::QueueCounters::tenants),
+//! [`QueueCounters::lanes`](crate::QueueCounters::lanes) of
+//! [`BatchReport::queue`]); untagged batches see one default-tenant entry
+//! and behave exactly as before.
 //!
 //! Robustness guarantees (proven deterministically by the fault-injection
 //! suite under the `failpoints` feature, see [`failpoints`](crate::failpoints)
@@ -139,13 +144,13 @@
 //! assert_eq!(outcome.report.unique, 2);
 //! ```
 
-use crate::engine::DesyncEngine;
+use crate::engine::{ArtifactKind, DesyncEngine, EngineReport};
 use crate::error::DesyncError;
 use crate::flow::DesyncDesign;
 use crate::options::DesyncOptions;
 use crate::submit::{
-    LaneCounters, QueueConfig, QueueCounters, QueueRequest, QueueVerifyRequest, ServiceQueue,
-    SubmitMeta, SubmitOptions, TenantCounters, Work,
+    QueueConfig, QueueCounters, QueueRequest, QueueVerifyRequest, ServiceQueue, SubmitMeta,
+    SubmitOptions, Work,
 };
 use crate::verify::{EquivalenceReport, MultiSeedReport};
 use desync_netlist::{CellLibrary, Netlist};
@@ -456,7 +461,8 @@ impl DesyncService {
     /// stages one submission per group on a paused [`ServiceQueue`],
     /// resumes it, fans each group's result (`finish`ed once per group)
     /// back out to every member slot in request order, and fills the
-    /// [`BatchReport`] from the engine and queue counter deltas.
+    /// [`BatchReport`] with the engine's store delta and the queue's
+    /// counters.
     fn run<R: Batched, T: Clone>(
         &self,
         requests: &[R],
@@ -546,38 +552,21 @@ impl DesyncService {
             .map(|slot| slot.expect("every request mapped to a group"))
             .collect();
 
-        let wall = started.elapsed();
-        let after = self.engine.report();
         let report = BatchReport {
             kind: R::KIND,
             requests: requests.len(),
             unique: groups.len(),
             coalesced: requests.len() - groups.len(),
             workers,
-            wall,
-            cache_hits: after.total_hits() - before.total_hits(),
-            cache_misses: after.total_misses() - before.total_misses(),
-            evictions: after.total_evictions() - before.total_evictions(),
-            resident_weight: after.resident_weight,
-            compile_reuses: after.compiled_model_hits - before.compiled_model_hits,
-            rebinds: after.sizing_hits - before.sizing_hits,
-            sync_run_hits: after.sync_run_hits - before.sync_run_hits,
-            sync_run_misses: after.sync_run_misses - before.sync_run_misses,
-            store_coalesced: after.store_coalesced - before.store_coalesced,
+            wall: started.elapsed(),
+            store: self.engine.report().since(&before),
             events_simulated,
             lint_rejections: results
                 .iter()
                 .filter(|r| matches!(r, Err(DesyncError::LintRejected(_))))
                 .count(),
-            lint_cache_hits: after.lint_hits - before.lint_hits,
             failures: results.iter().filter(|r| r.is_err()).count(),
-            queue_high_water: counters.high_water,
-            shed: counters.shed,
-            panics_contained: counters.panics_contained,
-            cancelled: counters.cancelled,
-            deadline_exceeded: counters.deadline_exceeded,
-            tenants: counters.tenants,
-            lanes: counters.lanes,
+            queue: counters,
         };
         BatchOutcome { results, report }
     }
@@ -635,29 +624,10 @@ pub struct BatchReport {
     pub workers: usize,
     /// Wall time of the whole batch.
     pub wall: Duration,
-    /// Engine stage-cache hits during the batch.
-    pub cache_hits: usize,
-    /// Engine stage-cache misses during the batch.
-    pub cache_misses: usize,
-    /// Artifacts of every kind evicted during the batch.
-    pub evictions: usize,
-    /// Resident store weight after the batch.
-    pub resident_weight: usize,
-    /// Simulations that reused an already compiled model instead of
-    /// recompiling topology (compiled-model store hits during the batch).
-    pub compile_reuses: usize,
-    /// Timed stages served by re-binding matched delays from a cached
-    /// margin-independent sizing analysis (sizing store hits).
-    pub rebinds: usize,
-    /// Sync reference runs served from the store during the batch.
-    pub sync_run_hits: usize,
-    /// Sync reference runs that had to simulate (one per distinct sync
-    /// side when the store starts cold).
-    pub sync_run_misses: usize,
-    /// Artifact computations that coalesced onto another worker's
-    /// in-flight computation at the store (the exactly-once guarantee
-    /// under parallel scheduling).
-    pub store_coalesced: usize,
+    /// The engine's store traffic during the batch
+    /// ([`EngineReport::since`] the report taken before it): counters are
+    /// the batch's, levels (entries, resident weight) those after it.
+    pub store: EngineReport,
     /// Word-level events the batch's simulations committed (zero for a
     /// design batch); the same on any worker count.
     pub events_simulated: usize,
@@ -665,31 +635,13 @@ pub struct BatchReport {
     /// (their result slot holds [`DesyncError::LintRejected`] with the
     /// witness-bearing report; counted inside `failures` too).
     pub lint_rejections: usize,
-    /// Lint pre-flight reports served from the engine's store instead of
-    /// re-analyzed (repeat submissions of an already-linted netlist).
-    pub lint_cache_hits: usize,
     /// Requests whose result is an error.
     pub failures: usize,
-    /// Highest pending depth the submission queue reached. With the
-    /// pause-stage-resume wrappers this equals `unique` (the whole batch
-    /// is staged before execution starts), deterministically.
-    pub queue_high_water: usize,
-    /// Requests shed with [`DesyncError::QueueFull`] (always zero for the
-    /// synchronous wrappers, which run an unbounded queue).
-    pub shed: usize,
-    /// Worker panics contained into per-request
-    /// [`DesyncError::StagePanicked`] results (counted inside `failures`).
-    pub panics_contained: usize,
-    /// Requests resolved [`DesyncError::Cancelled`].
-    pub cancelled: usize,
-    /// Requests resolved [`DesyncError::DeadlineExceeded`].
-    pub deadline_exceeded: usize,
-    /// Per-tenant scheduling counters, in first-submission order. One
-    /// entry ([`TenantId::DEFAULT`](crate::TenantId::DEFAULT)) for an
-    /// untagged batch.
-    pub tenants: Vec<TenantCounters>,
-    /// Per-lane scheduling counters, highest priority first.
-    pub lanes: Vec<LaneCounters>,
+    /// The counters of the queue the batch ran on. With the
+    /// pause-stage-resume batch path its high water equals `unique` (the
+    /// whole batch is staged before execution starts), and its shed count
+    /// is zero (the queue is unbounded).
+    pub queue: QueueCounters,
 }
 
 impl BatchReport {
@@ -714,20 +666,25 @@ impl fmt::Display for BatchReport {
             self.workers,
             self.wall.as_micros()
         )?;
+        let store = &self.store;
+        let sync = store.kind(ArtifactKind::SyncRun);
         writeln!(
             f,
-            "  store: {} hit(s) / {} miss(es), {} eviction(s), {} weight resident; {} failure(s)",
-            self.cache_hits, self.cache_misses, self.evictions, self.resident_weight, self.failures
+            "  store: {} hit(s) / {} miss(es), {} eviction(s), {} weight resident",
+            store.total_hits(),
+            store.total_misses(),
+            store.total_evictions(),
+            store.resident_weight
         )?;
         writeln!(
             f,
             "  reuse: {} compiled-model reuse(s), {} sizing rebind(s), \
              sync runs {} hit(s) / {} miss(es), {} in-flight coalesced",
-            self.compile_reuses,
-            self.rebinds,
-            self.sync_run_hits,
-            self.sync_run_misses,
-            self.store_coalesced,
+            store.kind(ArtifactKind::Compiled).hits,
+            store.kind(ArtifactKind::Sizing).hits,
+            sync.hits,
+            sync.misses,
+            store.store_coalesced,
         )?;
         writeln!(
             f,
@@ -737,18 +694,20 @@ impl fmt::Display for BatchReport {
         writeln!(
             f,
             "  lint: {} rejection(s) at admission, {} report(s) served from cache",
-            self.lint_rejections, self.lint_cache_hits
+            self.lint_rejections,
+            store.kind(ArtifactKind::Lint).hits
         )?;
+        let queue = &self.queue;
         write!(
             f,
             "  queue: high water {}, {} shed, {} panic(s) contained, {} cancelled, {} past deadline",
-            self.queue_high_water,
-            self.shed,
-            self.panics_contained,
-            self.cancelled,
-            self.deadline_exceeded
+            queue.high_water,
+            queue.shed,
+            queue.panics_contained,
+            queue.cancelled,
+            queue.deadline_exceeded
         )?;
-        for t in &self.tenants {
+        for t in &queue.tenants {
             write!(
                 f,
                 "\n  tenant {}: {} submitted, {} dispatched, {} shed, \
@@ -762,13 +721,13 @@ impl fmt::Display for BatchReport {
                 t.high_water
             )?;
         }
-        if self.lanes.iter().any(|l| l.submitted > 0) {
+        if queue.lanes.iter().any(|l| l.submitted > 0) {
             write!(f, "\n  lanes:")?;
-            for (i, l) in self.lanes.iter().enumerate() {
+            for (i, l) in queue.lanes.iter().enumerate() {
                 let sep = if i == 0 { " " } else { ", " };
                 write!(f, "{sep}{} {}/{}", l.priority, l.dispatched, l.submitted)?;
             }
-            let aged: usize = self.lanes.iter().map(|l| l.aged_promotions).sum();
+            let aged: usize = queue.lanes.iter().map(|l| l.aged_promotions).sum();
             write!(f, " dispatched/submitted, {aged} aged promotion(s)")?;
         }
         Ok(())
@@ -837,19 +796,19 @@ mod tests {
         assert_eq!(outcome.report.failures, 0);
         // One computation: the engine saw exactly one miss per construction
         // stage and zero hits (nobody raced the same key).
-        assert_eq!(outcome.report.cache_misses, 4);
-        assert_eq!(outcome.report.cache_hits, 0);
+        assert_eq!(outcome.report.store.total_misses(), 4);
+        assert_eq!(outcome.report.store.total_hits(), 0);
         let first = outcome.results[0].as_ref().unwrap();
         for result in &outcome.results[1..] {
             assert_eq!(result.as_ref().unwrap(), first);
         }
         // A second batch over the same request is served from the store.
         let outcome = service.run_batch(&requests[..2]);
-        assert_eq!(outcome.report.cache_hits, 4);
-        assert_eq!(outcome.report.cache_misses, 0);
+        assert_eq!(outcome.report.store.total_hits(), 4);
+        assert_eq!(outcome.report.store.total_misses(), 0);
         // The pre-flight lint of a clean design is cached alongside the
         // stages (counted separately, so the stage numbers above hold).
-        assert_eq!(outcome.report.lint_cache_hits, 1);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::Lint).hits, 1);
         assert_eq!(outcome.report.lint_rejections, 0);
         let text = outcome.report.to_string();
         assert!(text.contains("coalesced"), "{text}");
@@ -919,13 +878,13 @@ mod tests {
         assert_eq!(outcome.report.failures, 3);
         // Zero stage computations: the stage-kind cache saw no traffic at
         // all — the lint pre-flight was the only work the batch did.
-        assert_eq!(outcome.report.cache_misses, 0);
-        assert_eq!(outcome.report.cache_hits, 0);
+        assert_eq!(outcome.report.store.total_misses(), 0);
+        assert_eq!(outcome.report.store.total_hits(), 0);
         // Resubmitting serves the cached lint report instead of re-linting.
         let outcome = service.run_batch(&requests[..1]);
         assert_eq!(outcome.report.lint_rejections, 1);
-        assert_eq!(outcome.report.lint_cache_hits, 1);
-        assert_eq!(outcome.report.cache_misses, 0);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::Lint).hits, 1);
+        assert_eq!(outcome.report.store.total_misses(), 0);
         let text = outcome.report.to_string();
         assert!(text.contains("1 rejection(s) at admission"), "{text}");
         assert!(text.contains("1 report(s) served from cache"), "{text}");
@@ -983,8 +942,8 @@ mod tests {
         assert_eq!(outcome.report.lint_rejections, 1);
         assert_eq!(outcome.report.failures, 1);
         // No stage, simulation or compile work happened for the bad point.
-        assert_eq!(outcome.report.cache_misses, 0);
-        assert_eq!(outcome.report.sync_run_misses, 0);
+        assert_eq!(outcome.report.store.total_misses(), 0);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::SyncRun).misses, 0);
         assert_eq!(outcome.report.events_simulated(), 0);
         let text = outcome.report.to_string();
         assert!(text.contains("rejection(s) at admission"), "{text}");
@@ -1028,10 +987,10 @@ mod tests {
         // Shared work was computed exactly once: one sync reference, one
         // sync + one datapath model, one sizing analysis (the second
         // margin re-bound from it).
-        assert_eq!(outcome.report.sync_run_misses, 1);
-        assert_eq!(outcome.report.sync_run_hits, 5);
-        assert_eq!(outcome.report.compile_reuses, 5);
-        assert_eq!(outcome.report.rebinds, 1);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::SyncRun).misses, 1);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::SyncRun).hits, 5);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::Compiled).hits, 5);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::Sizing).hits, 1);
         assert!(outcome.report.events_simulated() > 0);
         let text = outcome.report.to_string();
         assert!(text.contains("verification sweep"), "{text}");
@@ -1063,8 +1022,8 @@ mod tests {
         assert_eq!(outcome.report.coalesced, 1);
         assert_eq!(outcome.report.failures, 0);
         // One packed sync reference shared across protocols.
-        assert_eq!(outcome.report.sync_run_misses, 1);
-        assert_eq!(outcome.report.sync_run_hits, 2);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::SyncRun).misses, 1);
+        assert_eq!(outcome.report.store.kind(ArtifactKind::SyncRun).hits, 2);
         // The packed word events are a fraction of the lane-equivalent
         // work the campaign actually verified.
         assert!(outcome.lane_events_simulated > outcome.report.events_simulated());
@@ -1166,5 +1125,151 @@ mod tests {
         assert_eq!(outcome.report.requests, 0);
         assert_eq!(outcome.report.unique, 0);
         assert_eq!(outcome.report.coalesced, 0);
+    }
+
+    /// The doc-example two-register pipeline.
+    fn pipe() -> Netlist {
+        let mut n = Netlist::new("pipe");
+        let clk = n.add_input("clk");
+        let a = n.add_input("a");
+        let q0 = n.add_net("q0");
+        let w = n.add_net("w");
+        let q1 = n.add_output("q1");
+        n.add_dff("r0", a, clk, q0).unwrap();
+        n.add_gate("g0", CellKind::Not, &[q0], w).unwrap();
+        n.add_dff("r1", w, clk, q1).unwrap();
+        n
+    }
+
+    /// Every line of a batch report but the header, which carries the wall
+    /// time.
+    fn body(report: &BatchReport) -> String {
+        let text = report.to_string();
+        text.split_once('\n').unwrap().1.to_string()
+    }
+
+    #[test]
+    fn engine_and_batch_report_text_is_pinned() {
+        // One single-worker history over a bounded store: a design batch
+        // with a duplicate and an invalid request, then a sweep over the
+        // three protocols. Every count below is deterministic.
+        let n = pipe();
+        let library = CellLibrary::generic_90nm();
+        let a = n.find_net("a").unwrap();
+        let service = DesyncService::with_engine(DesyncEngine::with_store_and_runtime(
+            crate::StoreConfig::default().with_capacity(400),
+            crate::DesyncRuntime::with_workers(1),
+        ));
+        let options = DesyncOptions::default();
+        let designs = service.run_batch(&[
+            ServiceRequest::new(&n, &library, options),
+            ServiceRequest::new(&n, &library, options),
+            ServiceRequest::new(&n, &library, options.with_margin(0.2)),
+            ServiceRequest::new(&n, &library, options.with_margin(-1.0)),
+        ]);
+        let stim = VectorSource::pseudo_random(vec![a], 5);
+        let points: Vec<_> = crate::Protocol::all()
+            .iter()
+            .map(|&p| SweepRequest::new(&n, &library, options.with_protocol(p), &stim, 10))
+            .collect();
+        let sweep = service.run_sweep(&points);
+
+        assert_eq!(
+            service.engine().report().to_string(),
+            "desync engine: 1 netlist(s), 1 library(ies), store 399 / 400 weight resident
+  stage        entries    hits  misses evicted   weight
+  clustered          1       4       1       0        5
+  latched            1       4       1       0       20
+  timed              1       3       2       1        4
+  controlled         2       1       4       2      192
+  sync-run           1       2       1       0       30
+  compiled           2       2       2       0       84
+  sizing             0       1       1       1        0
+  lint               1       4       1       0       64
+  stage total: 12 hit(s) / 8 miss(es) (60.0 % hit rate), 4 eviction(s) overall, \
+0 coalesced in-flight wait(s) (sync-run / compiled / sizing / lint caches counted separately above)"
+        );
+        let header = designs.report.to_string();
+        assert!(
+            header.starts_with(
+                "service batch: 4 request(s), 3 unique (1 coalesced), 1 worker(s), wall "
+            ),
+            "{header}"
+        );
+        assert_eq!(
+            body(&designs.report),
+            "  store: 2 hit(s) / 6 miss(es), 0 eviction(s), 329 weight resident
+  reuse: 0 compiled-model reuse(s), 1 sizing rebind(s), sync runs 0 hit(s) / 0 miss(es), \
+0 in-flight coalesced
+  0 event(s) simulated; 1 failure(s)
+  lint: 0 rejection(s) at admission, 1 report(s) served from cache
+  queue: high water 3, 0 shed, 0 panic(s) contained, 0 cancelled, 0 past deadline
+  tenant 0: 3 submitted, 3 dispatched, 0 shed, waits sum 3 max 2 tick(s), high water 3
+  lanes: high 0/0, normal 3/3, low 0/0 dispatched/submitted, 0 aged promotion(s)"
+        );
+        let header = sweep.report.to_string();
+        assert!(
+            header.starts_with(
+                "verification sweep: 3 point(s), 3 unique (0 coalesced), 1 worker(s), wall "
+            ),
+            "{header}"
+        );
+        assert_eq!(
+            body(&sweep.report),
+            "  store: 10 hit(s) / 2 miss(es), 4 eviction(s), 399 weight resident
+  reuse: 2 compiled-model reuse(s), 0 sizing rebind(s), sync runs 2 hit(s) / 1 miss(es), \
+0 in-flight coalesced
+  539 event(s) simulated; 0 failure(s)
+  lint: 0 rejection(s) at admission, 3 report(s) served from cache
+  queue: high water 3, 0 shed, 0 panic(s) contained, 0 cancelled, 0 past deadline
+  tenant 0: 3 submitted, 3 dispatched, 0 shed, waits sum 3 max 2 tick(s), high water 3
+  lanes: high 0/0, normal 3/3, low 0/0 dispatched/submitted, 0 aged promotion(s)"
+        );
+    }
+
+    #[test]
+    fn batch_store_delta_is_the_engine_report_since_the_batch_began() {
+        let n = pipe();
+        let library = CellLibrary::generic_90nm();
+        let a = n.find_net("a").unwrap();
+        let stim = VectorSource::pseudo_random(vec![a], 5);
+        let service = DesyncService::with_engine(DesyncEngine::with_workers(2));
+        let options = DesyncOptions::default();
+        let designs = [
+            ServiceRequest::new(&n, &library, options),
+            ServiceRequest::new(&n, &library, options.with_margin(0.2)),
+        ];
+        let points: Vec<_> = crate::Protocol::all()
+            .iter()
+            .map(|&p| SweepRequest::new(&n, &library, options.with_protocol(p), &stim, 10))
+            .collect();
+
+        let before = service.engine().report();
+        let outcome = service.run_batch(&designs);
+        assert_eq!(
+            outcome.report.store,
+            service.engine().report().since(&before)
+        );
+        let before = service.engine().report();
+        let outcome = service.run_sweep(&points);
+        assert_eq!(
+            outcome.report.store,
+            service.engine().report().since(&before)
+        );
+        assert_eq!(outcome.report.store.kind(ArtifactKind::SyncRun).misses, 1);
+
+        // A repeat of the same sweep is served whole from the store.
+        let before = service.engine().report();
+        let repeat = service.run_sweep(&points);
+        let delta = &repeat.report.store;
+        assert_eq!(*delta, service.engine().report().since(&before));
+        for kind in ArtifactKind::ALL {
+            let row = delta.kind(kind);
+            assert_eq!((row.misses, row.evictions), (0, 0), "{}", kind.name());
+        }
+        assert!(delta.total_hits() > 0);
+        // Levels are the engine's after the batch, not differenced.
+        assert_eq!(delta.resident_weight, before.resident_weight);
+        assert_eq!(delta.netlists, 1);
     }
 }

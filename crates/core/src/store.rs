@@ -45,6 +45,7 @@
 //! The store is generic over key and value: the engine instantiates it
 //! with its artifact enum, the unit tests with toy types.
 
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -63,9 +64,9 @@ pub trait Weigh {
 }
 
 /// A key type usable by the [`ArtifactStore`]: hashable, cheap to copy, and
-/// classifying itself into one of a fixed number of *kinds* (the engine
-/// uses one kind per cached stage plus one for sync-reference runs) for the
-/// per-kind counters.
+/// classifying itself into one of a fixed number of *kinds* (the engine's
+/// are the [`ArtifactKind`](crate::ArtifactKind)s) for the per-kind
+/// counters.
 pub trait StoreKey: Eq + Hash + Copy {
     /// The kind index of this key, `0 <= kind < kind_count`.
     fn kind(&self) -> usize;
@@ -173,7 +174,7 @@ impl<K: StoreKey, V: Clone> State<K, V> {
 }
 
 /// Counters of one artifact kind, see [`ArtifactStore::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StoreKindStats {
     /// Resident entries of this kind.
     pub entries: usize,
@@ -192,7 +193,7 @@ pub struct StoreKindStats {
 }
 
 /// A consistent snapshot of an [`ArtifactStore`]'s population and counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
     /// Per-kind counters, indexed by [`StoreKey::kind`].
     pub kinds: Vec<StoreKindStats>,
@@ -201,6 +202,29 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
+    /// The traffic since `earlier`, an earlier snapshot of the same store:
+    /// each kind's counters (hits, misses, evictions, coalesced waits) are
+    /// differenced, and the levels (entries, resident weight, capacity) are
+    /// this snapshot's.
+    pub fn since(&self, earlier: &StoreStats) -> StoreStats {
+        let kinds = self
+            .kinds
+            .iter()
+            .zip(&earlier.kinds)
+            .map(|(now, then)| StoreKindStats {
+                hits: now.hits - then.hits,
+                misses: now.misses - then.misses,
+                evictions: now.evictions - then.evictions,
+                coalesced: now.coalesced - then.coalesced,
+                ..*now
+            })
+            .collect();
+        StoreStats {
+            kinds,
+            capacity: self.capacity,
+        }
+    }
+
     /// Resident weight summed over all kinds.
     pub fn resident_weight(&self) -> usize {
         self.kinds.iter().map(|k| k.resident_weight).sum()

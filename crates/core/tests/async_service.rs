@@ -9,10 +9,10 @@
 //! wedging the suite.
 
 use desync_core::{
-    AdmissionPolicy, BatchReport, CampaignPointOutcome, CampaignRequest, CancelToken, DesyncDesign,
-    DesyncEngine, DesyncError, DesyncFlow, DesyncOptions, DesyncService, EquivalenceReport,
-    Interrupt, MultiSeedReport, QueueCampaignRequest, QueueConfig, QueueRequest, QueueSweepRequest,
-    ServiceQueue, ServiceRequest, SubmitOptions, SweepRequest, TicketHandle,
+    AdmissionPolicy, ArtifactKind, BatchReport, CampaignPointOutcome, CampaignRequest, CancelToken,
+    DesyncDesign, DesyncEngine, DesyncError, DesyncFlow, DesyncOptions, DesyncService,
+    EquivalenceReport, Interrupt, MultiSeedReport, QueueCampaignRequest, QueueConfig, QueueRequest,
+    QueueSweepRequest, ServiceQueue, ServiceRequest, SubmitOptions, SweepRequest, TicketHandle,
 };
 use desync_netlist::{CellKind, CellLibrary, Netlist};
 use desync_sim::{PackedVectorSource, VectorSource};
@@ -287,11 +287,11 @@ fn wrapper_reports_carry_deterministic_queue_counters() {
     assert_eq!(outcome.report.unique, 3);
     // Pause-stage-resume pins the high-water mark at the group count,
     // independent of worker scheduling.
-    assert_eq!(outcome.report.queue_high_water, 3);
-    assert_eq!(outcome.report.shed, 0);
-    assert_eq!(outcome.report.panics_contained, 0);
-    assert_eq!(outcome.report.cancelled, 0);
-    assert_eq!(outcome.report.deadline_exceeded, 0);
+    assert_eq!(outcome.report.queue.high_water, 3);
+    assert_eq!(outcome.report.queue.shed, 0);
+    assert_eq!(outcome.report.queue.panics_contained, 0);
+    assert_eq!(outcome.report.queue.cancelled, 0);
+    assert_eq!(outcome.report.queue.deadline_exceeded, 0);
     let text = outcome.report.to_string();
     assert!(text.contains("queue: high water 3"), "{text}");
 }
@@ -690,8 +690,12 @@ fn every_request_kind_shares_admission_isolation_coalescing_and_interrupts() {
             results[0]
         );
         assert_eq!(report.lint_rejections, 1, "{kind:?}");
-        assert_eq!(report.cache_misses, 0, "{kind:?}");
-        assert_eq!(report.sync_run_misses, 0, "{kind:?}");
+        assert_eq!(report.store.total_misses(), 0, "{kind:?}");
+        assert_eq!(
+            report.store.kind(ArtifactKind::SyncRun).misses,
+            0,
+            "{kind:?}"
+        );
         assert_eq!(report.events_simulated(), 0, "{kind:?}");
 
         // Invalid options stay in their slot; duplicates coalesce onto one
@@ -708,7 +712,7 @@ fn every_request_kind_shares_admission_isolation_coalescing_and_interrupts() {
         assert_eq!(results[2], results[0], "{kind:?}");
         assert_eq!((report.unique, report.coalesced), (2, 1), "{kind:?}");
         assert_eq!(report.failures, 1, "{kind:?}");
-        assert_eq!(report.cache_misses, 4, "{kind:?}: one computation");
+        assert_eq!(report.store.total_misses(), 4, "{kind:?}: one computation");
 
         // --- ServiceQueue::submit* ---------------------------------------
         let engine = Arc::new(DesyncEngine::with_workers(1));
@@ -719,7 +723,11 @@ fn every_request_kind_shares_admission_isolation_coalescing_and_interrupts() {
             "{kind:?}"
         );
         assert_eq!(engine.report().total_misses(), 0, "{kind:?}");
-        assert_eq!(engine.report().sync_run_misses, 0, "{kind:?}");
+        assert_eq!(
+            engine.report().kind(ArtifactKind::SyncRun).misses,
+            0,
+            "{kind:?}"
+        );
 
         // Staged under pause: an invalid point, two duplicates, a
         // pre-cancelled token and an expired deadline.

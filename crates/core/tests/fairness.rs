@@ -410,7 +410,10 @@ fn service_reports_are_identical_across_worker_counts() {
         let outcome = service.run_batch(&requests);
         assert_eq!(outcome.report.requests, 12);
         assert_eq!(outcome.report.failures, 0);
-        let snapshot = (outcome.report.tenants.clone(), outcome.report.lanes.clone());
+        let snapshot = (
+            outcome.report.queue.tenants.clone(),
+            outcome.report.queue.lanes.clone(),
+        );
         match &baseline {
             None => baseline = Some(snapshot),
             Some(first) => assert_eq!(

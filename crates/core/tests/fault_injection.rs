@@ -421,7 +421,7 @@ fn wrapper_batches_contain_panics_and_report_them() {
         })
     ));
     assert!(outcome.results[1].is_ok());
-    assert_eq!(outcome.report.panics_contained, 1);
+    assert_eq!(outcome.report.queue.panics_contained, 1);
     assert_eq!(outcome.report.failures, 1);
     assert_eq!(service.engine().inflight_artifacts(), 0);
     let text = outcome.report.to_string();

@@ -4,7 +4,9 @@
 //! verification reports, recomputing whatever was evicted.
 
 use desync_circuits::LinearPipelineConfig;
-use desync_core::{DesyncEngine, DesyncFlow, DesyncOptions, DesyncRuntime, Stage, StoreConfig};
+use desync_core::{
+    ArtifactKind, DesyncEngine, DesyncFlow, DesyncOptions, DesyncRuntime, Stage, StoreConfig,
+};
 use desync_netlist::{CellLibrary, Netlist};
 use desync_sim::VectorSource;
 
@@ -70,10 +72,13 @@ fn bounded_engine_keeps_weight_inside_capacity_and_stays_correct() {
     // the sync-run, compiled-model and sizing-analysis caches).
     assert_eq!(
         report.total_evictions(),
-        report.stages.iter().map(|s| s.evictions).sum::<usize>()
-            + report.sync_run_evictions
-            + report.compiled_model_evictions
-            + report.sizing_evictions,
+        ArtifactKind::STAGES
+            .iter()
+            .map(|&k| report.kind(k).evictions)
+            .sum::<usize>()
+            + report.kind(ArtifactKind::SyncRun).evictions
+            + report.kind(ArtifactKind::Compiled).evictions
+            + report.kind(ArtifactKind::Sizing).evictions,
     );
 
     // Every design equals its fresh detached computation even
@@ -135,7 +140,10 @@ fn evicted_sync_runs_reverify_bit_identically() {
         flow.set_verification(stim, cycles);
         reference_reports.push(flow.verified().unwrap().clone());
     }
-    let sync_weight = reference_engine.report().sync_run_resident_weight;
+    let sync_weight = reference_engine
+        .report()
+        .kind(ArtifactKind::SyncRun)
+        .resident_weight;
     assert!(sync_weight > 0);
 
     // A store too small for all four reference runs (but with room for the
@@ -162,10 +170,11 @@ fn evicted_sync_runs_reverify_bit_identically() {
         }
     }
     let report = engine.report();
-    assert!(report.sync_run_evictions > 0, "{report}");
+    let sync = report.kind(ArtifactKind::SyncRun);
+    assert!(sync.evictions > 0, "{report}");
     assert!(report.resident_weight <= capacity);
     assert!(
-        report.sync_run_misses > 4,
+        sync.misses > 4,
         "evicted reference runs must re-simulate: {report}"
     );
 }

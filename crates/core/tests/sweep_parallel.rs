@@ -10,7 +10,9 @@
 //! serially-executed flow over the same point.
 
 use desync_circuits::random::RandomCircuitConfig;
-use desync_core::{DesyncEngine, DesyncFlow, DesyncOptions, DesyncService, Protocol, SweepRequest};
+use desync_core::{
+    ArtifactKind, DesyncEngine, DesyncFlow, DesyncOptions, DesyncService, Protocol, SweepRequest,
+};
 use desync_netlist::CellLibrary;
 use desync_sim::VectorSource;
 use proptest::prelude::*;
@@ -94,8 +96,9 @@ proptest! {
         // Shared artifacts were computed exactly once regardless of the
         // submission order: one sync reference and one datapath model per
         // design, one sizing analysis with one rebind per extra margin.
-        prop_assert_eq!(outcome.report.sync_run_misses, 1);
-        prop_assert_eq!(outcome.report.rebinds, 1);
-        prop_assert_eq!(outcome.report.sync_run_hits, requests.len() - 1);
+        let store = &outcome.report.store;
+        prop_assert_eq!(store.kind(ArtifactKind::SyncRun).misses, 1);
+        prop_assert_eq!(store.kind(ArtifactKind::Sizing).hits, 1);
+        prop_assert_eq!(store.kind(ArtifactKind::SyncRun).hits, requests.len() - 1);
     }
 }

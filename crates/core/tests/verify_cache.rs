@@ -5,7 +5,7 @@
 //! verification.
 
 use desync_circuits::LinearPipelineConfig;
-use desync_core::{DesyncEngine, DesyncFlow, DesyncOptions, Protocol, Stage};
+use desync_core::{ArtifactKind, DesyncEngine, DesyncFlow, DesyncOptions, Protocol, Stage};
 use desync_netlist::{CellLibrary, Netlist};
 use desync_sim::VectorSource;
 
@@ -23,6 +23,11 @@ fn stimulus(netlist: &Netlist, seed: u64) -> VectorSource {
         .filter(|&n| netlist.net(n).name != "clk")
         .collect();
     VectorSource::pseudo_random(inputs, seed)
+}
+
+/// Reference runs resident in the engine's store.
+fn sync_runs(engine: &DesyncEngine) -> usize {
+    engine.report().kind(ArtifactKind::SyncRun).entries
 }
 
 #[test]
@@ -48,9 +53,10 @@ fn engine_sweep_simulates_the_sync_side_once() {
     // served from the engine's reference-run cache (protocol and margin do
     // not change the sync side).
     let engine_report = engine.report();
-    assert_eq!(engine_report.sync_runs, 1);
-    assert_eq!(engine_report.sync_run_misses, 1);
-    assert_eq!(engine_report.sync_run_hits, 5);
+    let sync = engine_report.kind(ArtifactKind::SyncRun);
+    assert_eq!(sync.entries, 1);
+    assert_eq!(sync.misses, 1);
+    assert_eq!(sync.hits, 5);
     assert!(engine_report.to_string().contains("sync-run"));
 
     // Bit-identical to fresh detached verification: reports (sync run included)
@@ -69,7 +75,7 @@ fn engine_sweep_simulates_the_sync_side_once() {
     other.set_verification(stimulus(&netlist, 12), cycles);
     other.verified().unwrap();
     assert_eq!(other.sync_run_cache_hits(), 0);
-    assert_eq!(engine.report().sync_runs, 2);
+    assert_eq!(sync_runs(&engine), 2);
 
     let mut longer = engine
         .flow(&netlist, &library, DesyncOptions::default())
@@ -77,11 +83,11 @@ fn engine_sweep_simulates_the_sync_side_once() {
     longer.set_verification(stim.clone(), cycles + 1);
     longer.verified().unwrap();
     assert_eq!(longer.sync_run_cache_hits(), 0);
-    assert_eq!(engine.report().sync_runs, 3);
+    assert_eq!(sync_runs(&engine), 3);
 
     // `clear()` drops the reference runs along with the stage artifacts.
     engine.clear();
-    assert_eq!(engine.report().sync_runs, 0);
+    assert_eq!(sync_runs(&engine), 0);
 }
 
 #[test]

@@ -113,9 +113,9 @@ pub use desync_sta as sta;
 pub mod prelude {
     pub use desync_circuits::{DlxConfig, FirConfig, LinearPipelineConfig};
     pub use desync_core::{
-        run_soak, AdmissionPolicy, BatchReport, CampaignOutcome, CampaignRequest, CancelToken,
-        ClusteringStrategy, ControlNetwork, DesyncDesign, DesyncEngine, DesyncError, DesyncFlow,
-        DesyncOptions, DesyncRuntime, DesyncService, DispatchRecord, DivergenceWindow,
+        run_soak, AdmissionPolicy, ArtifactKind, BatchReport, CampaignOutcome, CampaignRequest,
+        CancelToken, ClusteringStrategy, ControlNetwork, DesyncDesign, DesyncEngine, DesyncError,
+        DesyncFlow, DesyncOptions, DesyncRuntime, DesyncService, DispatchRecord, DivergenceWindow,
         EngineReport, EquivalenceReport, FlowReport, LaneCounters, MultiSeedReport, Priority,
         Protocol, QueueCampaignRequest, QueueConfig, QueueCounters, QueueRequest,
         QueueSweepRequest, ServiceQueue, ServiceRequest, SizingAnalysis, SoakConfig, SoakReport,
