@@ -12,7 +12,7 @@
 //! [`CAMPAIGN_LANES`] pseudo-random stimulus seeds at once through the
 //! bit-parallel kernel, with probe lanes cross-checked bit-for-bit against
 //! detached scalar flows. Throughput is reported on both axes — word-level
-//! committed events per second (what the calendar queue actually executed)
+//! committed events per second (what the event queue actually executed)
 //! and scalar-equivalent lane events per second (what those words are worth
 //! in single-stimulus runs) — because conflating the two is exactly the
 //! `events_per_sec` ambiguity schema `/2` had. The `verify_hot` bin prints
@@ -110,7 +110,7 @@ pub struct VerifyHotReport {
     /// to the scalar parallel phase).
     pub campaign_wall: Duration,
     /// Word-level events the packed campaign actually committed (one per
-    /// calendar-queue commit, regardless of lane count).
+    /// event-queue commit, regardless of lane count).
     pub campaign_word_events: usize,
     /// Scalar-equivalent events of the campaign: each committed word
     /// credited once per lane whose payload it carried.
@@ -145,7 +145,7 @@ impl VerifyHotReport {
     }
 
     /// Word-level committed events per second of campaign wall time: the
-    /// rate at which the packed kernel's calendar queue actually retires
+    /// rate at which the packed kernel's event queue actually retires
     /// events.
     pub fn campaign_word_events_per_sec(&self) -> f64 {
         let secs = self.campaign_wall.as_secs_f64();

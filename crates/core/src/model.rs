@@ -14,7 +14,7 @@ use crate::controller::{initial_tokens, PairEvent, Protocol};
 use desync_mg::timing::{simulate_timed, TimedTrace};
 use desync_mg::{MarkedGraph, TransitionId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Delay parameters of the control model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,7 +37,9 @@ impl Default for ModelDelays {
     }
 }
 
-/// Name used for the virtual environment controller pair.
+/// Name used for the virtual environment controller pair, unless a cluster
+/// already has it; the pair then takes the first of `env_1`, `env_2`, …
+/// that no cluster has, so every transition label stays distinct.
 pub const ENVIRONMENT_NAME: &str = "env";
 
 /// Forward-delay budgets of the environment arcs: how long data launched by
@@ -172,12 +174,15 @@ impl ControlModel {
         }
         let has_environment = environment.is_some();
         if has_environment {
-            make_controller_pair(
-                &mut graph,
-                &mut controllers,
-                clusters.len(),
-                ENVIRONMENT_NAME,
-            );
+            let taken: HashSet<&str> = (clusters.clusters.iter())
+                .map(|cluster| cluster.name.as_str())
+                .filter(|name| name.starts_with(ENVIRONMENT_NAME))
+                .collect();
+            let name = std::iter::once(ENVIRONMENT_NAME.to_string())
+                .chain((1..).map(|i| format!("{ENVIRONMENT_NAME}_{i}")))
+                .find(|name| !taken.contains(name.as_str()))
+                .expect("finitely many clusters leave a name free");
+            make_controller_pair(&mut graph, &mut controllers, clusters.len(), &name);
         }
         let controller_of = |cluster: usize, parity: Parity| -> &ControllerRef {
             &controllers[cluster * 2 + usize::from(parity == Parity::Odd)]
@@ -186,11 +191,10 @@ impl ControlModel {
         // Pairwise patterns. The duplicate filter below is a set lookup over
         // (from, to, tokens) instead of a scan of the whole place list per
         // added place (which made model construction quadratic).
-        let mut existing_places: std::collections::HashSet<(TransitionId, TransitionId, u32)> =
-            graph
-                .places()
-                .map(|(_, p)| (p.from, p.to, p.initial_tokens))
-                .collect();
+        let mut existing_places: HashSet<(TransitionId, TransitionId, u32)> = graph
+            .places()
+            .map(|(_, p)| (p.from, p.to, p.initial_tokens))
+            .collect();
         let mut add_pair = |graph: &mut MarkedGraph,
                             src: &ControllerRef,
                             dst: &ControllerRef,
@@ -693,6 +697,49 @@ mod tests {
         }
         n.add_dff(last, w, clk, q).unwrap();
         n
+    }
+
+    /// Every transition label of `model` is distinct and the STG view of
+    /// its graph, which merges transitions by label, is consistent.
+    fn assert_labels_distinct_and_consistent(model: &ControlModel, context: &str) {
+        let graph = model.graph();
+        let labels: HashSet<&str> = graph.transitions().map(|(_, t)| t.label.as_str()).collect();
+        assert_eq!(labels.len(), graph.num_transitions(), "{context}");
+        let stg = desync_mg::Stg::from_graph(graph.clone());
+        assert_eq!(stg.is_consistent(200_000), Some(true), "{context}");
+    }
+
+    #[test]
+    fn a_cluster_named_like_the_environment_keeps_the_labels_distinct() {
+        use crate::{ClusteringStrategy, DesyncFlow, DesyncOptions};
+        use desync_netlist::CellLibrary;
+
+        let library = CellLibrary::generic_90nm();
+        for last in ["enq", ENVIRONMENT_NAME] {
+            let n = chain_ending_in(last);
+            for &protocol in Protocol::all() {
+                let options = DesyncOptions::default()
+                    .with_clustering(ClusteringStrategy::PerRegister)
+                    .with_protocol(protocol);
+                let mut flow = DesyncFlow::new(&n, &library, options).unwrap();
+                let model = &flow.controlled().unwrap().model;
+                assert_labels_distinct_and_consistent(model, &format!("{last}, {protocol}"));
+            }
+        }
+        // With `env` and `env_1` both taken, the environment is `env_2`.
+        let mut clusters = chain_clusters(3);
+        clusters.clusters[0].name = ENVIRONMENT_NAME.to_string();
+        clusters.clusters[1].name = format!("{ENVIRONMENT_NAME}_1");
+        let model = ControlModel::build_with_environment(
+            &clusters,
+            Protocol::FullyDecoupled,
+            &uniform_delays(&clusters, 500.0),
+            Some(&EnvironmentSpec::default()),
+            ModelDelays::default(),
+        );
+        let env = model.environment_controller(Parity::Odd).unwrap();
+        assert_eq!(env.cluster_name, "env_2");
+        assert_labels_distinct_and_consistent(&model, "env, env_1, st2");
     }
 
     #[test]

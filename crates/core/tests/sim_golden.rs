@@ -1,8 +1,9 @@
 //! Golden-trace property tests of the rewritten simulation kernel.
 //!
 //! The event kernel in `desync-sim` was rewritten for speed (integer time
-//! keys, calendar queue, CSR topology, zero-allocation commit path) under a
-//! hard contract: **observable results are bit-identical** to the previous
+//! keys, a radix event queue that pops equal times in push order, CSR
+//! topology, zero-allocation commit path) under a hard contract:
+//! **observable results are bit-identical** to the previous
 //! straightforward implementation. This suite keeps that previous
 //! implementation alive as an in-test reference — an f64 binary heap, a
 //! cloned per-net reader list and a per-evaluation input `Vec`, exactly the

@@ -41,7 +41,7 @@
 //!   [`CompiledModel`] built once by [`CompiledModel::compile`]. A
 //!   `Simulator` is a cursor over an `Arc` of that model
 //!   ([`Simulator::with_lanes`]): it owns only the per-run mutable state
-//!   (net values, the calendar queue, counters, captures, the watch list),
+//!   (net values, the event queue, counters, captures, the watch list),
 //!   so a verification sweep re-binds schedules and stimuli onto one
 //!   compiled model instead of recompiling topology per point.
 //! * **Integer time keys.** Events are ordered by a `u64` key — the IEEE-754
@@ -52,13 +52,15 @@
 //!   bit-identical to an f64 kernel, with none of the `partial_cmp`
 //!   NaN-in-the-heap hazards. Non-finite times are rejected at the
 //!   [`Simulator::schedule`] boundary.
-//! * **Calendar queue.** The pending-event set is a bucketed calendar queue:
-//!   a window of fixed-width time buckets (each a small binary heap on
-//!   `(key, seq)`) plus a heap *overflow tier* for events beyond the window
-//!   horizon (e.g. an [`EnableSchedule`](crate::EnableSchedule) scheduled
-//!   hundreds of cycles up front). Pops scan forward from a cursor;
-//!   when the window drains, it is re-based onto the overflow minimum and
-//!   in-horizon events migrate back into buckets.
+//! * **Radix queue.** The pending-event set is a monotone radix queue
+//!   (Ahuja, Mehlhorn, Orlin and Tarjan's radix heap) over those keys:
+//!   65 buckets split by the highest bit in which a key differs from the
+//!   last minimum taken, and a `u64` mask of the occupied ones. Event
+//!   times never go backwards, so each move takes an event to a strictly
+//!   lower bucket, and equal times pop in push order with no sequence
+//!   number stored. A far-future event (e.g. an
+//!   [`EnableSchedule`](crate::EnableSchedule) scheduled hundreds of
+//!   cycles up front) simply waits in a high bucket.
 //! * **CSR topology.** The net → reader-cells map and the per-cell input
 //!   pin lists are flat compressed-sparse-row arrays (offset + index), so
 //!   reacting to a committed event walks a contiguous slice instead of
@@ -78,8 +80,6 @@ use crate::waveform::{Waveform, WaveformSet};
 use desync_mg::FlowTrace;
 use desync_netlist::{value, CellId, CellKind, CellLibrary, NetId, Netlist, Value};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Simulator configuration.
@@ -272,37 +272,17 @@ pub struct Capture<L> {
     pub lanes: u64,
 }
 
-/// An event ordered by `(key, seq)` — both plain integers, so the order is
-/// total. `key` is the bit pattern of the non-negative f64 event time.
+/// A pending value change. `key` is the bit pattern of the non-negative f64
+/// event time, so integer order is time order. Events carry no sequence
+/// number: the queue pops equal keys in push order.
 ///
-/// Generic over the payload `P`. Ordering ignores the payload entirely, so
-/// every width pops events in the identical `(time, sequence)` order.
+/// Generic over the payload `P`, which the queue never reads, so every
+/// width pops events in the identical `(time, push order)` order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event<P> {
     pub(crate) key: u64,
-    pub(crate) seq: u64,
     pub(crate) net: NetId,
     pub(crate) value: P,
-}
-
-impl<P> PartialEq for Event<P> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.key, self.seq) == (other.key, other.seq)
-    }
-}
-
-impl<P> Eq for Event<P> {}
-
-impl<P> Ord for Event<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.seq).cmp(&(other.key, other.seq))
-    }
-}
-
-impl<P> PartialOrd for Event<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 impl<P> Event<P> {
@@ -311,121 +291,97 @@ impl<P> Event<P> {
     }
 }
 
-/// Number of buckets in the calendar window.
-const CALENDAR_BUCKETS: usize = 256;
-/// Width of one calendar bucket in picoseconds. Gate delays in the generic
-/// library are tens of ps and clock periods a few thousand, so the window
-/// spans several clock periods while keeping buckets nearly singleton.
-const CALENDAR_BUCKET_WIDTH_PS: f64 = 64.0;
-
-/// A bucketed calendar queue with a heap overflow tier.
-///
-/// Invariants:
-/// * every queued event time is ≥ the time of the last popped event (the
-///   simulator never schedules into the past),
-/// * bucket `i` holds exactly the events with time in
-///   `[base + i·width, base + (i+1)·width)`; the overflow heap holds the
-///   events at or beyond `base + BUCKETS·width`,
-/// * `cursor` is ≤ the bucket index of the earliest queued event, so a pop
-///   scans forward only.
-#[derive(Debug, Clone)]
-pub(crate) struct CalendarQueue<P> {
-    buckets: Vec<BinaryHeap<Reverse<Event<P>>>>,
-    overflow: BinaryHeap<Reverse<Event<P>>>,
-    /// Start of the bucket window, picoseconds.
-    base_ps: f64,
-    cursor: usize,
-    len: usize,
+/// The bucket of a key whose bits differ from the floor in `diff`: 0 for
+/// the floor itself, else one more than the index of the highest
+/// differing bit.
+fn radix_bucket(diff: u64) -> usize {
+    (u64::BITS - diff.leading_zeros()) as usize
 }
 
-impl<P: Copy> CalendarQueue<P> {
+/// A monotone radix queue (the radix heap of Ahuja, Mehlhorn, Orlin and
+/// Tarjan, J. ACM 37(2), 1990) over the `u64` time keys.
+///
+/// Invariants:
+/// * every queued key is ≥ `floor`, the last minimum the queue
+///   redistributed (the simulator never schedules into the past, and
+///   [`RadixQueue::pop_until`] raises the floor only to a key it pops);
+/// * bucket 0 holds the events whose key equals `floor`, in push order,
+///   of which the first `head` have been popped;
+/// * bucket `i ≥ 1` holds the events whose key first differs from `floor`
+///   in bit `i − 1` (the highest differing bit), and bit `i − 1` of
+///   `occupied` is set exactly when it is non-empty.
+///
+/// Equal keys always share a bucket, and redistribution empties one bucket
+/// into lower, empty ones in order, so events with equal keys keep their
+/// push order: the queue pops in `(key, push order)` order.
+#[derive(Debug, Clone)]
+pub(crate) struct RadixQueue<P> {
+    buckets: [Vec<Event<P>>; 65],
+    head: usize,
+    occupied: u64,
+    floor: u64,
+}
+
+impl<P: Copy> RadixQueue<P> {
     pub(crate) fn new() -> Self {
         Self {
-            buckets: (0..CALENDAR_BUCKETS).map(|_| BinaryHeap::new()).collect(),
-            overflow: BinaryHeap::new(),
-            base_ps: 0.0,
-            cursor: 0,
-            len: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            head: 0,
+            occupied: 0,
+            floor: 0,
         }
-    }
-
-    fn span_ps(&self) -> f64 {
-        CALENDAR_BUCKET_WIDTH_PS * self.buckets.len() as f64
-    }
-
-    /// The bucket index of `time_ps`, or `None` when it lies beyond the
-    /// window horizon (→ overflow tier).
-    fn bucket_of(&self, time_ps: f64) -> Option<usize> {
-        let offset = ((time_ps - self.base_ps) / CALENDAR_BUCKET_WIDTH_PS).max(0.0) as usize;
-        (offset < self.buckets.len()).then_some(offset)
     }
 
     pub(crate) fn push(&mut self, event: Event<P>) {
-        self.len += 1;
-        match self.bucket_of(event.time_ps()) {
-            Some(index) => {
-                // Defensive: a push at the current time lands in the cursor
-                // bucket; never ahead of it, but keep the cursor honest.
-                self.cursor = self.cursor.min(index);
-                self.buckets[index].push(Reverse(event));
-            }
-            None => self.overflow.push(Reverse(event)),
+        debug_assert!(
+            event.key >= self.floor,
+            "event key {:#x} below the queue floor {:#x}",
+            event.key,
+            self.floor
+        );
+        let index = radix_bucket(event.key ^ self.floor);
+        self.buckets[index].push(event);
+        if index != 0 {
+            self.occupied |= 1 << (index - 1);
         }
     }
 
-    /// The earliest queued event, advancing the cursor over drained buckets.
-    ///
-    /// Any bucketed event precedes every overflow event (the overflow tier
-    /// only holds events beyond the window horizon), so the first non-empty
-    /// bucket holds the minimum; with the window empty the overflow minimum
-    /// is global.
-    pub(crate) fn peek(&mut self) -> Option<Event<P>> {
-        while self.cursor < self.buckets.len() {
-            if let Some(&Reverse(event)) = self.buckets[self.cursor].peek() {
-                return Some(event);
+    /// Removes and returns the earliest event if its key is at most
+    /// `limit`. When bucket 0 has drained, the lowest occupied bucket's
+    /// minimum becomes the floor and its events move down, but only when
+    /// that minimum is within `limit`: a refused pop moves nothing, so the
+    /// floor never passes the simulation time a caller schedules at next.
+    pub(crate) fn pop_until(&mut self, limit: u64) -> Option<Event<P>> {
+        if self.head == self.buckets[0].len() {
+            if self.occupied == 0 {
+                return None;
             }
-            self.cursor += 1;
-        }
-        self.overflow.peek().map(|&Reverse(event)| event)
-    }
-
-    /// Removes and returns the earliest event. When the window has drained
-    /// and the minimum comes from the overflow tier, the window is re-based
-    /// onto it and every overflow event inside the new horizon migrates
-    /// into its bucket.
-    pub(crate) fn pop(&mut self) -> Option<Event<P>> {
-        while self.cursor < self.buckets.len() {
-            if let Some(Reverse(event)) = self.buckets[self.cursor].pop() {
-                self.len -= 1;
-                return Some(event);
+            let index = self.occupied.trailing_zeros() as usize + 1;
+            let floor = (self.buckets[index].iter().map(|e| e.key).min())
+                .expect("an occupied bucket holds an event");
+            if floor > limit {
+                return None;
             }
-            self.cursor += 1;
-        }
-        let Reverse(event) = self.overflow.pop()?;
-        self.len -= 1;
-        // Re-base the (empty) window onto the popped event. The popped event
-        // becomes the new current time, so no later push can precede the new
-        // base.
-        let time = event.time_ps();
-        self.base_ps = (time / CALENDAR_BUCKET_WIDTH_PS).floor() * CALENDAR_BUCKET_WIDTH_PS;
-        self.cursor = 0;
-        let horizon = self.base_ps + self.span_ps();
-        while let Some(&Reverse(next)) = self.overflow.peek() {
-            if next.time_ps() >= horizon {
-                break;
+            self.floor = floor;
+            self.occupied &= !(1 << (index - 1));
+            self.buckets[0].clear();
+            self.head = 0;
+            let mut moving = std::mem::take(&mut self.buckets[index]);
+            for event in moving.drain(..) {
+                let to = radix_bucket(event.key ^ floor);
+                self.buckets[to].push(event);
+                if to != 0 {
+                    self.occupied |= 1 << (to - 1);
+                }
             }
-            let Reverse(next) = self.overflow.pop().expect("peeked overflow event exists");
-            let index = self
-                .bucket_of(next.time_ps())
-                .expect("event inside the horizon has a bucket");
-            self.buckets[index].push(Reverse(next));
+            // Hand the emptied buffer back, so the bucket keeps its capacity.
+            self.buckets[index] = moving;
+        } else if self.floor > limit {
+            return None;
         }
+        let event = self.buckets[0][self.head];
+        self.head += 1;
         Some(event)
-    }
-
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -452,8 +408,7 @@ pub struct Simulator<'a, L: Lanes> {
     /// a pending event is always followed by a corrective event when the
     /// inputs change back before it commits.
     projected: Vec<L>,
-    queue: CalendarQueue<L>,
-    seq: u64,
+    queue: RadixQueue<L>,
     pub(crate) time: f64,
     /// Committed events; a packed event counts once however many lanes it
     /// changes.
@@ -532,8 +487,7 @@ impl<'a, L: Lanes> Simulator<'a, L> {
             lane_mask: live_mask(lanes),
             values: vec![L::splat(Value::X); num_nets],
             projected: vec![L::splat(Value::X); num_nets],
-            queue: CalendarQueue::new(),
-            seq: 0,
+            queue: RadixQueue::new(),
             time: 0.0,
             committed: 0,
             lane_events: vec![0; lanes],
@@ -545,7 +499,7 @@ impl<'a, L: Lanes> Simulator<'a, L> {
             captures: Vec::new(),
         };
         // Seed the constant drivers at time zero, in cell order — the order
-        // fixes the event sequence numbers, keeping runs bit-identical.
+        // fixes the pop order among equal times, keeping runs bit-identical.
         for i in 0..sim.model.const_seeds.len() {
             let (net, value) = sim.model.const_seeds[i];
             sim.schedule(net, L::splat(value), 0.0);
@@ -610,7 +564,6 @@ impl<'a, L: Lanes> Simulator<'a, L> {
             "cannot schedule an event in the past ({at_ps} < {})",
             self.time
         );
-        self.seq += 1;
         self.projected[net.index()] = value;
         // `+ 0.0` normalizes a negative zero (whose bit pattern would sort
         // *after* every positive time) to +0.0; clamped times are otherwise
@@ -618,7 +571,6 @@ impl<'a, L: Lanes> Simulator<'a, L> {
         let time = at_ps.max(self.time) + 0.0;
         self.queue.push(Event {
             key: time.to_bits(),
-            seq: self.seq,
             net,
             value,
         });
@@ -646,12 +598,16 @@ impl<'a, L: Lanes> Simulator<'a, L> {
     ///
     /// Returns the number of committed events.
     pub fn run_until(&mut self, until_ps: f64) -> usize {
+        // Keys order as the non-negative times they encode: a negative
+        // bound admits no event, and a NaN one, which no time exceeds,
+        // admits every event.
+        let limit = match until_ps {
+            t if t < 0.0 => return 0,
+            t if t.is_nan() => u64::MAX,
+            t => (t + 0.0).to_bits(),
+        };
         let mut committed = 0usize;
-        while let Some(next) = self.queue.peek() {
-            if next.time_ps() > until_ps {
-                break;
-            }
-            let event = self.queue.pop().expect("peeked event exists");
+        while let Some(event) = self.queue.pop_until(limit) {
             self.time = event.time_ps();
             committed += self.commit(event);
         }
@@ -667,7 +623,9 @@ impl<'a, L: Lanes> Simulator<'a, L> {
     pub fn settle(&mut self, max_events: usize) -> usize {
         let mut committed = 0usize;
         while committed < max_events {
-            let Some(event) = self.queue.pop() else { break };
+            let Some(event) = self.queue.pop_until(u64::MAX) else {
+                break;
+            };
             self.time = event.time_ps();
             committed += self.commit(event);
         }
@@ -813,6 +771,8 @@ impl<'a, L: Lanes> Simulator<'a, L> {
 mod tests {
     use super::*;
     use desync_netlist::CellLibrary;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn lib() -> CellLibrary {
         CellLibrary::generic_90nm()
@@ -1040,15 +1000,16 @@ mod tests {
 
     #[test]
     fn far_future_events_pass_through_the_overflow_tier() {
-        // Events far beyond the calendar window land in the overflow heap
-        // and migrate back into buckets as the window re-bases.
+        // Events many 16,384-ps spans (the span of the calendar window this
+        // queue replaced) ahead wait in high radix buckets and move down as
+        // the floor rises.
         let mut n = Netlist::new("t");
         let a = n.add_input("a");
         let y = n.add_output("y");
         n.add_gate("g", CellKind::Buf, &[a], y).unwrap();
         let l = lib();
         let mut sim = Simulator::<Value>::new(&n, &l, SimConfig::default());
-        let span = CALENDAR_BUCKET_WIDTH_PS * CALENDAR_BUCKETS as f64;
+        let span = 16_384.0;
         // A mix of near, far and very far events, scheduled out of order.
         sim.schedule(a, Value::One, 40.0 * span);
         sim.schedule(a, Value::Zero, 2.5 * span);
@@ -1114,31 +1075,128 @@ mod tests {
 
     #[test]
     fn calendar_queue_orders_same_bucket_and_rebases() {
-        let mut q = CalendarQueue::<Value>::new();
+        let mut q = RadixQueue::<Value>::new();
         assert!(q.is_empty());
-        let ev = |t: f64, seq: u64| Event {
+        let ev = |t: f64, seq: u32| Event {
             key: t.to_bits(),
-            seq,
-            net: NetId(0),
+            net: NetId(seq),
             value: Value::One,
         };
         // Same bucket, inserted out of order; equal times tie-break by seq.
         q.push(ev(30.0, 3));
         q.push(ev(10.0, 1));
         q.push(ev(10.0, 2));
-        // Far beyond the window: overflow tier.
+        // Far ahead: a high radix bucket.
         let far = 1e9;
         q.push(ev(far, 4));
-        assert_eq!(q.pop().unwrap().seq, 1);
-        assert_eq!(q.pop().unwrap().seq, 2);
-        assert_eq!(q.peek().unwrap().seq, 3);
-        assert_eq!(q.pop().unwrap().seq, 3);
-        // The far event is reachable (window re-bases onto it).
+        assert_eq!(q.pop().unwrap().net, NetId(1));
+        assert_eq!(q.pop().unwrap().net, NetId(2));
+        assert_eq!(q.peek().unwrap().net, NetId(3));
+        assert_eq!(q.pop().unwrap().net, NetId(3));
+        // The far event is reachable (the floor rises onto it).
         let popped = q.pop().unwrap();
-        assert_eq!(popped.seq, 4);
+        assert_eq!(popped.net, NetId(4));
         assert_eq!(popped.time_ps(), far);
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    impl<P: Copy> RadixQueue<P> {
+        fn pop(&mut self) -> Option<Event<P>> {
+            self.pop_until(u64::MAX)
+        }
+
+        /// The event `pop` would return, without moving anything.
+        fn peek(&self) -> Option<&Event<P>> {
+            if self.head < self.buckets[0].len() {
+                return self.buckets[0].get(self.head);
+            }
+            let index = self.occupied.trailing_zeros() as usize + 1;
+            self.buckets.get(index)?.iter().min_by_key(|e| e.key)
+        }
+
+        fn is_empty(&self) -> bool {
+            self.peek().is_none()
+        }
+    }
+
+    /// SplitMix64: a deterministic generator for the queue's differential
+    /// test.
+    fn split_mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The radix queue pops exactly what a binary heap on `(key, seq)`
+    /// pops, through random interleavings of pushes and bounded pops shaped
+    /// like a testbench's: bursts of equal times, pushes at the current
+    /// time while bucket 0 drains, bounds below the next event (after
+    /// which the current time moves up to the bound, as `run_until` moves
+    /// it), times of 1e9 ps and more, and `+0.0`.
+    #[test]
+    fn radix_queue_pops_in_key_then_push_order() {
+        for seed in 0..64u64 {
+            let mut rng = seed;
+            let mut queue = RadixQueue::<Value>::new();
+            let mut reference = BinaryHeap::new();
+            let mut seq = 0u32;
+            let mut now = 0.0f64;
+            let mut popped = 0;
+            for _ in 0..2_000 {
+                let roll = split_mix(&mut rng);
+                if roll % 8 < 3 {
+                    let delta = match (roll >> 8) % 6 {
+                        0 | 1 => 0.0,
+                        2 => ((roll >> 16) % 64) as f64,
+                        3 => ((roll >> 16) % 50_000) as f64 * 0.25,
+                        4 => 1e9 + ((roll >> 16) % 1_000) as f64,
+                        _ => ((roll >> 16) % 1_000) as f64 * 1e12,
+                    };
+                    let time = now + delta + 0.0;
+                    for _ in 0..1 + (roll >> 48) % 5 {
+                        seq += 1;
+                        queue.push(Event {
+                            key: time.to_bits(),
+                            net: NetId(seq),
+                            value: Value::One,
+                        });
+                        reference.push(Reverse((time.to_bits(), seq)));
+                    }
+                } else {
+                    let bound = match (roll >> 8) % 4 {
+                        0 => now,
+                        1 => now + ((roll >> 16) % 200) as f64,
+                        2 => now + ((roll >> 16) % 2_000_000) as f64 * 1e3,
+                        _ => f64::MAX,
+                    };
+                    let limit = bound.to_bits();
+                    let expected = match reference.peek() {
+                        Some(&Reverse((key, _))) if key <= limit => reference.pop(),
+                        _ => None,
+                    };
+                    let got = queue.pop_until(limit);
+                    assert_eq!(
+                        got.map(|e| (e.key, e.net.0)),
+                        expected.map(|Reverse(pair)| pair),
+                        "seed {seed}, pop {popped}"
+                    );
+                    popped += 1;
+                    now = match got {
+                        Some(event) => event.time_ps(),
+                        None if bound < f64::MAX => now.max(bound),
+                        None => now,
+                    };
+                }
+            }
+            while let Some(Reverse((key, seq))) = reference.pop() {
+                let event = queue.pop().expect("queue holds what the reference holds");
+                assert_eq!((event.key, event.net.0), (key, seq), "seed {seed}, drain");
+            }
+            assert!(queue.is_empty());
+        }
     }
 
     /// The two `Lanes` impls agree: on splatted inputs, lane 0 of every

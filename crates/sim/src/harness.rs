@@ -306,9 +306,9 @@ impl<'a, L: Lanes> AsyncBench<'a, L> {
     /// the schedule start at 0. `iterations` is recorded in the result as
     /// the logical cycle count (the caller knows how many handshake
     /// iterations the schedule encodes). The stable time sort of `inputs`
-    /// keeps their order among equal times, which fixes the event sequence
-    /// numbers: list a packed run's inputs in the order a scalar run would
-    /// receive them.
+    /// keeps their order among equal times, which fixes the order in which
+    /// equal-time events pop: list a packed run's inputs in the order a
+    /// scalar run would receive them.
     pub fn run(
         mut self,
         duration_ps: f64,

@@ -38,7 +38,7 @@
 //!   [`PackedSimRun`].
 //!
 //! Under matched delays the event *schedule* is stimulus-independent, and
-//! the calendar queue, the CSR topology walk and the scheduling rules are
+//! the event queue, the CSR topology walk and the scheduling rules are
 //! one piece of code, so each lane of a packed run is bit-identical to a
 //! scalar run with that lane's stimulus; only the payloads widen. A
 //! finished packed run stays packed: one packed capture stream per register
@@ -67,14 +67,14 @@
 //! enable schedules and stimuli onto the shared model; `desync-core`
 //! caches compiled models in its artifact store next to the stage
 //! artifacts. The [`engine`] module documents the rest of the kernel:
-//! integer time keys, the calendar queue, the CSR topology and the bitset
-//! watch list.
+//! integer time keys, the radix event queue, the CSR topology and the
+//! bitset watch list.
 //!
 //! Both harnesses take either a `(library, config)` pair or a pre-compiled
 //! model ([`SyncBench::with_lanes`], [`AsyncBench::with_lanes`]); the two
 //! paths are bit-identical by construction, because the cursor seeds
-//! constants in netlist cell order either way, so event sequence numbers
-//! (the tie-breakers of the total event order) coincide. A testbench's
+//! constants in netlist cell order either way, so the push order (the
+//! tie-breaker among events at equal times) coincides. A testbench's
 //! `run` consumes it, so one testbench makes one run.
 //!
 //! A golden-trace property suite (`desync-core/tests/sim_golden.rs`) pins

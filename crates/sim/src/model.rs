@@ -12,7 +12,7 @@
 //! function of `(netlist, library, SimConfig)`, immutable after
 //! [`CompiledModel::compile`], and cheap to share behind an `Arc`. A
 //! [`Simulator`](crate::Simulator) of either lane width is then a *cursor*
-//! over the model — per-run mutable state only (net values, the calendar
+//! over the model — per-run mutable state only (net values, the event
 //! queue, activity counters, captures, watch list) — so sweep points and
 //! campaign points re-bind their schedules and inputs onto one compiled
 //! model instead of recompiling it.
@@ -44,8 +44,9 @@ pub struct CompiledModel {
     pub(crate) cell_delay: Vec<f64>,
     /// Constant drivers have no inputs, so nothing would ever trigger their
     /// evaluation; every fresh cursor seeds these outputs at time zero, in
-    /// netlist cell order (the order matters: it fixes the event sequence
-    /// numbers, keeping cursor runs bit-identical to the old constructor).
+    /// netlist cell order (the order matters: it fixes the pop order among
+    /// events at equal times, keeping cursor runs bit-identical to the old
+    /// constructor).
     pub(crate) const_seeds: Vec<(NetId, Value)>,
     /// Output nets of all sequential cells (flip-flops and latches), in
     /// netlist cell order, for

@@ -5,7 +5,7 @@
 //! payloads differ between two runs of the same netlist. The packed width
 //! exploits this: each net carries a [`PackedValue`] of 64 independent
 //! 4-state lanes encoded as two `u64` bit-planes, every [`CellKind`] is
-//! evaluated with branch-free word-wide logic, and one pass over the calendar
+//! evaluated with branch-free word-wide logic, and one pass over the event
 //! queue advances all 64 stimulus vectors at once. The cursor and the
 //! testbench scripts are the crate's one kernel ([`Simulator`]) at this
 //! width; this module holds what is specific to it: the encoding, its
