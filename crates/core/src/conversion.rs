@@ -1,19 +1,11 @@
 //! Step 1 of the flow: conversion of the flip-flop based netlist into a
 //! latch-based one (paper Figure 1(a) → 1(b)).
 //!
-//! Every rising-edge D flip-flop is decomposed into a *master* latch
-//! followed by a *slave* latch. Two conversions are provided:
-//!
-//! * [`to_latch_synchronous`] — the intermediate latch-based **synchronous**
-//!   circuit: the master is transparent while the clock is low, the slave
-//!   while it is high, both still driven by the global clock. This circuit
-//!   is cycle-accurate equivalent to the original and is only used as a
-//!   stepping stone / demonstration (Figure 1(b)).
-//! * [`to_desynchronized_datapath`] — the **desynchronized** datapath: both
-//!   latches become transparent-high and their enables are exported as
-//!   primary inputs, one pair per cluster, to be driven by the local
-//!   handshake controllers (or, in simulation, by the timed marked-graph
-//!   model of the control network).
+//! [`to_desynchronized_datapath`] decomposes every rising-edge D flip-flop
+//! into a *master* latch followed by a *slave* latch, both
+//! transparent-high, and exports their enables as primary inputs, one pair
+//! per cluster, to be driven by the local handshake controllers (or, in
+//! simulation, by the timed marked-graph model of the control network).
 
 use crate::cluster::ClusterGraph;
 use crate::error::DesyncError;
@@ -92,13 +84,13 @@ impl crate::store::Weigh for LatchDesign {
     }
 }
 
-/// Copies nets (with identical ids), primary inputs (optionally without the
-/// clock) and outputs, plus all combinational cells of `source` into a new
-/// netlist.
-fn copy_combinational_skeleton(source: &Netlist, name: &str, skip_input: Option<NetId>) -> Netlist {
+/// Copies the nets (with identical ids), the primary inputs except the
+/// clock `clk`, the outputs and all combinational cells of `source` into a
+/// new netlist.
+fn copy_combinational_skeleton(source: &Netlist, name: &str, clk: NetId) -> Netlist {
     let mut out = source.with_nets_of(name);
     for &input in source.inputs() {
-        if Some(input) != skip_input {
+        if input != clk {
             out.mark_input(input);
         }
     }
@@ -134,30 +126,6 @@ fn pair_names(register: Symbol, buf: &mut String) -> (Symbol, Symbol, Symbol) {
     )
 }
 
-/// Converts a flip-flop netlist into the latch-based **synchronous** circuit
-/// of paper Figure 1(b): master latches transparent when the clock is low,
-/// slave latches transparent when it is high, both driven by the original
-/// clock net.
-///
-/// # Errors
-///
-/// * [`DesyncError::NoRegisters`] if the netlist has no flip-flops.
-/// * [`DesyncError::AlreadyLatchBased`] if it already contains latches.
-/// * [`DesyncError::Netlist`] if the input is structurally invalid.
-pub fn to_latch_synchronous(source: &Netlist) -> Result<Netlist, DesyncError> {
-    check_input(source)?;
-    let clk = source.single_clock().map_err(DesyncError::Netlist)?;
-    let mut out = copy_combinational_skeleton(source, &format!("{}_latched", source.name()), None);
-    let mut buf = String::new();
-    for (_, cell) in source.flip_flops() {
-        let (mid, master, slave) = pair_names(cell.name, &mut buf);
-        let mid = out.add_net(mid);
-        out.add_latch(master, cell.inputs[0], clk, mid, false)?;
-        out.add_latch(slave, mid, clk, cell.output, true)?;
-    }
-    Ok(out)
-}
-
 /// Converts a flip-flop netlist into the **desynchronized** latch-based
 /// datapath: both latches are transparent-high and their enables are primary
 /// inputs, one `(master, slave)` pair per cluster of `clusters`.
@@ -165,17 +133,24 @@ pub fn to_latch_synchronous(source: &Netlist) -> Result<Netlist, DesyncError> {
 /// The global clock input disappears from the datapath — this is precisely
 /// the point of the method.
 ///
+/// `source` is expected to pass the flow's lint gate
+/// ([`desync_lint::lint_design`]): one clock net, flip-flops as its only
+/// sequential cells, every read net driven once and an acyclic
+/// combinational core. [`DesyncFlow`](crate::DesyncFlow) runs this
+/// conversion only on such netlists.
+///
 /// # Errors
 ///
-/// Same conditions as [`to_latch_synchronous`].
+/// * [`DesyncError::Netlist`] if `source` has no single clock net, or a
+///   latch name `<register>__m` / `<register>__s` is already taken.
+/// * [`DesyncError::ModelCheck`] if a flip-flop is covered by no cluster.
 pub fn to_desynchronized_datapath(
     source: &Netlist,
     clusters: &ClusterGraph,
 ) -> Result<LatchDesign, DesyncError> {
-    check_input(source)?;
     let clk = source.single_clock().map_err(DesyncError::Netlist)?;
     let mut netlist =
-        copy_combinational_skeleton(source, &format!("{}_desync", source.name()), Some(clk));
+        copy_combinational_skeleton(source, &format!("{}_desync", source.name()), clk);
 
     // One enable-net pair per cluster, exported as primary inputs.
     let mut buf = String::new();
@@ -230,17 +205,6 @@ pub fn to_desynchronized_datapath(
     })
 }
 
-fn check_input(source: &Netlist) -> Result<(), DesyncError> {
-    source.validate().map_err(DesyncError::Netlist)?;
-    if source.num_latches() > 0 {
-        return Err(DesyncError::AlreadyLatchBased);
-    }
-    if source.num_flip_flops() == 0 {
-        return Err(DesyncError::NoRegisters);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,25 +222,6 @@ mod tests {
         n.add_gate("g0", CellKind::Not, &[q0], w).unwrap();
         n.add_dff("r1", w, clk, q1).unwrap();
         n
-    }
-
-    #[test]
-    fn latch_synchronous_doubles_registers() {
-        let n = pipeline2();
-        let latched = to_latch_synchronous(&n).unwrap();
-        assert!(latched.validate().is_ok());
-        assert_eq!(latched.num_latches(), 2 * n.num_flip_flops());
-        assert_eq!(latched.num_flip_flops(), 0);
-        assert_eq!(latched.num_combinational(), n.num_combinational());
-        // Master is transparent-low, slave transparent-high (Figure 1(b)).
-        let m = latched.find_cell("r0__m").unwrap();
-        let s = latched.find_cell("r0__s").unwrap();
-        assert_eq!(latched.cell(m).kind, CellKind::LatchLow);
-        assert_eq!(latched.cell(s).kind, CellKind::LatchHigh);
-        // Both still clocked by the original clock net.
-        let clk = latched.find_net("clk").unwrap();
-        assert_eq!(latched.cell(m).enable_net(), Some(clk));
-        assert_eq!(latched.cell(s).enable_net(), Some(clk));
     }
 
     #[test]
@@ -310,39 +255,6 @@ mod tests {
         for (id, net) in n.nets() {
             assert_eq!(design.netlist.net(id).name, net.name);
         }
-    }
-
-    #[test]
-    fn conversion_rejects_bad_inputs() {
-        // No registers.
-        let mut comb = Netlist::new("comb");
-        let a = comb.add_input("a");
-        let y = comb.add_output("y");
-        comb.add_gate("g", CellKind::Not, &[a], y).unwrap();
-        assert_eq!(
-            to_latch_synchronous(&comb).unwrap_err(),
-            DesyncError::NoRegisters
-        );
-        // Already latch based.
-        let mut lat = Netlist::new("lat");
-        let en = lat.add_input("en");
-        let d = lat.add_input("d");
-        let q = lat.add_output("q");
-        lat.add_latch("l", d, en, q, true).unwrap();
-        assert_eq!(
-            to_latch_synchronous(&lat).unwrap_err(),
-            DesyncError::AlreadyLatchBased
-        );
-        // Structurally invalid netlist.
-        let mut bad = Netlist::new("bad");
-        let x = bad.add_net("x");
-        let clk = bad.add_input("clk");
-        let q2 = bad.add_output("q2");
-        bad.add_dff("r", x, clk, q2).unwrap();
-        assert!(matches!(
-            to_latch_synchronous(&bad).unwrap_err(),
-            DesyncError::Netlist(_)
-        ));
     }
 
     /// A cluster graph built from another netlist may name cell ids past

@@ -9,15 +9,11 @@ use std::sync::Arc;
 /// Errors produced by the desynchronization flow.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DesyncError {
-    /// The input netlist is structurally invalid or uses features the flow
-    /// does not support.
+    /// A netlist operation inside a stage failed (building the latch
+    /// datapath or the overhead netlist), or the co-simulation testbench
+    /// rejected a netlist. The input's preconditions are checked before any
+    /// stage, by the lint gate ([`DesyncError::LintRejected`]).
     Netlist(NetlistError),
-    /// The input netlist has no flip-flops, so there is nothing to
-    /// desynchronize.
-    NoRegisters,
-    /// The input netlist already contains level-sensitive latches; the flow
-    /// expects a pure flip-flop design (paper Figure 1(a)).
-    AlreadyLatchBased,
     /// The composed control model failed a correctness check.
     ModelCheck(String),
     /// The flow options contain a nonsensical knob value; rejected by
@@ -29,18 +25,14 @@ pub enum DesyncError {
     /// [`DesyncFlow::set_verification`](crate::DesyncFlow::set_verification).
     /// Without input vectors the equivalence check would pass vacuously.
     MissingStimulus,
-    /// Flow-equivalence verification was asked of a flow whose options
-    /// disable the environment model
-    /// ([`DesyncOptions::environment`](crate::DesyncOptions::environment)).
-    /// Only the environment controller pair times the input vectors
-    /// against the latch captures, so without it the desynchronized run
-    /// cannot be compared with the clocked reference.
-    EnvironmentRequired,
     /// The design was rejected by the static pre-flight lint: the attached
     /// report carries every diagnostic with its witness. Produced by
-    /// [`DesyncService`](crate::DesyncService) admission control before any
-    /// stage computes (the report is `Arc`-shared, so cloning the error is
-    /// cheap and payloads stay bit-identical across worker threads).
+    /// [`DesyncFlow::clustered`](crate::DesyncFlow::clustered), which every
+    /// later stage runs first, so direct flows, engine flows and
+    /// [`DesyncService`](crate::DesyncService) requests reject a bad design
+    /// at one point, before any stage computes (the report is `Arc`-shared,
+    /// so cloning the error is cheap and payloads stay bit-identical across
+    /// worker threads).
     LintRejected(Arc<LintReport>),
     /// The request was cancelled cooperatively before it completed: its
     /// [`CancelToken`](crate::CancelToken) fired, or the owning
@@ -149,24 +141,12 @@ impl fmt::Display for DesyncError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DesyncError::Netlist(e) => write!(f, "invalid input netlist: {e}"),
-            DesyncError::NoRegisters => write!(f, "netlist has no flip-flops to desynchronize"),
-            DesyncError::AlreadyLatchBased => {
-                write!(
-                    f,
-                    "netlist already contains latches; expected a flip-flop design"
-                )
-            }
             DesyncError::ModelCheck(msg) => write!(f, "control model check failed: {msg}"),
             DesyncError::InvalidOptions(e) => write!(f, "invalid flow options: {e}"),
             DesyncError::MissingStimulus => write!(
                 f,
                 "netlist has data inputs but no verification stimulus was set; \
                  call DesyncFlow::set_verification first"
-            ),
-            DesyncError::EnvironmentRequired => write!(
-                f,
-                "flow-equivalence verification needs the environment model; \
-                 enable DesyncOptions::environment"
             ),
             DesyncError::LintRejected(report) => {
                 write!(
@@ -241,13 +221,10 @@ mod tests {
         let e = DesyncError::from(NetlistError::DuplicateNet("x".into()));
         assert!(e.to_string().contains("invalid input netlist"));
         assert!(e.source().is_some());
-        assert!(DesyncError::NoRegisters.source().is_none());
-        assert!(DesyncError::NoRegisters
+        assert!(DesyncError::MissingStimulus.source().is_none());
+        assert!(DesyncError::MissingStimulus
             .to_string()
-            .contains("no flip-flops"));
-        assert!(DesyncError::AlreadyLatchBased
-            .to_string()
-            .contains("latches"));
+            .contains("no verification stimulus"));
         assert!(DesyncError::ModelCheck("not live".into())
             .to_string()
             .contains("not live"));

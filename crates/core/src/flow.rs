@@ -45,8 +45,7 @@ pub struct ScheduleBundle {
     /// `input_vector_times[k]` is the time at which input vector `k` should
     /// be applied so that the captured streams line up with the synchronous
     /// execution (when the environment's slave opens for the `k`-th time,
-    /// after every input-fed master latch captured item `k`). Empty for a
-    /// design without the environment model.
+    /// after every input-fed master latch captured item `k`).
     pub input_vector_times: Vec<f64>,
     /// Number of handshake iterations the schedule covers.
     pub iterations: usize,
@@ -163,8 +162,7 @@ impl DesyncDesign {
     /// Derives the latch-enable schedule (and the input application times)
     /// for `iterations` handshake iterations of the control model, shifted
     /// by `start_offset_ps` to leave room for simulator initialization.
-    /// The environment controller times the inputs, so `input_vector_times`
-    /// is empty for a design built without the environment model.
+    /// The environment controller's slave openings time the inputs.
     pub fn enable_schedule(&self, iterations: usize, start_offset_ps: f64) -> ScheduleBundle {
         let trace = self.network.model.simulate(iterations);
         let mut schedule = EnableSchedule::new();
@@ -416,7 +414,11 @@ mod tests {
             .unwrap()
             .design()
             .unwrap_err();
-        assert_eq!(err, DesyncError::NoRegisters);
+        let DesyncError::LintRejected(report) = err else {
+            panic!("expected a lint rejection, got {err:?}");
+        };
+        let first = report.errors().next().expect("an error diagnostic");
+        assert_eq!(first.code, desync_lint::LintCode::NoRegisters, "{report}");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! # The staged pipeline
 //!
 //! [`DesyncFlow`] advances a single-clock flip-flop netlist through five
-//! typed stages, each owning one inspectable artifact:
+//! typed stages, each owning one inspectable artifact. The first stage
+//! admits only a netlist whose `desync-lint` report ([`DesyncFlow::lint`])
+//! is clean, so every caller rejects a bad input at that one gate:
 //!
 //! | stage | artifact | paper step |
 //! |---|---|---|

@@ -33,7 +33,7 @@ pub enum ClusteringStrategy {
 /// |---|---|
 /// | `clustering` | `Clustered` |
 /// | `timing`, `matched_delay_margin` | `Timed` |
-/// | `protocol`, `controller_delay_ps`, `environment` | `Controlled` |
+/// | `protocol`, `controller_delay_ps` | `Controlled` |
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DesyncOptions {
     /// Handshake protocol implemented by the controllers.
@@ -45,12 +45,6 @@ pub struct DesyncOptions {
     /// Delay added by a controller on each handshake arc (request/acknowledge
     /// propagation through the control logic), in picoseconds.
     pub controller_delay_ps: f64,
-    /// Whether the control model includes an explicit environment controller
-    /// pair (the paper's auxiliary arcs for the abstracted surroundings).
-    /// Required for flow-equivalence checks against a clocked reference:
-    /// verification returns [`DesyncError::EnvironmentRequired`] without
-    /// it. Disable it only to inspect the bare circuit model.
-    pub environment: bool,
     /// Timing parameters shared with the static timing analyzer.
     pub timing: TimingConfig,
 }
@@ -62,7 +56,6 @@ impl Default for DesyncOptions {
             clustering: ClusteringStrategy::ByNamePrefix,
             matched_delay_margin: 0.05,
             controller_delay_ps: 120.0,
-            environment: true,
             timing: TimingConfig::default(),
         }
     }
@@ -90,13 +83,6 @@ impl DesyncOptions {
     /// Returns a copy with a different per-arc controller delay.
     pub fn with_controller_delay_ps(mut self, delay_ps: f64) -> Self {
         self.controller_delay_ps = delay_ps;
-        self
-    }
-
-    /// Returns a copy with the explicit environment model enabled or
-    /// disabled.
-    pub fn with_environment(mut self, environment: bool) -> Self {
-        self.environment = environment;
         self
     }
 
@@ -130,7 +116,6 @@ impl DesyncOptions {
             clustering,
             matched_delay_margin,
             controller_delay_ps,
-            environment,
             timing,
         } = *self;
         let mut prefix = StagePrefix {
@@ -155,7 +140,6 @@ impl DesyncOptions {
         if stage >= Stage::Controlled {
             prefix.protocol = Some(protocol);
             prefix.controller_delay_ps = Some(controller_delay_ps.to_bits());
-            prefix.environment = Some(environment);
         }
         prefix
     }
@@ -232,7 +216,6 @@ pub(crate) struct StagePrefix {
     matched_delay_margin: Option<u64>,
     protocol: Option<Protocol>,
     controller_delay_ps: Option<u64>,
-    environment: Option<bool>,
 }
 
 #[cfg(test)]
@@ -247,7 +230,6 @@ mod tests {
         assert_eq!(o.clustering, ClusteringStrategy::ByNamePrefix);
         assert!(o.matched_delay_margin > 0.0 && o.matched_delay_margin < 0.5);
         assert!(o.controller_delay_ps > 0.0);
-        assert!(o.environment);
         assert!(o.validate().is_ok());
     }
 

@@ -116,10 +116,9 @@ pub struct TimingTable {
     /// Per cluster edge: the time from the source slave latch opening until
     /// its output carries the forwarded data item, ps.
     pub launch_overhead_ps: HashMap<(usize, usize), f64>,
-    /// Delay budgets of the environment arcs. Always computed; whether the
-    /// control model actually includes the environment controller pair is
-    /// decided by the `environment` option at the [`Stage::Controlled`]
-    /// transition, so toggling that knob does not re-run timing.
+    /// Delay budgets of the environment arcs. The [`Stage::Controlled`]
+    /// model times its environment controller pair with them: the pair that
+    /// applies the input vectors and consumes the outputs.
     pub environment: EnvironmentSpec,
 }
 
@@ -501,18 +500,6 @@ impl<'a> DesyncFlow<'a> {
         self.set_options(self.options.with_protocol(protocol))
     }
 
-    /// Enables or disables the explicit environment model (invalidates from
-    /// [`Stage::Controlled`] — the environment delay budgets are always
-    /// computed by the timing stage; the knob only controls whether the
-    /// control model includes the environment controller pair).
-    ///
-    /// # Errors
-    ///
-    /// See [`DesyncFlow::set_options`].
-    pub fn set_environment(&mut self, environment: bool) -> Result<&mut Self, DesyncError> {
-        self.set_options(self.options.with_environment(environment))
-    }
-
     /// Changes the timing parameters (invalidates from [`Stage::Timed`]).
     ///
     /// # Errors
@@ -616,12 +603,12 @@ impl<'a> DesyncFlow<'a> {
     /// under the netlist identity alone — a service admitting many requests
     /// over the same design to one engine lints it exactly once.
     ///
-    /// The accessor itself never fails on a dirty design; callers decide
-    /// what the report means. [`DesyncService`](crate::DesyncService)
-    /// rejects designs whose report is not
-    /// [clean](LintReport::is_clean) with [`DesyncError::LintRejected`]
-    /// before any stage computes. The construction stages keep their own
-    /// per-stage error behaviour for direct flow users.
+    /// The accessor itself returns a dirty report as it is. The report is
+    /// the flow's one input gate: [`DesyncFlow::clustered`], which every
+    /// later stage runs first, rejects a netlist whose report is not
+    /// [clean](LintReport::is_clean) with [`DesyncError::LintRejected`], so
+    /// direct flows, engine flows and service requests refuse a bad design
+    /// at the same point with the same report.
     ///
     /// # Errors
     ///
@@ -641,12 +628,21 @@ impl<'a> DesyncFlow<'a> {
 
     /// The cluster graph, running [`Stage::Clustered`] if needed.
     ///
+    /// The flow's input gate: before the stage's artifact is fetched, the
+    /// netlist's [lint report](DesyncFlow::lint) must be clean, so only a
+    /// single-clock flip-flop design with driven, acyclic logic reaches
+    /// this or any later stage.
+    ///
     /// # Errors
     ///
-    /// This stage itself cannot fail; the `Result` keeps the accessor
-    /// signatures uniform across stages.
+    /// [`DesyncError::LintRejected`], carrying the report, when the lint
+    /// report has an error-severity diagnostic; no stage runs then.
     pub fn clustered(&mut self) -> Result<&ClusterGraph, DesyncError> {
         if self.clustered.is_none() {
+            let lint = self.lint()?;
+            if !lint.is_clean() {
+                return Err(DesyncError::LintRejected(lint));
+            }
             let netlist = self.netlist;
             let clustering = self.options.clustering;
             let graph = self.fetch_stage(Stage::Clustered, "stage::clustered", || {
@@ -662,9 +658,9 @@ impl<'a> DesyncFlow<'a> {
     ///
     /// # Errors
     ///
-    /// [`DesyncError::Netlist`] / [`DesyncError::NoRegisters`] /
-    /// [`DesyncError::AlreadyLatchBased`] when the input netlist is not a
-    /// valid single-clock flip-flop design.
+    /// Same conditions as [`DesyncFlow::clustered`]: the lint gate has
+    /// already refused every netlist that is not a valid single-clock
+    /// flip-flop design.
     pub fn latched(&mut self) -> Result<&LatchDesign, DesyncError> {
         if self.latched.is_none() {
             self.clustered()?;
@@ -745,8 +741,6 @@ impl<'a> DesyncFlow<'a> {
     ///
     /// Earlier-stage errors, plus:
     ///
-    /// * [`DesyncError::EnvironmentRequired`] when the options disable the
-    ///   environment model, before any stage runs.
     /// * [`DesyncError::MissingStimulus`] when the netlist has data inputs
     ///   but no stimulus was configured — without input vectors the
     ///   equivalence check would pass vacuously.
@@ -754,22 +748,10 @@ impl<'a> DesyncFlow<'a> {
     ///   the netlist.
     pub fn verified(&mut self) -> Result<&EquivalenceReport, DesyncError> {
         if self.verified.is_none() {
-            if !self.options.environment {
-                return Err(DesyncError::EnvironmentRequired);
-            }
             self.ensure_assembled()?;
             self.interrupt.check()?;
             stage_trace::enter("verified");
             if self.stimulus.is_none() {
-                // Surface a clock problem as its own diagnostic instead of
-                // swallowing it (the old `single_clock().ok()` made every
-                // input of a multi-clock netlist — the clocks included —
-                // count as a data input and reported `MissingStimulus`).
-                // Today the Latched stage already rejects multi-clock
-                // netlists before this line can run, so this is
-                // defense-in-depth: it keeps the diagnostic correct even if
-                // stage construction (e.g. cross-flow artifact sourcing)
-                // ever stops funnelling through the conversion check.
                 let clock = self.netlist.single_clock().map_err(DesyncError::Netlist)?;
                 let has_data_inputs = self.netlist.inputs().iter().any(|&n| n != clock);
                 if has_data_inputs {
@@ -815,18 +797,13 @@ impl<'a> DesyncFlow<'a> {
     ///
     /// # Errors
     ///
-    /// Earlier-stage errors, plus [`DesyncError::EnvironmentRequired`] when
-    /// the options disable the environment model (before any stage runs)
-    /// and [`DesyncError::Netlist`] when a co-simulation testbench rejects
-    /// the netlist.
+    /// Earlier-stage errors, plus [`DesyncError::Netlist`] when a
+    /// co-simulation testbench rejects the netlist.
     pub fn verify_packed(
         &mut self,
         stimulus: &PackedVectorSource,
         cycles: usize,
     ) -> Result<MultiSeedReport, DesyncError> {
-        if !self.options.environment {
-            return Err(DesyncError::EnvironmentRequired);
-        }
         self.ensure_assembled()?;
         self.interrupt.check()?;
         stage_trace::enter("verified");
@@ -1176,8 +1153,6 @@ fn compute_sizing_analysis(
     // Environment arcs (the paper's auxiliary arcs): the worst arrival for
     // data travelling from the primary inputs into each input-fed cluster,
     // and (above) from each output-feeding cluster to the primary outputs.
-    // Computed unconditionally so toggling `options.environment` (consumed
-    // at the Controlled transition) never invalidates this stage.
     let mut env_input_base = HashMap::new();
     sta.cone_arrival_from(netlist.inputs(), &mut cone);
     for (idx, cluster) in clusters.clusters.iter().enumerate() {
@@ -1295,12 +1270,11 @@ fn build_control_network(
         latch_ps: options.timing.latch_d_to_q_ps,
         pulse_width_ps: options.timing.latch_d_to_q_ps + options.controller_delay_ps,
     };
-    let environment = options.environment.then_some(&timing.environment);
     let model = ControlModel::build_with_environment(
         clusters,
         options.protocol,
         &timing.edge_delay_ps(),
-        environment,
+        Some(&timing.environment),
         model_delays,
     );
     let report = model.lint();
@@ -1507,7 +1481,6 @@ mod tests {
             clustering: _,
             matched_delay_margin: _,
             controller_delay_ps: _,
-            environment: _,
             timing:
                 TimingConfig {
                     wire_delay_per_fanout_ps: _,
@@ -1553,7 +1526,6 @@ mod tests {
             ("matched_delay_margin", base.with_margin(1.0)),
             ("protocol", base.with_protocol(Protocol::NonOverlapping)),
             ("controller_delay_ps", base.with_controller_delay_ps(200.0)),
-            ("environment", base.with_environment(false)),
         ];
         let n = two_banks();
         let library = lib();
@@ -1668,20 +1640,6 @@ mod tests {
         counter.mark_output(q);
         let mut flow = DesyncFlow::new(&counter, &library, DesyncOptions::default()).unwrap();
         assert!(flow.verified().unwrap().is_equivalent());
-    }
-
-    #[test]
-    fn environment_toggle_reruns_only_controlled() {
-        let n = pipeline3();
-        let library = lib();
-        let mut flow = DesyncFlow::new(&n, &library, DesyncOptions::default()).unwrap();
-        flow.controlled().unwrap();
-        assert!(flow.controlled().unwrap().model.has_environment());
-        flow.set_environment(false).unwrap();
-        assert_eq!(flow.computed_through(), Some(Stage::Timed));
-        assert!(!flow.controlled().unwrap().model.has_environment());
-        assert_eq!(flow.stage_runs(Stage::Timed), 1);
-        assert_eq!(flow.stage_runs(Stage::Controlled), 2);
     }
 
     #[test]
@@ -1841,9 +1799,8 @@ mod tests {
     fn multi_clock_netlist_yields_clock_diagnostic_not_missing_stimulus() {
         // The user-visible contract: a multi-clock netlist must fail
         // `verified()` with a clock diagnostic, never with a misleading
-        // `MissingStimulus`. (Today the error comes from the Latched stage's
-        // conversion check; the guard inside `verified()` is defense-in-depth
-        // that no longer swallows the error via `single_clock().ok()`.)
+        // `MissingStimulus`. The lint gate in front of the first stage
+        // reports it as NL007, naming both clock nets.
         let mut n = Netlist::new("twoclk");
         let clk_a = n.add_input("clk_a");
         let clk_b = n.add_input("clk_b");
@@ -1855,15 +1812,18 @@ mod tests {
         let library = lib();
         let mut flow = DesyncFlow::new(&n, &library, DesyncOptions::default()).unwrap();
         let err = flow.verified().unwrap_err();
-        assert_ne!(err, DesyncError::MissingStimulus);
-        assert!(
-            matches!(
-                &err,
-                DesyncError::Netlist(desync_netlist::NetlistError::ClockError(msg))
-                    if msg.contains("2 distinct clock nets")
-            ),
-            "{err}"
+        let DesyncError::LintRejected(report) = err else {
+            panic!("expected a lint rejection, got {err:?}");
+        };
+        let first = report.errors().next().expect("an error diagnostic");
+        assert_eq!(
+            first.code,
+            desync_lint::LintCode::MultipleClocks,
+            "{report}"
         );
+        let clocks: Vec<_> = first.witness.iter().map(|s| s.as_str()).collect();
+        assert_eq!(clocks, ["clk_a", "clk_b"]);
+        assert_eq!(flow.computed_through(), None);
     }
 
     #[test]

@@ -23,13 +23,15 @@
 //! [`BatchReport`]:
 //!
 //! * **static admission control** — before any stage computes, each request
-//!   group runs the `desync-lint` pre-flight
+//!   group meets the flow's own lint gate: the `desync-lint` pre-flight
 //!   ([`DesyncFlow::lint`](crate::DesyncFlow::lint), cached per netlist in
-//!   the engine's store). A design with error-severity diagnostics is
-//!   rejected with [`DesyncError::LintRejected`] carrying the full
-//!   witness-bearing report — the request fails in O(V+E) with zero stage
-//!   computations, and [`BatchReport::lint_rejections`] and the lint row
-//!   of [`BatchReport::store`] account for the traffic,
+//!   the engine's store) that
+//!   [`DesyncFlow::clustered`](crate::DesyncFlow::clustered) checks first,
+//!   as it does for a direct flow. A design with error-severity
+//!   diagnostics is rejected with [`DesyncError::LintRejected`] carrying
+//!   the full witness-bearing report — the request fails in O(V+E) with
+//!   zero stage computations, and [`BatchReport::lint_rejections`] and the
+//!   lint row of [`BatchReport::store`] account for the traffic,
 //! * **coalesced scheduling** — identical in-flight requests are grouped
 //!   onto *one* computation; duplicates receive clones of the shared
 //!   result. Each request's netlist and library are interned in the engine
@@ -832,8 +834,7 @@ mod tests {
         let outcome = service.run_batch(&requests);
         assert!(outcome.results[0].is_ok());
         // The register-free netlist is turned away at admission: the lint
-        // pre-flight catches FL001 before any stage would have reported
-        // NoRegisters.
+        // gate catches FL001 before any stage runs.
         match &outcome.results[1] {
             Err(DesyncError::LintRejected(report)) => {
                 assert!(report.has(desync_lint::LintCode::NoRegisters), "{report}");
@@ -1080,41 +1081,6 @@ mod tests {
             Err(DesyncError::InvalidOptions(_))
         ));
         assert_eq!(outcome.report.failures, 1);
-    }
-
-    #[test]
-    fn verification_without_the_environment_model_is_an_error() {
-        use crate::pipeline::DesyncFlow;
-
-        let n = pipeline3();
-        let library = CellLibrary::generic_90nm();
-        let a = n.find_net("a").unwrap();
-        let stim = VectorSource::pseudo_random(vec![a], 3);
-        let packed = PackedVectorSource::pseudo_random(vec![a], &[3, 5]);
-        let options = DesyncOptions::default().with_environment(false);
-        // The design itself builds: only verification needs the environment.
-        let mut flow = DesyncFlow::new(&n, &library, options).unwrap();
-        assert!(!flow.design().unwrap().control_model().has_environment());
-        flow.set_verification(stim.clone(), 8);
-        assert_eq!(flow.verified(), Err(DesyncError::EnvironmentRequired));
-        assert_eq!(
-            flow.verify_packed(&packed, 8).unwrap_err(),
-            DesyncError::EnvironmentRequired
-        );
-
-        // A sweep point gets the error in its slot; the point beside it,
-        // with the environment on, still gets a verdict.
-        let service = DesyncService::with_engine(DesyncEngine::with_workers(1));
-        let requests = vec![
-            SweepRequest::new(&n, &library, options, &stim, 8),
-            SweepRequest::new(&n, &library, DesyncOptions::default(), &stim, 8),
-        ];
-        let outcome = service.run_sweep(&requests);
-        assert_eq!(outcome.results[0], Err(DesyncError::EnvironmentRequired));
-        assert!(outcome.results[1].as_ref().unwrap().is_equivalent());
-        assert_eq!(outcome.report.failures, 1);
-        let text = DesyncError::EnvironmentRequired.to_string();
-        assert!(text.contains("environment"), "{text}");
     }
 
     #[test]

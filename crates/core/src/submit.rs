@@ -11,9 +11,9 @@
 //! they can poll, block on, or abandon; a fixed set of worker threads
 //! drains the queue and resolves each ticket with a `Result`. Every kind
 //! is admitted through one submission path and runs through one executor,
-//! which opens the engine flow and runs the lint admission gate; only the
-//! final step (`design`, `verified` or `verify_packed`) depends on the
-//! kind.
+//! which opens the engine flow; only the final step (`design`, `verified`
+//! or `verify_packed`) depends on the kind, and each step meets the flow's
+//! own lint gate before its first stage.
 //!
 //! # Lifecycle of a request: tag → lane → tenant-DRR → worker
 //!
@@ -60,8 +60,11 @@
 //!    resolved [`DesyncError::Cancelled`] without touching the engine, an
 //!    expired one [`DesyncError::DeadlineExceeded`].
 //! 7. **Execution.** The worker opens the flow attached to the shared
-//!    engine, rejects a design whose pre-flight lint is not clean with
-//!    [`DesyncError::LintRejected`], and runs the request kind's step. The
+//!    engine and runs the request kind's step. The step's first stage,
+//!    [`DesyncFlow::clustered`], fetches the design's pre-flight lint
+//!    report (from the store when another request already linted it) and
+//!    rejects a design whose report is not clean with
+//!    [`DesyncError::LintRejected`] before any stage computes. The
 //!    request's [`Interrupt`] travels inside the flow and is
 //!    re-checked at **every stage boundary** (cooperative cancellation:
 //!    a cancelled request stops at the next stage edge, never mid-stage).
@@ -1499,9 +1502,8 @@ impl Drop for ServiceQueue {
 }
 
 /// The one executor of every request kind: opens the flow attached to the
-/// shared engine under the request's interrupt, runs the lint admission
-/// gate (the O(V+E) pre-flight, or its stored report) before any stage
-/// computes, then the kind's step.
+/// shared engine under the request's interrupt and runs the kind's step,
+/// whose first stage is the flow's lint gate.
 fn execute<W: Work>(
     engine: &DesyncEngine,
     request: &W,
@@ -1510,10 +1512,6 @@ fn execute<W: Work>(
     let (netlist, library, options) = request.design_point();
     let mut flow = engine.flow(netlist, library, options)?;
     flow.set_interrupt(interrupt.clone());
-    let lint = flow.lint()?;
-    if !lint.is_clean() {
-        return Err(DesyncError::LintRejected(lint));
-    }
     request.step(&mut flow)
 }
 

@@ -16,7 +16,7 @@ fn testbed() -> Netlist {
 
 /// One option mutation per code, covering every invalidation depth: full
 /// restart (clustering), timing re-run (margin), controller re-synthesis
-/// (protocol/environment) and the identity.
+/// (protocol/controller delay) and the identity.
 fn mutate(options: DesyncOptions, code: usize) -> DesyncOptions {
     let protocols = Protocol::all();
     match code % 8 {
@@ -26,7 +26,7 @@ fn mutate(options: DesyncOptions, code: usize) -> DesyncOptions {
         3 => options.with_protocol(protocols[1 % protocols.len()]),
         4 => options.with_clustering(ClusteringStrategy::PerRegister),
         5 => options.with_clustering(ClusteringStrategy::ByNamePrefix),
-        6 => options.with_environment(false),
+        6 => options.with_controller_delay_ps(200.0),
         _ => options,
     }
 }

@@ -69,7 +69,8 @@ fn bounded_engine_keeps_weight_inside_capacity_and_stays_correct() {
         report.resident_weight
     );
     // Eviction counters surface per kind through the report (stages plus
-    // the sync-run, compiled-model and sizing-analysis caches).
+    // the sync-run, compiled-model and sizing-analysis caches, and the lint
+    // reports every flow fetches before its first stage).
     assert_eq!(
         report.total_evictions(),
         ArtifactKind::STAGES
@@ -78,7 +79,8 @@ fn bounded_engine_keeps_weight_inside_capacity_and_stays_correct() {
             .sum::<usize>()
             + report.kind(ArtifactKind::SyncRun).evictions
             + report.kind(ArtifactKind::Compiled).evictions
-            + report.kind(ArtifactKind::Sizing).evictions,
+            + report.kind(ArtifactKind::Sizing).evictions
+            + report.kind(ArtifactKind::Lint).evictions,
     );
 
     // Every design equals its fresh detached computation even

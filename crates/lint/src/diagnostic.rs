@@ -15,8 +15,8 @@ use std::fmt;
 /// How bad a diagnostic is.
 ///
 /// Errors make a design non-desynchronizable (or structurally meaningless)
-/// and reject it at service admission; warnings are reported but do not
-/// block the flow.
+/// and reject it before the flow's first stage; warnings are reported but
+/// do not block the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Severity {
     /// Suspicious but not blocking.
@@ -73,7 +73,8 @@ pub enum LintCode {
     NotStronglyConnected,
     /// `FL001` — the flow needs at least one flip-flop to desynchronize.
     NoRegisters,
-    /// `FL002` — the design already contains level-sensitive latches.
+    /// `FL002` — the design already contains level-sensitive latches or
+    /// C-elements: sequential cells that are not flip-flops.
     AlreadyLatchBased,
 }
 
@@ -128,7 +129,7 @@ impl LintCode {
             LintCode::MultiTokenCycle => "control network is not safe",
             LintCode::NotStronglyConnected => "control network is not strongly connected",
             LintCode::NoRegisters => "no flip-flops to desynchronize",
-            LintCode::AlreadyLatchBased => "design is already latch-based",
+            LintCode::AlreadyLatchBased => "design holds latches or C-elements",
         }
     }
 }

@@ -32,7 +32,8 @@
 //! | NL008 | warning | duplicate / input-and-output ports | — |
 //!
 //! **Flow preconditions** ([`lint_flow_preconditions`]): FL001 (error, no
-//! flip-flops to desynchronize), FL002 (error, design already latch-based).
+//! flip-flops to desynchronize), FL002 (error, latches or C-elements
+//! present: the flow expects a flip-flop design).
 //!
 //! **Control-network suite** ([`lint_marked_graph`]): MG001 (error,
 //! token-free cycle ⇒ not live), MG002 (error, cycle carrying more than one
@@ -92,9 +93,10 @@ use desync_netlist::Netlist;
 /// Runs every pass that applies before the flow touches a design: the full
 /// netlist suite plus the flow preconditions.
 ///
-/// This is the report the flow's `lint` pre-flight stage caches and the
-/// service's admission control consults; [`LintReport::is_clean`] decides
-/// whether the design is admitted.
+/// This is the report the flow caches as its `lint` pre-flight and checks
+/// before its first stage, so direct flows and service requests alike
+/// meet it; [`LintReport::is_clean`] decides whether the design is
+/// admitted.
 pub fn lint_design(netlist: &Netlist) -> LintReport {
     let mut report = lint_netlist(netlist);
     report.merge(lint_flow_preconditions(netlist));

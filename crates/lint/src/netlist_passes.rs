@@ -8,7 +8,7 @@
 
 use crate::diagnostic::{Diagnostic, LintCode, LintReport};
 use desync_netlist::analysis::{find_combinational_cycle, CellTable};
-use desync_netlist::{Netlist, PinRole};
+use desync_netlist::{CellKind, Netlist, PinRole};
 use std::collections::VecDeque;
 
 /// Runs the full netlist pass suite.
@@ -230,8 +230,9 @@ pub fn lint_netlist(netlist: &Netlist) -> LintReport {
 ///
 /// `FL001` fires when there are no flip-flops (nothing to convert into
 /// latch pairs); `FL002` when the design already contains level-sensitive
-/// latches (the flow starts from a flip-flop-based synchronous circuit).
-/// The multi-clock precondition is covered by `NL007`.
+/// latches or C-elements (the flow starts from a flip-flop-based
+/// synchronous circuit, and clustering groups flip-flops only). The
+/// multi-clock precondition is covered by `NL007`.
 pub fn lint_flow_preconditions(netlist: &Netlist) -> LintReport {
     let mut report = LintReport::new();
     if netlist.num_flip_flops() == 0 {
@@ -241,17 +242,22 @@ pub fn lint_flow_preconditions(netlist: &Netlist) -> LintReport {
             "no flip-flops: the flow needs at least one register to desynchronize".to_string(),
         ));
     }
-    if netlist.num_latches() > 0 {
+    // Every sequential cell that is not a flip-flop: latches and C-elements.
+    let mut others = netlist
+        .sequential_cells()
+        .filter(|(_, c)| c.kind != CellKind::Dff);
+    let witness: Vec<_> = others.by_ref().take(8).map(|(_, c)| c.name).collect();
+    if !witness.is_empty() {
+        let count = witness.len() + others.count();
         report.push(
             Diagnostic::new(
                 LintCode::AlreadyLatchBased,
                 netlist.name_symbol(),
                 format!(
-                    "{} level-sensitive latch(es) present: the flow expects a flip-flop design",
-                    netlist.num_latches()
+                    "{count} latch(es) or C-element(s) present: the flow expects a flip-flop design"
                 ),
             )
-            .with_witness(netlist.latches().map(|(_, c)| c.name).take(8).collect()),
+            .with_witness(witness),
         );
     }
     report
@@ -436,5 +442,21 @@ mod tests {
         );
         let d = report.find(LintCode::AlreadyLatchBased).unwrap();
         assert_eq!(d.witness[0].as_str(), "l0");
+
+        // A C-element is sequential but no flip-flop: clustering has no
+        // register to give it, so FL002 names it even beside a flip-flop.
+        let mut celem = clean();
+        let a = celem.find_net("a").unwrap();
+        let q = celem.find_net("q").unwrap();
+        let c = celem.add_net("c");
+        celem.add_c_element("c0", &[a, q], c).unwrap();
+        celem.mark_output(c);
+        assert!(lint_netlist(&celem).is_clean());
+        let report = lint_flow_preconditions(&celem);
+        assert!(!report.has(LintCode::NoRegisters));
+        let d = report.find(LintCode::AlreadyLatchBased).expect("FL002");
+        let names: Vec<_> = d.witness.iter().map(|s| s.as_str()).collect();
+        assert_eq!(names, ["c0"]);
+        assert!(d.detail.starts_with("1 latch(es) or C-element(s)"));
     }
 }

@@ -15,7 +15,7 @@
 //!   liveness, safeness, cycle-time analysis and flow equivalence.
 //! * [`lint`] — static verification: witness-producing netlist and
 //!   control-network pass suites with stable diagnostic codes, backing the
-//!   flow's cached pre-flight and the service's admission control.
+//!   flow's input gate, which every caller meets before the first stage.
 //! * [`sta`] — static timing analysis and matched-delay sizing.
 //! * [`sim`] — event-driven gate-level simulation (synchronous and
 //!   desynchronized harnesses).
