@@ -1142,7 +1142,7 @@ mod tests {
 
         assert_eq!(
             service.engine().report().to_string(),
-            "desync engine: 1 netlist(s), 1 library(ies), store 399 / 400 weight resident
+            "desync engine: 1 netlist(s), 1 library(ies), store 336 / 400 weight resident
   stage        entries    hits  misses evicted   weight
   clustered          1       4       1       0        5
   latched            1       4       1       0       20
@@ -1151,7 +1151,7 @@ mod tests {
   sync-run           1       2       1       0       30
   compiled           2       2       2       0       84
   sizing             0       1       1       1        0
-  lint               1       4       1       0       64
+  lint               1       4       1       0        1
   stage total: 12 hit(s) / 8 miss(es) (60.0 % hit rate), 4 eviction(s) overall, \
 0 coalesced in-flight wait(s) (sync-run / compiled / sizing / lint caches counted separately above)"
         );
@@ -1164,7 +1164,7 @@ mod tests {
         );
         assert_eq!(
             body(&designs.report),
-            "  store: 2 hit(s) / 6 miss(es), 0 eviction(s), 329 weight resident
+            "  store: 2 hit(s) / 6 miss(es), 0 eviction(s), 266 weight resident
   reuse: 0 compiled-model reuse(s), 1 sizing rebind(s), sync runs 0 hit(s) / 0 miss(es), \
 0 in-flight coalesced
   0 event(s) simulated; 1 failure(s)
@@ -1182,7 +1182,7 @@ mod tests {
         );
         assert_eq!(
             body(&sweep.report),
-            "  store: 10 hit(s) / 2 miss(es), 4 eviction(s), 399 weight resident
+            "  store: 10 hit(s) / 2 miss(es), 4 eviction(s), 336 weight resident
   reuse: 2 compiled-model reuse(s), 0 sizing rebind(s), sync runs 2 hit(s) / 1 miss(es), \
 0 in-flight coalesced
   539 event(s) simulated; 0 failure(s)

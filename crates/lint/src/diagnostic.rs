@@ -269,12 +269,14 @@ impl LintReport {
         self.diagnostics.iter().find(|d| d.code == code)
     }
 
-    /// Approximate heap footprint in bytes, for weight-accounted caches.
+    /// Weight for weight-accounted caches, counted in elements as the
+    /// other stored artifacts are: one for the report, one per diagnostic
+    /// and one per witness name.
     pub fn weight(&self) -> usize {
-        64 + self
+        1 + self
             .diagnostics
             .iter()
-            .map(|d| 64 + d.detail.len() + d.witness.len() * 4)
+            .map(|d| 1 + d.witness.len())
             .sum::<usize>()
     }
 

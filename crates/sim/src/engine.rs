@@ -7,7 +7,8 @@
 //! per run) or a [`PackedValue`] of up to 64 independent stimulus lanes.
 //! Both widths are monomorphizations of the one commit loop below. A cursor records:
 //!
-//! * per-lane switching-activity counters (for the power model),
+//! * per-lane switching-activity counters (for the power model), from
+//!   which each lane's committed events follow (see [`Lanes::count`]),
 //! * the change records of watched nets (recorded by [`NetId`] during the
 //!   run; names are resolved once, by [`Simulator::into_run`]), and
 //! * the list of register *captures* — the value latched by every flip-flop
@@ -70,6 +71,10 @@
 //! * **Bitset watch list.** Whether a net is watched is one bit test; the
 //!   changes of a watched net are appended to a dense per-net slot with no
 //!   name lookup on the commit path.
+//! * **Bit-sliced lane counters.** A packed event adds the lanes it
+//!   toggled to the net's eight bit planes, one cache line, with eight
+//!   word operations and no branch, so it costs no loop over its lanes
+//!   (see the [packed counters](crate::packed#bit-plane-counters)).
 
 use crate::activity::Activity;
 use crate::harness::{value_to_word, SimRun};
@@ -136,6 +141,10 @@ pub trait Lanes: sealed::Sealed + Copy + PartialEq + std::fmt::Debug {
     type Source;
     /// A finished run at this width.
     type Run;
+    /// The switching counters a cursor keeps at this width: each live
+    /// lane's transition count per net, and what else it takes to derive
+    /// each lane's committed events.
+    type Counters: Clone + std::fmt::Debug;
     /// The most lanes one payload carries.
     const WIDTH: usize;
 
@@ -159,6 +168,12 @@ pub trait Lanes: sealed::Sealed + Copy + PartialEq + std::fmt::Debug {
     fn evaluate_c_element(inputs: &[Self], previous: Self) -> Self;
     /// Number of live lanes `source` drives.
     fn source_lanes(source: &Self::Source) -> usize;
+    /// Zeroed switching counters for `nets` nets and `lanes` live lanes.
+    fn counters(nets: usize, lanes: usize) -> Self::Counters;
+    /// Counts one committed change of `net`: the live lanes in `toggled`
+    /// made a transition, and those in `x_exits` changed out of `X`, which
+    /// is a committed event of the lane but no switching activity.
+    fn count(counters: &mut Self::Counters, net: usize, toggled: u64, x_exits: u64);
     /// The assignments `source` applies in cycle `cycle` (0-based).
     fn vector_for(source: &Self::Source, cycle: usize) -> Vec<(NetId, Self)>;
     /// Moves the observables of a finished cursor into this width's run
@@ -169,6 +184,9 @@ pub trait Lanes: sealed::Sealed + Copy + PartialEq + std::fmt::Debug {
 impl Lanes for Value {
     type Source = VectorSource;
     type Run = SimRun;
+    /// One plain transition counter per net. A scalar run's committed
+    /// events are the cursor's own count, so its `X` exits need no counter.
+    type Counters = Vec<u64>;
     const WIDTH: usize = 1;
 
     fn splat(value: Value) -> Self {
@@ -215,6 +233,15 @@ impl Lanes for Value {
         1
     }
 
+    fn counters(nets: usize, _: usize) -> Vec<u64> {
+        vec![0; nets]
+    }
+
+    /// `toggled` is 0 or 1: a scalar mask answers in bit 0 only.
+    fn count(counters: &mut Vec<u64>, net: usize, toggled: u64, _: u64) {
+        counters[net] += toggled;
+    }
+
     fn vector_for(source: &VectorSource, cycle: usize) -> Vec<(NetId, Self)> {
         source.vector_for(cycle)
     }
@@ -246,7 +273,7 @@ impl Lanes for Value {
         SimRun {
             flow_trace,
             activity: Activity {
-                transitions: sim.lane_transitions,
+                transitions: sim.counters,
                 duration_ps: sim.time,
             },
             waveforms,
@@ -413,11 +440,9 @@ pub struct Simulator<'a, L: Lanes> {
     /// Committed events; a packed event counts once however many lanes it
     /// changes.
     pub(crate) committed: usize,
-    /// Per-lane committed-event counters (events visible to that lane).
-    pub(crate) lane_events: Vec<u64>,
-    /// Lane-major per-net switching counters:
-    /// `lane_transitions[lane * num_nets + net]`.
-    pub(crate) lane_transitions: Vec<u64>,
+    /// Switching counters: one plain counter per net at the scalar width,
+    /// eight bit planes per net at the packed one (see [`Lanes::count`]).
+    pub(crate) counters: L::Counters,
     /// One bit per net: whether its changes are recorded.
     watched: Vec<u64>,
     /// Net → index into `waves` (`u32::MAX` = not watched).
@@ -490,8 +515,7 @@ impl<'a, L: Lanes> Simulator<'a, L> {
             queue: RadixQueue::new(),
             time: 0.0,
             committed: 0,
-            lane_events: vec![0; lanes],
-            lane_transitions: vec![0; lanes * num_nets],
+            counters: L::counters(num_nets, lanes),
             watched: vec![0u64; num_nets.div_ceil(64)],
             watch_slot: vec![u32::MAX; num_nets],
             waves: Vec::new(),
@@ -649,19 +673,12 @@ impl<'a, L: Lanes> Simulator<'a, L> {
         }
         self.values[net] = event.value;
         self.committed += 1;
-        let mut visible = changed & self.lane_mask;
-        while visible != 0 {
-            self.lane_events[visible.trailing_zeros() as usize] += 1;
-            visible &= visible - 1;
-        }
         // Transitions out of the unknown initialization state are not
-        // counted as switching activity.
-        let mut toggled = changed & self.lane_mask & !old.x_mask();
-        while toggled != 0 {
-            let lane = toggled.trailing_zeros() as usize;
-            self.lane_transitions[lane * self.model.num_nets + net] += 1;
-            toggled &= toggled - 1;
-        }
+        // counted as switching activity; a lane's committed events are its
+        // transitions plus these exits.
+        let visible = changed & self.lane_mask;
+        let x_exits = visible & old.x_mask();
+        L::count(&mut self.counters, net, visible & !x_exits, x_exits);
         if self.watched[net / 64] & (1u64 << (net % 64)) != 0 {
             let slot = self.watch_slot[net] as usize;
             self.waves[slot].1.push((self.time, event.value));
@@ -1074,15 +1091,15 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_orders_same_bucket_and_rebases() {
+    fn radix_queue_orders_equal_keys_and_far_events() {
         let mut q = RadixQueue::<Value>::new();
         assert!(q.is_empty());
-        let ev = |t: f64, seq: u32| Event {
+        let ev = |t: f64, id: u32| Event {
             key: t.to_bits(),
-            net: NetId(seq),
+            net: NetId(id),
             value: Value::One,
         };
-        // Same bucket, inserted out of order; equal times tie-break by seq.
+        // Inserted out of order; equal times pop in push order.
         q.push(ev(30.0, 3));
         q.push(ev(10.0, 1));
         q.push(ev(10.0, 2));

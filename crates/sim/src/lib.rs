@@ -42,12 +42,13 @@
 //! one piece of code, so each lane of a packed run is bit-identical to a
 //! scalar run with that lane's stimulus; only the payloads widen. A
 //! finished packed run stays packed: one packed capture stream per register
-//! with per-capture lane masks, the per-lane event and switching counters,
-//! and the raw packed waveform records. Equivalence campaigns compare lanes
-//! in packed space — one [`Lanes::diff_mask`] per capture pair covers all
-//! 64 lanes — and [`PackedSimRun::lane`] builds a lane's scalar [`SimRun`]
-//! only when a caller asks for it. So a 64-seed campaign point costs one
-//! packed co-simulation plus word-wide comparisons, not 64 scalar runs.
+//! with per-capture lane masks, bit-sliced per-net switching counters (a
+//! lane's committed events follow from them), and the raw packed waveform
+//! records. Equivalence campaigns compare lanes in packed space — one
+//! [`Lanes::diff_mask`] per capture pair covers all 64 lanes — and
+//! [`PackedSimRun::lane`] builds a lane's scalar [`SimRun`] only when a
+//! caller asks for it. So a 64-seed campaign point costs one packed
+//! co-simulation plus word-wide comparisons, not 64 scalar runs.
 //!
 //! [`Value`]: desync_netlist::Value
 //! [`CellKind`]: desync_netlist::CellKind
@@ -67,8 +68,8 @@
 //! enable schedules and stimuli onto the shared model; `desync-core`
 //! caches compiled models in its artifact store next to the stage
 //! artifacts. The [`engine`] module documents the rest of the kernel:
-//! integer time keys, the radix event queue, the CSR topology and the
-//! bitset watch list.
+//! integer time keys, the radix event queue, the CSR topology, the bitset
+//! watch list and the bit-sliced lane counters.
 //!
 //! Both harnesses take either a `(library, config)` pair or a pre-compiled
 //! model ([`SyncBench::with_lanes`], [`AsyncBench::with_lanes`]); the two

@@ -30,7 +30,7 @@ use desync_netlist::{CellId, CellKind, CellLibrary, NetId, Netlist, Value};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
     pub(crate) config: SimConfig,
-    pub(crate) num_nets: usize,
+    num_nets: usize,
     /// CSR net → reader cells: readers of net `n` are
     /// `reader_cells[reader_offsets[n]..reader_offsets[n + 1]]`.
     pub(crate) reader_offsets: Vec<u32>,

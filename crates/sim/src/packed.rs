@@ -35,15 +35,30 @@
 //!
 //! A finished run stays packed ([`PackedSimRun`]): one capture stream per
 //! register whose captures carry the mask of lanes that took them, the
-//! per-lane event and switching counters, and the raw packed change records
-//! of the watched nets. When every capture of a register was taken by all
-//! live lanes ([`PackedStream::is_uniform`] — true whenever the
-//! testbench's broadcast clock or enables reach the register without
-//! data-dependent gating), the lanes' scalar streams line up position by
-//! position, and one [`Lanes::diff_mask`] per capture pair compares all
-//! lanes at once. [`PackedSimRun::lane`] builds one lane's scalar
-//! [`SimRun`] only when a caller asks for it, bit-identical to the scalar
-//! run (see the [bit-identity contract](crate::engine#bit-identity-contract)).
+//! cursor's bit-plane switching counters ([`PackedCounters`]), and the raw
+//! packed change records of the watched nets. When every capture of a
+//! register was taken by all live lanes ([`PackedStream::is_uniform`] —
+//! true whenever the testbench's broadcast clock or enables reach the
+//! register without data-dependent gating), the lanes' scalar streams line
+//! up position by position, and one [`Lanes::diff_mask`] per capture pair
+//! compares all lanes at once. [`PackedSimRun::lane`] builds one lane's
+//! scalar [`SimRun`] only when a caller asks for it, bit-identical to the
+//! scalar run (see the
+//! [bit-identity contract](crate::engine#bit-identity-contract)).
+//!
+//! # Bit-plane counters
+//!
+//! A packed cursor counts switching activity in eight `u64` planes per
+//! net, net-major: bit *l* of plane *k* is bit *k* of lane *l*'s toggle
+//! count on the net. A committed event adds its toggled lanes with a
+//! ripple carry through the net's planes (one cache line): eight word-wide
+//! half additions and no branch, whatever the number of lanes. A count
+//! past 255 carries into a wide per-lane table, allocated on the first
+//! carry. Changes out of `X`, which are committed events but no switching
+//! activity, are counted per lane; a lane's committed events are its
+//! transitions plus its `X` exits, and the run's total is a popcount sum.
+//! [`PackedSimRun`] keeps the planes as they are, and
+//! [`PackedSimRun::lane`] decodes one lane's counts.
 //!
 //! Lane counts below 64 are supported: the packed stimulus replicates its
 //! last lane into the unused tail lanes (so they never create extra events)
@@ -164,6 +179,7 @@ impl std::ops::Not for PackedValue {
 impl Lanes for PackedValue {
     type Source = PackedVectorSource;
     type Run = PackedSimRun;
+    type Counters = PackedCounters;
     const WIDTH: usize = MAX_LANES;
 
     fn splat(value: Value) -> Self {
@@ -260,15 +276,46 @@ impl Lanes for PackedValue {
         source.lanes()
     }
 
+    fn counters(nets: usize, lanes: usize) -> PackedCounters {
+        PackedCounters {
+            planes: vec![NetPlanes::default(); nets],
+            carries: Vec::new(),
+            x_exits: vec![0; lanes],
+        }
+    }
+
+    /// Adds `toggled` to the net's planes with a ripple carry through all
+    /// eight: an exit at the first zero carry mispredicts often enough to
+    /// cost more than the planes it skips. Only an event on which some lane
+    /// leaves `X` walks its lanes. Inlinable across crates, since callers
+    /// monomorphize the commit loop in their own crate.
+    #[inline]
+    fn count(counters: &mut PackedCounters, net: usize, toggled: u64, x_exits: u64) {
+        let mut carry = toggled;
+        for plane in &mut counters.planes[net].0 {
+            let sum = *plane ^ carry;
+            carry &= *plane;
+            *plane = sum;
+        }
+        if carry != 0 {
+            counters.carry_out(net, carry);
+        }
+        let mut exits = x_exits;
+        while exits != 0 {
+            counters.x_exits[exits.trailing_zeros() as usize] += 1;
+            exits &= exits - 1;
+        }
+    }
+
     fn vector_for(source: &PackedVectorSource, cycle: usize) -> Vec<(NetId, Self)> {
         source.packed_vector_for(cycle)
     }
 
     /// Builds the [`PackedSimRun`]: the captures grouped into one packed
-    /// stream per register (sorted by register name), the per-lane event
-    /// and switching counters, and the raw packed change records of the
-    /// watched nets. Nothing is extracted per lane; [`PackedSimRun::lane`]
-    /// does that on demand.
+    /// stream per register (sorted by register name), the bit-plane
+    /// counters as the cursor kept them, and the raw packed change records
+    /// of the watched nets. Nothing is extracted or decoded per lane;
+    /// [`PackedSimRun::lane`] does that on demand.
     fn finish(sim: Simulator<'_, Self>, cycles: usize) -> PackedSimRun {
         let netlist = sim.netlist;
         let mut per_cell: Vec<Vec<(u64, PackedValue)>> = vec![Vec::new(); netlist.num_cells()];
@@ -293,8 +340,7 @@ impl Lanes for PackedValue {
         PackedSimRun {
             lanes: sim.lanes,
             streams,
-            lane_events: sim.lane_events,
-            lane_transitions: sim.lane_transitions,
+            counters: sim.counters,
             waves,
             cycles,
             duration_ps: sim.time,
@@ -309,6 +355,69 @@ pub(crate) fn live_mask(lanes: usize) -> u64 {
         !0
     } else {
         (1u64 << lanes) - 1
+    }
+}
+
+/// Number of bit planes per net: counts up to 255 stay in the planes.
+const PLANES: usize = 8;
+
+/// One net's eight bit planes: bit `l` of plane `k` is bit `k` of lane
+/// `l`'s toggle count on the net. Aligned so that a net is one cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[repr(align(64))]
+struct NetPlanes([u64; PLANES]);
+
+/// The switching counters of a packed cursor: eight bit planes per net,
+/// net-major, the wide table for counts past 255 and the per-lane `X` exits
+/// (see the [module documentation](self#bit-plane-counters)). Only
+/// [`PackedSimRun`] reads them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PackedCounters {
+    /// Per-net toggle counts modulo 256 (see [`NetPlanes`]).
+    planes: Vec<NetPlanes>,
+    /// Carries out of the top plane, `[net * 64 + lane]`, each worth 256
+    /// toggles; empty until the first carry.
+    carries: Vec<u64>,
+    /// Per-lane changes out of `X`.
+    x_exits: Vec<u64>,
+}
+
+impl PackedCounters {
+    /// Records the lanes of `carry`, whose counts on `net` wrapped past
+    /// 255, in the wide table.
+    #[cold]
+    fn carry_out(&mut self, net: usize, mut carry: u64) {
+        if self.carries.is_empty() {
+            self.carries = vec![0; self.planes.len() * MAX_LANES];
+        }
+        while carry != 0 {
+            self.carries[net * MAX_LANES + carry.trailing_zeros() as usize] += 1;
+            carry &= carry - 1;
+        }
+    }
+
+    /// Lane `lane`'s toggle count on every net, in net order.
+    fn lane_transitions(&self, lane: usize) -> Vec<u64> {
+        (self.planes.iter().enumerate())
+            .map(|(net, NetPlanes(planes))| {
+                let low = (planes.iter().enumerate())
+                    .fold(0, |count, (k, plane)| count | ((plane >> lane) & 1) << k);
+                let high = self.carries.get(net * MAX_LANES + lane).copied();
+                low + (high.unwrap_or(0) << PLANES)
+            })
+            .collect()
+    }
+
+    /// Committed events summed over the lanes: every plane bit weighted by
+    /// its place value, the carries, and the `X` exits.
+    fn events(&self) -> u64 {
+        let mut low = 0;
+        for NetPlanes(planes) in &self.planes {
+            for (k, plane) in planes.iter().enumerate() {
+                low += u64::from(plane.count_ones()) << k;
+            }
+        }
+        low + (self.carries.iter().sum::<u64>() << PLANES) + self.x_exits.iter().sum::<u64>()
     }
 }
 
@@ -333,9 +442,9 @@ impl PackedStream {
 }
 
 /// The observable result of one packed run, kept packed: one packed
-/// capture stream per register, the per-lane event and switching counters,
-/// the raw packed change records of the watched nets, and the word-level
-/// work the kernel actually did.
+/// capture stream per register, the bit-plane switching counters, the raw
+/// packed change records of the watched nets, and the word-level work the
+/// kernel actually did.
 ///
 /// Equivalence campaigns compare lanes directly on the packed streams. A
 /// lane's scalar [`SimRun`] is built only when a caller asks for it through
@@ -345,11 +454,10 @@ pub struct PackedSimRun {
     lanes: usize,
     /// Per-register capture streams, sorted by register name.
     streams: Vec<PackedStream>,
-    /// Per-lane committed-event counters.
-    lane_events: Vec<u64>,
-    /// Lane-major per-net switching counters:
-    /// `lane_transitions[lane * num_nets + net]`.
-    lane_transitions: Vec<u64>,
+    /// The cursor's bit-plane counters, kept as they are: a lane's per-net
+    /// transitions are decoded by [`PackedSimRun::lane`], and its committed
+    /// events are those transitions plus its `X` exits.
+    counters: PackedCounters,
     /// Raw packed change records of the watched nets, by net name in watch
     /// order.
     waves: Vec<(String, Vec<(f64, PackedValue)>)>,
@@ -417,7 +525,6 @@ impl PackedSimRun {
                 flow_trace.extend_stream(stream.register.clone(), values);
             }
         }
-        let nets = self.lane_transitions.len() / self.lanes;
         let mut waveforms = WaveformSet::new();
         for (name, changes) in &self.waves {
             let mut wave = Waveform::new();
@@ -431,16 +538,18 @@ impl PackedSimRun {
             }
             waveforms.insert(name.clone(), wave);
         }
+        let transitions = self.counters.lane_transitions(lane);
+        let committed_events = transitions.iter().sum::<u64>() + self.counters.x_exits[lane];
         SimRun {
             flow_trace,
             activity: Activity {
-                transitions: self.lane_transitions[lane * nets..(lane + 1) * nets].to_vec(),
+                transitions,
                 duration_ps: self.duration_ps,
             },
             waveforms,
             cycles: self.cycles,
             duration_ps: self.duration_ps,
-            committed_events: self.lane_events[lane] as usize,
+            committed_events: committed_events as usize,
         }
     }
 
@@ -448,7 +557,7 @@ impl PackedSimRun {
     /// scalar runs would have committed; the numerator of the packed
     /// speedup.
     pub fn lane_committed_events(&self) -> usize {
-        self.lane_events.iter().sum::<u64>() as usize
+        self.counters.events() as usize
     }
 
     /// Captured values summed over the live lanes: what the lanes' scalar
@@ -672,6 +781,61 @@ mod tests {
             tb.watch_named(&["clk", "q1"]);
             let scalar_run = tb.run(12, 4_000.0, source);
             assert_eq!(packed_run.lane(lane), scalar_run, "lane {lane}");
+        }
+    }
+
+    /// The counters' rare paths against scalar runs. Over 320 cycles every
+    /// lane's count on the toggler (and on the clock) carries out of the
+    /// eighth plane into the wide table, and each lane's stimulus holds `X`
+    /// in cycles of its own, so lanes leave `X` at different times.
+    #[test]
+    fn carries_and_x_exits_match_scalar_runs() {
+        const CYCLES: usize = 320;
+        let mut n = Netlist::new("toggle_x");
+        let clk = n.add_input("clk");
+        let din = n.add_input("din");
+        let t = n.add_net("t");
+        let nt = n.add_net("nt");
+        let q0 = n.add_net("q0");
+        let w = n.add_net("w");
+        let q1 = n.add_output("q1");
+        n.add_gate("inv", CellKind::Not, &[t], nt).unwrap();
+        n.add_dff("rt", nt, clk, t).unwrap();
+        n.add_dff("r0", din, clk, q0).unwrap();
+        n.add_gate("mix", CellKind::Xor, &[q0, t], w).unwrap();
+        n.add_dff("r1", w, clk, q1).unwrap();
+        let library = CellLibrary::generic_90nm();
+
+        for lanes in [5, MAX_LANES] {
+            let sources: Vec<VectorSource> = (0..lanes)
+                .map(|lane| {
+                    let period = 3 + lane % 7;
+                    let vectors = (0..period).map(|cycle| {
+                        let value = if cycle == lane % period {
+                            Value::X
+                        } else {
+                            Value::from_bool((cycle + lane) % 2 == 0)
+                        };
+                        vec![(din, value)]
+                    });
+                    VectorSource::sequence(vectors.collect())
+                })
+                .collect();
+            let stimulus = PackedVectorSource::interleave(sources.clone());
+            let packed = SyncBench::<PackedValue>::new(&n, &library, SimConfig::default(), lanes)
+                .unwrap()
+                .run(CYCLES, 4_000.0, &stimulus);
+            assert!(!packed.counters.carries.is_empty(), "{lanes} lanes");
+            let mut lane_events = 0;
+            for (lane, source) in sources.iter().enumerate() {
+                let scalar = SyncBench::<Value>::new(&n, &library, SimConfig::default())
+                    .unwrap()
+                    .run(CYCLES, 4_000.0, source);
+                assert!(scalar.activity.transitions_on(t) > 255, "lane {lane}");
+                assert_eq!(packed.lane(lane), scalar, "{lanes} lanes, lane {lane}");
+                lane_events += scalar.committed_events;
+            }
+            assert_eq!(packed.lane_committed_events(), lane_events, "{lanes} lanes");
         }
     }
 
